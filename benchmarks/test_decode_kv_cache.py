@@ -1,12 +1,12 @@
-"""KV-cached autoregressive decode vs the legacy full-prefix loop.
+"""KV-cached autoregressive decode vs a full-prefix decode loop.
 
 The synthesized hardware always runs its padded ``hw_seq_len`` pass, so
-the naive decode loop pays a full decoder-stack pass per emitted token.
+a naive decode loop pays a full decoder-stack pass per emitted token.
 The KV-cached path steps a 1-row query through the fabric instead;
 this benchmark pins its two contracts:
 
-* functional — greedy transcripts are byte-identical to the legacy
-  full-prefix path;
+* functional — greedy transcripts are byte-identical to the golden
+  model's stateless full-prefix decode;
 * cost — per-token fabric compute grows with the cached prefix but
   stays strictly below the full padded pass, and the whole cached
   decode is cheaper than ``steps x full pass``.
@@ -19,6 +19,8 @@ from benchmarks.conftest import emit
 from repro.config import ModelConfig
 from repro.decoding.greedy import greedy_decode
 from repro.hw.accelerator import TransformerAccelerator
+from repro.model import Transformer
+from repro.model.ops import log_softmax
 from repro.model.params import init_transformer_params
 
 HW_SEQ_LEN = 32
@@ -79,13 +81,18 @@ def test_cached_step_compute(benchmark, accel, features):
 
 
 def test_greedy_transcripts_byte_identical(accel, features):
+    session = accel.decode_session(features)
+    model = Transformer(accel.params)
+
+    def full_prefix_step(tokens):
+        hidden = model.decode(tokens, session.memory)
+        return log_softmax(model.output_logits(hidden[-1]), axis=-1)
+
     legacy = greedy_decode(
-        accel.step_fn(features, use_kv_cache=False),
-        sos_id=1, eos_id=2, max_len=HW_SEQ_LEN - 1,
+        full_prefix_step, sos_id=1, eos_id=2, max_len=HW_SEQ_LEN - 1
     )
     cached = greedy_decode(
-        accel.step_fn(features, use_kv_cache=True),
-        sos_id=1, eos_id=2, max_len=HW_SEQ_LEN - 1,
+        session.step_fn(), sos_id=1, eos_id=2, max_len=HW_SEQ_LEN - 1
     )
     assert legacy.tobytes() == cached.tobytes()
 

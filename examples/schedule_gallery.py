@@ -72,9 +72,10 @@ def main() -> None:
 
     print("\nFig 4.13 — per-engine trace of one encoder (s = 32, "
           "8 parallel heads):")
-    from repro.hw.block_trace import trace_encoder_block
+    from repro.hw.program import LoweringSpec, lower, trace_block
 
-    print(render_gantt(trace_encoder_block(fab, 32), width=110))
+    layer = lower(LoweringSpec("encoder_layer", ModelConfig(), fab, 32))
+    print(render_gantt(trace_block(layer), width=110))
 
 
 if __name__ == "__main__":

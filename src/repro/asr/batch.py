@@ -68,19 +68,15 @@ class BatchTranscriber:
         batched_prefill: bool = True,
     ) -> BatchResult:
         """Transcribe ``waveforms``; with ``batched_prefill`` (default)
-        and the KV-cached hardware engine, all encoder prefills run as
-        ONE batched (B, S, d_model) pass through the fabric — the MM
-        stages execute as single large GEMMs — before the per-utterance
-        decodes.  Functionally identical to the sequential path (the
-        batched kernels are bit-exact); only wall clock changes.
+        all encoder prefills run as ONE batched (B, S, d_model) pass
+        through the fabric — the MM stages execute as single large
+        GEMMs — before the per-utterance decodes.  Functionally
+        identical to the sequential path (the batched kernels are
+        bit-exact); only wall clock changes.
         """
         if not waveforms:
             raise ValueError("batch must contain at least one waveform")
-        use_batched = (
-            batched_prefill
-            and len(waveforms) > 1
-            and self.pipeline.decode_engine == "hw"
-        )
+        use_batched = batched_prefill and len(waveforms) > 1
         if use_batched:
             feats = [
                 self.pipeline.preprocessor(np.asarray(w, dtype=np.float64))

@@ -153,23 +153,15 @@ class TranscriptionResult:
 class AsrPipeline:
     """Waveform in, text out, with a full latency account.
 
-    Three decode engines drive the autoregressive loop:
+    Decoding runs the KV-cached hardware path: encoder prefill plus
+    one-time cross-attention K/V projection, then each token steps a
+    1-row query through the simulated fabric.  Greedy and beam search
+    are both supported (branching rewinds the cache to the common
+    stem).
 
-    * ``"hw"`` (default) — the KV-cached hardware path: encoder prefill
-      plus one-time cross-attention K/V projection, then each token
-      steps a 1-row query through the simulated fabric.  Supports
-      greedy and beam search (branching rewinds the cache to the
-      common stem).
-    * ``"hw-full"`` — the legacy full-prefix path kept for A/B: every
-      step re-runs the full padded decoder stack at ``t = hw_seq_len``.
-      Functionally identical to ``"hw"``, asymptotically slower.
-    * ``"incremental"`` — the host-side KV-cached reference decoder
-      (:mod:`repro.model.incremental`) over the accelerator's encoder
-      memory; greedy only (it caches a single hypothesis).
-
-    All engines report the same modeled latency: a single-shot padded
-    accelerator pass (prefill) in ``accelerator_report`` plus the
-    KV-cached autoregressive account in ``decode_report``.
+    The modeled latency is a single-shot padded accelerator pass
+    (prefill) in ``accelerator_report`` plus the KV-cached
+    autoregressive account in ``decode_report``.
     """
 
     def __init__(
@@ -181,7 +173,6 @@ class AsrPipeline:
         preprocessor: HostPreprocessor | None = None,
         host_timing: HostTimingModel | None = None,
         max_output_chars: int | None = None,
-        decode_engine: str = "hw",
     ) -> None:
         self.vocab = vocab or CharVocabulary()
         if len(self.vocab) != params.config.vocab_size:
@@ -201,15 +192,6 @@ class AsrPipeline:
                 f"max_output_chars must be positive; got {max_output_chars}"
             )
         self.max_output_chars = max_output_chars
-        if decode_engine not in ("hw", "hw-full", "incremental"):
-            raise ValueError(
-                "decode_engine must be 'hw' (KV-cached steps through the "
-                "simulated fabric), 'hw-full' (legacy full-prefix pass per "
-                "token) or 'incremental' (KV-cached reference decoder over "
-                "the accelerator's encoder memory)"
-            )
-        self.decode_engine = decode_engine
-        self._params = params
 
     def render_schedule_gantt(self, width: int = 100) -> str:
         """ASCII Gantt of the accelerator pass this pipeline models
@@ -271,32 +253,10 @@ class AsrPipeline:
             )
         if beam_size is not None and beam_size <= 0:
             raise ValueError(f"beam_size must be positive; got {beam_size}")
-        if session is not None:
-            if self.decode_engine != "hw":
-                raise ValueError(
-                    "a precomputed decode session requires decode_engine="
-                    f"'hw'; this pipeline uses '{self.decode_engine}'"
-                )
-            step = session.step_fn()
-        elif self.decode_engine == "incremental":
-            if beam_size is not None:
-                raise ValueError(
-                    "the incremental engine caches one hypothesis; use "
-                    "decode_engine='hw' for beam search"
-                )
-            from repro.model.incremental import IncrementalDecoder
-
-            memory = self.accelerator.forward(
-                features, np.array([self.vocab.sos_id])
-            ).memory
-            step = IncrementalDecoder(self._params, memory).step_fn()
-        else:
-            step = self.accelerator.step_fn(
-                features, use_kv_cache=self.decode_engine == "hw"
-            )
-        with obs_spans.tracer().span(
-            "asr.decode", engine=self.decode_engine
-        ):
+        if session is None:
+            session = self.accelerator.decode_session(features)
+        step = session.step_fn()
+        with obs_spans.tracer().span("asr.decode"):
             if beam_size is not None:
                 hyps = beam_search(
                     step,

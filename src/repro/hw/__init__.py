@@ -27,7 +27,6 @@ from repro.hw.accelerator import (
 )
 from repro.hw.kv_cache import DecoderKVCache, modeled_resident_bytes
 from repro.hw.adder import VectorAdder
-from repro.hw.block_trace import trace_attention_head, trace_encoder_block
 from repro.hw.faults import FaultSpec, inject_faults, measure_impact
 from repro.hw.multicard import multicard_throughput, saturation_point, scaling_sweep
 from repro.hw.verification import verify_case, verify_equivalence
@@ -64,11 +63,13 @@ from repro.hw.kernels import Fabric, KernelResult, matmul_dims
 from repro.hw.program import (
     BlockIR,
     BlockProgram,
+    LoweringSpec,
     Op,
     OpKind,
     ProgramRun,
     UnitSpan,
     execute_program,
+    lower,
     lower_decode_step,
     lower_full_pass,
     program_block_work,
@@ -104,8 +105,6 @@ __all__ = [
     "modeled_resident_bytes",
     "step_batch",
     "VectorAdder",
-    "trace_attention_head",
-    "trace_encoder_block",
     "FaultSpec",
     "inject_faults",
     "measure_impact",
@@ -142,11 +141,13 @@ __all__ = [
     "utilization_counters",
     "BlockIR",
     "BlockProgram",
+    "LoweringSpec",
     "Op",
     "OpKind",
     "ProgramRun",
     "UnitSpan",
     "execute_program",
+    "lower",
     "lower_decode_step",
     "lower_full_pass",
     "program_block_work",

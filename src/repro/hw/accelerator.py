@@ -172,39 +172,11 @@ class TransformerAccelerator:
         """Log posterior over the vocabulary at each decoder position."""
         return log_softmax(self.forward(features, tokens).logits, axis=-1)
 
-    def step_fn(self, features: np.ndarray, use_kv_cache: bool = True):
-        """Build a decoding step function (see :mod:`repro.decoding`).
-
-        The encoder memory is computed once and reused.  With
-        ``use_kv_cache`` (the default) each step runs the KV-cached
-        decoder path — a 1-row query through the fabric, O(1) decoder
-        passes per token.  ``use_kv_cache=False`` keeps the legacy
-        full-prefix path for A/B comparison: every step re-runs the
-        full padded decoder stack at ``t = hw_seq_len``.
-        """
-        if use_kv_cache:
-            return self.decode_session(features).step_fn()
-        features = np.asarray(features, dtype=MODEL_DTYPE)
-        s_valid = features.shape[0]
-        enc_in = self._pad_rows(features)
-        enc_mask = self._key_mask(s_valid)
-        memory, _ = self.controller.run_encoder_stack(enc_in, mask=enc_mask)
-        memory_mask = self._key_mask(s_valid)
-
-        def step(tokens: np.ndarray) -> np.ndarray:
-            dec_embed = self.embed_tokens(tokens)
-            t_valid = dec_embed.shape[0]
-            dec_in = self._pad_rows(dec_embed)
-            self_mask = combine_masks(
-                causal_mask(self.hw_seq_len), self._key_mask(t_valid)
-            )
-            dec_out, _ = self.controller.run_decoder_stack(
-                dec_in, memory, self_mask=self_mask, memory_mask=memory_mask
-            )
-            logits = self.output_logits(dec_out[t_valid - 1])
-            return log_softmax(logits, axis=-1)
-
-        return step
+    def step_fn(self, features: np.ndarray):
+        """Build a decoding step function (see :mod:`repro.decoding`):
+        the encoder memory is computed once, then each step runs the
+        KV-cached decoder path — a 1-row query through the fabric."""
+        return self.decode_session(features).step_fn()
 
     def decode_session(self, features: np.ndarray) -> "HwDecodeSession":
         """Open a KV-cached decode session for one utterance: encoder

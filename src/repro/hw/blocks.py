@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config import ModelConfig
 from repro.hw.kernels import (
     Fabric,
     mm1_cycles,
@@ -38,16 +39,7 @@ from repro.hw.kernels import (
     mm6_cycles,
 )
 from repro.hw.nonlinear import add_norm_unit
-from repro.hw.program import (
-    execute_program,
-    lower_attention_head_program,
-    lower_decoder_layer_program,
-    lower_decoder_step_layer_program,
-    lower_encoder_layer_program,
-    lower_ffn_program,
-    lower_mha_program,
-    lower_mha_step_program,
-)
+from repro.hw.program import LoweringSpec, execute_program, lower
 from repro.hw.systolic import ceil_div
 from repro.model.params import (
     AttentionParams,
@@ -285,42 +277,6 @@ def decoder_step_cycles(
     return mha_part, ffn_part
 
 
-def attention_head_block(
-    fabric: Fabric,
-    x_q: np.ndarray,
-    x_kv: np.ndarray,
-    params: AttentionParams,
-    head: int,
-    mask: np.ndarray | None = None,
-    concurrent_psas: int = 1,
-) -> BlockResult:
-    """One attention head on one PSA group, scheduled per Fig 4.13.
-
-    Sequence: MM1(K); B(K) || MM1(Q); B(Q); MM2; Sc+Sm || MM1(V); B(V);
-    MM3.  Overlapped stages contribute ``max`` of their latencies.
-    """
-    if not 0 <= head < params.num_heads:
-        raise ValueError(f"head must be in [0, {params.num_heads})")
-    program = lower_attention_head_program(
-        fabric,
-        x_q.shape[-2],
-        x_kv.shape[-2],
-        params.d_model,
-        params.d_k,
-        head=head,
-        concurrent_psas=concurrent_psas,
-    )
-    run = execute_program(
-        program,
-        root=params,
-        inputs={"x_q": x_q, "x_kv": x_kv, "mask": mask},
-    )
-    return BlockResult(
-        output=run.outputs["output"],
-        cycles=run.block_compute_cycles["attn_head"],
-    )
-
-
 def mha_block(
     fabric: Fabric,
     x_q: np.ndarray,
@@ -336,18 +292,12 @@ def mha_block(
     ``total_psas / parallel_heads`` concurrent PSAs for its MM1s and run
     the heads in waves (Table 5.3 design points).
     """
-    program = lower_mha_program(
-        fabric,
-        x_q.shape[-2],
-        x_kv.shape[-2],
-        params.num_heads,
-        params.d_model,
-        parallel_heads,
-    )
+    model = ModelConfig(d_model=params.d_model, num_heads=params.num_heads)
+    program = lower(LoweringSpec(
+        "mha", model, fabric, x_kv.shape[-2], x_q.shape[-2], parallel_heads
+    ))
     run = execute_program(
-        program,
-        root=params,
-        inputs={"x_q": x_q, "x_kv": x_kv, "mask": mask},
+        program, root=params, inputs={"x_q": x_q, "x_kv": x_kv, "mask": mask}
     )
     return BlockResult(
         output=run.outputs["output"], cycles=run.block_compute_cycles["mha"]
@@ -358,7 +308,8 @@ def ffn_block(
     fabric: Fabric, x: np.ndarray, params: FeedForwardParams
 ) -> BlockResult:
     """FFN: MM5 + B_1F + ReLU (streamed) + MM6 + B_2F."""
-    program = lower_ffn_program(fabric, x.shape[-2], params.d_model, params.d_ff)
+    model = ModelConfig(d_model=params.d_model, d_ff=params.d_ff)
+    program = lower(LoweringSpec("ffn", model, fabric, x.shape[-2]))
     run = execute_program(program, root=params, inputs={"x": x})
     return BlockResult(
         output=run.outputs["output"], cycles=run.block_compute_cycles["ffn"]
@@ -386,14 +337,15 @@ def encoder_block(
     parallel_heads: int | None = None,
 ) -> BlockResult:
     """One encoder layer on the fabric: MHA, Add-Norm, FFN, Add-Norm."""
-    program = lower_encoder_layer_program(
-        fabric,
-        x.shape[-2],
-        params.mha.num_heads,
-        params.mha.d_model,
-        params.ffn.d_ff,
-        parallel_heads,
+    model = ModelConfig(
+        d_model=params.mha.d_model,
+        num_heads=params.mha.num_heads,
+        d_ff=params.ffn.d_ff,
     )
+    program = lower(LoweringSpec(
+        "encoder_layer", model, fabric, x.shape[-2],
+        parallel_heads=parallel_heads,
+    ))
     run = execute_program(program, root=params, inputs={"x": x, "mask": mask})
     return BlockResult(
         output=run.outputs["output"], cycles=run.block_compute_cycles["enc1"]
@@ -426,15 +378,15 @@ def decoder_block(
     """One decoder layer: M-MHA, Add-Norm, cross MHA, Add-Norm, FFN,
     Add-Norm.  ``self_mask`` must already include the look-ahead mask
     (the controller owns mask construction)."""
-    program = lower_decoder_layer_program(
-        fabric,
-        x.shape[-2],
-        memory.shape[-2],
-        params.self_mha.num_heads,
-        params.self_mha.d_model,
-        params.ffn.d_ff,
-        parallel_heads,
+    model = ModelConfig(
+        d_model=params.self_mha.d_model,
+        num_heads=params.self_mha.num_heads,
+        d_ff=params.ffn.d_ff,
     )
+    program = lower(LoweringSpec(
+        "decoder_layer", model, fabric, memory.shape[-2], x.shape[-2],
+        parallel_heads,
+    ))
     run = execute_program(
         program,
         root=params,
@@ -444,109 +396,6 @@ def decoder_block(
             "self_mask": self_mask,
             "memory_mask": memory_mask,
         },
-    )
-    return DecoderBlockResult(
-        output=run.outputs["output"],
-        mha_cycles=run.block_compute_cycles["dec1m"],
-        ffn_cycles=run.block_compute_cycles["dec1f"],
-    )
-
-
-def _resolve_head_parallelism(
-    fabric: Fabric, num_heads: int, parallel_heads: int | None
-) -> int:
-    """Concurrent PSAs each head gets under ``parallel_heads``."""
-    from repro.hw.program import resolve_head_parallelism
-
-    return resolve_head_parallelism(fabric, num_heads, parallel_heads)[1]
-
-
-def mha_self_step_block(
-    fabric: Fabric,
-    x: np.ndarray,
-    params: AttentionParams,
-    cache,
-    parallel_heads: int | None = None,
-) -> BlockResult:
-    """Masked self-MHA for one cached step: project and bank this
-    position's K/V rows, then attend the single query row over the
-    cache.  The causal mask is implicit in the cache's extent.
-
-    ``x`` is the (1, d_model) decoder activation; ``cache`` a
-    :class:`repro.hw.kv_cache.LayerKVCache` that is extended in place.
-    """
-    t_keys = (cache.self_k[0].shape[0] + 1) if cache.self_k else 1
-    program = lower_mha_step_program(
-        fabric, t_keys, params.num_heads, params.d_model, parallel_heads
-    )
-    run = execute_program(
-        program, root=params, inputs={"x": x}, caches=[cache]
-    )
-    return BlockResult(
-        output=run.outputs["output"],
-        cycles=run.block_compute_cycles["mha_step"],
-    )
-
-
-def mha_cross_step_block(
-    fabric: Fabric,
-    x: np.ndarray,
-    params: AttentionParams,
-    cache,
-    memory_mask: np.ndarray | None = None,
-    parallel_heads: int | None = None,
-) -> BlockResult:
-    """Cross MHA for one cached step: the K/V projections of the
-    encoder memory were banked at prefill, so only the query row is
-    projected and attended over the fixed cache."""
-    s_keys = cache.cross_k[0].shape[0]
-    program = lower_mha_step_program(
-        fabric,
-        s_keys,
-        params.num_heads,
-        params.d_model,
-        parallel_heads,
-        project_kv=False,
-    )
-    run = execute_program(
-        program,
-        root=params,
-        inputs={"x": x, "memory_mask": memory_mask},
-        caches=[cache],
-    )
-    return BlockResult(
-        output=run.outputs["output"],
-        cycles=run.block_compute_cycles["mha_step"],
-    )
-
-
-def decoder_step_block(
-    fabric: Fabric,
-    x: np.ndarray,
-    params: DecoderLayerParams,
-    cache,
-    memory_mask: np.ndarray | None = None,
-    parallel_heads: int | None = None,
-) -> DecoderBlockResult:
-    """One decoder layer for one cached step: M-MHA over the growing
-    self cache, Add-Norm, cross MHA over the prefilled memory cache,
-    Add-Norm, FFN, Add-Norm — all on a single (1, d_model) row."""
-    t_keys = (cache.self_k[0].shape[0] + 1) if cache.self_k else 1
-    s_keys = cache.cross_k[0].shape[0]
-    program = lower_decoder_step_layer_program(
-        fabric,
-        t_keys,
-        s_keys,
-        params.self_mha.num_heads,
-        params.self_mha.d_model,
-        params.ffn.d_ff,
-        parallel_heads,
-    )
-    run = execute_program(
-        program,
-        root=params,
-        inputs={"x": x, "memory_mask": memory_mask},
-        caches=[cache],
     )
     return DecoderBlockResult(
         output=run.outputs["output"],

@@ -35,10 +35,10 @@ from repro.hw.memory import (
 )
 from repro.hw.program import (
     BlockProgram,
+    LoweringSpec,
     execute_program,
+    lower,
     lower_decode_step,
-    lower_decoder_stack,
-    lower_encoder_stack,
     lower_full_pass,
     program_block_work,
 )
@@ -499,38 +499,12 @@ class AcceleratorController:
         the lowering keys on the sequence length only, and the batched
         kernels run the MM stages as single large GEMMs.
         """
-        program = lower_encoder_stack(
-            self.params.config, self.fabric, x.shape[-2], self.parallel_heads
-        )
+        program = lower(LoweringSpec(
+            "encoder_stack", self.params.config, self.fabric, x.shape[-2],
+            parallel_heads=self.parallel_heads,
+        ))
         run = execute_program(
             program, root=self.params, inputs={"x": x, "enc_mask": mask}
-        )
-        return run.outputs["output"], run.block_compute_cycles
-
-    def run_decoder_stack(
-        self,
-        x: np.ndarray,
-        memory: np.ndarray,
-        self_mask: np.ndarray | None = None,
-        memory_mask: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, dict[str, int]]:
-        """Execute all decoder layers; returns (output, cycles/block)."""
-        program = lower_decoder_stack(
-            self.params.config,
-            self.fabric,
-            x.shape[-2],
-            memory.shape[-2],
-            self.parallel_heads,
-        )
-        run = execute_program(
-            program,
-            root=self.params,
-            inputs={
-                "x": x,
-                "memory": memory,
-                "self_mask": self_mask,
-                "memory_mask": memory_mask,
-            },
         )
         return run.outputs["output"], run.block_compute_cycles
 

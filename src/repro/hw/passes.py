@@ -27,25 +27,23 @@ are conserved, and only the *cycle-domain* placement changes:
 Every pass consumes the PR 5 stall taxonomy / schedule introspection as
 its cost signal and only keeps a rewrite when the exact simulated
 cycle count strictly improves, so a pipeline is monotone under its
-cost architecture.  :class:`PassPipeline` composes passes, is hashable
-(it participates in the lowering ``lru_cache`` keys — an optimized and
-a baseline program for the same config can never collide), and
-produces a :class:`PipelineReport` for the ``repro-asr optimize``
-artifact.
+cost architecture.  :class:`PassPipeline` composes passes and produces
+a :class:`PipelineReport` for the ``repro-asr optimize`` artifact.
+Pipelines apply to the cached baseline program and return a new one;
+their results are not cached, so a search over many candidate
+pipelines keeps none of the rejected programs alive.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, ClassVar, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from repro.config import ModelConfig
 from repro.hw.introspect import classify_stalls
-from repro.hw.kernels import Fabric
 from repro.hw.memory import (
     encoder_ffn_weight_bytes,
     encoder_mha_weight_bytes,
@@ -59,11 +57,8 @@ from repro.hw.program import (
     _bundle_load_cycles,
     block_compute_cycles,
     execute_program,
-    lower_encoder_stack,
-    lower_full_pass,
     program_load_bytes,
     program_unit_spans,
-    register_cached_lowering,
     schedule_program,
 )
 
@@ -78,8 +73,6 @@ __all__ = [
     "PassReport",
     "PipelineReport",
     "default_pipeline",
-    "lower_optimized_full_pass",
-    "lower_optimized_encoder_stack",
     "semantic_op_counts",
     "verify_semantics_preserved",
 ]
@@ -832,13 +825,7 @@ class PipelineReport:
 
 @dataclass(frozen=True)
 class PassPipeline:
-    """An ordered, hashable pass composition.
-
-    Hashability is load-bearing: the optimized lowerings below key
-    their ``lru_cache`` on the pipeline, so an optimized program can
-    never collide with the baseline (or another pipeline's) cache
-    entry for the same model/fabric key.
-    """
+    """An ordered, hashable pass composition."""
 
     passes: tuple[Any, ...]
     architecture: str = "A3"
@@ -914,38 +901,6 @@ def default_pipeline(
     if reorder:
         passes.append(ReorderOpsPass(architecture=architecture))
     return PassPipeline(passes=tuple(passes), architecture=architecture)
-
-
-# ------------------------------------------------- optimized lowerings
-@register_cached_lowering
-@lru_cache(maxsize=32)
-def lower_optimized_full_pass(
-    model: ModelConfig,
-    fabric: Fabric,
-    s: int,
-    pipeline: PassPipeline,
-    t: int | None = None,
-    parallel_heads: int | None = None,
-) -> BlockProgram:
-    """The full encoder+decoder pass after ``pipeline`` — cached with
-    the pipeline in the key, so optimized and baseline programs for the
-    same configuration never collide."""
-    base = lower_full_pass(model, fabric, s, t, parallel_heads)
-    return pipeline.apply_program(base)
-
-
-@register_cached_lowering
-@lru_cache(maxsize=32)
-def lower_optimized_encoder_stack(
-    model: ModelConfig,
-    fabric: Fabric,
-    s: int,
-    pipeline: PassPipeline,
-    parallel_heads: int | None = None,
-) -> BlockProgram:
-    """The encoder stack after ``pipeline`` (prefill / streaming)."""
-    base = lower_encoder_stack(model, fabric, s, parallel_heads)
-    return pipeline.apply_program(base)
 
 
 # ----------------------------------------------------- equivalence check

@@ -26,9 +26,10 @@ functional executor — value references plus parameter paths into a
 paths :mod:`repro.hw.faults` targets, so fault injection becomes a
 program transform via ``weight_hook``).
 
-Lowerings exist for the full encoder/decoder pass, the per-stack
-sub-programs, the single-token KV-cache decode step, and the individual
-blocks that :mod:`repro.hw.blocks` exposes as its public API.
+One cached entry point, :func:`lower`, lowers a :class:`LoweringSpec`:
+the full encoder/decoder pass, the encoder stack (prefill), the
+single-token KV-cache decode step, or one of the individual blocks
+that :mod:`repro.hw.blocks` exposes as its public API.
 """
 
 from __future__ import annotations
@@ -541,7 +542,7 @@ def _lower_mha(
     b: _Builder,
     block: str,
     x_q: ValueRef,
-    x_kv: ValueRef,
+    x_kv: ValueRef | None,
     prefix: tuple,
     s_q: int,
     s_k: int,
@@ -553,11 +554,11 @@ def _lower_mha(
     label_extra: str = "",
     step_layer: int | None = None,
     project_kv: bool = True,
-    t_keys: int | None = None,
 ) -> int:
-    """Lower a full MHA block (or a cached decode step when
-    ``step_layer`` is given): head waves, MM4 across every PSA group,
-    B_A.  Returns the B_A op id — the block's (s_q, d_model) output."""
+    """Lower a full MHA block (or a cached decode step over ``s_k``
+    cached keys when ``step_layer`` is given): head waves, MM4 across
+    every PSA group, B_A.  Returns the B_A op id — the block's (s_q,
+    d_model) output."""
     fabric = b.fabric
     parallel_heads, concurrent = resolve_head_parallelism(
         fabric, num_heads, parallel_heads
@@ -582,9 +583,8 @@ def _lower_mha(
                 )
             else:
                 out = _lower_attention_step_head(
-                    b, block, x_q, prefix, step_layer, head,
-                    t_keys if t_keys is not None else s_k, d_model, d_k,
-                    concurrent, engines, project_kv, mask, prev_wave, lp,
+                    b, block, x_q, prefix, step_layer, head, s_k, d_model,
+                    d_k, concurrent, engines, project_kv, mask, prev_wave, lp,
                 )
             wave_outs.append(out)
         head_outs.extend(wave_outs)
@@ -683,24 +683,23 @@ def _lower_encoder_layer(
     x: ValueRef,
     prefix: tuple,
     s: int,
-    num_heads: int,
-    d_model: int,
-    d_ff: int,
+    model: ModelConfig,
     parallel_heads: int | None,
     mask: str | None,
     entry_deps: tuple[int, ...],
 ) -> int:
     """One encoder layer: MHA, Add-Norm, FFN, Add-Norm."""
+    nh, d_model = model.num_heads, model.d_model
     b_a = _lower_mha(
-        b, block, x, x, prefix + ("mha",), s, s, num_heads, d_model,
+        b, block, x, x, prefix + ("mha",), s, s, nh, d_model,
         parallel_heads, mask, entry_deps,
     )
     an1 = _lower_add_norm(
         b, block, "Add-Norm1", b_a, x, prefix + ("norm1",), s, d_model
     )
     b2 = _lower_ffn(
-        b, block, _opref(an1), prefix + ("ffn",), s, d_model, d_ff,
-        num_heads, parallel_heads, (an1,),
+        b, block, _opref(an1), prefix + ("ffn",), s, d_model, model.d_ff,
+        nh, parallel_heads, (an1,),
     )
     return _lower_add_norm(
         b, block, "Add-Norm2", b2, _opref(an1), prefix + ("norm2",), s,
@@ -713,93 +712,49 @@ def _lower_decoder_layer(
     m_block: str,
     f_block: str,
     x: ValueRef,
-    memory: ValueRef,
+    memory: ValueRef | None,
     prefix: tuple,
     t: int,
     s: int,
-    num_heads: int,
-    d_model: int,
-    d_ff: int,
+    model: ModelConfig,
     parallel_heads: int | None,
     self_mask: str | None,
     memory_mask: str | None,
     entry_deps: tuple[int, ...],
-    mark_m: Callable[[], None] | None = None,
-) -> int:
+    step_layer: int | None = None,
+) -> tuple[int, int]:
     """One decoder layer split per Fig 4.11: the masked self-MHA +
     cross-MHA (with their Add-Norms) belong to ``m_block``, the FFN and
-    its Add-Norm to ``f_block``.  Returns the final Add-Norm op id."""
+    its Add-Norm to ``f_block``.  With ``step_layer`` the layer is one
+    KV-cached decode step: a 1-row query over ``t`` cached self keys
+    and the ``s`` prefilled cross keys of that cache layer (``memory``
+    is then unused).  Returns (first f-part op id, final Add-Norm id)."""
+    rows = t if step_layer is None else 1
+    nh, d_model = model.num_heads, model.d_model
     self_out = _lower_mha(
-        b, m_block, x, x, prefix + ("self_mha",), t, t, num_heads,
-        d_model, parallel_heads, self_mask, entry_deps, label_extra="self:",
+        b, m_block, x, x, prefix + ("self_mha",), rows, t, nh, d_model,
+        parallel_heads, self_mask, entry_deps, label_extra="self:",
+        step_layer=step_layer,
     )
     an1 = _lower_add_norm(
-        b, m_block, "Add-Norm1", self_out, x, prefix + ("norm1",), t, d_model
+        b, m_block, "Add-Norm1", self_out, x, prefix + ("norm1",), rows, d_model
     )
     cross_out = _lower_mha(
-        b, m_block, _opref(an1), memory, prefix + ("cross_mha",), t, s,
-        num_heads, d_model, parallel_heads, memory_mask, (an1,),
-        label_extra="cross:",
+        b, m_block, _opref(an1), memory, prefix + ("cross_mha",), rows, s,
+        nh, d_model, parallel_heads, memory_mask, (an1,),
+        label_extra="cross:", step_layer=step_layer, project_kv=False,
     )
     an2 = _lower_add_norm(
         b, m_block, "Add-Norm2", cross_out, _opref(an1),
-        prefix + ("norm2",), t, d_model, extra_deps=(an1,),
+        prefix + ("norm2",), rows, d_model, extra_deps=(an1,),
     )
-    if mark_m is not None:
-        mark_m()
+    m_end = b.mark()
     b2 = _lower_ffn(
-        b, f_block, _opref(an2), prefix + ("ffn",), t, d_model, d_ff,
-        num_heads, parallel_heads, (an2,),
+        b, f_block, _opref(an2), prefix + ("ffn",), rows, d_model, model.d_ff,
+        nh, parallel_heads, (an2,),
     )
-    return _lower_add_norm(
-        b, f_block, "Add-Norm3", b2, _opref(an2), prefix + ("norm3",), t,
-        d_model, extra_deps=(an2,),
-    )
-
-
-def _lower_decoder_step_layer(
-    b: _Builder,
-    m_block: str,
-    f_block: str,
-    x: ValueRef,
-    prefix: tuple,
-    layer: int,
-    t: int,
-    s: int,
-    num_heads: int,
-    d_model: int,
-    d_ff: int,
-    parallel_heads: int | None,
-    memory_mask: str | None,
-    entry_deps: tuple[int, ...],
-    mark_m: Callable[[], None] | None = None,
-) -> int:
-    """One decoder layer for a single KV-cached step (1-row query)."""
-    self_out = _lower_mha(
-        b, m_block, x, x, prefix + ("self_mha",), 1, t, num_heads, d_model,
-        parallel_heads, None, entry_deps, label_extra="self:",
-        step_layer=layer, project_kv=True, t_keys=t,
-    )
-    an1 = _lower_add_norm(
-        b, m_block, "Add-Norm1", self_out, x, prefix + ("norm1",), 1, d_model
-    )
-    cross_out = _lower_mha(
-        b, m_block, _opref(an1), _opref(an1), prefix + ("cross_mha",), 1, s,
-        num_heads, d_model, parallel_heads, memory_mask, (an1,),
-        label_extra="cross:", step_layer=layer, project_kv=False, t_keys=s,
-    )
-    an2 = _lower_add_norm(
-        b, m_block, "Add-Norm2", cross_out, _opref(an1),
-        prefix + ("norm2",), 1, d_model, extra_deps=(an1,),
-    )
-    if mark_m is not None:
-        mark_m()
-    b2 = _lower_ffn(
-        b, f_block, _opref(an2), prefix + ("ffn",), 1, d_model, d_ff,
-        num_heads, parallel_heads, (an2,),
-    )
-    return _lower_add_norm(
-        b, f_block, "Add-Norm3", b2, _opref(an2), prefix + ("norm3",), 1,
+    return m_end, _lower_add_norm(
+        b, f_block, "Add-Norm3", b2, _opref(an2), prefix + ("norm3",), rows,
         d_model, extra_deps=(an2,),
     )
 
@@ -811,7 +766,7 @@ def _bundle_load_cycles(fabric: Fabric, num_bytes: int) -> int:
     return hbm.transfer_cycles(num_bytes, channels=fabric.hardware.num_slrs)
 
 
-def _lower_encoder_stack_into(
+def _lower_encoders(
     b: _Builder,
     model: ModelConfig,
     s: int,
@@ -819,6 +774,7 @@ def _lower_encoder_stack_into(
     x: ValueRef,
     mask: str | None,
 ) -> ValueRef:
+    """Every encoder layer, one block each behind its weight load."""
     bpe = b.fabric.hardware.bytes_per_element
     enc_bytes = encoder_weight_bytes(model, bpe) if model.num_encoders else 0
     enc_load = _bundle_load_cycles(b.fabric, enc_bytes) if enc_bytes else 0
@@ -828,8 +784,8 @@ def _lower_encoder_stack_into(
         mark = b.mark()
         _load_op(b, label, enc_load, None)
         out = _lower_encoder_layer(
-            b, label, x, ("encoders", i), s, model.num_heads,
-            model.d_model, model.d_ff, parallel_heads, mask, prev_out,
+            b, label, x, ("encoders", i), s, model, parallel_heads, mask,
+            prev_out,
         )
         b.close_block(label, mark, load_cycles=enc_load, load_bytes=enc_bytes)
         x = _opref(out)
@@ -837,18 +793,20 @@ def _lower_encoder_stack_into(
     return x
 
 
-def _lower_decoder_stack_into(
+def _lower_decoders(
     b: _Builder,
     model: ModelConfig,
     t: int,
     s: int,
     parallel_heads: int | None,
     x: ValueRef,
-    memory: ValueRef,
+    memory: ValueRef | None,
     self_mask: str | None,
     memory_mask: str | None,
-    tag: str = "",
+    step: bool = False,
 ) -> ValueRef:
+    """Every decoder layer as an m/f block pair (full pass, or one
+    KV-cached decode step with ``step``)."""
     fabric = b.fabric
     bpe = fabric.hardware.bytes_per_element
     if not model.num_decoders:
@@ -860,22 +818,19 @@ def _lower_decoder_stack_into(
     merged_load = _bundle_load_cycles(fabric, decoder_weight_bytes(model, bpe))
     prev_out: tuple[int, ...] = ()
     for i in range(model.num_decoders):
-        m_label = f"{tag}dec{i + 1}m"
-        f_label = f"{tag}dec{i + 1}f"
-        group = f"{tag}dec{i + 1}"
+        group = f"dec{i + 1}"
+        m_label, f_label = f"{group}m", f"{group}f"
         mark = b.mark()
         _load_op(b, m_label, mha_load, 0)
-        m_end: list[int] = []
-        out = _lower_decoder_layer(
-            b, m_label, f_label, x, memory, ("decoders", i), t, s,
-            model.num_heads, model.d_model, model.d_ff, parallel_heads,
-            self_mask, memory_mask, prev_out,
-            mark_m=lambda: m_end.append(b.mark()),
+        m_end, out = _lower_decoder_layer(
+            b, m_label, f_label, x, memory, ("decoders", i), t, s, model,
+            parallel_heads, self_mask, memory_mask, prev_out,
+            step_layer=i if step else None,
         )
         b.blocks.append(
             BlockIR(
                 label=m_label,
-                op_ids=tuple(range(mark, m_end[0])),
+                op_ids=tuple(range(mark, m_end)),
                 load_cycles=mha_load,
                 channel_hint=0,
                 merge_group=group,
@@ -883,76 +838,13 @@ def _lower_decoder_stack_into(
                 load_bytes=mha_bytes,
             )
         )
-        f_mark = b.mark()
-        _load_op(b, f_label, ffn_load, 1)
-        # The FFN ops were emitted before this load op by the layer
-        # lowering; rebuild the f-part id range to include both.
-        b.blocks.append(
-            BlockIR(
-                label=f_label,
-                op_ids=tuple(range(m_end[0], b.mark())),
-                load_cycles=ffn_load,
-                channel_hint=1,
-                overhead_override=0,
-                merge_group=group,
-                merged_load_cycles=merged_load,
-                load_bytes=ffn_bytes,
-            )
-        )
-        del f_mark
-        x = _opref(out)
-        prev_out = (out,)
-    return x
-
-
-def _lower_decoder_step_stack_into(
-    b: _Builder,
-    model: ModelConfig,
-    t: int,
-    s: int,
-    parallel_heads: int | None,
-    x: ValueRef,
-    memory_mask: str | None,
-    tag: str = "",
-) -> ValueRef:
-    fabric = b.fabric
-    bpe = fabric.hardware.bytes_per_element
-    if not model.num_decoders:
-        return x
-    mha_bytes = decoder_mha_weight_bytes(model, bpe)
-    ffn_bytes = decoder_ffn_weight_bytes(model, bpe)
-    mha_load = _bundle_load_cycles(fabric, mha_bytes)
-    ffn_load = _bundle_load_cycles(fabric, ffn_bytes)
-    merged_load = _bundle_load_cycles(fabric, decoder_weight_bytes(model, bpe))
-    prev_out: tuple[int, ...] = ()
-    for i in range(model.num_decoders):
-        m_label = f"{tag}dec{i + 1}m"
-        f_label = f"{tag}dec{i + 1}f"
-        group = f"{tag}dec{i + 1}"
-        mark = b.mark()
-        _load_op(b, m_label, mha_load, 0)
-        m_end: list[int] = []
-        out = _lower_decoder_step_layer(
-            b, m_label, f_label, x, ("decoders", i), i, t, s,
-            model.num_heads, model.d_model, model.d_ff, parallel_heads,
-            memory_mask, prev_out, mark_m=lambda: m_end.append(b.mark()),
-        )
-        b.blocks.append(
-            BlockIR(
-                label=m_label,
-                op_ids=tuple(range(mark, m_end[0])),
-                load_cycles=mha_load,
-                channel_hint=0,
-                merge_group=group,
-                merged_load_cycles=merged_load,
-                load_bytes=mha_bytes,
-            )
-        )
+        # The f-part's load op follows the FFN ops the layer emitted;
+        # its id range covers both.
         _load_op(b, f_label, ffn_load, 1)
         b.blocks.append(
             BlockIR(
                 label=f_label,
-                op_ids=tuple(range(m_end[0], b.mark())),
+                op_ids=tuple(range(m_end, b.mark())),
                 load_cycles=ffn_load,
                 channel_hint=1,
                 overhead_override=0,
@@ -967,7 +859,157 @@ def _lower_decoder_step_stack_into(
 
 
 # ------------------------------------------------- program entry points
-@lru_cache(maxsize=128)
+def _scope_full_pass(b: _Builder, spec: LoweringSpec, t: int) -> dict:
+    """The full encoder + decoder pass: the program behind the Table
+    5.1 / Fig 5.2 latency numbers and the teacher-forced run."""
+    model, ph = spec.model, spec.parallel_heads
+    memory = _lower_encoders(b, model, spec.s, ph, _ext("x"), "enc_mask")
+    out = _lower_decoders(
+        b, model, t, spec.s, ph, _ext("dec_in"), memory,
+        "dec_self_mask", "dec_memory_mask",
+    )
+    return {"encoder_output": memory, "decoder_output": out}
+
+
+def _scope_encoder_stack(b: _Builder, spec: LoweringSpec, t: int) -> dict:
+    """The encoder stack alone (prefill)."""
+    return {"output": _lower_encoders(
+        b, spec.model, spec.s, spec.parallel_heads, _ext("x"), "enc_mask"
+    )}
+
+
+def _scope_decode_step(b: _Builder, spec: LoweringSpec, t: int) -> dict:
+    """One KV-cached decode step at prefix length ``t`` over an
+    ``s``-row memory: a 1-row query through every decoder layer."""
+    return {"output": _lower_decoders(
+        b, spec.model, t, spec.s, spec.parallel_heads, _ext("x"), None,
+        None, "memory_mask", step=True,
+    )}
+
+
+def _scope_mha(b: _Builder, spec: LoweringSpec, t: int) -> dict:
+    """One MHA block, ``t`` query rows over ``s`` keys (root:
+    AttentionParams)."""
+    model = spec.model
+    mark = b.mark()
+    out = _lower_mha(
+        b, "mha", _ext("x_q"), _ext("x_kv"), (), t, spec.s, model.num_heads,
+        model.d_model, spec.parallel_heads, "mask", (),
+    )
+    b.close_block("mha", mark)
+    return {"output": out}
+
+
+def _scope_ffn(b: _Builder, spec: LoweringSpec, t: int) -> dict:
+    """The FFN block (root: FeedForwardParams)."""
+    model = spec.model
+    mark = b.mark()
+    out = _lower_ffn(
+        b, "ffn", _ext("x"), (), spec.s, model.d_model, model.d_ff,
+        model.num_heads, spec.parallel_heads, (),
+    )
+    b.close_block("ffn", mark)
+    return {"output": out}
+
+
+def _scope_encoder_layer(b: _Builder, spec: LoweringSpec, t: int) -> dict:
+    """One encoder layer without its weight load (root:
+    EncoderLayerParams) — the Fig 4.13 Gantt view."""
+    mark = b.mark()
+    out = _lower_encoder_layer(
+        b, "enc1", _ext("x"), (), spec.s, spec.model, spec.parallel_heads,
+        "mask", (),
+    )
+    b.close_block("enc1", mark)
+    return {"output": out}
+
+
+def _scope_decoder_layer(b: _Builder, spec: LoweringSpec, t: int) -> dict:
+    """One decoder layer without its weight loads (root:
+    DecoderLayerParams), m/f split."""
+    m_end, out = _lower_decoder_layer(
+        b, "dec1m", "dec1f", _ext("x"), _ext("memory"), (), t, spec.s,
+        spec.model, spec.parallel_heads, "self_mask", "memory_mask", (),
+    )
+    b.blocks.append(
+        BlockIR("dec1m", tuple(range(m_end)), channel_hint=0, merge_group="dec1")
+    )
+    b.blocks.append(
+        BlockIR("dec1f", tuple(range(m_end, b.mark())), channel_hint=1,
+                overhead_override=0, merge_group="dec1")
+    )
+    return {"output": out}
+
+
+#: scope -> lowering of that scope's ops and blocks; returns the named
+#: program outputs.  Block scopes read only ``num_heads``, ``d_model``
+#: and ``d_ff`` from the spec's model, and resolve parameter paths
+#: against one layer's (or block's) parameters.
+_SCOPES: dict[str, Callable[..., dict]] = {
+    "full_pass": _scope_full_pass,
+    "encoder_stack": _scope_encoder_stack,
+    "decode_step": _scope_decode_step,
+    "mha": _scope_mha,
+    "ffn": _scope_ffn,
+    "encoder_layer": _scope_encoder_layer,
+    "decoder_layer": _scope_decoder_layer,
+}
+
+
+@dataclass(frozen=True)
+class LoweringSpec:
+    """Everything a lowering depends on; the key of the lowering cache.
+
+    ``s`` is the encoder length (the key rows of every attention over
+    the memory); ``t`` the decoder prefix length (query rows of the
+    decoder and MHA scopes, the cached prefix of ``decode_step``) and
+    defaults to ``s``.
+    """
+
+    scope: str
+    model: ModelConfig
+    fabric: Fabric
+    s: int
+    t: int | None = None
+    parallel_heads: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.scope not in _SCOPES:
+            raise ValueError(
+                f"scope must be one of {sorted(_SCOPES)}; got {self.scope!r}"
+            )
+        if self.s <= 0:
+            raise ValueError(f"s must be positive; got {self.s}")
+        if self.t is not None and self.t <= 0:
+            raise ValueError(f"t must be positive; got {self.t}")
+        total_psas = self.fabric.hardware.total_psas
+        if self.parallel_heads is not None and not (
+            1 <= self.parallel_heads <= total_psas
+        ):
+            raise ValueError(
+                f"parallel_heads must be in [1, {total_psas}]; "
+                f"got {self.parallel_heads}"
+            )
+
+
+@lru_cache(maxsize=512)
+def lower(spec: LoweringSpec) -> BlockProgram:
+    """Lower ``spec`` to its block program.
+
+    The one cache of the lowering: equal specs return the same program
+    object.  512 entries hold a whole s = 32 workload — one full pass,
+    one encoder stack and a decode step per prefix length — with room
+    to spare.
+    """
+    t = spec.s if spec.t is None else spec.t
+    b = _Builder(spec.fabric)
+    outputs = _SCOPES[spec.scope](b, spec, t)
+    return b.finish(
+        outputs, kind=spec.scope, s=spec.s, t=t,
+        parallel_heads=spec.parallel_heads, model=spec.model,
+    )
+
+
 def lower_full_pass(
     model: ModelConfig,
     fabric: Fabric,
@@ -975,272 +1017,20 @@ def lower_full_pass(
     t: int | None = None,
     parallel_heads: int | None = None,
 ) -> BlockProgram:
-    """Lower the full encoder + decoder pass: the program behind the
-    Table 5.1 / Fig 5.2 latency numbers and the teacher-forced run."""
-    if s <= 0:
-        raise ValueError("s must be positive")
-    t = s if t is None else t
-    b = _Builder(fabric)
-    memory = _lower_encoder_stack_into(
-        b, model, s, parallel_heads, _ext("x"), "enc_mask"
-    )
-    out = _lower_decoder_stack_into(
-        b, model, t, s, parallel_heads, _ext("dec_in"), memory,
-        "dec_self_mask", "dec_memory_mask",
-    )
-    return b.finish(
-        {"encoder_output": memory, "decoder_output": out},
-        kind="full_pass", s=s, t=t, parallel_heads=parallel_heads,
-        model=model,
-    )
+    """The lowered full encoder + decoder pass (see :func:`lower`)."""
+    return lower(LoweringSpec("full_pass", model, fabric, s, t, parallel_heads))
 
 
-@lru_cache(maxsize=128)
-def lower_encoder_stack(
-    model: ModelConfig,
-    fabric: Fabric,
-    s: int,
-    parallel_heads: int | None = None,
-) -> BlockProgram:
-    """Lower the encoder stack alone (prefill / streaming chunks)."""
-    b = _Builder(fabric)
-    out = _lower_encoder_stack_into(b, model, s, parallel_heads, _ext("x"), "enc_mask")
-    return b.finish(
-        {"output": out}, kind="encoder_stack", s=s,
-        parallel_heads=parallel_heads, model=model,
-    )
-
-
-@lru_cache(maxsize=128)
-def lower_decoder_stack(
-    model: ModelConfig,
-    fabric: Fabric,
-    t: int,
-    s: int,
-    parallel_heads: int | None = None,
-) -> BlockProgram:
-    """Lower the decoder stack alone (teacher-forced / full-prefix)."""
-    b = _Builder(fabric)
-    out = _lower_decoder_stack_into(
-        b, model, t, s, parallel_heads, _ext("x"), _ext("memory"),
-        "self_mask", "memory_mask",
-    )
-    return b.finish(
-        {"output": out}, kind="decoder_stack", t=t, s=s,
-        parallel_heads=parallel_heads, model=model,
-    )
-
-
-@lru_cache(maxsize=512)
 def lower_decode_step(
     model: ModelConfig,
     fabric: Fabric,
     t: int,
     s: int,
     parallel_heads: int | None = None,
-    tag: str = "",
 ) -> BlockProgram:
-    """Lower one KV-cached decode step at prefix length ``t`` over an
-    ``s``-row memory: a 1-row query through every decoder layer."""
-    if t <= 0 or s <= 0:
-        raise ValueError("t and s must be positive")
-    b = _Builder(fabric)
-    out = _lower_decoder_step_stack_into(
-        b, model, t, s, parallel_heads, _ext("x"), "memory_mask", tag=tag
-    )
-    return b.finish(
-        {"output": out}, kind="decode_step", t=t, s=s,
-        parallel_heads=parallel_heads, model=model,
-    )
-
-
-@lru_cache(maxsize=256)
-def lower_attention_head_program(
-    fabric: Fabric,
-    s_q: int,
-    s_k: int,
-    d_model: int,
-    d_k: int,
-    head: int = 0,
-    concurrent_psas: int = 1,
-    engines: tuple[str, str, str] | None = None,
-    label_prefix: str = "",
-) -> BlockProgram:
-    """One attention head as a stand-alone program (root:
-    :class:`repro.model.params.AttentionParams`)."""
-    b = _Builder(fabric)
-    mark = b.mark()
-    out = _lower_attention_head(
-        b, "attn_head", _ext("x_q"), _ext("x_kv"), (), head, s_q, s_k,
-        d_model, d_k, concurrent_psas,
-        engines or _slot_engines(fabric, 0, concurrent_psas), "mask", (),
-        label_prefix,
-    )
-    b.close_block("attn_head", mark)
-    return b.finish({"output": out}, kind="attention_head", s_q=s_q, s_k=s_k)
-
-
-@lru_cache(maxsize=256)
-def lower_mha_program(
-    fabric: Fabric,
-    s_q: int,
-    s_k: int,
-    num_heads: int,
-    d_model: int,
-    parallel_heads: int | None = None,
-) -> BlockProgram:
-    """A full MHA block as a stand-alone program (root: AttentionParams)."""
-    b = _Builder(fabric)
-    mark = b.mark()
-    out = _lower_mha(
-        b, "mha", _ext("x_q"), _ext("x_kv"), (), s_q, s_k, num_heads,
-        d_model, parallel_heads, "mask", (),
-    )
-    b.close_block("mha", mark)
-    return b.finish({"output": out}, kind="mha", s_q=s_q, s_k=s_k)
-
-
-@lru_cache(maxsize=256)
-def lower_mha_step_program(
-    fabric: Fabric,
-    t_keys: int,
-    num_heads: int,
-    d_model: int,
-    parallel_heads: int | None = None,
-    project_kv: bool = True,
-) -> BlockProgram:
-    """An MHA decode step as a stand-alone program (root:
-    AttentionParams; cache layer 0 of the bound cache list)."""
-    if t_keys <= 0:
-        raise ValueError("t_keys must be positive")
-    b = _Builder(fabric)
-    mark = b.mark()
-    out = _lower_mha(
-        b, "mha_step", _ext("x"), _ext("x"), (), 1, t_keys, num_heads,
-        d_model, parallel_heads, "memory_mask" if not project_kv else None,
-        (), step_layer=0, project_kv=project_kv, t_keys=t_keys,
-    )
-    b.close_block("mha_step", mark)
-    return b.finish({"output": out}, kind="mha_step", t_keys=t_keys)
-
-
-@lru_cache(maxsize=256)
-def lower_ffn_program(
-    fabric: Fabric,
-    s: int,
-    d_model: int,
-    d_ff: int,
-    num_heads: int = 8,
-    parallel_heads: int | None = None,
-) -> BlockProgram:
-    """The FFN block as a stand-alone program (root: FeedForwardParams)."""
-    b = _Builder(fabric)
-    mark = b.mark()
-    out = _lower_ffn(
-        b, "ffn", _ext("x"), (), s, d_model, d_ff, num_heads,
-        parallel_heads, (),
-    )
-    b.close_block("ffn", mark)
-    return b.finish({"output": out}, kind="ffn", s=s)
-
-
-@lru_cache(maxsize=256)
-def lower_encoder_layer_program(
-    fabric: Fabric,
-    s: int,
-    num_heads: int = 8,
-    d_model: int = 512,
-    d_ff: int = 2048,
-    parallel_heads: int | None = None,
-) -> BlockProgram:
-    """One encoder layer (root: EncoderLayerParams) — the program the
-    legacy :func:`repro.hw.block_trace.trace_encoder_block` renders."""
-    b = _Builder(fabric)
-    mark = b.mark()
-    out = _lower_encoder_layer(
-        b, "enc1", _ext("x"), (), s, num_heads, d_model, d_ff,
-        parallel_heads, "mask", (),
-    )
-    b.close_block("enc1", mark)
-    return b.finish({"output": out}, kind="encoder_layer", s=s)
-
-
-@lru_cache(maxsize=256)
-def lower_decoder_layer_program(
-    fabric: Fabric,
-    t: int,
-    s: int,
-    num_heads: int = 8,
-    d_model: int = 512,
-    d_ff: int = 2048,
-    parallel_heads: int | None = None,
-) -> BlockProgram:
-    """One decoder layer (root: DecoderLayerParams), m/f split."""
-    b = _Builder(fabric)
-    out = _lower_decoder_stack_like_layer(
-        b, t, s, num_heads, d_model, d_ff, parallel_heads
-    )
-    return b.finish({"output": out}, kind="decoder_layer", t=t, s=s)
-
-
-def _lower_decoder_stack_like_layer(
-    b: _Builder,
-    t: int,
-    s: int,
-    num_heads: int,
-    d_model: int,
-    d_ff: int,
-    parallel_heads: int | None,
-) -> int:
-    mark = b.mark()
-    m_end: list[int] = []
-    out = _lower_decoder_layer(
-        b, "dec1m", "dec1f", _ext("x"), _ext("memory"), (), t, s,
-        num_heads, d_model, d_ff, parallel_heads, "self_mask",
-        "memory_mask", (), mark_m=lambda: m_end.append(b.mark()),
-    )
-    b.blocks.append(
-        BlockIR("dec1m", tuple(range(mark, m_end[0])), channel_hint=0,
-                merge_group="dec1")
-    )
-    b.blocks.append(
-        BlockIR("dec1f", tuple(range(m_end[0], b.mark())), channel_hint=1,
-                overhead_override=0, merge_group="dec1")
-    )
-    return out
-
-
-@lru_cache(maxsize=256)
-def lower_decoder_step_layer_program(
-    fabric: Fabric,
-    t: int,
-    s: int,
-    num_heads: int = 8,
-    d_model: int = 512,
-    d_ff: int = 2048,
-    parallel_heads: int | None = None,
-) -> BlockProgram:
-    """One decoder layer's KV-cached step (root: DecoderLayerParams,
-    cache layer 0 of the bound cache list), m/f split."""
-    if t <= 0 or s <= 0:
-        raise ValueError("t and s must be positive")
-    b = _Builder(fabric)
-    mark = b.mark()
-    m_end: list[int] = []
-    out = _lower_decoder_step_layer(
-        b, "dec1m", "dec1f", _ext("x"), (), 0, t, s, num_heads, d_model,
-        d_ff, parallel_heads, "memory_mask", (),
-        mark_m=lambda: m_end.append(b.mark()),
-    )
-    b.blocks.append(
-        BlockIR("dec1m", tuple(range(mark, m_end[0])), channel_hint=0,
-                merge_group="dec1")
-    )
-    b.blocks.append(
-        BlockIR("dec1f", tuple(range(m_end[0], b.mark())), channel_hint=1,
-                overhead_override=0, merge_group="dec1")
-    )
-    return b.finish({"output": out}, kind="decoder_step_layer", t=t, s=s)
+    """The lowered KV-cached decode step at prefix length ``t`` over an
+    ``s``-row memory (see :func:`lower`)."""
+    return lower(LoweringSpec("decode_step", model, fabric, s, t, parallel_heads))
 
 
 # ------------------------------------------------------- cycle executor
@@ -1271,36 +1061,11 @@ def block_compute_cycles(program: BlockProgram, block: BlockIR | str) -> int:
     return max((end for _, end in times.values()), default=0)
 
 
-#: Every lru_cache'd lowering entry point, for cache-pressure telemetry.
-_CACHED_LOWERINGS = [
-    lower_full_pass,
-    lower_encoder_stack,
-    lower_decoder_stack,
-    lower_decode_step,
-    lower_attention_head_program,
-    lower_mha_program,
-    lower_mha_step_program,
-    lower_ffn_program,
-    lower_encoder_layer_program,
-    lower_decoder_layer_program,
-    lower_decoder_step_layer_program,
-]
-
-
-def register_cached_lowering(fn: Any) -> Any:
-    """Register an external ``lru_cache``'d lowering (e.g. the optimized
-    lowering in :mod:`repro.hw.passes`) with the cache telemetry;
-    usable as a decorator, returns ``fn`` unchanged."""
-    if not hasattr(fn, "cache_info"):
-        raise TypeError("cached lowering must expose cache_info()")
-    if fn not in _CACHED_LOWERINGS:
-        _CACHED_LOWERINGS.append(fn)
-    return fn
-
-
 def lowering_cache_info() -> dict[str, Any]:
-    """``functools.lru_cache`` statistics per lowering entry point."""
-    return {fn.__name__: fn.cache_info() for fn in _CACHED_LOWERINGS}
+    """``functools.lru_cache`` statistics of the lowering cache, keyed
+    by the name of the cached function (clear it with that function's
+    ``cache_clear()``)."""
+    return {lower.__name__: lower.cache_info()}
 
 
 def record_lowering_cache_metrics(
@@ -1310,11 +1075,9 @@ def record_lowering_cache_metrics(
     reg = registry if registry is not None else obs_metrics.registry()
     if not reg.enabled:
         return
-    for name, info in lowering_cache_info().items():
-        reg.gauge("repro.hw.program.lower.cache_hits", lowering=name).set(info.hits)
-        reg.gauge("repro.hw.program.lower.cache_misses", lowering=name).set(
-            info.misses
-        )
+    info = lower.cache_info()
+    reg.gauge("repro.hw.program.lower.cache_hits").set(info.hits)
+    reg.gauge("repro.hw.program.lower.cache_misses").set(info.misses)
 
 
 def program_op_counts(program: BlockProgram) -> dict[str, int]:
@@ -1760,17 +1523,10 @@ __all__ = [
     "BlockProgram",
     "ProgramRun",
     "resolve_head_parallelism",
+    "LoweringSpec",
+    "lower",
     "lower_full_pass",
-    "lower_encoder_stack",
-    "lower_decoder_stack",
     "lower_decode_step",
-    "lower_attention_head_program",
-    "lower_mha_program",
-    "lower_mha_step_program",
-    "lower_ffn_program",
-    "lower_encoder_layer_program",
-    "lower_decoder_layer_program",
-    "lower_decoder_step_layer_program",
     "block_compute_cycles",
     "program_block_work",
     "program_op_counts",
@@ -1778,7 +1534,6 @@ __all__ = [
     "program_hbm_bytes",
     "lowering_cache_info",
     "record_lowering_cache_metrics",
-    "register_cached_lowering",
     "schedule_params_for",
     "schedule_program",
     "trace_block",

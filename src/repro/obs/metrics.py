@@ -70,8 +70,8 @@ METRIC_HELP = {
     "repro.hw.program.executions": "Functional-executor runs, by program kind",
     "repro.hw.program.ops": "Program ops executed by the functional executor, by op kind",
     "repro.hw.program.trace_ops": "Program ops accounted by the trace executor, by op kind",
-    "repro.hw.program.lower.cache_hits": "lru_cache hits, by program lowering",
-    "repro.hw.program.lower.cache_misses": "lru_cache misses, by program lowering",
+    "repro.hw.program.lower.cache_hits": "Lowering-cache hits (repro.hw.program.lower)",
+    "repro.hw.program.lower.cache_misses": "Lowering-cache misses (repro.hw.program.lower)",
     # ---- memory system / engines (repro.hw.*)
     "repro.hw.hbm.bytes_streamed": "Weight bytes streamed from HBM by executed programs",
     "repro.hw.hbm.bytes": "Weight bytes per HBM channel of the profiled program",

@@ -155,15 +155,11 @@ class ModeledExecutor:
     def open_session(self, record: RequestRecord) -> None:
         return None
 
-    def step(self, record: RequestRecord, replay: bool) -> None:
-        return None
-
     def step_many(self, items: list[tuple[RequestRecord, bool]]) -> None:
         """One decode iteration over the whole active batch.  The
         modeled executor has no state to advance; the functional
         executor overrides this with a batched fabric step."""
-        for record, replay in items:
-            self.step(record, replay)
+        return None
 
     def preempt(self, record: RequestRecord) -> None:
         return None
@@ -184,16 +180,11 @@ class FunctionalExecutor(ModeledExecutor):
         accelerator,
         features_of,
         start_token: int = 1,
-        batched_steps: bool = True,
     ):
         super().__init__(config, accelerator.latency_model)
         self.accelerator = accelerator
         self.features_of = features_of
         self.start_token = int(start_token)
-        #: Route decode iterations through the batched fabric executor
-        #: (bit-identical to the loop; ``False`` keeps the per-session
-        #: loop for wall-clock A/B comparison in the bench).
-        self.batched_steps = bool(batched_steps)
         self.emitted: dict[int, list[int]] = {}
         self._sessions: dict[int, object] = {}
 
@@ -209,27 +200,17 @@ class FunctionalExecutor(ModeledExecutor):
         t = len(session.tokens)
         return self.start_token if t == 0 else self.emitted[rid][t - 1]
 
-    def step(self, record: RequestRecord, replay: bool) -> None:
-        rid = record.request.request_id
-        out = self._sessions[rid].step(int(self._feed_token(rid)))
-        if not replay:
-            self.emitted[rid].append(int(np.argmax(out)))
-
     def step_many(self, items: list[tuple[RequestRecord, bool]]) -> None:
         """One decode iteration through the batched fabric executor.
 
         Same-prefix-length sessions advance as one batched program run
         (:func:`repro.hw.accelerator.step_sessions` — bit-identical to
-        per-session steps), then the greedy/bookkeeping logic of
-        :meth:`step` applies per member.
+        per-session steps); each member not replaying then emits its
+        greedy token.
         """
         from repro.hw.accelerator import step_sessions
 
         if not items:
-            return
-        if not self.batched_steps:
-            for record, replay in items:
-                self.step(record, replay)
             return
         rids = [record.request.request_id for record, _ in items]
         sessions = [self._sessions[rid] for rid in rids]

@@ -9,10 +9,7 @@ from repro.asr.pipeline import AsrPipeline
 
 @pytest.fixture(scope="module")
 def transcriber(small_params):
-    pipeline = AsrPipeline(
-        small_params, hw_seq_len=32, decode_engine="incremental"
-    )
-    return BatchTranscriber(pipeline)
+    return BatchTranscriber(AsrPipeline(small_params, hw_seq_len=32))
 
 
 @pytest.fixture(scope="module")

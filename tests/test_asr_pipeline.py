@@ -6,7 +6,12 @@ import pytest
 from repro.asr.dataset import LibriSpeechLikeDataset
 from repro.asr.pipeline import AsrPipeline, HostPreprocessor, HostTimingModel
 from repro.config import ModelConfig
+from repro.decoding.beam import beam_search
+from repro.decoding.greedy import greedy_decode
 from repro.decoding.vocab import CharVocabulary
+from repro.model import Transformer
+from repro.model.incremental import IncrementalDecoder
+from repro.model.ops import log_softmax
 from repro.model.params import init_transformer_params
 
 
@@ -135,41 +140,61 @@ class TestPipeline:
         assert AsrPipeline(small_params, hw_seq_len=32).max_output_chars == 31
 
 
+def _golden_memory(params, pipeline, waveform):
+    return Transformer(params).encode(pipeline.preprocessor(waveform))
+
+
+def _golden_full_prefix_step(params, memory):
+    """Stateless golden step: the whole prefix through Transformer.decode."""
+    model = Transformer(params)
+
+    def step(tokens):
+        hidden = model.decode(tokens, memory)
+        return log_softmax(model.output_logits(hidden[-1]), axis=-1)
+
+    return step
+
+
 class TestDecodeEngines:
+    """The pipeline's KV-cached fabric decode against the golden model."""
+
     def test_incremental_matches_hw_engine_transcript(
-        self, small_params, utterance
+        self, pipeline, small_params, utterance
     ):
-        hw = AsrPipeline(small_params, hw_seq_len=32)
-        inc = AsrPipeline(small_params, hw_seq_len=32, decode_engine="incremental")
-        r_hw = hw.transcribe(utterance.waveform)
-        r_inc = inc.transcribe(utterance.waveform)
-        assert r_hw.text == r_inc.text
-        np.testing.assert_array_equal(r_hw.tokens, r_inc.tokens)
+        memory = _golden_memory(small_params, pipeline, utterance.waveform)
+        golden = greedy_decode(
+            IncrementalDecoder(small_params, memory).step_fn(),
+            pipeline.vocab.sos_id, pipeline.vocab.eos_id,
+            max_len=pipeline.max_output_chars,
+        )
+        result = pipeline.transcribe(utterance.waveform)
+        np.testing.assert_array_equal(result.tokens, golden)
 
-    def test_legacy_full_prefix_matches_cached(self, small_params, utterance):
-        """'hw' (KV-cached) and 'hw-full' (legacy full-prefix) are the
-        same computation at different cost."""
-        cached = AsrPipeline(small_params, hw_seq_len=32)
-        full = AsrPipeline(small_params, hw_seq_len=32, decode_engine="hw-full")
-        r_cached = cached.transcribe(utterance.waveform)
-        r_full = full.transcribe(utterance.waveform)
-        assert r_cached.text == r_full.text
-        np.testing.assert_array_equal(r_cached.tokens, r_full.tokens)
+    def test_legacy_full_prefix_matches_cached(
+        self, pipeline, small_params, utterance
+    ):
+        """The golden full-prefix decode (every step re-runs the whole
+        decoder stack) and the KV-cached fabric steps are the same
+        computation at different cost."""
+        memory = _golden_memory(small_params, pipeline, utterance.waveform)
+        golden = greedy_decode(
+            _golden_full_prefix_step(small_params, memory),
+            pipeline.vocab.sos_id, pipeline.vocab.eos_id,
+            max_len=pipeline.max_output_chars,
+        )
+        result = pipeline.transcribe(utterance.waveform)
+        np.testing.assert_array_equal(result.tokens, golden)
 
-    def test_beam_search_on_cached_engine(self, small_params, utterance):
+    def test_beam_search_on_cached_engine(
+        self, pipeline, small_params, utterance
+    ):
         """Beam search drives the KV-cached session via rewinds; it
-        must agree with the stateless legacy path."""
-        cached = AsrPipeline(small_params, hw_seq_len=32)
-        full = AsrPipeline(small_params, hw_seq_len=32, decode_engine="hw-full")
-        r_cached = cached.transcribe(utterance.waveform, beam_size=2)
-        r_full = full.transcribe(utterance.waveform, beam_size=2)
-        np.testing.assert_array_equal(r_cached.tokens, r_full.tokens)
-
-    def test_beam_rejected_on_incremental(self, small_params, utterance):
-        inc = AsrPipeline(small_params, hw_seq_len=32, decode_engine="incremental")
-        with pytest.raises(ValueError):
-            inc.transcribe(utterance.waveform, beam_size=2)
-
-    def test_unknown_engine_rejected(self, small_params):
-        with pytest.raises(ValueError):
-            AsrPipeline(small_params, decode_engine="magic")
+        must agree with beam search over the stateless golden step."""
+        memory = _golden_memory(small_params, pipeline, utterance.waveform)
+        hyps = beam_search(
+            _golden_full_prefix_step(small_params, memory),
+            pipeline.vocab.sos_id, pipeline.vocab.eos_id,
+            max_len=pipeline.max_output_chars, beam_size=2,
+        )
+        result = pipeline.transcribe(utterance.waveform, beam_size=2)
+        np.testing.assert_array_equal(result.tokens, hyps[0].tokens[1:])

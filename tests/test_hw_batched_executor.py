@@ -15,6 +15,7 @@ from repro.serving.request import UtteranceRequest
 from repro.serving.scheduler import (
     ContinuousBatchingScheduler,
     FunctionalExecutor,
+    ModeledExecutor,
     ServingConfig,
 )
 
@@ -222,8 +223,8 @@ class TestBatchedSessions:
 class TestServingBatchedSteps:
     def test_batched_executor_matches_loop(self, small_params):
         """The scheduler's whole-iteration step_many through the batched
-        fabric path must emit the exact tokens (and bill the exact
-        device cycles) of the per-session loop."""
+        fabric path must emit the exact tokens of a per-session greedy
+        loop, and bill the exact device cycles of a modeled run."""
         config = small_params.config
         rng = _rng(14)
         feats = {
@@ -231,21 +232,20 @@ class TestServingBatchedSteps:
         }
         scfg = ServingConfig(s=16, max_batch=4, slo_ms=1e9)
         reqs = [UtteranceRequest(i, 0.0, 4) for i in range(3)]
+        accel = TransformerAccelerator(small_params, hw_seq_len=16)
+        ex = FunctionalExecutor(scfg, accel, lambda r: feats[r.request_id])
+        res_batch = ContinuousBatchingScheduler(scfg, ex).run(list(reqs))
+        res_model = ContinuousBatchingScheduler(
+            scfg, ModeledExecutor(scfg, accel.latency_model)
+        ).run(list(reqs))
 
-        def run(batched):
-            accel = TransformerAccelerator(small_params, hw_seq_len=16)
-            ex = FunctionalExecutor(
-                scfg,
-                accel,
-                lambda r: feats[r.request_id],
-                batched_steps=batched,
-            )
-            result = ContinuousBatchingScheduler(scfg, ex).run(list(reqs))
-            return ex.emitted, result
-
-        emitted_loop, res_loop = run(batched=False)
-        emitted_batch, res_batch = run(batched=True)
-        assert emitted_batch == emitted_loop
-        assert res_batch.decode_cycles_total == res_loop.decode_cycles_total
-        assert res_batch.prefill_cycles_total == res_loop.prefill_cycles_total
-        assert res_batch.peak_batch == res_loop.peak_batch
+        for req in reqs:
+            session = accel.decode_session(feats[req.request_id])
+            token, loop = ex.start_token, []
+            for _ in range(req.decode_tokens):
+                token = int(np.argmax(session.step(token)))
+                loop.append(token)
+            assert ex.emitted[req.request_id] == loop
+        assert res_batch.decode_cycles_total == res_model.decode_cycles_total
+        assert res_batch.prefill_cycles_total == res_model.prefill_cycles_total
+        assert res_batch.peak_batch == res_model.peak_batch

@@ -3,16 +3,25 @@
 import pytest
 
 from repro.config import ModelConfig
-from repro.hw.block_trace import trace_encoder_block
 from repro.hw.blocks import decoder_cycles, decoder_step_cycles, encoder_cycles
 from repro.hw.program import (
+    LoweringSpec,
     block_compute_cycles,
+    lower,
     lower_decode_step,
     lower_full_pass,
     schedule_program,
+    trace_block,
     trace_program,
 )
 from repro.hw.visualize import render_gantt
+
+
+def encoder_layer_trace(fabric, s, parallel_heads=None):
+    """Per-engine trace of one paper-sized encoder layer."""
+    spec = LoweringSpec("encoder_layer", ModelConfig(), fabric, s,
+                        parallel_heads=parallel_heads)
+    return trace_block(lower(spec))
 
 
 class TestBlockTrace:
@@ -20,18 +29,18 @@ class TestBlockTrace:
     @pytest.mark.parametrize("s", [4, 32])
     def test_makespan_equals_cycle_estimator(self, fabric, s, parallel_heads):
         """The Gantt chart and the latency model are the same model."""
-        timeline = trace_encoder_block(fabric, s, parallel_heads=parallel_heads)
+        timeline = encoder_layer_trace(fabric, s, parallel_heads=parallel_heads)
         estimate = encoder_cycles(
             fabric, s, 8, 512, 2048, parallel_heads=parallel_heads
         )
         assert timeline.makespan == pytest.approx(estimate)
 
     def test_no_engine_double_booking(self, fabric):
-        timeline = trace_encoder_block(fabric, 16)
+        timeline = encoder_layer_trace(fabric, 16)
         timeline.validate_no_engine_overlap()
 
     def test_all_psa_groups_busy(self, fabric):
-        timeline = trace_encoder_block(fabric, 16, parallel_heads=8)
+        timeline = encoder_layer_trace(fabric, 16, parallel_heads=8)
         psa_engines = [e for e in timeline.engines() if ".psa" in e]
         assert len(psa_engines) == 8
         # Both SLRs host four heads each (Fig 4.13).
@@ -39,7 +48,7 @@ class TestBlockTrace:
         assert sum(e.startswith("slr1") for e in psa_engines) == 4
 
     def test_sc_sm_overlaps_mm1v(self, fabric):
-        timeline = trace_encoder_block(fabric, 16)
+        timeline = encoder_layer_trace(fabric, 16)
         sm_events = [e for e in timeline.events if "Sc+Sm" in e.label]
         mm1v_events = {
             e.label.split(":")[0]: e
@@ -54,13 +63,13 @@ class TestBlockTrace:
             assert sm.end <= mm1v.end  # hidden under MM1(V)
 
     def test_mm4_waits_for_all_heads(self, fabric):
-        timeline = trace_encoder_block(fabric, 16)
+        timeline = encoder_layer_trace(fabric, 16)
         head_ends = max(e.end for e in timeline.events if "MM3" in e.label)
         mm4_start = min(e.start for e in timeline.events if e.label == "MM4")
         assert mm4_start >= head_ends
 
     def test_ffn_after_first_add_norm(self, fabric):
-        timeline = trace_encoder_block(fabric, 16)
+        timeline = encoder_layer_trace(fabric, 16)
         norm1_end = next(
             e.end for e in timeline.events if e.label == "Add-Norm1"
         )
@@ -68,12 +77,12 @@ class TestBlockTrace:
         assert mm5_start >= norm1_end
 
     def test_renders(self, fabric):
-        art = render_gantt(trace_encoder_block(fabric, 8), width=120)
+        art = render_gantt(encoder_layer_trace(fabric, 8), width=120)
         assert "psa" in art and "MM5" in art
 
     def test_parallel_heads_validation(self, fabric):
         with pytest.raises(ValueError):
-            trace_encoder_block(fabric, 8, parallel_heads=99)
+            encoder_layer_trace(fabric, 8, parallel_heads=99)
 
 
 #: Small stack: the analytic numbers are per-layer, so two layers of

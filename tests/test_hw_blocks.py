@@ -4,9 +4,9 @@ the fabric must agree numerically with the golden model."""
 import numpy as np
 import pytest
 
+from repro.config import ModelConfig
 from repro.hw.blocks import (
     add_norm_block,
-    attention_head_block,
     decoder_block,
     decoder_cycles,
     encoder_block,
@@ -16,6 +16,7 @@ from repro.hw.blocks import (
     mha_block,
     mha_cycles,
 )
+from repro.hw.program import LoweringSpec, execute_program, lower
 from repro.model.attention import attention_head, multi_head_attention
 from repro.model.decoder import decoder_layer
 from repro.model.encoder import encoder_layer
@@ -42,21 +43,28 @@ def memory():
     return np.random.default_rng(2).standard_normal((S, 512)).astype(np.float32)
 
 
+def _head_output(fabric, x, params, head, mask=None):
+    """One head's MM3 output inside a functional MHA block run."""
+    model = ModelConfig(d_model=params.d_model, num_heads=params.num_heads)
+    program = lower(LoweringSpec("mha", model, fabric, x.shape[-2]))
+    run = execute_program(
+        program, root=params, inputs={"x_q": x, "x_kv": x, "mask": mask}
+    )
+    (mm3,) = [op for op in program.ops if op.label == f"h{head}:MM3"]
+    return run.values[mm3.op_id]
+
+
 class TestAttentionHead:
     def test_matches_reference(self, fabric, x):
-        hw = attention_head_block(fabric, x, x, ENC.mha, head=3)
+        hw = _head_output(fabric, x, ENC.mha, head=3)
         ref = attention_head(x, x, ENC.mha, head=3)
-        np.testing.assert_allclose(hw.output, ref, rtol=RTOL, atol=ATOL)
+        np.testing.assert_allclose(hw, ref, rtol=RTOL, atol=ATOL)
 
     def test_masked_head_matches_reference(self, fabric, x):
         mask = causal_mask(S)
-        hw = attention_head_block(fabric, x, x, DEC.self_mha, 0, mask=mask)
+        hw = _head_output(fabric, x, DEC.self_mha, 0, mask=mask)
         ref = attention_head(x, x, DEC.self_mha, 0, mask=mask)
-        np.testing.assert_allclose(hw.output, ref, rtol=RTOL, atol=ATOL)
-
-    def test_head_validation(self, fabric, x):
-        with pytest.raises(ValueError):
-            attention_head_block(fabric, x, x, ENC.mha, head=8)
+        np.testing.assert_allclose(hw, ref, rtol=RTOL, atol=ATOL)
 
 
 class TestMhaBlock:

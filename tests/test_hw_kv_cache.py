@@ -1,5 +1,5 @@
-"""KV-cached hardware decode: equivalence against the legacy
-full-prefix path and the host-side incremental reference, plus unit
+"""KV-cached hardware decode: equivalence against the golden model's
+stateless full-prefix decode and its incremental decoder, plus unit
 tests for the cache itself and the autoregressive latency account."""
 
 import numpy as np
@@ -9,7 +9,9 @@ from repro.config import ModelConfig
 from repro.decoding.greedy import greedy_decode
 from repro.hw.accelerator import TransformerAccelerator
 from repro.hw.kv_cache import LayerKVCache, kv_stream_cycles
+from repro.model import Transformer
 from repro.model.incremental import IncrementalDecoder
+from repro.model.ops import log_softmax
 from repro.model.params import init_transformer_params
 
 SOS, EOS = 1, 2
@@ -35,17 +37,30 @@ def _features(hw_seq_len: int, padding: str, d_model: int) -> np.ndarray:
     return (0.5 * rng.standard_normal((s, d_model))).astype(np.float32)
 
 
+def _full_prefix_step(params, memory):
+    """The golden model's stateless step: the whole prefix through the
+    decoder stack, log-probs of the last position."""
+    model = Transformer(params)
+
+    def step(tokens):
+        hidden = model.decode(tokens, memory)
+        return log_softmax(model.output_logits(hidden[-1]), axis=-1)
+
+    return step
+
+
 @pytest.mark.parametrize("padding", ["padded", "exact"])
 @pytest.mark.parametrize("hw_seq_len", [8, 16, 32])
 class TestEngineEquivalence:
-    """Legacy full-prefix, KV-cached hw step and the incremental
-    reference must agree token for token and log-prob for log-prob."""
+    """The KV-cached hw step, the golden full-prefix decode and the
+    golden incremental decoder must agree token for token and log-prob
+    for log-prob."""
 
     def test_step_log_probs_agree(self, eq_params, hw_seq_len, padding):
         accel = TransformerAccelerator(eq_params, hw_seq_len=hw_seq_len)
         features = _features(hw_seq_len, padding, eq_params.config.d_model)
-        legacy = accel.step_fn(features, use_kv_cache=False)
         session = accel.decode_session(features)
+        legacy = _full_prefix_step(eq_params, session.memory)
         cached = session.step_fn()
         reference = IncrementalDecoder(eq_params, session.memory).step_fn()
 
@@ -69,11 +84,11 @@ class TestEngineEquivalence:
         accel = TransformerAccelerator(eq_params, hw_seq_len=hw_seq_len)
         features = _features(hw_seq_len, padding, eq_params.config.d_model)
         max_len = hw_seq_len - 1
+        session = accel.decode_session(features)
         legacy_tokens = greedy_decode(
-            accel.step_fn(features, use_kv_cache=False),
+            _full_prefix_step(eq_params, session.memory),
             sos_id=SOS, eos_id=EOS, max_len=max_len,
         )
-        session = accel.decode_session(features)
         cached_tokens = greedy_decode(
             session.step_fn(), sos_id=SOS, eos_id=EOS, max_len=max_len
         )

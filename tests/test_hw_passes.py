@@ -1,5 +1,5 @@
 """Program-IR optimizer passes: semantics preservation, cycle wins,
-cache-key hygiene, and compatibility with fault injection and the
+lowering-cache hygiene, and compatibility with fault injection and the
 Gantt renderer on pass-transformed (op-id-remapped) programs."""
 
 from __future__ import annotations
@@ -17,14 +17,13 @@ from repro.hw.passes import (
     ReorderOpsPass,
     StageExposedLoadsPass,
     default_pipeline,
-    lower_optimized_encoder_stack,
-    lower_optimized_full_pass,
     semantic_op_counts,
     verify_semantics_preserved,
 )
 from repro.hw.program import (
+    LoweringSpec,
     execute_program,
-    lower_encoder_stack,
+    lower,
     lower_full_pass,
     program_load_bytes,
     schedule_program,
@@ -45,6 +44,10 @@ def _full_pass_inputs(config, s, rng):
 
 def _overhead(fabric):
     return fabric.calibration.block_overhead_cycles
+
+
+def encoder_stack_program(config, fabric, s):
+    return lower(LoweringSpec("encoder_stack", config, fabric, s))
 
 
 PIPELINES = {
@@ -80,7 +83,7 @@ class TestSemanticsPreservation:
 
     def test_encoder_stack_bit_identical(self, small_config, small_params, fabric):
         rng = np.random.default_rng(0)
-        base = lower_encoder_stack(small_config, fabric, 18)
+        base = encoder_stack_program(small_config, fabric, 18)
         optimized = default_pipeline().apply_program(base)
         verify_semantics_preserved(
             base,
@@ -106,7 +109,7 @@ class TestSemanticsPreservation:
     def test_verifier_catches_divergence(self, small_config, small_params, fabric):
         base = lower_full_pass(small_config, fabric, 8)
         # Dropping the final op breaks the semantic op counts.
-        broken = lower_encoder_stack(small_config, fabric, 8)
+        broken = encoder_stack_program(small_config, fabric, 8)
         with pytest.raises(PassError):
             verify_semantics_preserved(
                 base,
@@ -167,33 +170,26 @@ class TestCycleEffects:
             assert cur.cycles_before == prev.cycles_after
 
 
-class TestLoweringCacheKeys:
-    """Satellite: the optimized lowerings key their lru_cache on the
-    pipeline, so optimized programs never collide with the baseline or
-    with other pipelines."""
+class TestUncachedPipelines:
+    """Pipelines transform the cached baseline into a new program and
+    leave the lowering cache alone: the baseline stays the cached
+    object, and equal pipelines give equal (uncached) programs."""
 
-    def test_pipeline_in_cache_key(self, small_config, fabric):
+    def test_full_pass_cache_untouched(self, small_config, fabric):
         base = lower_full_pass(small_config, fabric, 8)
-        p1 = default_pipeline()
-        p2 = default_pipeline(split_limit=1, coalesce=False)
-        opt1 = lower_optimized_full_pass(small_config, fabric, 8, p1)
-        opt2 = lower_optimized_full_pass(small_config, fabric, 8, p2)
-        assert opt1 is not base
-        assert opt2 is not opt1
-        # Same pipeline value -> cache hit, even via a distinct object.
-        assert lower_optimized_full_pass(
-            small_config, fabric, 8, default_pipeline()
-        ) is opt1
-        # The baseline lowering is untouched by optimized lookups.
+        size = lower.cache_info().currsize
+        opt1 = default_pipeline().apply_program(base)
+        opt2 = default_pipeline(split_limit=1, coalesce=False).apply_program(base)
+        assert opt1 is not base and opt2 is not opt1
+        assert default_pipeline().apply_program(base).ops == opt1.ops
+        assert lower.cache_info().currsize == size
         assert lower_full_pass(small_config, fabric, 8) is base
 
-    def test_encoder_stack_cache_distinct(self, small_config, fabric):
-        base = lower_encoder_stack(small_config, fabric, 8)
-        opt = lower_optimized_encoder_stack(
-            small_config, fabric, 8, default_pipeline()
-        )
+    def test_encoder_stack_cache_untouched(self, small_config, fabric):
+        base = encoder_stack_program(small_config, fabric, 8)
+        opt = default_pipeline().apply_program(base)
         assert opt is not base
-        assert lower_encoder_stack(small_config, fabric, 8) is base
+        assert encoder_stack_program(small_config, fabric, 8) is base
 
 
 class TestTransformedProgramCompat:

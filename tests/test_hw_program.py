@@ -10,14 +10,17 @@ import numpy as np
 import pytest
 
 from repro.config import ModelConfig
+from repro.hw import program as program_module
 from repro.hw.faults import FaultSpec, inject_faults, program_fault_hook
 from repro.hw.program import (
+    LoweringSpec,
     OpKind,
     block_compute_cycles,
     execute_program,
+    lower,
     lower_decode_step,
-    lower_encoder_stack,
     lower_full_pass,
+    lowering_cache_info,
     program_block_work,
     resolve_head_parallelism,
     schedule_program,
@@ -26,11 +29,62 @@ from repro.hw.program import (
 )
 
 MODEL = ModelConfig(num_encoders=2, num_decoders=2)
+SCOPES = [
+    "full_pass", "encoder_stack", "decode_step", "mha", "ffn",
+    "encoder_layer", "decoder_layer",
+]
+
+
+def encoder_stack_program(model, fabric, s):
+    return lower(LoweringSpec("encoder_stack", model, fabric, s))
 
 
 @pytest.fixture(scope="module")
 def program(fabric):
     return lower_full_pass(MODEL, fabric, 8)
+
+
+class TestLoweringSpec:
+    """Every spec field is validated up front, naming the field."""
+
+    @pytest.mark.parametrize("scope", SCOPES)
+    def test_rejects_bad_fields(self, fabric, scope):
+        with pytest.raises(ValueError, match="^s must be positive"):
+            LoweringSpec(scope, MODEL, fabric, 0)
+        with pytest.raises(ValueError, match="^t must be positive"):
+            LoweringSpec(scope, MODEL, fabric, 8, t=0)
+        for bad in (0, fabric.hardware.total_psas + 1):
+            with pytest.raises(ValueError, match="^parallel_heads must be"):
+                LoweringSpec(scope, MODEL, fabric, 8, parallel_heads=bad)
+        assert lower(LoweringSpec(scope, MODEL, fabric, 8)).num_ops > 0
+
+    def test_rejects_unknown_scope(self, fabric):
+        with pytest.raises(ValueError, match="^scope must be one of"):
+            LoweringSpec("decoder_stack", MODEL, fabric, 8)
+
+
+class TestLoweringCache:
+    """The cold-clear contract: one cache, found by name, fully reset
+    by ``cache_clear`` (perfbench's cold design-space roots rely on
+    it)."""
+
+    def test_one_cache_named_after_its_function(self):
+        (name,) = lowering_cache_info()
+        assert name == lower.__name__
+        assert getattr(program_module, name) is lower
+
+    def test_cache_clear_empties_it(self, fabric):
+        lower_full_pass(MODEL, fabric, 8)
+        lower_full_pass(MODEL, fabric, 8)
+        lower.cache_clear()
+        (info,) = lowering_cache_info().values()
+        assert info.hits + info.currsize == 0
+
+    def test_equal_specs_share_one_program(self, fabric):
+        a = LoweringSpec("decode_step", MODEL, fabric, 8, 3, None)
+        b = LoweringSpec("decode_step", MODEL, fabric, 8, t=3)
+        assert a is not b and lower(a) is lower(b)
+        assert lower_decode_step(MODEL, fabric, 3, 8) is lower(a)
 
 
 class TestLoweringStructure:
@@ -111,7 +165,7 @@ class TestCycleExecutor:
 
 class TestTraceExecutor:
     def test_trace_block_makespan_matches_cycle_executor(self, fabric):
-        program = lower_encoder_stack(MODEL, fabric, 8)
+        program = encoder_stack_program(MODEL, fabric, 8)
         timeline = trace_block(program, "enc1")
         assert timeline.makespan == block_compute_cycles(program, "enc1")
 
@@ -132,7 +186,7 @@ class TestTraceExecutor:
 
 class TestFunctionalExecutor:
     def test_missing_input_raises(self, fabric, small_params):
-        program = lower_encoder_stack(small_params.config, fabric, 4)
+        program = encoder_stack_program(small_params.config, fabric, 4)
         with pytest.raises(KeyError):
             execute_program(program, root=small_params, inputs={})
 
@@ -142,7 +196,7 @@ class TestFunctionalExecutor:
         running the clean program over deep-copied corrupted params."""
         cfg = small_params.config
         s = 4
-        program = lower_encoder_stack(cfg, fabric, s)
+        program = encoder_stack_program(cfg, fabric, s)
         x = rng.standard_normal((s, cfg.d_model)).astype(np.float32)
         inputs = {"x": x, "enc_mask": None}
         faults = [
@@ -168,7 +222,7 @@ class TestFunctionalExecutor:
 
     def test_fault_hook_leaves_params_clean(self, fabric, small_params, rng):
         cfg = small_params.config
-        program = lower_encoder_stack(cfg, fabric, 4)
+        program = encoder_stack_program(cfg, fabric, 4)
         x = rng.standard_normal((4, cfg.d_model)).astype(np.float32)
         before = small_params.encoders[0].ffn.w1.copy()
         execute_program(

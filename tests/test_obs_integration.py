@@ -11,7 +11,7 @@ from repro.hw.accelerator import TransformerAccelerator
 from repro.hw.controller import LatencyModel
 from repro.hw.program import (
     execute_program,
-    lower_full_pass,
+    lower,
     program_hbm_bytes,
     program_load_bytes,
     program_op_counts,
@@ -133,12 +133,10 @@ class TestExecutorAccounting:
     def test_lowering_cache_metrics_present(self, accel, params):
         with obs.telemetry() as session:
             _run_full_pass(accel, params)
-        hits = [
-            k
-            for k in session.metrics.as_dict()
-            if k.startswith("repro.hw.program.lower.cache_hits")
-        ]
-        assert any("lowering=lower_full_pass" in k for k in hits)
+        metrics = session.metrics.as_dict()
+        info = lower.cache_info()
+        assert metrics["repro.hw.program.lower.cache_hits"] == info.hits
+        assert metrics["repro.hw.program.lower.cache_misses"] == info.misses
 
 
 class TestProbeMetrics:
