@@ -16,7 +16,7 @@ Two entry points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -242,7 +242,6 @@ class LatencyModel:
         t: int,
         s: int,
         architecture: Architecture | str = Architecture.A3,
-        tag: str = "",
     ) -> list[BlockWork]:
         """Decoder-only block chain for one KV-cached decode step at
         prefix length ``t``.  The encoder ran at prefill; each step
@@ -251,19 +250,7 @@ class LatencyModel:
         """
         if t <= 0 or s <= 0:
             raise ValueError("t and s must be positive")
-        blocks = program_block_work(self.decode_step_program(t, s), architecture)
-        if not tag:
-            return blocks
-        return [
-            BlockWork(
-                f"{tag}{b.label}",
-                b.load_cycles,
-                b.compute_cycles,
-                channel_hint=b.channel_hint,
-                overhead_override=b.overhead_override,
-            )
-            for b in blocks
-        ]
+        return program_block_work(self.decode_step_program(t, s), architecture)
 
     def decode_step_cycles(
         self,
@@ -307,11 +294,11 @@ class LatencyModel:
         arch = Architecture(architecture)
         chain: list[BlockWork] = []
         for i, t in enumerate(lengths):
-            for b in self.build_decode_step_blocks(t, s, arch, tag=f"r{i}:"):
+            for b in self.build_decode_step_blocks(t, s, arch):
                 load = b.load_cycles if (i == 0 or not share_weights) else 0
                 chain.append(
                     BlockWork(
-                        b.label,
+                        f"r{i}:{b.label}",
                         load,
                         b.compute_cycles,
                         channel_hint=b.channel_hint,
@@ -380,7 +367,8 @@ class LatencyModel:
         chain: list[BlockWork] = []
         for step in range(1, num_tokens + 1):
             chain.extend(
-                self.build_decode_step_blocks(step, s, arch, tag=f"t{step}:")
+                replace(b, label=f"t{step}:{b.label}")
+                for b in self.build_decode_step_blocks(step, s, arch)
             )
         result = schedule(arch, chain, self.calibration.block_overhead_cycles)
         t_in, t_out = self.io_transfer_cycles(1)

@@ -13,8 +13,8 @@ program and derives every execution mode from it:
   nonlinear` implementations, bit-identical to the legacy block bodies.
 * :func:`program_block_work` / :func:`schedule_program` — the cycle
   executor: per-block makespans fall out of an integer ASAP pass over
-  the dependency edges, then the A1/A2/A3 schedulers place the
-  load/compute chain exactly as before.
+  the dependency edges (once per program), then the A1/A2/A3
+  schedulers place the load/compute chain exactly as before.
 * :func:`trace_block` / :func:`trace_program` — the trace executor:
   emits per-engine :class:`repro.hw.trace.Timeline` events (the Gantt
   view), whose makespan equals the cycle executor's total.
@@ -36,8 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
-from typing import Any, Callable, Sequence
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -94,7 +95,7 @@ class OpKind(str, Enum):
     CACHE = "cache"  # zero-cycle cache bank bookkeeping
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValueRef:
     """Reference to a runtime value: an op output (``op``), an external
     program input (``ext``), or a KV-cache tensor (``cache``, keyed by
@@ -108,7 +109,7 @@ class ValueRef:
             raise ValueError(f"unknown ValueRef kind '{self.kind}'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParamRef:
     """Path into the parameter tree, e.g. ``("encoders", 0, "mha",
     "wq")``.  Per-head stacks are referenced whole — the consuming op's
@@ -134,7 +135,7 @@ class ParamRef:
         return ".".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Op:
     """One scheduled unit of work with explicit dependency edges."""
 
@@ -159,7 +160,7 @@ class Op:
             raise ValueError("op cycles must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockIR:
     """One schedulable block: a weight bundle plus its compute ops.
 
@@ -184,7 +185,14 @@ class BlockIR:
 @dataclass(frozen=True)
 class BlockProgram:
     """A lowered program: ops, blocks, named outputs, and the fabric
-    the cycle formulas were evaluated against."""
+    the cycle formulas were evaluated against.
+
+    Programs are never mutated in place — passes rebuild a new one —
+    so the cycle executor's spans and work units are computed once per
+    program and kept on it (``cached_property`` writes the instance
+    ``__dict__``, which a frozen dataclass still has).  A rebuilt
+    program starts with an empty memo.
+    """
 
     fabric: Fabric
     ops: tuple[Op, ...]
@@ -201,6 +209,34 @@ class BlockProgram:
             if blk.label == label:
                 return blk
         raise KeyError(f"no block labelled '{label}'")
+
+    @cached_property
+    def block_spans(self) -> Mapping[str, int]:
+        """Read-only label -> ASAP makespan of each block's compute ops."""
+        return MappingProxyType(
+            {blk.label: _makespan(self, blk.op_ids) for blk in self.blocks}
+        )
+
+    @cached_property
+    def merge_group_spans(self) -> Mapping[str, int]:
+        """Read-only ``merge_group`` -> union ASAP makespan of the
+        blocks that fuse into one A1/A2 work unit."""
+        return MappingProxyType(
+            {
+                group[0].merge_group: _makespan(
+                    self, [oid for blk in group for oid in blk.op_ids]
+                )
+                for group in _unit_groups(self.blocks, merge=True)
+                if len(group) > 1
+            }
+        )
+
+    @cached_property
+    def _work_unit_memo(
+        self,
+    ) -> dict[Architecture, tuple[tuple[BlockWork, tuple[BlockIR, ...]], ...]]:
+        """:func:`_work_units` per architecture, filled on first use."""
+        return {}
 
 
 @dataclass
@@ -1053,12 +1089,17 @@ def _asap_times(
     return times
 
 
+def _makespan(program: BlockProgram, op_ids: Sequence[int]) -> int:
+    return max((end for _, end in _asap_times(program, op_ids).values()), default=0)
+
+
 def block_compute_cycles(program: BlockProgram, block: BlockIR | str) -> int:
     """ASAP makespan of one block's compute ops (by label or BlockIR)."""
-    if isinstance(block, str):
-        block = program.block(block)
-    times = _asap_times(program, block.op_ids)
-    return max((end for _, end in times.values()), default=0)
+    label = block if isinstance(block, str) else block.label
+    try:
+        return program.block_spans[label]
+    except KeyError:
+        raise KeyError(f"no block labelled '{label}'") from None
 
 
 def lowering_cache_info() -> dict[str, Any]:
@@ -1126,51 +1167,59 @@ def program_hbm_bytes(
     return dict(sorted(per_channel.items()))
 
 
+def _unit_groups(
+    blocks: tuple[BlockIR, ...], merge: bool
+) -> Iterator[tuple[BlockIR, ...]]:
+    """Consecutive runs of blocks that form one work unit: single
+    blocks, or (with ``merge``) runs sharing a ``merge_group``."""
+    i = 0
+    while i < len(blocks):
+        j = i + 1
+        group = blocks[i].merge_group
+        if merge and group is not None:
+            while j < len(blocks) and blocks[j].merge_group == group:
+                j += 1
+        yield blocks[i:j]
+        i = j
+
+
 def _work_units(
     program: BlockProgram, architecture: Architecture | str
-) -> list[tuple[BlockWork, tuple[BlockIR, ...]]]:
-    """Blocks folded into schedulable BlockWork units.
+) -> tuple[tuple[BlockWork, tuple[BlockIR, ...]], ...]:
+    """Blocks folded into schedulable BlockWork units (memoized on the
+    program per architecture).
 
     Under A3 every block is its own unit (per-part loads on their
     hinted channels); under A1/A2 blocks sharing a ``merge_group`` fuse
     into one unit with the merged load and the union makespan.
     """
     arch = Architecture(architecture)
-    units: list[tuple[BlockWork, tuple[BlockIR, ...]]] = []
-    blocks = program.blocks
-    i = 0
-    while i < len(blocks):
-        blk = blocks[i]
-        group = [blk]
-        if arch is not Architecture.A3 and blk.merge_group is not None:
-            while (
-                i + len(group) < len(blocks)
-                and blocks[i + len(group)].merge_group == blk.merge_group
-            ):
-                group.append(blocks[i + len(group)])
-        if len(group) > 1:
-            op_ids = [oid for g in group for oid in g.op_ids]
-            times = _asap_times(program, op_ids)
-            comp = max((end for _, end in times.values()), default=0)
-            load = (
-                blk.merged_load_cycles
-                if blk.merged_load_cycles is not None
-                else sum(g.load_cycles for g in group)
-            )
-            work = BlockWork(blk.merge_group, load, comp)
-        else:
-            work = BlockWork(
-                blk.label,
-                blk.load_cycles,
-                block_compute_cycles(program, blk),
-                channel_hint=blk.channel_hint if arch is Architecture.A3 else None,
-                overhead_override=(
-                    blk.overhead_override if arch is Architecture.A3 else None
-                ),
-            )
-        units.append((work, tuple(group)))
-        i += len(group)
-    return units
+    memo = program._work_unit_memo
+    if arch not in memo:
+        a3 = arch is Architecture.A3
+        units: list[tuple[BlockWork, tuple[BlockIR, ...]]] = []
+        for group in _unit_groups(program.blocks, merge=not a3):
+            blk = group[0]
+            if len(group) > 1:
+                load = (
+                    blk.merged_load_cycles
+                    if blk.merged_load_cycles is not None
+                    else sum(g.load_cycles for g in group)
+                )
+                work = BlockWork(
+                    blk.merge_group, load, program.merge_group_spans[blk.merge_group]
+                )
+            else:
+                work = BlockWork(
+                    blk.label,
+                    blk.load_cycles,
+                    program.block_spans[blk.label],
+                    channel_hint=blk.channel_hint if a3 else None,
+                    overhead_override=blk.overhead_override if a3 else None,
+                )
+            units.append((work, group))
+        memo[arch] = tuple(units)
+    return memo[arch]
 
 
 def program_block_work(
@@ -1359,14 +1408,12 @@ def program_unit_spans(
     for work, group in units:
         comp = comps[work.label]
         load = loads.get(work.label)
-        op_ids = [oid for blk in group for oid in blk.op_ids]
-        times = _asap_times(program, op_ids)
         spans.append(
             UnitSpan(
                 label=work.label,
                 blocks=tuple(blk.label for blk in group),
                 compute_start=comp.start,
-                compute_span=max((end for _, end in times.values()), default=0),
+                compute_span=work.compute_cycles,
                 overhead=work.overhead(block_overhead),
                 compute_end=comp.end,
                 load_start=load.start if load is not None else comp.start,
@@ -1506,11 +1553,10 @@ def _execute_ops(
         values[op.op_id] = out
 
     outputs = {name: value(ref) for name, ref in program.outputs.items()}
-    block_cycles = {
-        blk.label: block_compute_cycles(program, blk) for blk in program.blocks
-    }
     return ProgramRun(
-        outputs=outputs, block_compute_cycles=block_cycles, values=values
+        outputs=outputs,
+        block_compute_cycles=dict(program.block_spans),
+        values=values,
     )
 
 

@@ -40,7 +40,7 @@ class RequestState(enum.Enum):
     REJECTED = "rejected"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UtteranceRequest:
     """One utterance entering the service."""
 
@@ -66,7 +66,7 @@ class UtteranceRequest:
             raise ValueError("tenant must be non-negative")
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     """Everything that happened to one request, in virtual seconds."""
 

@@ -6,11 +6,17 @@ of the program and the agreement between the executors — plus fault
 injection as a program transform.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ModelConfig
 from repro.hw import program as program_module
+from repro.hw.controller import LatencyModel
+from repro.hw.dse import a4_candidate_pipelines
 from repro.hw.faults import FaultSpec, inject_faults, program_fault_hook
 from repro.hw.program import (
     LoweringSpec,
@@ -27,6 +33,7 @@ from repro.hw.program import (
     trace_block,
     trace_program,
 )
+from repro.hw.scheduler import Architecture, BlockWork, schedule
 
 MODEL = ModelConfig(num_encoders=2, num_decoders=2)
 SCOPES = [
@@ -37,6 +44,47 @@ SCOPES = [
 
 def encoder_stack_program(model, fabric, s):
     return lower(LoweringSpec("encoder_stack", model, fabric, s))
+
+
+def asap_span(program, op_ids):
+    """Makespan straight from ``_asap_times``, bypassing the memo."""
+    times = program_module._asap_times(program, op_ids)
+    return max((end for _, end in times.values()), default=0)
+
+
+def reference_block_work(program, architecture):
+    """The cycle executor's work units, recomputed from scratch on
+    every call: no span or unit is read from the program's memo."""
+    a3 = Architecture(architecture) is Architecture.A3
+    blocks, units, i = program.blocks, [], 0
+    while i < len(blocks):
+        blk, j = blocks[i], i + 1
+        if not a3 and blk.merge_group is not None:
+            while j < len(blocks) and blocks[j].merge_group == blk.merge_group:
+                j += 1
+        group = blocks[i:j]
+        if len(group) > 1:
+            load = (
+                blk.merged_load_cycles
+                if blk.merged_load_cycles is not None
+                else sum(g.load_cycles for g in group)
+            )
+            op_ids = [oid for g in group for oid in g.op_ids]
+            units.append(
+                BlockWork(blk.merge_group, load, asap_span(program, op_ids))
+            )
+        else:
+            units.append(
+                BlockWork(
+                    blk.label,
+                    blk.load_cycles,
+                    asap_span(program, blk.op_ids),
+                    channel_hint=blk.channel_hint if a3 else None,
+                    overhead_override=blk.overhead_override if a3 else None,
+                )
+            )
+        i = j
+    return units
 
 
 @pytest.fixture(scope="module")
@@ -234,3 +282,120 @@ class TestFunctionalExecutor:
             ),
         )
         np.testing.assert_array_equal(small_params.encoders[0].ffn.w1, before)
+
+
+def assert_memo_matches_reference(program):
+    assert program.block_spans == {
+        blk.label: asap_span(program, blk.op_ids) for blk in program.blocks
+    }
+    for arch in Architecture:
+        assert program_block_work(program, arch) == reference_block_work(
+            program, arch
+        )
+
+
+class TestSpanMemo:
+    """Spans and work units are computed once per program and equal
+    what a fresh ASAP pass gives."""
+
+    @pytest.mark.parametrize("scope", SCOPES)
+    @pytest.mark.parametrize("s", [1, 8, 18, 32])
+    def test_memo_equals_reference_per_scope(self, fabric, scope, s):
+        assert_memo_matches_reference(lower(LoweringSpec(scope, MODEL, fabric, s)))
+
+    def test_memo_equals_reference_on_a4_candidates(self, fabric):
+        # The pipelines ``synthesize_a4`` searches at s = 8, applied to
+        # the small model (the paper model takes ~15 s to transform).
+        base = lower_full_pass(MODEL, fabric, 8)
+        for pipeline in a4_candidate_pipelines("A3"):
+            assert_memo_matches_reference(pipeline.apply_program(base))
+
+    def test_asap_runs_once_per_block_and_merge_group(
+        self, fabric, small_params, rng, monkeypatch
+    ):
+        cfg = small_params.config
+        # ``replace`` builds a new program object with an empty memo.
+        program = dataclasses.replace(lower_full_pass(cfg, fabric, 4))
+        calls = []
+        real = program_module._asap_times
+
+        def counting(prog, op_ids):
+            calls.append(tuple(op_ids))
+            return real(prog, op_ids)
+
+        monkeypatch.setattr(program_module, "_asap_times", counting)
+        inputs = {
+            "x": rng.standard_normal((4, cfg.d_model)).astype(np.float32),
+            "dec_in": rng.standard_normal((4, cfg.d_model)).astype(np.float32),
+        }
+        for _ in range(3):
+            for arch in Architecture:
+                program_block_work(program, arch)
+                schedule_program(program, arch)
+            execute_program(program, root=small_params, inputs=inputs)
+        merge_groups = {b.merge_group for b in program.blocks} - {None}
+        assert len(merge_groups) == cfg.num_decoders
+        assert len(calls) == len(program.blocks) + len(merge_groups)
+
+    def test_run_cycles_are_a_copy(self, fabric, small_params, rng):
+        program = encoder_stack_program(small_params.config, fabric, 4)
+        x = rng.standard_normal((4, small_params.config.d_model))
+        run = execute_program(
+            program, root=small_params, inputs={"x": x.astype(np.float32)}
+        )
+        before = dict(program.block_spans)
+        run.block_compute_cycles["enc1"] = -1
+        run.block_compute_cycles["extra"] = 0
+        assert program.block_spans == before
+        with pytest.raises(TypeError):
+            program.block_spans["enc1"] = -1
+
+    def test_block_work_is_a_new_list(self, program):
+        first = program_block_work(program, "A3")
+        first.clear()
+        second = program_block_work(program, "A3")
+        assert second and second is not program_block_work(program, "A3")
+
+    def test_unknown_block_label_names_it(self, program):
+        with pytest.raises(KeyError, match="nope"):
+            block_compute_cycles(program, "nope")
+
+
+def reference_iteration_cycles(lm, lengths, s, arch, share_weights):
+    """One decode iteration priced from uncached spans."""
+    chain = []
+    for i, t in enumerate(lengths):
+        for w in reference_block_work(lm.decode_step_program(t, s), arch):
+            chain.append(
+                dataclasses.replace(
+                    w,
+                    label=f"r{i}:{w.label}",
+                    load_cycles=w.load_cycles if i == 0 or not share_weights else 0,
+                )
+            )
+    result = schedule(arch, chain, lm.calibration.block_overhead_cycles)
+    t_in, t_out = lm.io_transfer_cycles(1)
+    return result.total_cycles + (t_in + t_out) * len(lengths)
+
+
+class TestIterationPricingProperty:
+    LM = LatencyModel()
+
+    @given(
+        st.lists(st.integers(1, 32), min_size=1, max_size=8),
+        st.sampled_from([8, 32]),
+        st.sampled_from(list(Architecture)),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_iteration_cycles_match_uncached_reference(
+        self, lengths, s, arch, share_weights
+    ):
+        lm = self.LM
+        total = lm.decode_iteration_cycles(lengths, s, arch, share_weights)
+        assert total == reference_iteration_cycles(
+            lm, lengths, s, arch, share_weights
+        )
+        shares = lm.per_member_cycle_shares(lengths, s, arch, share_weights)
+        assert len(shares) == len(lengths)
+        assert sum(shares) == total
