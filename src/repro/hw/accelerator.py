@@ -190,11 +190,11 @@ class TransformerAccelerator:
         """Open decode sessions for several utterances at once.
 
         The encoder prefill runs as ONE batched (B, S, d_model) pass —
-        MM1-MM6 execute as single large GEMMs over the shared weights —
+        MM1-MM6 execute as stacked matmuls over the shared weights —
         and each session is then constructed from its slice of the
         batched memory.  Functionally bit-identical to B independent
-        :meth:`decode_session` calls (the batched kernels preserve
-        per-row fp32 contraction order); the wall-clock win is the
+        :meth:`decode_session` calls (the stacked kernels run each
+        member's own 2-D BLAS call); the wall-clock win is the
         whole point, which the bench's batched-prefill scenario
         measures.
         """
@@ -397,10 +397,24 @@ def step_sessions(
     run_decoder_step_batch`); singleton groups take the scalar path.
     Outputs, cache contents and per-session cycle bookkeeping are
     bit-identical to per-session :meth:`HwDecodeSession.step` calls —
-    only the wall clock changes.
+    only the wall clock changes.  Raises ``ValueError`` naming the index
+    of a session passed twice or of one opened on another accelerator.
     """
     if len(sessions) != len(tokens):
         raise ValueError("one token per session required")
+    first_index: dict[int, int] = {}
+    for i, session in enumerate(sessions):
+        if id(session) in first_index:
+            raise ValueError(
+                f"session {i} is session {first_index[id(session)]} again; "
+                "a session steps at most once per batch"
+            )
+        first_index[id(session)] = i
+        if session.accel is not sessions[0].accel:
+            raise ValueError(
+                f"all sessions must share one accelerator; session {i} "
+                "belongs to another"
+            )
     outputs: list[np.ndarray | None] = [None] * len(sessions)
     groups: dict[int, list[int]] = {}
     for i, session in enumerate(sessions):
@@ -452,10 +466,8 @@ def step_batch(
         raise ValueError("batch must contain at least one session")
     if len(sessions) != len(tokens):
         raise ValueError("one token per session required")
-    accel = sessions[0].accel
-    if any(s.accel is not accel for s in sessions):
-        raise ValueError("all sessions must share one accelerator")
     outputs = step_sessions(sessions, tokens)
+    accel = sessions[0].accel
     # Each executed step ran the t = (new prefix length) program, the
     # same length run_decoder_step lowered for it.
     cycles = accel.latency_model.decode_iteration_cycles(

@@ -485,7 +485,8 @@ class AcceleratorController:
 
         ``x`` may be ``(s, d_model)`` or batched ``(B, s, d_model)`` —
         the lowering keys on the sequence length only, and the batched
-        kernels run the MM stages as single large GEMMs.
+        kernels run each MM stage as one stacked matmul over the
+        members.
         """
         program = lower(LoweringSpec(
             "encoder_stack", self.params.config, self.fabric, x.shape[-2],
@@ -552,10 +553,11 @@ class AcceleratorController:
         and ``caches`` the matching per-session caches, all at the same
         prefix length (:func:`repro.hw.kv_cache.batch_layer_caches`
         enforces this).  The *same* decode-step program as the scalar
-        path executes once with a leading batch axis: MM1/MM4-MM6 run
-        as single ``(B·1)``-row GEMMs, attention loops member-wise, and
-        cache appends fan back out so every session's cache ends up
-        bit-identical to B scalar :meth:`run_decoder_step` calls.
+        path executes once with a leading batch axis: every MM stage is
+        one stacked matmul over the members (each keeps its own 1-row
+        gemv), and cache appends fan back out so every session's cache
+        ends up bit-identical to B scalar :meth:`run_decoder_step`
+        calls.
         ``memory_mask``, if given, is ``(B, 1, S)`` (stacked per-session
         masks) or a broadcastable ``(1, S)``.  Returns the ``(B,
         d_model)`` output rows plus per-block compute cycles of the one

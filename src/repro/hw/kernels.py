@@ -26,6 +26,9 @@ FFN class for MM5/MM6).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import groupby
+from typing import Iterator
 
 import numpy as np
 
@@ -55,15 +58,16 @@ class Fabric:
     hardware: HardwareConfig = field(default_factory=HardwareConfig)
     calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
 
-    @property
+    # Built once per fabric; equality and hashing use the fields only.
+    @cached_property
     def psa(self) -> SystolicArray:
         return SystolicArray(self.hardware.psa_rows, self.hardware.psa_cols)
 
-    @property
+    @cached_property
     def adder(self) -> VectorAdder:
         return VectorAdder(width=self.hardware.adder_width)
 
-    @property
+    @cached_property
     def units(self) -> NonlinearUnits:
         return NonlinearUnits(lanes=self.hardware.psa_cols)
 
@@ -191,8 +195,7 @@ def _check_activation(name: str, arr: np.ndarray) -> np.ndarray:
     """An activation operand: 2-D (s, d) or batched 3-D (B, s, d).
 
     Weights stay strictly 2-D (:func:`_check_2d`) — a batch shares one
-    parameter set, which is exactly why the batched kernels can flatten
-    the leading dimension into one large GEMM.
+    parameter set, which the products broadcast over the batch axis.
     """
     a = np.asarray(arr, dtype=MODEL_DTYPE)
     if a.ndim not in (2, 3):
@@ -202,17 +205,116 @@ def _check_activation(name: str, arr: np.ndarray) -> np.ndarray:
     return a
 
 
-def _single_row_batch(x: np.ndarray) -> bool:
-    """True for a batched activation carrying one row per member
-    ((B, 1, d) — a grouped decode step).  These must NOT be flattened
-    into a (B, d) GEMM: BLAS dispatches M=1 products to a gemv kernel
-    whose contraction order differs from sgemm's, so flattening would
-    break bit-identity with the scalar decode path.  M >= 2 row panels
-    are contraction-order-stable across M, which the equivalence tests
-    pin."""
-    return x.ndim == 3 and x.shape[1] == 1
+def _billed_passes(x: np.ndarray) -> tuple[int, int]:
+    """(passes, rows per pass) the cycle formulas bill for an
+    activation: one pass for a 2-D call, one 1-row pass per member for
+    a batch of single rows (a grouped decode step), and one pass over
+    the flattened rows for a batch of longer sequences."""
+    if x.ndim == 2:
+        return 1, x.shape[0]
+    batch, rows = x.shape[:2]
+    return (batch, 1) if rows == 1 else (1, batch * rows)
 
 
+# ------------------------------------------------------------ products
+# The functional products of MM1..MM6, without cycle accounting (the
+# program executor calls these directly).  Operands may carry leading
+# axes that broadcast — a batch of sequences, a stack of heads.
+# np.matmul makes one BLAS call per 2-D slice, with the same shape,
+# pointer and strides as a 2-D call on that slice (so a 1-row slice
+# keeps its gemv), and the partial products fold left in hardware
+# order: stacking never changes a bit.
+def _split_widths(total: int, parts: int) -> list[int]:
+    """Chunk widths of ``np.array_split(range(total), parts)``."""
+    q, r = divmod(total, parts)
+    return [q + 1] * r + [q] * (parts - r)
+
+
+def _stripe_widths(total: int, stripe: int) -> list[int]:
+    """``stripe``-wide chunks of ``total``, the last one partial."""
+    q, r = divmod(total, stripe)
+    return [stripe] * q + ([r] if r else [])
+
+
+def _runs(widths: list[int]) -> Iterator[tuple[int, int, int, int]]:
+    """(start, stop, width, count) of each run of equal chunk widths."""
+    start = 0
+    for width, run in groupby(widths):
+        count = len(list(run))
+        yield start, start + width * count, width, count
+        start += width * count
+
+
+def _fold_chunks(x: np.ndarray, w: np.ndarray, widths: list[int]) -> np.ndarray:
+    """Left fold, in chunk order, of ``x[..., c] @ w[..., c, :]`` over
+    consecutive inner-dimension chunks ``c`` of the given widths.
+
+    Each run of equal widths is one np.matmul over (chunk x leading
+    axes) slices viewed in place.
+    """
+    partials: list[np.ndarray] = []
+    for start, stop, width, count in _runs(widths):
+        xs = x[..., start:stop].reshape(*x.shape[:-1], count, width)
+        ws = w[..., start:stop, :].reshape(*w.shape[:-2], count, width, w.shape[-1])
+        prod = np.matmul(xs.swapaxes(-2, -3), ws)
+        partials.extend(prod[..., i, :, :] for i in range(count))
+    return VectorAdder.accumulate(partials)
+
+
+def mm1_product(fabric: Fabric, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """MM1's (..., s, d_model) @ (..., d_model, d_k) as the left fold of
+    its 64-wide stripe products (a trailing partial stripe folds last)."""
+    return _fold_chunks(x, w, _stripe_widths(x.shape[-1], fabric.hardware.psa_cols))
+
+
+def mm2_product(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """MM2's scores Q @ K^T over any leading axes."""
+    return np.matmul(q, np.swapaxes(k, -1, -2))
+
+
+def mm3_product(attn: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """MM3's context Sm @ V over any leading axes."""
+    return np.matmul(attn, v)
+
+
+def mm4_product(heads: np.ndarray, wo: np.ndarray) -> np.ndarray:
+    """MM4 over head-stacked outputs ``(H, ..., s, d_k)``: head ``h``
+    multiplies rows ``[h d_k, (h+1) d_k)`` of W_A, and the H partials
+    fold left in head order."""
+    num_heads, d_k = heads.shape[0], heads.shape[-1]
+    panels = wo.reshape(num_heads, *(1,) * (heads.ndim - 3), d_k, wo.shape[-1])
+    return VectorAdder.accumulate(list(np.matmul(heads, panels)))
+
+
+def _split_inner_matmul(
+    x: np.ndarray, w: np.ndarray, inner_split: int, col_split: int
+) -> np.ndarray:
+    """Shared MM5/MM6 product: split the inner dim ``inner_split`` ways
+    and the output columns ``col_split`` ways (as ``np.array_split``
+    would); each (chunk, column panel) pair maps to one PSA, and each
+    panel folds its chunks left.  Equal-width panels share the chunk
+    matmuls as one more leading axis."""
+    m, n = w.shape
+    inner = _split_widths(m, min(inner_split, m))
+    panels: list[np.ndarray] = []
+    for start, stop, width, count in _runs(_split_widths(n, min(col_split, n))):
+        wp = w[:, start:stop].reshape(m, count, width).swapaxes(0, 1)
+        fold = _fold_chunks(x[..., None, :, :], wp, inner)
+        panels.extend(fold[..., i, :, :] for i in range(count))
+    return np.concatenate(panels, axis=-1)
+
+
+def mm5_product(x: np.ndarray, w1: np.ndarray) -> np.ndarray:
+    """MM5's product: two inner chunks x four column panels (Fig 4.6)."""
+    return _split_inner_matmul(x, w1, inner_split=2, col_split=4)
+
+
+def mm6_product(h: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """MM6's product: eight inner chunks, one column panel (Fig 4.7)."""
+    return _split_inner_matmul(h, w2, inner_split=8, col_split=1)
+
+
+# ------------------------------------------------------------- kernels
 def mm1(
     fabric: Fabric,
     x: np.ndarray,
@@ -225,10 +327,8 @@ def mm1(
     Table 5.3 design points); the partial products are still folded by
     the pipelined adder, so only the final fold is exposed.
 
-    A 3-D ``x`` of shape (B, s, d_model) runs as a single (B*s, d_model)
-    GEMM against the shared weight panel — each output row's fp32
-    contraction is unchanged, so the result is bit-identical to B
-    independent 2-D calls.
+    A 3-D ``x`` of shape (B, s, d_model) multiplies each member against
+    the shared weight panel, bit-identical to B independent 2-D calls.
     """
     x = _check_activation("x", x)
     w = _check_2d("w", w)
@@ -236,53 +336,28 @@ def mm1(
         raise ValueError(f"inner mismatch: {x.shape} @ {w.shape}")
     if concurrent_psas < 1:
         raise ValueError("concurrent_psas must be >= 1")
-    if _single_row_batch(x):
-        parts = [mm1(fabric, x[i], w, concurrent_psas) for i in range(x.shape[0])]
-        return KernelResult(
-            output=np.stack([p.output for p in parts]),
-            cycles=sum(p.cycles for p in parts),
-        )
-    batch = x.shape[0] if x.ndim == 3 else None
-    if batch is not None:
-        x = x.reshape(batch * x.shape[1], x.shape[2])
-    s, d_model = x.shape
-    d_k = w.shape[1]
-    stripe = fabric.hardware.psa_cols
-    num_stripes = ceil_div(d_model, stripe)
-
-    psa = fabric.psa
-    partials = [
-        psa.matmul(
-            x[:, i * stripe : (i + 1) * stripe],
-            w[i * stripe : (i + 1) * stripe],
-        )
-        for i in range(num_stripes)
-    ]
-    out = VectorAdder.accumulate(partials)
-    if batch is not None:
-        out = out.reshape(batch, -1, d_k)
-
-    cycles = mm1_cycles(fabric, s, d_model, d_k, concurrent_psas)
-    return KernelResult(output=out, cycles=cycles)
+    passes, rows = _billed_passes(x)
+    return KernelResult(
+        output=mm1_product(fabric, x, w),
+        cycles=passes * mm1_cycles(fabric, rows, x.shape[-1], w.shape[1], concurrent_psas),
+    )
 
 
-def _paired_batch(name_a: str, a: np.ndarray, name_b: str, b: np.ndarray) -> int | None:
-    """Validate two activation operands batch together; returns B or
-    None (both 2-D).  MM2/MM3 take two *per-sequence* activations, so
-    batching loops member-wise instead of flattening."""
+def _paired_batch(name_a: str, a: np.ndarray, name_b: str, b: np.ndarray) -> int:
+    """Validate two activation operands batch together; returns the
+    number of members (1 when both are 2-D).  MM2/MM3 take two
+    *per-sequence* activations, so a batch pairs them member-wise."""
     if a.ndim != b.ndim:
         raise ValueError(
             f"{name_a} and {name_b} must both be batched or both 2-D; "
             f"got {a.shape} and {b.shape}"
         )
-    if a.ndim == 2:
-        return None
-    if a.shape[0] != b.shape[0]:
+    if a.ndim == 3 and a.shape[0] != b.shape[0]:
         raise ValueError(
             f"{name_a} and {name_b} disagree on batch size: "
             f"{a.shape} vs {b.shape}"
         )
-    return a.shape[0]
+    return a.shape[0] if a.ndim == 3 else 1
 
 
 def mm2(fabric: Fabric, q: np.ndarray, k: np.ndarray) -> KernelResult:
@@ -295,17 +370,12 @@ def mm2(fabric: Fabric, q: np.ndarray, k: np.ndarray) -> KernelResult:
     k = _check_activation("k", k)
     if q.shape[-1] != k.shape[-1]:
         raise ValueError("q and k must share the key dimension")
-    batch = _paired_batch("q", q, "k", k)
-    if batch is not None:
-        parts = [mm2(fabric, q[i], k[i]) for i in range(batch)]
-        return KernelResult(
-            output=np.stack([p.output for p in parts]),
-            cycles=sum(p.cycles for p in parts),
-        )
-    s_q, d_k = q.shape
-    s_k = k.shape[0]
-    out = fabric.psa.matmul(q, k.T)
-    return KernelResult(output=out, cycles=mm2_cycles(fabric, s_q, s_k, d_k))
+    members = _paired_batch("q", q, "k", k)
+    s_q, d_k = q.shape[-2:]
+    return KernelResult(
+        output=mm2_product(q, k),
+        cycles=members * mm2_cycles(fabric, s_q, k.shape[-2], d_k),
+    )
 
 
 def mm3(fabric: Fabric, attn: np.ndarray, v: np.ndarray) -> KernelResult:
@@ -317,17 +387,12 @@ def mm3(fabric: Fabric, attn: np.ndarray, v: np.ndarray) -> KernelResult:
     v = _check_activation("v", v)
     if attn.shape[-1] != v.shape[-2]:
         raise ValueError(f"inner mismatch: {attn.shape} @ {v.shape}")
-    batch = _paired_batch("attn", attn, "v", v)
-    if batch is not None:
-        parts = [mm3(fabric, attn[i], v[i]) for i in range(batch)]
-        return KernelResult(
-            output=np.stack([p.output for p in parts]),
-            cycles=sum(p.cycles for p in parts),
-        )
-    s_q, s_k = attn.shape
-    d_k = v.shape[1]
-    out = fabric.psa.matmul(attn, v)
-    return KernelResult(output=out, cycles=mm3_cycles(fabric, s_q, s_k, d_k))
+    members = _paired_batch("attn", attn, "v", v)
+    s_q, s_k = attn.shape[-2:]
+    return KernelResult(
+        output=mm3_product(attn, v),
+        cycles=members * mm3_cycles(fabric, s_q, s_k, v.shape[-1]),
+    )
 
 
 def mm4(
@@ -347,64 +412,16 @@ def mm4(
     for i, h in enumerate(heads):
         if h.shape != shape:
             raise ValueError(f"head[{i}] shape {h.shape} != {shape}")
-    if _single_row_batch(heads[0]):
-        parts = [
-            mm4(fabric, [h[i] for h in heads], wo) for i in range(shape[0])
-        ]
-        return KernelResult(
-            output=np.stack([p.output for p in parts]),
-            cycles=sum(p.cycles for p in parts),
-        )
-    batch = shape[0] if heads[0].ndim == 3 else None
-    if batch is not None:
-        # Shared W_A: flatten every head to (B*s, d_k) and run the
-        # per-head stripes as single large GEMMs (bit-identical rows).
-        heads = [h.reshape(batch * h.shape[1], h.shape[2]) for h in heads]
-    s, d_k = heads[0].shape
+    d_k = shape[-1]
     if wo.shape[0] != d_k * len(heads):
         raise ValueError(
             f"wo must have {d_k * len(heads)} rows; got {wo.shape[0]}"
         )
-    d_out = wo.shape[1]
-    psa = fabric.psa
-    partials = [
-        psa.matmul(h, wo[i * d_k : (i + 1) * d_k]) for i, h in enumerate(heads)
-    ]
-    out = VectorAdder.accumulate(partials)
-    if batch is not None:
-        out = out.reshape(batch, -1, d_out)
-
-    cycles = mm4_cycles(fabric, s, len(heads), d_k, d_out)
-    return KernelResult(output=out, cycles=cycles)
-
-
-def _split_inner_matmul(
-    fabric: Fabric,
-    x: np.ndarray,
-    w: np.ndarray,
-    inner_split: int,
-    col_split: int,
-) -> tuple[np.ndarray, int]:
-    """Shared MM5/MM6 machinery: split the inner dim ``inner_split``
-    ways and the output columns ``col_split`` ways; each (chunk, column
-    panel) pair maps to one PSA.  Returns (output, parallel psa count).
-    """
-    s, m = x.shape
-    n = w.shape[1]
-    inner_split = min(inner_split, m)
-    col_split = min(col_split, n)
-    row_bounds = np.array_split(np.arange(m), inner_split)
-    col_bounds = np.array_split(np.arange(n), col_split)
-    psa = fabric.psa
-    out = np.zeros((s, n), dtype=MODEL_DTYPE)
-    for cols in col_bounds:
-        c0, c1 = cols[0], cols[-1] + 1
-        partials = [
-            psa.matmul(x[:, rows[0] : rows[-1] + 1], w[rows[0] : rows[-1] + 1, c0:c1])
-            for rows in row_bounds
-        ]
-        out[:, c0:c1] = VectorAdder.accumulate(partials)
-    return out, inner_split * col_split
+    passes, rows = _billed_passes(heads[0])
+    return KernelResult(
+        output=mm4_product(np.stack(heads), wo),
+        cycles=passes * mm4_cycles(fabric, rows, len(heads), d_k, wo.shape[1]),
+    )
 
 
 def mm5(fabric: Fabric, x: np.ndarray, w1: np.ndarray) -> KernelResult:
@@ -412,27 +429,17 @@ def mm5(fabric: Fabric, x: np.ndarray, w1: np.ndarray) -> KernelResult:
 
     Inner dim split in two (s x 256 chunks), output columns split in
     four 512-wide panels (two per SLR); 8 PSAs run one partial each.
-    A 3-D input flattens to one (B*s, d_model) GEMM over the shared W1.
+    A 3-D input multiplies each member against the shared W1.
     """
     x = _check_activation("x", x)
     w1 = _check_2d("w1", w1)
     if x.shape[-1] != w1.shape[0]:
         raise ValueError(f"inner mismatch: {x.shape} @ {w1.shape}")
-    if _single_row_batch(x):
-        parts = [mm5(fabric, x[i], w1) for i in range(x.shape[0])]
-        return KernelResult(
-            output=np.stack([p.output for p in parts]),
-            cycles=sum(p.cycles for p in parts),
-        )
-    batch = x.shape[0] if x.ndim == 3 else None
-    if batch is not None:
-        x = x.reshape(batch * x.shape[1], x.shape[2])
-    s = x.shape[0]
-    out, _ = _split_inner_matmul(fabric, x, w1, inner_split=2, col_split=4)
-    if batch is not None:
-        out = out.reshape(batch, -1, w1.shape[1])
-    cycles = mm5_cycles(fabric, s, x.shape[1], w1.shape[1])
-    return KernelResult(output=out, cycles=cycles)
+    passes, rows = _billed_passes(x)
+    return KernelResult(
+        output=mm5_product(x, w1),
+        cycles=passes * mm5_cycles(fabric, rows, x.shape[-1], w1.shape[1]),
+    )
 
 
 def mm6(fabric: Fabric, h: np.ndarray, w2: np.ndarray) -> KernelResult:
@@ -440,25 +447,15 @@ def mm6(fabric: Fabric, h: np.ndarray, w2: np.ndarray) -> KernelResult:
 
     Each SLR holds half the hidden activations and a 1024 x 512 weight
     panel, split into four s x 256 by 256 x 512 products; the two SLR
-    partials are added after an ISC transfer.  A 3-D input flattens to
-    one (B*s, d_ff) GEMM over the shared W2.
+    partials are added after an ISC transfer.  A 3-D input multiplies
+    each member against the shared W2.
     """
     h = _check_activation("h", h)
     w2 = _check_2d("w2", w2)
     if h.shape[-1] != w2.shape[0]:
         raise ValueError(f"inner mismatch: {h.shape} @ {w2.shape}")
-    if _single_row_batch(h):
-        parts = [mm6(fabric, h[i], w2) for i in range(h.shape[0])]
-        return KernelResult(
-            output=np.stack([p.output for p in parts]),
-            cycles=sum(p.cycles for p in parts),
-        )
-    batch = h.shape[0] if h.ndim == 3 else None
-    if batch is not None:
-        h = h.reshape(batch * h.shape[1], h.shape[2])
-    s = h.shape[0]
-    out, _ = _split_inner_matmul(fabric, h, w2, inner_split=8, col_split=1)
-    if batch is not None:
-        out = out.reshape(batch, -1, w2.shape[1])
-    cycles = mm6_cycles(fabric, s, h.shape[1], w2.shape[1])
-    return KernelResult(output=out, cycles=cycles)
+    passes, rows = _billed_passes(h)
+    return KernelResult(
+        output=mm6_product(h, w2),
+        cycles=passes * mm6_cycles(fabric, rows, h.shape[-1], w2.shape[1]),
+    )

@@ -12,7 +12,7 @@ projections resident).
 The cache lives in on-chip BRAM banks next to the PSAs; feeding the
 ``t`` cached rows of one head into the array costs one 512-bit flit
 (16 fp32 values) per cycle, which :func:`kv_stream_cycles` accounts.
-All projections run through the :mod:`repro.hw.kernels` MM1 kernel so
+All projections run through the :mod:`repro.hw.kernels` MM1 product so
 the functional values match the full-prefix path row for row.
 """
 
@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.hw.kernels import Fabric, mm1
-from repro.hw.nonlinear import bias_unit
+from repro.hw.kernels import Fabric, mm1_cycles, mm1_product
 from repro.hw.systolic import ceil_div
+from repro.model.ops import MODEL_DTYPE
 from repro.model.params import AttentionParams, TransformerParams
 from repro.obs import metrics as obs_metrics
 
@@ -198,26 +198,27 @@ def project_cross_kv(
 ) -> tuple[list[np.ndarray], list[np.ndarray], int]:
     """Project the cross-attention K/V of every head from the memory.
 
-    Runs the same MM1 + bias kernels as the full-prefix decoder, so the
-    cached values are identical to what a per-step recomputation would
-    produce.  Returns (keys, values, cycles); the cycles are the
-    one-time prefill cost of filling the cache.
+    Runs the same head-stacked MM1 + bias as the decoder's program
+    executor — one MM1 call over all heads for K and one for V — so
+    the cached values are identical to what a per-step recomputation
+    would produce.  Returns (keys, values, cycles); the cycles are the
+    one-time prefill cost of filling the cache: per head, two MM1
+    passes and two bias adds.
     """
-    keys: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    cycles = 0
-    for h in range(params.num_heads):
-        k_res = mm1(fabric, memory, params.wk[h], concurrent_psas)
-        v_res = mm1(fabric, memory, params.wv[h], concurrent_psas)
-        keys.append(bias_unit(k_res.output, params.bk[h]))
-        values.append(bias_unit(v_res.output, params.bv[h]))
-        s, d_k = keys[-1].shape
-        cycles += (
-            k_res.cycles
-            + v_res.cycles
-            + 2 * fabric.units.bias_cycles(s, d_k)
-        )
-    return keys, values, cycles
+    memory = np.asarray(memory, dtype=MODEL_DTYPE)
+
+    def project(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+        w, b = np.asarray(w, MODEL_DTYPE), np.asarray(b, MODEL_DTYPE)
+        return mm1_product(fabric, memory, w) + b[:, None, :]
+
+    keys, values = project(params.wk, params.bk), project(params.wv, params.bv)
+    s, d_model = memory.shape
+    d_k = keys.shape[-1]
+    cycles = params.num_heads * 2 * (
+        mm1_cycles(fabric, s, d_model, d_k, concurrent_psas)
+        + fabric.units.bias_cycles(s, d_k)
+    )
+    return list(keys), list(values), cycles
 
 
 class DecoderKVCache:

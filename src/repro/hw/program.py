@@ -10,7 +10,8 @@ program and derives every execution mode from it:
 
 * :func:`execute_program` — the functional executor: runs the numpy
   dataflow through the :mod:`repro.hw.kernels` / :mod:`repro.hw.
-  nonlinear` implementations, bit-identical to the legacy block bodies.
+  nonlinear` implementations along the program's execution plan, which
+  runs each attention head group as one head-stacked kernel call.
 * :func:`program_block_work` / :func:`schedule_program` — the cycle
   executor: per-block makespans fall out of an integer ASAP pass over
   the dependency edges (once per program), then the A1/A2/A3
@@ -37,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import combinations
 from types import MappingProxyType
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -45,18 +47,18 @@ import numpy as np
 from repro.config import ModelConfig
 from repro.hw.kernels import (
     Fabric,
-    mm1,
     mm1_cycles,
-    mm2,
+    mm1_product,
     mm2_cycles,
-    mm3,
+    mm2_product,
     mm3_cycles,
-    mm4,
+    mm3_product,
     mm4_cycles,
-    mm5,
+    mm4_product,
     mm5_cycles,
-    mm6,
+    mm5_product,
     mm6_cycles,
+    mm6_product,
 )
 from repro.hw.kv_cache import kv_stream_cycles
 from repro.hw.memory import (
@@ -81,6 +83,7 @@ from repro.hw.scheduler import (
 )
 from repro.hw.systolic import ceil_div
 from repro.hw.trace import Timeline
+from repro.model.ops import MODEL_DTYPE
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 
@@ -232,6 +235,13 @@ class BlockProgram:
         )
 
     @cached_property
+    def execution_plan(self) -> tuple[PlanStep, ...]:
+        """The functional executor's schedule: the ops in program
+        order, with each attention head group run as one head-stacked
+        kernel call (:func:`_build_plan`)."""
+        return _build_plan(self)
+
+    @cached_property
     def _work_unit_memo(
         self,
     ) -> dict[Architecture, tuple[tuple[BlockWork, tuple[BlockIR, ...]], ...]]:
@@ -248,6 +258,27 @@ class ProgramRun:
     block_compute_cycles: dict[str, int]
     #: Every op output, keyed by op id (diagnostics / testing).
     values: dict[int, np.ndarray]
+
+
+@dataclass(frozen=True)
+class PlanStep:
+    """One call of the functional executor.
+
+    A ``stacked`` step runs its member ops as one kernel call over a
+    leading head axis.  ``args`` says how each input slot is gathered:
+    ``("group", i)`` is the output stack of plan step ``i``, member for
+    member; ``("shared", ref)`` one value every member reads, broadcast
+    over the head axis;
+    ``("each", refs)`` one value per member, stacked.  ``heads``
+    selects the members' slices of each per-head parameter stack (None
+    when the ops carry no ``head`` and use the whole parameter).  Other
+    ops (MM4, the FFN, Add-Norm) are one-op steps run on their own.
+    """
+
+    ops: tuple[Op, ...]
+    stacked: bool
+    args: tuple[tuple[str, Any], ...] = ()
+    heads: tuple[int, ...] | None = None
 
 
 # ------------------------------------------------------------ lowering
@@ -1437,6 +1468,167 @@ def trace_program(
     return timeline
 
 
+# ------------------------------------------------------ execution plan
+#: Semantics computed once per attention head.  The plan runs the heads
+#: of each as one head-stacked kernel call, as the eight PSAs run them
+#: side by side (Fig 4.13).
+_HEAD_SEMANTICS = frozenset(
+    {"mm1", "bias", "mm2", "scsm", "mm3", "cache_append_k", "cache_append_v"}
+)
+_APPEND_BANKS = {"cache_append_k": "self_k", "cache_append_v": "self_v"}
+
+
+def _op_lane(op: Op, lanes: Mapping[int, int | None]) -> int | None:
+    """The head a per-head op works for: its ``head`` attribute, else
+    the head of its first op or cache input (MM2, Sc+Sm and MM3 carry
+    no ``head``).  None for every other op."""
+    if op.semantic not in _HEAD_SEMANTICS:
+        return None
+    if "head" in op.attrs:
+        return op.attrs["head"]
+    for ref in op.inputs:
+        if ref.kind == "op":
+            return lanes.get(ref.key)
+        if ref.kind == "cache":
+            return ref.key[2]
+    return None
+
+
+def _input_key(ref: ValueRef, group_of: Mapping[int, int]) -> tuple:
+    """What a head group's members must agree on for one input: the
+    producer's group, the external name, or the cache (which, layer)."""
+    if ref.kind == "op":
+        return ("op", group_of.get(ref.key))
+    if ref.kind == "ext":
+        return ("ext", ref.key)
+    return ("cache",) + tuple(ref.key[:2])
+
+
+def _gather_spec(
+    refs: list[ValueRef],
+    slot_of: Mapping[int, tuple[int, int]],
+    stack_sizes: Sequence[int | None],
+) -> tuple[str, Any]:
+    """How a stacked step gathers one input slot (see :class:`PlanStep`);
+    ``stack_sizes`` holds each plan step's member count, None for the
+    steps that leave no stack."""
+    if all(ref.kind == "op" for ref in refs):
+        slots = [slot_of[ref.key] for ref in refs]
+        step = slots[0][0]
+        size = stack_sizes[step]
+        if size is not None and slots == [(step, j) for j in range(size)]:
+            return ("group", step)
+    if all(ref == refs[0] for ref in refs):
+        return ("shared", refs[0])
+    return ("each", tuple(refs))
+
+
+def _build_plan(program: BlockProgram) -> tuple[PlanStep, ...]:
+    """Group a program's per-head ops into head-stacked plan steps.
+
+    Per-head ops form one group when they share the semantic, the
+    parameter paths, the attributes other than ``head``, and their
+    input keys (:func:`_input_key`).  Members are ordered by head, and
+    a group runs at the program position of its last member: member
+    ``h`` of a producer precedes member ``h`` of its consumer, so that
+    order stays topological under any valid op order.  Raises
+    ``ValueError`` naming the op if grouping would move a cache read or
+    append across an append to the same (which, layer, head) bank.
+    """
+    index = {op.op_id: i for i, op in enumerate(program.ops)}
+    lanes: dict[int, int | None] = {}
+    group_ids: dict[tuple, int] = {}
+    group_of: dict[int, int] = {}
+    groups: list[list[Op]] = []
+    for op in program.ops:
+        if op.semantic is None:
+            continue
+        lane = lanes[op.op_id] = _op_lane(op, lanes)
+        key: tuple = ("op", op.op_id)
+        if lane is not None:
+            key = (
+                op.semantic,
+                tuple(ref.path for ref in op.params),
+                "head" in op.attrs,
+                tuple(sorted((k, v) for k, v in op.attrs.items() if k != "head")),
+                tuple(_input_key(ref, group_of) for ref in op.inputs),
+            )
+        gid = group_of[op.op_id] = group_ids.setdefault(key, len(groups))
+        if gid == len(groups):
+            groups.append([])
+        groups[gid].append(op)
+
+    members = sorted(
+        (
+            sorted(ops, key=lambda op: (lanes[op.op_id] or 0, index[op.op_id]))
+            for ops in groups
+        ),
+        key=lambda ops: max(index[op.op_id] for op in ops),
+    )
+    slot_of = {
+        op.op_id: (i, j) for i, ops in enumerate(members) for j, op in enumerate(ops)
+    }
+    stack_sizes = [
+        len(ops) if ops[0].semantic in _HEAD_SEMANTICS else None for ops in members
+    ]
+    steps: list[PlanStep] = []
+    for i, ops in enumerate(members):
+        first = ops[0]
+        for op in ops:
+            for ref in op.inputs:
+                if ref.kind == "op" and slot_of[ref.key][0] >= i:
+                    raise ValueError(
+                        f"op {op.op_id} ('{op.label}') would run before its "
+                        f"input op {ref.key} in the execution plan"
+                    )
+        if first.semantic not in _HEAD_SEMANTICS:
+            steps.append(PlanStep(ops=tuple(ops), stacked=False))
+            continue
+        steps.append(PlanStep(
+            ops=tuple(ops),
+            stacked=True,
+            args=tuple(
+                _gather_spec([op.inputs[k] for op in ops], slot_of, stack_sizes)
+                for k in range(len(first.inputs))
+            ),
+            heads=(
+                tuple(op.attrs["head"] for op in ops) if "head" in first.attrs
+                else None
+            ),
+        ))
+    _check_cache_hazards(program, index, slot_of)
+    return tuple(steps)
+
+
+def _check_cache_hazards(
+    program: BlockProgram,
+    index: Mapping[int, int],
+    slot_of: Mapping[int, tuple[int, int]],
+) -> None:
+    """Raise if the plan reorders a cache access against an append to
+    the same (which, layer, head) bank."""
+    banks: dict[tuple, list[tuple[Op, bool]]] = {}
+    for op in program.ops:
+        for ref in op.inputs:
+            if ref.kind == "cache":
+                banks.setdefault(tuple(ref.key), []).append((op, False))
+        if op.semantic in _APPEND_BANKS:
+            bank = (_APPEND_BANKS[op.semantic], op.attrs["layer"], op.attrs["head"])
+            banks.setdefault(bank, []).append((op, True))
+    for bank, accesses in banks.items():
+        for (a, a_appends), (b, b_appends) in combinations(accesses, 2):
+            if not (a_appends or b_appends):
+                continue
+            before = index[a.op_id] < index[b.op_id]
+            if before != (slot_of[a.op_id] < slot_of[b.op_id]):
+                moved, append = (b, a) if a_appends else (a, b)
+                raise ValueError(
+                    f"head grouping would move op {moved.op_id} "
+                    f"('{moved.label}') across cache append op "
+                    f"{append.op_id} ('{append.label}') on bank {bank}"
+                )
+
+
 # -------------------------------------------------- functional executor
 def execute_program(
     program: BlockProgram,
@@ -1452,7 +1644,9 @@ def execute_program(
     ``caches`` binds per-layer :class:`repro.hw.kv_cache.LayerKVCache`
     objects for step programs.  ``weight_hook`` sees every resolved
     parameter array (with its ref) before use — the fault-injection
-    transform plugs in here.
+    transform plugs in here.  It is called once per plan step on the
+    whole array (a per-head stack before any head slicing), so it must
+    be a pure function of ``(ref, array)``.
     """
     program_kind = str(program.meta.get("kind", "unknown"))
     with obs_spans.tracer().span("hw.execute_program", kind=program_kind):
@@ -1477,6 +1671,7 @@ def _execute_ops(
     fabric = program.fabric
     bound = inputs or {}
     values: dict[int, np.ndarray] = {}
+    stacks: list[np.ndarray | None] = []
 
     def value(ref: ValueRef) -> np.ndarray:
         if ref.kind == "op":
@@ -1490,67 +1685,36 @@ def _execute_ops(
             raise ValueError("program references a KV cache but none was bound")
         return getattr(caches[layer], which)[head]
 
-    def weight(op: Op, idx: int, sliced: bool = False) -> np.ndarray:
-        ref = op.params[idx]
+    def act(ref: ValueRef) -> np.ndarray:
+        return np.asarray(value(ref), dtype=MODEL_DTYPE)
+
+    def param(ref: ParamRef) -> np.ndarray:
         arr = ref.resolve(root)
         if weight_hook is not None:
             arr = weight_hook(ref, arr)
-        head = op.attrs.get("head") if sliced else None
-        return arr if head is None else arr[head]
+        return np.asarray(arr, dtype=MODEL_DTYPE)
 
-    for op in program.ops:
-        sem = op.semantic
-        if sem is None:
+    def gather(how: str, what: Any, members: int) -> np.ndarray:
+        if how == "group":
+            return stacks[what]
+        if how == "shared":
+            shared = act(what)
+            return np.broadcast_to(shared, (members,) + shared.shape)
+        return np.stack([act(ref) for ref in what])
+
+    for step in program.execution_plan:
+        if not step.stacked:
+            op = step.ops[0]
+            values[op.op_id] = _run_op(op, act, param)
+            stacks.append(None)
             continue
-        if sem == "mm1":
-            out = mm1(
-                fabric, value(op.inputs[0]), weight(op, 0, sliced=True),
-                op.attrs.get("concurrent_psas", 1),
-            ).output
-        elif sem == "bias":
-            out = bias_unit(value(op.inputs[0]), weight(op, 0, sliced=True))
-        elif sem == "mm2":
-            out = mm2(fabric, value(op.inputs[0]), value(op.inputs[1])).output
-        elif sem == "scsm":
-            mask_name = op.attrs.get("mask")
-            mask = bound.get(mask_name) if mask_name else None
-            out = softmax_unit(
-                scale_scores(value(op.inputs[0]), op.attrs["d_k"]), mask=mask
-            )
-        elif sem == "mm3":
-            out = mm3(fabric, value(op.inputs[0]), value(op.inputs[1])).output
-        elif sem == "mm4":
-            out = mm4(
-                fabric, [value(r) for r in op.inputs], weight(op, 0)
-            ).output
-        elif sem == "mm5":
-            out = mm5(fabric, value(op.inputs[0]), weight(op, 0)).output
-        elif sem == "bias_relu":
-            out = relu_unit(bias_unit(value(op.inputs[0]), weight(op, 0)))
-        elif sem == "mm6":
-            out = mm6(fabric, value(op.inputs[0]), weight(op, 0)).output
-        elif sem == "add_norm":
-            out = add_norm_unit(
-                value(op.inputs[0]), value(op.inputs[1]),
-                weight(op, 0), weight(op, 1),
-            )
-        elif sem == "cache_append_k":
-            if caches is None:
-                raise ValueError("cache op requires a bound cache")
-            caches[op.attrs["layer"]].append_self_k(
-                op.attrs["head"], value(op.inputs[0])
-            )
-            continue
-        elif sem == "cache_append_v":
-            if caches is None:
-                raise ValueError("cache op requires a bound cache")
-            caches[op.attrs["layer"]].append_self_v(
-                op.attrs["head"], value(op.inputs[0])
-            )
-            continue
-        else:
-            raise ValueError(f"unknown op semantic '{sem}'")
-        values[op.op_id] = out
+        args = [gather(how, what, len(step.ops)) for how, what in step.args]
+        params = [_head_slice(param(ref), step.heads) for ref in step.ops[0].params]
+        out = _run_head_group(fabric, step, args, params, bound, caches)
+        if out is not None:
+            for op, member in zip(step.ops, out):
+                values[op.op_id] = member
+        stacks.append(out)
 
     outputs = {name: value(ref) for name, ref in program.outputs.items()}
     return ProgramRun(
@@ -1558,6 +1722,80 @@ def _execute_ops(
         block_compute_cycles=dict(program.block_spans),
         values=values,
     )
+
+
+def _head_slice(arr: np.ndarray, heads: tuple[int, ...] | None) -> np.ndarray:
+    """The members' slices of a per-head parameter stack, in member
+    order (the whole stack when it already is); a parameter of ops
+    without a ``head`` gets a head axis of length 1."""
+    if heads is None:
+        return arr[None]
+    if heads == tuple(range(arr.shape[0])):
+        return arr
+    return arr[list(heads)]
+
+
+def _lift(param: np.ndarray, activation: np.ndarray) -> np.ndarray:
+    """Give a head-stacked parameter unit axes for the activation's
+    batch axes, so it broadcasts over them."""
+    pad = (1,) * (activation.ndim - param.ndim)
+    return param.reshape(param.shape[:1] + pad + param.shape[1:])
+
+
+def _run_head_group(
+    fabric: Fabric,
+    step: PlanStep,
+    args: list[np.ndarray],
+    params: list[np.ndarray],
+    bound: Mapping[str, np.ndarray | None],
+    caches: Sequence[Any] | None,
+) -> np.ndarray | None:
+    """One head-stacked kernel call; returns the ``(members, ...)``
+    output stack (None for cache appends)."""
+    first = step.ops[0]
+    sem = first.semantic
+    if sem == "mm1":
+        return mm1_product(fabric, args[0], _lift(params[0], args[0]))
+    if sem == "bias":
+        return args[0] + _lift(params[0], args[0])
+    if sem == "mm2":
+        return mm2_product(args[0], args[1])
+    if sem == "scsm":
+        mask_name = first.attrs.get("mask")
+        mask = bound.get(mask_name) if mask_name else None
+        return softmax_unit(scale_scores(args[0], first.attrs["d_k"]), mask=mask)
+    if sem == "mm3":
+        return mm3_product(args[0], args[1])
+    if caches is None:
+        raise ValueError("cache op requires a bound cache")
+    for op, row in zip(step.ops, args[0]):
+        layer = caches[op.attrs["layer"]]
+        append = layer.append_self_k if sem == "cache_append_k" else layer.append_self_v
+        append(op.attrs["head"], row)
+    return None
+
+
+def _run_op(
+    op: Op,
+    act: Callable[[ValueRef], np.ndarray],
+    param: Callable[[ParamRef], np.ndarray],
+) -> np.ndarray:
+    """One op outside the head groups (MM4, the FFN, Add-Norm)."""
+    sem = op.semantic
+    if sem == "mm4":
+        return mm4_product(np.stack([act(r) for r in op.inputs]), param(op.params[0]))
+    if sem == "mm5":
+        return mm5_product(act(op.inputs[0]), param(op.params[0]))
+    if sem == "bias_relu":
+        return relu_unit(bias_unit(act(op.inputs[0]), param(op.params[0])))
+    if sem == "mm6":
+        return mm6_product(act(op.inputs[0]), param(op.params[0]))
+    if sem == "add_norm":
+        return add_norm_unit(
+            act(op.inputs[0]), act(op.inputs[1]),
+            param(op.params[0]), param(op.params[1]),
+        )
+    raise ValueError(f"unknown op semantic '{sem}'")
 
 
 __all__ = [

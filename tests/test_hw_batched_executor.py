@@ -11,6 +11,7 @@ from repro.hw.accelerator import TransformerAccelerator, step_sessions
 from repro.hw.controller import AcceleratorController
 from repro.hw.kernels import mm1, mm2, mm3, mm4, mm5, mm6
 from repro.hw.kv_cache import batch_layer_caches
+from repro.model.params import init_transformer_params
 from repro.serving.request import UtteranceRequest
 from repro.serving.scheduler import (
     ContinuousBatchingScheduler,
@@ -30,9 +31,8 @@ def _f32(rng, *shape):
 
 class TestBatchedKernels:
     """MM1-MM6 accept a leading batch axis; outputs must equal the
-    member-wise 2-D calls bit for bit (the flattened GEMM preserves each
-    row's fp32 contraction order, and single-row batches recurse
-    member-wise to dodge the gemv/sgemm accumulation-order split)."""
+    member-wise 2-D calls bit for bit (the stacked matmul runs each
+    member's own 2-D slice, so a 1-row member keeps its gemv)."""
 
     B = 3
 
@@ -218,6 +218,30 @@ class TestBatchedSessions:
         )
         with pytest.raises(ValueError):
             step_sessions([session], [1, 2])
+
+    def test_step_sessions_rejects_a_session_twice(self, small_params):
+        """Stepping one session twice in a batch would bank two rows
+        from the same prefix; the batch is refused before any step."""
+        accel = TransformerAccelerator(small_params, hw_seq_len=8)
+        rng = _rng(15)
+        other = accel.decode_session(_f32(rng, 6, small_params.config.d_model))
+        session = accel.decode_session(_f32(rng, 6, small_params.config.d_model))
+        with pytest.raises(ValueError, match="session 2 is session 1 again"):
+            step_sessions([other, session, session], [1, 1, 2])
+        assert session.tokens == [] and session.cache.length == 0
+
+    def test_step_sessions_rejects_a_foreign_accelerator(self, small_params):
+        """A same-length group runs one accelerator's weights, so a
+        session opened on another accelerator is refused by index."""
+        accel = TransformerAccelerator(small_params, hw_seq_len=8)
+        foreign = TransformerAccelerator(
+            init_transformer_params(small_params.config, seed=8), hw_seq_len=8
+        )
+        feats = _f32(_rng(16), 6, small_params.config.d_model)
+        batch = [accel.decode_session(feats), foreign.decode_session(feats)]
+        with pytest.raises(ValueError, match="session 1 belongs to another"):
+            step_sessions(batch, [1, 1])
+        assert all(s.tokens == [] for s in batch)
 
 
 class TestServingBatchedSteps:

@@ -8,7 +8,14 @@ import pytest
 from repro.config import ModelConfig
 from repro.decoding.greedy import greedy_decode
 from repro.hw.accelerator import TransformerAccelerator
-from repro.hw.kv_cache import LayerKVCache, kv_stream_cycles
+from repro.hw.kernels import Fabric, mm1
+from repro.hw.kv_cache import (
+    DecoderKVCache,
+    LayerKVCache,
+    kv_stream_cycles,
+    project_cross_kv,
+)
+from repro.hw.nonlinear import bias_unit
 from repro.model import Transformer
 from repro.model.incremental import IncrementalDecoder
 from repro.model.ops import log_softmax
@@ -266,3 +273,44 @@ class TestAutoregressiveReport:
     def test_rejects_bad_token_count(self, accel):
         with pytest.raises(ValueError):
             accel.autoregressive_report(0)
+
+
+class TestCrossKvPrefill:
+    """The head-stacked cross-K/V projection against one MM1 kernel
+    call per head and per K/V (its form before head stacking)."""
+
+    @staticmethod
+    def per_head(fabric, memory, attn):
+        keys, values, cycles = [], [], 0
+        for h in range(attn.num_heads):
+            k_res = mm1(fabric, memory, attn.wk[h])
+            v_res = mm1(fabric, memory, attn.wv[h])
+            keys.append(bias_unit(k_res.output, attn.bk[h]))
+            values.append(bias_unit(v_res.output, attn.bv[h]))
+            s, d_k = keys[-1].shape
+            cycles += k_res.cycles + v_res.cycles + 2 * fabric.units.bias_cycles(s, d_k)
+        return keys, values, cycles
+
+    @pytest.mark.parametrize("s", [1, 8, 32])
+    def test_bit_identical_to_per_head_kernels(self, s):
+        params = init_transformer_params(ModelConfig(num_encoders=1, num_decoders=2), seed=5)
+        fabric = Fabric()
+        memory = np.random.default_rng(s).standard_normal((s, 512)).astype(np.float32)
+        attn = params.decoders[1].cross_mha
+        keys, values, cycles = project_cross_kv(fabric, memory, attn)
+        want_k, want_v, want_cycles = self.per_head(fabric, memory, attn)
+        assert cycles == want_cycles
+        for got, want in zip(keys + values, want_k + want_v, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_prefill_cycles_unchanged(self):
+        params = init_transformer_params(ModelConfig(num_encoders=1, num_decoders=2), seed=5)
+        fabric = Fabric()
+        memory = np.zeros((32, 512), dtype=np.float32)
+        cache = DecoderKVCache(fabric, params, memory)
+        want = sum(
+            self.per_head(fabric, memory, layer.cross_mha)[2] for layer in params.decoders
+        )
+        assert cache.prefill_cycles == want
+        # Paper hardware, s = 32, two decoder layers of eight heads.
+        assert cache.prefill_cycles == 3112896
