@@ -15,8 +15,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from repro.config import CalibrationConfig, HardwareConfig
-from repro.hw.blocks import ffn_cycles, mha_cycles
 from repro.hw.controller import LatencyModel
+from repro.hw.program import LoweringSpec, lower
 
 PAPER = {
     4: {"A1": 65.87, "A2": 53.45, "A3": 33.92},
@@ -37,6 +37,14 @@ def build(x: np.ndarray) -> LatencyModel:
     return LatencyModel(hardware=hardware, calibration=calibration)
 
 
+def ffn_mha_ratio(lm: LatencyModel, s: int = 32) -> float:
+    """FFN / MHA block cycles of the lowered programs."""
+    def span(scope: str) -> int:
+        return lower(LoweringSpec(scope, lm.model, lm.fabric, s)).block_spans[scope]
+
+    return span("ffn") / span("mha")
+
+
 def loss(x: np.ndarray) -> float:
     if min(x[0], x[1]) < 1.0 or x[2] < 0 or x[3] < 0 or x[4] <= 0.1:
         return 1e9
@@ -50,9 +58,7 @@ def loss(x: np.ndarray) -> float:
     except ValueError:
         return 1e9
     err += 0.02 * (crossover - 18.5) ** 2
-    ratio = ffn_cycles(lm.fabric, 32, 512, 2048) / mha_cycles(
-        lm.fabric, 32, 32, 8, 512
-    )
+    ratio = ffn_mha_ratio(lm)
     err += 0.5 * (np.log(ratio) - np.log(2.0)) ** 2
     return err
 
@@ -89,10 +95,7 @@ def main() -> None:
             print(f"  s={s:2d} {arch}: paper {paper_ms:7.2f}  "
                   f"model {ours:7.2f}  ({100 * (ours / paper_ms - 1):+5.1f}%)")
     print(f"crossover: s = {lm.crossover_sequence_length()} (target ~19)")
-    ratio = ffn_cycles(lm.fabric, 32, 512, 2048) / mha_cycles(
-        lm.fabric, 32, 32, 8, 512
-    )
-    print(f"FFN/MHA ratio @ s=32: {ratio:.2f} (target ~2)")
+    print(f"FFN/MHA ratio @ s=32: {ffn_mha_ratio(lm):.2f} (target ~2)")
 
 
 if __name__ == "__main__":

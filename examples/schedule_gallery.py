@@ -9,12 +9,6 @@ the m/f split loads) and the per-block cycle budget behind Fig 4.13.
 
 from repro.analysis.report import format_table
 from repro.config import ModelConfig
-from repro.hw.blocks import (
-    add_norm_cycles,
-    attention_head_cycles,
-    ffn_cycles,
-    mha_cycles,
-)
 from repro.hw.controller import LatencyModel
 from repro.hw.kernels import (
     mm1_cycles,
@@ -24,6 +18,7 @@ from repro.hw.kernels import (
     mm5_cycles,
     mm6_cycles,
 )
+from repro.hw.program import LoweringSpec, lower, trace_block
 from repro.hw.scheduler import schedule
 from repro.hw.visualize import render_gantt
 
@@ -51,30 +46,33 @@ def main() -> None:
 
     print("\nFig 4.13 — per-operation cycle budget inside one encoder "
           "(s = 32):")
-    fab = lm.fabric
+    fab, paper = lm.fabric, lm.model
+    # Block totals are the ASAP makespans of the lowered programs.
+    mha_program = lower(LoweringSpec("mha", paper, fab, 32))
+    head0 = [e for e in trace_block(mha_program).events if e.label.startswith("h0:")]
+    head = int(max(e.end for e in head0) - min(e.start for e in head0))
+    mha = mha_program.block_spans["mha"]
+    ffn = lower(LoweringSpec("ffn", paper, fab, 32)).block_spans["ffn"]
+    layer = lower(LoweringSpec("encoder_layer", paper, fab, 32))
+    (add_norm,) = [op.cycles for op in layer.ops if op.label == "Add-Norm1"]
     rows = [
         ["MM1 (one of 3 per head)", mm1_cycles(fab, 32, 512, 64)],
         ["MM2 (QK^T, padded)", mm2_cycles(fab, 32, 32, 64)],
         ["MM3 (SmV, padded)", mm3_cycles(fab, 32, 32, 64)],
-        ["attention head total", attention_head_cycles(fab, 32, 32, 512, 64)],
+        ["attention head total", head],
         ["MM4 (8 PSAs)", mm4_cycles(fab, 32, 8, 64, 512)],
-        ["MHA block", mha_cycles(fab, 32, 32, 8, 512)],
+        ["MHA block", mha],
         ["MM5 (8 PSAs)", mm5_cycles(fab, 32, 512, 2048)],
         ["MM6 (8 PSAs)", mm6_cycles(fab, 32, 2048, 512)],
-        ["FFN block", ffn_cycles(fab, 32, 512, 2048)],
-        ["Add-Norm", add_norm_cycles(fab, 32, 512)],
+        ["FFN block", ffn],
+        ["Add-Norm", add_norm],
     ]
     print(format_table(["operation", "cycles @300 MHz"], rows))
-    mha = mha_cycles(fab, 32, 32, 8, 512)
-    ffn = ffn_cycles(fab, 32, 512, 2048)
     print(f"FFN / MHA latency ratio: {ffn / mha:.2f} "
           "(paper: FFN ~ 2x the MHA block)")
 
     print("\nFig 4.13 — per-engine trace of one encoder (s = 32, "
           "8 parallel heads):")
-    from repro.hw.program import LoweringSpec, lower, trace_block
-
-    layer = lower(LoweringSpec("encoder_layer", ModelConfig(), fab, 32))
     print(render_gantt(trace_block(layer), width=110))
 
 

@@ -7,10 +7,9 @@ Layers (bottom-up):
 * :mod:`repro.hw.memory` — HBM / PCIe / BRAM models and weight sizing.
 * :mod:`repro.hw.kernels` — the MM1..MM6 stripe schedules.
 * :mod:`repro.hw.program` — the op-level block-program IR: one
-  lowering of the Fig 4.13 schedule feeds the functional, cycle and
-  trace executors.
-* :mod:`repro.hw.blocks` — attention-head / MHA / FFN / encoder /
-  decoder execution per Fig 4.13 (facades over the program IR).
+  lowering of the Fig 4.13 schedule (attention heads, MHA, FFN,
+  encoder and decoder layers) feeds the functional, cycle and trace
+  executors.
 * :mod:`repro.hw.scheduler` — the A1/A2/A3 load-compute overlap
   architectures.
 * :mod:`repro.hw.controller` — the top-level controller + cycle model.
@@ -59,7 +58,7 @@ from repro.hw.introspect import (
     run_watchpoints,
     utilization_counters,
 )
-from repro.hw.kernels import Fabric, KernelResult, matmul_dims
+from repro.hw.kernels import Fabric, matmul_dims
 from repro.hw.program import (
     BlockIR,
     BlockProgram,
@@ -124,7 +123,6 @@ __all__ = [
     "psa_grid_sweep",
     "program_fault_hook",
     "Fabric",
-    "KernelResult",
     "matmul_dims",
     "STALL_CAUSES",
     "EngineStallBreakdown",

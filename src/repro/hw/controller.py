@@ -9,8 +9,8 @@ Two entry points:
   durations and runs the A1/A2/A3 schedulers (Tables 5.1/5.3,
   Fig 5.2).
 * :class:`AcceleratorController` — the functional simulator.  It runs
-  the actual fp32 dataflow through the block implementations (the same
-  cycle numbers fall out) and returns outputs plus a
+  the actual fp32 dataflow through the same lowered block programs
+  (so the same cycle numbers fall out) and returns outputs plus a
   :class:`LatencyReport`.
 """
 
@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.config import CalibrationConfig, HardwareConfig, ModelConfig
-from repro.hw.blocks import decoder_cycles, decoder_step_cycles, encoder_cycles
 from repro.hw.kernels import Fabric
 from repro.hw.kv_cache import DecoderKVCache, batch_layer_caches
 from repro.hw.memory import (
@@ -120,38 +119,28 @@ class LatencyModel:
         )
 
     # --------------------------------------------------------- compute
+    # Block compute cycles are the ASAP makespans of the (cached)
+    # lowered programs: the same numbers every schedule and trace use.
     def encoder_compute_cycles(self, s: int) -> int:
-        cfg = self.model
-        return encoder_cycles(
-            self.fabric, s, cfg.num_heads, cfg.d_model, cfg.d_ff, self.parallel_heads
-        )
+        """Compute cycles of one encoder layer at sequence length s."""
+        return self._layer_program("encoder_layer", s).block_spans["enc1"]
 
     def decoder_compute_cycles(self, s: int, t: int | None = None) -> tuple[int, int]:
-        cfg = self.model
-        t = s if t is None else t
-        return decoder_cycles(
-            self.fabric,
-            t,
-            s,
-            cfg.num_heads,
-            cfg.d_model,
-            cfg.d_ff,
-            self.parallel_heads,
-        )
+        """(mha_part, ffn_part) cycles of one decoder layer: ``t`` query
+        rows (default ``s``) over an ``s``-row memory (Fig 4.11 split)."""
+        spans = self._layer_program("decoder_layer", s, t).block_spans
+        return spans["dec1m"], spans["dec1f"]
 
     def decoder_step_compute_cycles(self, t: int, s: int) -> tuple[int, int]:
         """(mha_part, ffn_part) cycles of one decoder layer for the
         KV-cached step at prefix length ``t`` over an ``s``-row memory."""
-        cfg = self.model
-        return decoder_step_cycles(
-            self.fabric,
-            t,
-            s,
-            cfg.num_heads,
-            cfg.d_model,
-            cfg.d_ff,
-            self.parallel_heads,
-        )
+        spans = self.decode_step_program(t, s).block_spans
+        return spans["dec1m"], spans["dec1f"]
+
+    def _layer_program(self, scope: str, s: int, t: int | None = None) -> BlockProgram:
+        return lower(LoweringSpec(
+            scope, self.model, self.fabric, s, t, self.parallel_heads
+        ))
 
     def mha_ffn_load_compute(self, s: int) -> tuple[float, float]:
         """Load and compute time (ms) of one MHA + FFN block — the
@@ -212,9 +201,11 @@ class LatencyModel:
         if s <= 0:
             raise ValueError("s must be positive")
         arch = Architecture(architecture)
-        blocks = self.build_blocks(s, arch)
+        program = self.full_pass_program(s)
+        blocks = program_block_work(program, arch)
         result = schedule(arch, blocks, self.calibration.block_overhead_cycles)
         t_in, t_out = self.io_transfer_cycles(s)
+        spans = program.block_spans
         return LatencyReport(
             architecture=arch,
             schedule_cycles=result.total_cycles,
@@ -224,9 +215,11 @@ class LatencyModel:
             schedule=result,
             details={
                 "encoder_load_cycles": self.encoder_load_cycles(),
-                "encoder_compute_cycles": self.encoder_compute_cycles(s),
+                "encoder_compute_cycles": spans.get("enc1", 0),
                 "decoder_load_cycles": self.decoder_load_cycles(),
-                "decoder_compute_cycles": sum(self.decoder_compute_cycles(s)),
+                "decoder_compute_cycles": (
+                    spans.get("dec1m", 0) + spans.get("dec1f", 0)
+                ),
                 "stall_cycles": result.stall_cycles,
             },
         )

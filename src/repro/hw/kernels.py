@@ -16,9 +16,10 @@ paper's stripe decompositions:
 * **MM6** (s x 2048)(2048 x 512): inner dim split in four per SLR; SLR
   partials combined over the inter-SLR interconnect (Fig 4.7).
 
-Each kernel returns both the functional product (fp32, hardware
-accumulation order) and its cycle estimate.  Cycle estimates apply the
-fitted initiation-interval multipliers from
+Each kernel has a functional product (``mmN_product``: fp32, hardware
+accumulation order), which the program executor calls, and a cycle
+formula (``mmN_cycles``), which the lowering prices each op with.  The
+cycle formulas apply the fitted initiation-interval multipliers from
 :class:`repro.config.CalibrationConfig` (attention class for MM1..MM4,
 FFN class for MM5/MM6).
 """
@@ -36,19 +37,6 @@ from repro.config import CalibrationConfig, HardwareConfig
 from repro.hw.adder import VectorAdder
 from repro.hw.nonlinear import NonlinearUnits
 from repro.hw.systolic import SystolicArray, ceil_div
-from repro.model.ops import MODEL_DTYPE
-
-
-@dataclass(frozen=True)
-class KernelResult:
-    """Functional output plus the cycles the kernel occupied."""
-
-    output: np.ndarray
-    cycles: int
-
-    def __post_init__(self) -> None:
-        if self.cycles < 0:
-            raise ValueError("cycles must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -105,8 +93,8 @@ def matmul_dims(s: int, d_model: int = 512, d_k: int = 64, d_ff: int = 2048) -> 
 
 
 # --------------------------------------------------------------- cycles
-# Pure cycle formulas, usable without data (the controller's latency
-# estimator and the functional kernels below share these).
+# Pure cycle formulas, usable without data (the lowering prices every
+# MATMUL op with these).
 def mm1_cycles(
     fabric: Fabric, s: int, d_model: int, d_k: int, concurrent_psas: int = 1
 ) -> int:
@@ -180,40 +168,6 @@ def mm6_cycles(fabric: Fabric, s: int, d_ff: int, d_model: int) -> int:
         )
         + fabric.isc_transfer_cycles(s, d_model)
     )
-
-
-def _check_2d(name: str, arr: np.ndarray, cols: int | None = None) -> np.ndarray:
-    a = np.asarray(arr, dtype=MODEL_DTYPE)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-D; got shape {a.shape}")
-    if cols is not None and a.shape[1] != cols:
-        raise ValueError(f"{name} must have {cols} columns; got {a.shape}")
-    return a
-
-
-def _check_activation(name: str, arr: np.ndarray) -> np.ndarray:
-    """An activation operand: 2-D (s, d) or batched 3-D (B, s, d).
-
-    Weights stay strictly 2-D (:func:`_check_2d`) — a batch shares one
-    parameter set, which the products broadcast over the batch axis.
-    """
-    a = np.asarray(arr, dtype=MODEL_DTYPE)
-    if a.ndim not in (2, 3):
-        raise ValueError(f"{name} must be 2-D or 3-D; got shape {a.shape}")
-    if a.ndim == 3 and a.shape[0] < 1:
-        raise ValueError(f"{name} batch dimension must be >= 1; got {a.shape}")
-    return a
-
-
-def _billed_passes(x: np.ndarray) -> tuple[int, int]:
-    """(passes, rows per pass) the cycle formulas bill for an
-    activation: one pass for a 2-D call, one 1-row pass per member for
-    a batch of single rows (a grouped decode step), and one pass over
-    the flattened rows for a batch of longer sequences."""
-    if x.ndim == 2:
-        return 1, x.shape[0]
-    batch, rows = x.shape[:2]
-    return (batch, 1) if rows == 1 else (1, batch * rows)
 
 
 # ------------------------------------------------------------ products
@@ -312,150 +266,3 @@ def mm5_product(x: np.ndarray, w1: np.ndarray) -> np.ndarray:
 def mm6_product(h: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """MM6's product: eight inner chunks, one column panel (Fig 4.7)."""
     return _split_inner_matmul(h, w2, inner_split=8, col_split=1)
-
-
-# ------------------------------------------------------------- kernels
-def mm1(
-    fabric: Fabric,
-    x: np.ndarray,
-    w: np.ndarray,
-    concurrent_psas: int = 1,
-) -> KernelResult:
-    """MM1: (s x d_model) @ (d_model x d_k) via eight 64-wide stripes.
-
-    ``concurrent_psas`` > 1 splits the stripes over several PSAs (the
-    Table 5.3 design points); the partial products are still folded by
-    the pipelined adder, so only the final fold is exposed.
-
-    A 3-D ``x`` of shape (B, s, d_model) multiplies each member against
-    the shared weight panel, bit-identical to B independent 2-D calls.
-    """
-    x = _check_activation("x", x)
-    w = _check_2d("w", w)
-    if x.shape[-1] != w.shape[0]:
-        raise ValueError(f"inner mismatch: {x.shape} @ {w.shape}")
-    if concurrent_psas < 1:
-        raise ValueError("concurrent_psas must be >= 1")
-    passes, rows = _billed_passes(x)
-    return KernelResult(
-        output=mm1_product(fabric, x, w),
-        cycles=passes * mm1_cycles(fabric, rows, x.shape[-1], w.shape[1], concurrent_psas),
-    )
-
-
-def _paired_batch(name_a: str, a: np.ndarray, name_b: str, b: np.ndarray) -> int:
-    """Validate two activation operands batch together; returns the
-    number of members (1 when both are 2-D).  MM2/MM3 take two
-    *per-sequence* activations, so a batch pairs them member-wise."""
-    if a.ndim != b.ndim:
-        raise ValueError(
-            f"{name_a} and {name_b} must both be batched or both 2-D; "
-            f"got {a.shape} and {b.shape}"
-        )
-    if a.ndim == 3 and a.shape[0] != b.shape[0]:
-        raise ValueError(
-            f"{name_a} and {name_b} disagree on batch size: "
-            f"{a.shape} vs {b.shape}"
-        )
-    return a.shape[0] if a.ndim == 3 else 1
-
-
-def mm2(fabric: Fabric, q: np.ndarray, k: np.ndarray) -> KernelResult:
-    """MM2: Q @ K^T with the K^T panel padded to the PSA tile width.
-
-    Batched (B, s_q, d_k) x (B, s_k, d_k) operands attend member-wise
-    (each sequence has its own keys); one padded pass per member.
-    """
-    q = _check_activation("q", q)
-    k = _check_activation("k", k)
-    if q.shape[-1] != k.shape[-1]:
-        raise ValueError("q and k must share the key dimension")
-    members = _paired_batch("q", q, "k", k)
-    s_q, d_k = q.shape[-2:]
-    return KernelResult(
-        output=mm2_product(q, k),
-        cycles=members * mm2_cycles(fabric, s_q, k.shape[-2], d_k),
-    )
-
-
-def mm3(fabric: Fabric, attn: np.ndarray, v: np.ndarray) -> KernelResult:
-    """MM3: softmaxed scores @ V, inner dim padded to the tile width.
-
-    Batched operands multiply member-wise, mirroring :func:`mm2`.
-    """
-    attn = _check_activation("attn", attn)
-    v = _check_activation("v", v)
-    if attn.shape[-1] != v.shape[-2]:
-        raise ValueError(f"inner mismatch: {attn.shape} @ {v.shape}")
-    members = _paired_batch("attn", attn, "v", v)
-    s_q, s_k = attn.shape[-2:]
-    return KernelResult(
-        output=mm3_product(attn, v),
-        cycles=members * mm3_cycles(fabric, s_q, s_k, v.shape[-1]),
-    )
-
-
-def mm4(
-    fabric: Fabric, head_outputs: list[np.ndarray], wo: np.ndarray
-) -> KernelResult:
-    """MM4: concat(heads) @ W_A striped per head over all eight PSAs.
-
-    Head ``h``'s (s x 64) output multiplies rows ``[64h, 64(h+1))`` of
-    W_A; the eight (s x 512) partials are folded by the pipelined
-    adders, with the two SLR-level partials meeting over the ISC.
-    """
-    if not head_outputs:
-        raise ValueError("need at least one head output")
-    wo = _check_2d("wo", wo)
-    heads = [_check_activation(f"head[{i}]", h) for i, h in enumerate(head_outputs)]
-    shape = heads[0].shape
-    for i, h in enumerate(heads):
-        if h.shape != shape:
-            raise ValueError(f"head[{i}] shape {h.shape} != {shape}")
-    d_k = shape[-1]
-    if wo.shape[0] != d_k * len(heads):
-        raise ValueError(
-            f"wo must have {d_k * len(heads)} rows; got {wo.shape[0]}"
-        )
-    passes, rows = _billed_passes(heads[0])
-    return KernelResult(
-        output=mm4_product(np.stack(heads), wo),
-        cycles=passes * mm4_cycles(fabric, rows, len(heads), d_k, wo.shape[1]),
-    )
-
-
-def mm5(fabric: Fabric, x: np.ndarray, w1: np.ndarray) -> KernelResult:
-    """MM5: (s x 512) @ (512 x 2048) over both SLRs (Fig 4.6).
-
-    Inner dim split in two (s x 256 chunks), output columns split in
-    four 512-wide panels (two per SLR); 8 PSAs run one partial each.
-    A 3-D input multiplies each member against the shared W1.
-    """
-    x = _check_activation("x", x)
-    w1 = _check_2d("w1", w1)
-    if x.shape[-1] != w1.shape[0]:
-        raise ValueError(f"inner mismatch: {x.shape} @ {w1.shape}")
-    passes, rows = _billed_passes(x)
-    return KernelResult(
-        output=mm5_product(x, w1),
-        cycles=passes * mm5_cycles(fabric, rows, x.shape[-1], w1.shape[1]),
-    )
-
-
-def mm6(fabric: Fabric, h: np.ndarray, w2: np.ndarray) -> KernelResult:
-    """MM6: (s x 2048) @ (2048 x 512) over both SLRs (Fig 4.7).
-
-    Each SLR holds half the hidden activations and a 1024 x 512 weight
-    panel, split into four s x 256 by 256 x 512 products; the two SLR
-    partials are added after an ISC transfer.  A 3-D input multiplies
-    each member against the shared W2.
-    """
-    h = _check_activation("h", h)
-    w2 = _check_2d("w2", w2)
-    if h.shape[-1] != w2.shape[0]:
-        raise ValueError(f"inner mismatch: {h.shape} @ {w2.shape}")
-    passes, rows = _billed_passes(h)
-    return KernelResult(
-        output=mm6_product(h, w2),
-        cycles=passes * mm6_cycles(fabric, rows, h.shape[-1], w2.shape[1]),
-    )

@@ -29,8 +29,10 @@ program transform via ``weight_hook``).
 
 One cached entry point, :func:`lower`, lowers a :class:`LoweringSpec`:
 the full encoder/decoder pass, the encoder stack (prefill), the
-single-token KV-cache decode step, or one of the individual blocks
-that :mod:`repro.hw.blocks` exposes as its public API.
+single-token KV-cache decode step, or one layer or block on its own.
+A block's compute cycles are always its ASAP makespan in the lowered
+program (``BlockProgram.block_spans``); no other cycle model of the
+block schedule exists.
 """
 
 from __future__ import annotations
@@ -311,10 +313,6 @@ def _opref(op_id: int) -> ValueRef:
     return ValueRef("op", op_id)
 
 
-def _ext(name: str) -> ValueRef:
-    return ValueRef("ext", name)
-
-
 def _cacheref(which: str, layer: int, head: int) -> ValueRef:
     return ValueRef("cache", (which, layer, head))
 
@@ -326,6 +324,13 @@ class _Builder:
         self.fabric = fabric
         self.ops: list[Op] = []
         self.blocks: list[BlockIR] = []
+        self.input_shapes: dict[str, tuple[int, int]] = {}
+
+    def ext(self, name: str, rows: int, width: int) -> ValueRef:
+        """An external activation input, expected as ``(rows, width)``
+        (the executor checks it)."""
+        self.input_shapes[name] = (rows, width)
+        return ValueRef("ext", name)
 
     def op(
         self,
@@ -396,7 +401,7 @@ class _Builder:
                 name: _opref(ref) if isinstance(ref, int) else ref
                 for name, ref in outputs.items()
             },
-            meta=meta,
+            meta={**meta, "input_shapes": self.input_shapes},
         )
 
 
@@ -930,9 +935,10 @@ def _scope_full_pass(b: _Builder, spec: LoweringSpec, t: int) -> dict:
     """The full encoder + decoder pass: the program behind the Table
     5.1 / Fig 5.2 latency numbers and the teacher-forced run."""
     model, ph = spec.model, spec.parallel_heads
-    memory = _lower_encoders(b, model, spec.s, ph, _ext("x"), "enc_mask")
+    x = b.ext("x", spec.s, model.d_model)
+    memory = _lower_encoders(b, model, spec.s, ph, x, "enc_mask")
     out = _lower_decoders(
-        b, model, t, spec.s, ph, _ext("dec_in"), memory,
+        b, model, t, spec.s, ph, b.ext("dec_in", t, model.d_model), memory,
         "dec_self_mask", "dec_memory_mask",
     )
     return {"encoder_output": memory, "decoder_output": out}
@@ -941,7 +947,8 @@ def _scope_full_pass(b: _Builder, spec: LoweringSpec, t: int) -> dict:
 def _scope_encoder_stack(b: _Builder, spec: LoweringSpec, t: int) -> dict:
     """The encoder stack alone (prefill)."""
     return {"output": _lower_encoders(
-        b, spec.model, spec.s, spec.parallel_heads, _ext("x"), "enc_mask"
+        b, spec.model, spec.s, spec.parallel_heads,
+        b.ext("x", spec.s, spec.model.d_model), "enc_mask",
     )}
 
 
@@ -949,7 +956,8 @@ def _scope_decode_step(b: _Builder, spec: LoweringSpec, t: int) -> dict:
     """One KV-cached decode step at prefix length ``t`` over an
     ``s``-row memory: a 1-row query through every decoder layer."""
     return {"output": _lower_decoders(
-        b, spec.model, t, spec.s, spec.parallel_heads, _ext("x"), None,
+        b, spec.model, t, spec.s, spec.parallel_heads,
+        b.ext("x", 1, spec.model.d_model), None,
         None, "memory_mask", step=True,
     )}
 
@@ -960,7 +968,8 @@ def _scope_mha(b: _Builder, spec: LoweringSpec, t: int) -> dict:
     model = spec.model
     mark = b.mark()
     out = _lower_mha(
-        b, "mha", _ext("x_q"), _ext("x_kv"), (), t, spec.s, model.num_heads,
+        b, "mha", b.ext("x_q", t, model.d_model),
+        b.ext("x_kv", spec.s, model.d_model), (), t, spec.s, model.num_heads,
         model.d_model, spec.parallel_heads, "mask", (),
     )
     b.close_block("mha", mark)
@@ -972,8 +981,8 @@ def _scope_ffn(b: _Builder, spec: LoweringSpec, t: int) -> dict:
     model = spec.model
     mark = b.mark()
     out = _lower_ffn(
-        b, "ffn", _ext("x"), (), spec.s, model.d_model, model.d_ff,
-        model.num_heads, spec.parallel_heads, (),
+        b, "ffn", b.ext("x", spec.s, model.d_model), (), spec.s,
+        model.d_model, model.d_ff, model.num_heads, spec.parallel_heads, (),
     )
     b.close_block("ffn", mark)
     return {"output": out}
@@ -984,8 +993,8 @@ def _scope_encoder_layer(b: _Builder, spec: LoweringSpec, t: int) -> dict:
     EncoderLayerParams) — the Fig 4.13 Gantt view."""
     mark = b.mark()
     out = _lower_encoder_layer(
-        b, "enc1", _ext("x"), (), spec.s, spec.model, spec.parallel_heads,
-        "mask", (),
+        b, "enc1", b.ext("x", spec.s, spec.model.d_model), (), spec.s,
+        spec.model, spec.parallel_heads, "mask", (),
     )
     b.close_block("enc1", mark)
     return {"output": out}
@@ -995,7 +1004,8 @@ def _scope_decoder_layer(b: _Builder, spec: LoweringSpec, t: int) -> dict:
     """One decoder layer without its weight loads (root:
     DecoderLayerParams), m/f split."""
     m_end, out = _lower_decoder_layer(
-        b, "dec1m", "dec1f", _ext("x"), _ext("memory"), (), t, spec.s,
+        b, "dec1m", "dec1f", b.ext("x", t, spec.model.d_model),
+        b.ext("memory", spec.s, spec.model.d_model), (), t, spec.s,
         spec.model, spec.parallel_heads, "self_mask", "memory_mask", (),
     )
     b.blocks.append(
@@ -1646,8 +1656,13 @@ def execute_program(
     parameter array (with its ref) before use — the fault-injection
     transform plugs in here.  It is called once per plan step on the
     whole array (a per-head stack before any head slicing), so it must
-    be a pure function of ``(ref, array)``.
+    be a pure function of ``(ref, array)``.  A bound activation whose
+    shape is not the ``(rows, width)`` the program was lowered for
+    (``meta["input_shapes"]``), with at most one leading batch axis,
+    raises a ``ValueError`` naming it.
     """
+    if inputs:
+        _check_input_shapes(program, inputs)
     program_kind = str(program.meta.get("kind", "unknown"))
     with obs_spans.tracer().span("hw.execute_program", kind=program_kind):
         run = _execute_ops(program, root, inputs, caches, weight_hook)
@@ -1659,6 +1674,23 @@ def execute_program(
         reg.counter("repro.hw.hbm.bytes_streamed").inc(program_load_bytes(program))
         record_lowering_cache_metrics(reg)
     return run
+
+
+def _check_input_shapes(
+    program: BlockProgram, inputs: Mapping[str, np.ndarray | None]
+) -> None:
+    """Reject a bound activation whose (rows, width) differ from the
+    ones the program was lowered for (its cycles price those rows)."""
+    for name, (rows, width) in program.meta.get("input_shapes", {}).items():
+        arr = inputs.get(name)
+        if arr is None:
+            continue
+        shape = np.shape(arr)
+        if shape[-2:] != (rows, width) or len(shape) > 3:
+            raise ValueError(
+                f"input '{name}' must have shape ({rows}, {width}) or "
+                f"(B, {rows}, {width}); got {shape}"
+            )
 
 
 def _execute_ops(

@@ -1,10 +1,13 @@
 """The per-op functional interpreter, kept as the test oracle.
 
 Before execution plans, :func:`repro.hw.program.execute_program` walked
-a program one op at a time, calling the public MM1..MM6 kernels once
-per attention head.  This is that interpreter, unchanged: the planned,
+a program one op at a time, calling the MM1..MM6 kernels once per
+attention head on 2-D slices.  This is that interpreter: the planned,
 head-stacked executor must reproduce its outputs, every
-``ProgramRun.values`` entry and the cache contents bit for bit.
+``ProgramRun.values`` entry and the cache contents bit for bit.  It
+calls the kernels' functional products (``mmN_product``), which is
+what the kernels computed; operands are cast to fp32 first, as the
+kernels did.
 """
 
 from __future__ import annotations
@@ -13,7 +16,14 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.hw.kernels import mm1, mm2, mm3, mm4, mm5, mm6
+from repro.hw.kernels import (
+    mm1_product,
+    mm2_product,
+    mm3_product,
+    mm4_product,
+    mm5_product,
+    mm6_product,
+)
 from repro.hw.nonlinear import (
     add_norm_unit,
     bias_unit,
@@ -22,6 +32,7 @@ from repro.hw.nonlinear import (
     softmax_unit,
 )
 from repro.hw.program import BlockProgram, Op, ParamRef, ProgramRun, ValueRef
+from repro.model.ops import MODEL_DTYPE
 
 
 def reference_execute_ops(
@@ -34,6 +45,9 @@ def reference_execute_ops(
     fabric = program.fabric
     bound = inputs or {}
     values: dict[int, np.ndarray] = {}
+
+    def act(ref: ValueRef) -> np.ndarray:
+        return np.asarray(value(ref), dtype=MODEL_DTYPE)
 
     def value(ref: ValueRef) -> np.ndarray:
         if ref.kind == "op":
@@ -53,21 +67,20 @@ def reference_execute_ops(
         if weight_hook is not None:
             arr = weight_hook(ref, arr)
         head = op.attrs.get("head") if sliced else None
-        return arr if head is None else arr[head]
+        return np.asarray(arr if head is None else arr[head], dtype=MODEL_DTYPE)
 
     for op in program.ops:
         sem = op.semantic
         if sem is None:
             continue
         if sem == "mm1":
-            out = mm1(
-                fabric, value(op.inputs[0]), weight(op, 0, sliced=True),
-                op.attrs.get("concurrent_psas", 1),
-            ).output
+            out = mm1_product(
+                fabric, act(op.inputs[0]), weight(op, 0, sliced=True)
+            )
         elif sem == "bias":
             out = bias_unit(value(op.inputs[0]), weight(op, 0, sliced=True))
         elif sem == "mm2":
-            out = mm2(fabric, value(op.inputs[0]), value(op.inputs[1])).output
+            out = mm2_product(act(op.inputs[0]), act(op.inputs[1]))
         elif sem == "scsm":
             mask_name = op.attrs.get("mask")
             mask = bound.get(mask_name) if mask_name else None
@@ -75,17 +88,17 @@ def reference_execute_ops(
                 scale_scores(value(op.inputs[0]), op.attrs["d_k"]), mask=mask
             )
         elif sem == "mm3":
-            out = mm3(fabric, value(op.inputs[0]), value(op.inputs[1])).output
+            out = mm3_product(act(op.inputs[0]), act(op.inputs[1]))
         elif sem == "mm4":
-            out = mm4(
-                fabric, [value(r) for r in op.inputs], weight(op, 0)
-            ).output
+            out = mm4_product(
+                np.stack([act(r) for r in op.inputs]), weight(op, 0)
+            )
         elif sem == "mm5":
-            out = mm5(fabric, value(op.inputs[0]), weight(op, 0)).output
+            out = mm5_product(act(op.inputs[0]), weight(op, 0))
         elif sem == "bias_relu":
             out = relu_unit(bias_unit(value(op.inputs[0]), weight(op, 0)))
         elif sem == "mm6":
-            out = mm6(fabric, value(op.inputs[0]), weight(op, 0)).output
+            out = mm6_product(act(op.inputs[0]), weight(op, 0))
         elif sem == "add_norm":
             out = add_norm_unit(
                 value(op.inputs[0]), value(op.inputs[1]),

@@ -7,7 +7,7 @@ import pytest
 from repro.config import ModelConfig
 from repro.hw.accelerator import TransformerAccelerator
 from repro.hw.controller import LatencyModel
-from repro.hw.kernels import Fabric, mm1, mm2
+from repro.hw.kernels import Fabric, mm1_product, mm2_product
 from repro.hw.scheduler import BlockWork, schedule_a1, schedule_a2, schedule_a3
 from repro.model.params import init_transformer_params
 from repro.model.transformer import Transformer
@@ -66,17 +66,17 @@ class TestNonFiniteInjection:
         w = rng.standard_normal((512, 64)).astype(np.float32)
         w[128, 3] = np.inf
         with np.errstate(invalid="ignore"):
-            res = mm1(fabric, x, w)
-        assert not np.all(np.isfinite(res.output))
+            out = mm1_product(fabric, x, w)
+        assert not np.all(np.isfinite(out))
 
     def test_softmax_survives_large_scores(self, fabric, rng):
         """Saturated (but finite) attention scores must not overflow."""
         q = np.full((4, 64), 50.0, dtype=np.float32)
         k = np.full((4, 64), 50.0, dtype=np.float32)
-        scores = mm2(fabric, q, k)
+        scores = mm2_product(q, k)
         from repro.hw.nonlinear import scale_scores, softmax_unit
 
-        weights = softmax_unit(scale_scores(scores.output, 64))
+        weights = softmax_unit(scale_scores(scores, 64))
         assert np.all(np.isfinite(weights))
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=1e-5)
 

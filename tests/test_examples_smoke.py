@@ -2,9 +2,12 @@
 
 The slow ones (training, full quickstart on paper-size weights) are
 exercised by the benchmarks instead; here we run the quick analysis
-examples end to end and sanity-check their stdout.
+examples end to end and sanity-check their stdout.  Every example is
+also imported without running its ``main``, so a public name it uses
+that no longer exists fails here even for the examples not run.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +15,16 @@ from pathlib import Path
 import pytest
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(EXAMPLES.glob("*.py")), ids=lambda path: path.stem
+)
+def test_example_imports(path):
+    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
 
 
 def run_example(name: str, timeout: int = 240) -> str:

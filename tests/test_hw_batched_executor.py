@@ -9,7 +9,14 @@ import pytest
 
 from repro.hw.accelerator import TransformerAccelerator, step_sessions
 from repro.hw.controller import AcceleratorController
-from repro.hw.kernels import mm1, mm2, mm3, mm4, mm5, mm6
+from repro.hw.kernels import (
+    mm1_product,
+    mm2_product,
+    mm3_product,
+    mm4_product,
+    mm5_product,
+    mm6_product,
+)
 from repro.hw.kv_cache import batch_layer_caches
 from repro.model.params import init_transformer_params
 from repro.serving.request import UtteranceRequest
@@ -30,76 +37,64 @@ def _f32(rng, *shape):
 
 
 class TestBatchedKernels:
-    """MM1-MM6 accept a leading batch axis; outputs must equal the
-    member-wise 2-D calls bit for bit (the stacked matmul runs each
-    member's own 2-D slice, so a 1-row member keeps its gemv)."""
+    """The MM1-MM6 products accept a leading batch axis; outputs must
+    equal the member-wise 2-D calls bit for bit (the stacked matmul
+    runs each member's own 2-D slice, so a 1-row member keeps its
+    gemv)."""
 
     B = 3
 
     def test_mm1_batched_bit_identical(self, fabric):
         rng = _rng(1)
         x, w = _f32(rng, self.B, 4, 128), _f32(rng, 128, 32)
-        got = mm1(fabric, x, w)
+        got = mm1_product(fabric, x, w)
         for i in range(self.B):
-            np.testing.assert_array_equal(got.output[i], mm1(fabric, x[i], w).output)
-        assert got.cycles > 0
+            np.testing.assert_array_equal(got[i], mm1_product(fabric, x[i], w))
 
     def test_mm1_single_row_batch(self, fabric):
-        """(B, 1, d) decode-step activations: per-member gemv results,
-        summed cycles."""
+        """(B, 1, d) decode-step activations: per-member gemv results."""
         rng = _rng(2)
         x, w = _f32(rng, self.B, 1, 128), _f32(rng, 128, 32)
-        got = mm1(fabric, x, w)
-        members = [mm1(fabric, x[i], w) for i in range(self.B)]
-        for i, m in enumerate(members):
-            np.testing.assert_array_equal(got.output[i], m.output)
-        assert got.cycles == sum(m.cycles for m in members)
+        got = mm1_product(fabric, x, w)
+        for i in range(self.B):
+            np.testing.assert_array_equal(got[i], mm1_product(fabric, x[i], w))
 
     def test_mm2_mm3_batched_member_wise(self, fabric):
         rng = _rng(3)
         q, k = _f32(rng, self.B, 4, 16), _f32(rng, self.B, 5, 16)
-        scores = mm2(fabric, q, k)
+        scores = mm2_product(q, k)
         for i in range(self.B):
-            np.testing.assert_array_equal(
-                scores.output[i], mm2(fabric, q[i], k[i]).output
-            )
+            np.testing.assert_array_equal(scores[i], mm2_product(q[i], k[i]))
         attn, v = _f32(rng, self.B, 4, 5), _f32(rng, self.B, 5, 16)
-        ctx = mm3(fabric, attn, v)
+        ctx = mm3_product(attn, v)
         for i in range(self.B):
-            np.testing.assert_array_equal(
-                ctx.output[i], mm3(fabric, attn[i], v[i]).output
-            )
+            np.testing.assert_array_equal(ctx[i], mm3_product(attn[i], v[i]))
 
     def test_mm2_rejects_mismatched_batch(self, fabric):
         rng = _rng(4)
         with pytest.raises(ValueError):
-            mm2(fabric, _f32(rng, 2, 4, 16), _f32(rng, 3, 5, 16))
-        with pytest.raises(ValueError):
-            mm2(fabric, _f32(rng, 2, 4, 16), _f32(rng, 5, 16))
+            mm2_product(_f32(rng, 2, 4, 16), _f32(rng, 3, 5, 16))
 
     @pytest.mark.parametrize("s", [1, 4])
     def test_mm4_batched_bit_identical(self, fabric, s):
         rng = _rng(5)
-        heads = [_f32(rng, self.B, s, 16) for _ in range(2)]
+        heads = np.stack([_f32(rng, self.B, s, 16) for _ in range(2)])
         wo = _f32(rng, 32, 64)
-        got = mm4(fabric, heads, wo)
+        got = mm4_product(heads, wo)
         for i in range(self.B):
-            want = mm4(fabric, [h[i] for h in heads], wo)
-            np.testing.assert_array_equal(got.output[i], want.output)
+            np.testing.assert_array_equal(got[i], mm4_product(heads[:, i], wo))
 
     @pytest.mark.parametrize("s", [1, 4])
     def test_mm5_mm6_batched_bit_identical(self, fabric, s):
         rng = _rng(6)
         x, w1 = _f32(rng, self.B, s, 128), _f32(rng, 128, 256)
-        h = mm5(fabric, x, w1)
+        h = mm5_product(x, w1)
         for i in range(self.B):
-            np.testing.assert_array_equal(h.output[i], mm5(fabric, x[i], w1).output)
+            np.testing.assert_array_equal(h[i], mm5_product(x[i], w1))
         w2 = _f32(rng, 256, 128)
-        y = mm6(fabric, h.output, w2)
+        y = mm6_product(h, w2)
         for i in range(self.B):
-            np.testing.assert_array_equal(
-                y.output[i], mm6(fabric, h.output[i], w2).output
-            )
+            np.testing.assert_array_equal(y[i], mm6_product(h[i], w2))
 
 
 class TestBatchedEncoderStack:

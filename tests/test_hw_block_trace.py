@@ -1,12 +1,12 @@
 """Tests for the per-engine Fig 4.13 block trace."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.config import ModelConfig
-from repro.hw.blocks import decoder_cycles, decoder_step_cycles, encoder_cycles
 from repro.hw.program import (
     LoweringSpec,
-    block_compute_cycles,
     lower,
     lower_decode_step,
     lower_full_pass,
@@ -15,6 +15,13 @@ from repro.hw.program import (
     trace_program,
 )
 from repro.hw.visualize import render_gantt
+from tests.reference_cycles import (
+    decoder_cycles,
+    decoder_step_cycles,
+    encoder_cycles,
+    ffn_cycles,
+    mha_cycles,
+)
 
 
 def encoder_layer_trace(fabric, s, parallel_heads=None):
@@ -89,42 +96,82 @@ class TestBlockTrace:
 #: each kind exercise the chaining without slowing the sweep down.
 _SWEEP_MODEL = ModelConfig(num_encoders=2, num_decoders=2)
 
+#: The fixed drift-lock grid: paper dims, s x head parallelism, with
+#: the decoder prefix t = s (full pass) and t = s // 2 (decode step).
+_GRID = [
+    (s, t, ph)
+    for s in (8, 18, 32, 64)
+    for t in (s, max(s // 2, 1))
+    for ph in (1, 2, 4, 8)
+]
+
+
+def assert_spans_match_reference(fabric, model, s, t, parallel_heads):
+    """The block spans of the full-pass, decode-step, MHA and FFN
+    programs equal the closed-form sums of ``tests/reference_cycles``."""
+    nh, d_model, d_ff, ph = model.num_heads, model.d_model, model.d_ff, parallel_heads
+
+    def spans(scope):
+        return lower(LoweringSpec(scope, model, fabric, s, t, ph)).block_spans
+
+    full, step = spans("full_pass"), spans("decode_step")
+    enc = encoder_cycles(fabric, s, nh, d_model, d_ff, ph)
+    dec = decoder_cycles(fabric, t, s, nh, d_model, d_ff, ph)
+    dec_step = decoder_step_cycles(fabric, t, s, nh, d_model, d_ff, ph)
+    for i in range(1, model.num_encoders + 1):
+        assert full[f"enc{i}"] == enc
+    for i in range(1, model.num_decoders + 1):
+        assert (full[f"dec{i}m"], full[f"dec{i}f"]) == dec
+        assert (step[f"dec{i}m"], step[f"dec{i}f"]) == dec_step
+    assert spans("mha")["mha"] == mha_cycles(fabric, t, s, nh, d_model, ph)
+    assert spans("ffn")["ffn"] == ffn_cycles(fabric, s, d_model, d_ff)
+
+
+def _with_grid_examples(test):
+    for s, t, ph in _GRID:
+        test = example(
+            num_heads=8, d_k=64, d_ff=2048, s=s, t=t, parallel_heads=ph
+        )(test)
+    return test
+
 
 class TestDriftLock:
     """The three executors may never drift apart: the trace-executor
     makespan must stay integer-identical to the cycle schedule, and the
-    per-block compute cycles to the analytic estimators, across the
-    full s x head-parallelism x architecture sweep."""
+    per-block compute cycles to the closed-form oracle, across the
+    s x head-parallelism x architecture sweep and on generated shapes."""
 
+    @given(
+        num_heads=st.sampled_from([1, 2, 4, 8, 16]),
+        d_k=st.sampled_from([16, 50, 64, 72]),
+        d_ff=st.sampled_from([64, 200, 1000, 2048]),
+        s=st.integers(1, 70),
+        t=st.integers(1, 70),
+        parallel_heads=st.sampled_from([None, 1, 2, 4, 8]),
+    )
+    @_with_grid_examples
+    @settings(max_examples=150, deadline=None)
+    def test_block_spans_match_reference(
+        self, fabric, num_heads, d_k, d_ff, s, t, parallel_heads
+    ):
+        model = ModelConfig(
+            d_model=num_heads * d_k, num_heads=num_heads, d_ff=d_ff,
+            num_encoders=2, num_decoders=2,
+        )
+        assert_spans_match_reference(fabric, model, s, t, parallel_heads)
+
+    # The grid points under their own names (also the examples above).
     @pytest.mark.parametrize("parallel_heads", [1, 2, 4, 8])
     @pytest.mark.parametrize("s", [8, 18, 32, 64])
     def test_block_cycles_match_analytic(self, fabric, s, parallel_heads):
-        m = _SWEEP_MODEL
-        program = lower_full_pass(m, fabric, s, parallel_heads=parallel_heads)
-        enc = encoder_cycles(
-            fabric, s, m.num_heads, m.d_model, m.d_ff, parallel_heads
-        )
-        mha_part, ffn_part = decoder_cycles(
-            fabric, s, s, m.num_heads, m.d_model, m.d_ff, parallel_heads
-        )
-        for i in range(m.num_encoders):
-            assert block_compute_cycles(program, f"enc{i + 1}") == enc
-        for i in range(m.num_decoders):
-            assert block_compute_cycles(program, f"dec{i + 1}m") == mha_part
-            assert block_compute_cycles(program, f"dec{i + 1}f") == ffn_part
+        assert_spans_match_reference(fabric, _SWEEP_MODEL, s, s, parallel_heads)
 
     @pytest.mark.parametrize("parallel_heads", [1, 2, 4, 8])
     @pytest.mark.parametrize("s", [8, 18, 32, 64])
     def test_step_block_cycles_match_analytic(self, fabric, s, parallel_heads):
-        m = _SWEEP_MODEL
-        t = max(s // 2, 1)
-        program = lower_decode_step(m, fabric, t, s, parallel_heads)
-        mha_part, ffn_part = decoder_step_cycles(
-            fabric, t, s, m.num_heads, m.d_model, m.d_ff, parallel_heads
+        assert_spans_match_reference(
+            fabric, _SWEEP_MODEL, s, max(s // 2, 1), parallel_heads
         )
-        for i in range(m.num_decoders):
-            assert block_compute_cycles(program, f"dec{i + 1}m") == mha_part
-            assert block_compute_cycles(program, f"dec{i + 1}f") == ffn_part
 
     @pytest.mark.parametrize("architecture", ["A1", "A2", "A3"])
     @pytest.mark.parametrize("parallel_heads", [1, 2, 4, 8])

@@ -164,7 +164,7 @@ class TestOracle:
         # The pipelines ``synthesize_a4`` searches at s = 8, applied to
         # the small model.
         rng = np.random.default_rng(30)
-        base = lower_full_pass(MODEL, fabric, 8)
+        base = lower_full_pass(MODEL, fabric, 8, T_FOR_S[8])
         root, inputs = _scope_case(small_params, "full_pass", 8, rng)
         orders = set()
         for pipeline in a4_candidate_pipelines("A3"):

@@ -4,21 +4,23 @@ against plain matmuls, and cycle-model structure."""
 import numpy as np
 import pytest
 
+from repro.config import ModelConfig
 from repro.hw.kernels import (
     matmul_dims,
-    mm1,
     mm1_cycles,
-    mm2,
+    mm1_product,
     mm2_cycles,
-    mm3,
+    mm2_product,
     mm3_cycles,
-    mm4,
+    mm3_product,
     mm4_cycles,
-    mm5,
+    mm4_product,
     mm5_cycles,
-    mm6,
+    mm5_product,
     mm6_cycles,
+    mm6_product,
 )
+from repro.hw.program import LoweringSpec, execute_program, lower
 
 S = 16
 
@@ -59,77 +61,84 @@ class TestFunctional:
     """Striped dataflow must agree with a plain matmul (fp32 tolerance)."""
 
     def test_mm1(self, fabric, data):
-        res = mm1(fabric, data["x"], data["w_qkv"])
+        out = mm1_product(fabric, data["x"], data["w_qkv"])
         np.testing.assert_allclose(
-            res.output, data["x"] @ data["w_qkv"], rtol=2e-4, atol=1e-4
+            out, data["x"] @ data["w_qkv"], rtol=2e-4, atol=1e-4
         )
 
     def test_mm1_concurrent_psas_same_result(self, fabric, data):
-        a = mm1(fabric, data["x"], data["w_qkv"], concurrent_psas=1)
-        b = mm1(fabric, data["x"], data["w_qkv"], concurrent_psas=4)
-        np.testing.assert_array_equal(a.output, b.output)
-        assert b.cycles < a.cycles
+        """Concurrent PSAs change MM1's cycles, not its product: the
+        stripes fold in the same order however many PSAs run them."""
+        spans = []
+        for parallel_heads in (8, 2):
+            program = lower(LoweringSpec(
+                "mha", ModelConfig(), fabric, S, parallel_heads=parallel_heads
+            ))
+            (mm1_q,) = [op for op in program.ops if op.label == "h0:MM1(Q)"]
+            assert mm1_q.cycles == mm1_cycles(
+                fabric, S, 512, 64, mm1_q.attrs["concurrent_psas"]
+            )
+            spans.append(mm1_q.cycles)
+        assert spans[1] < spans[0]
 
     def test_mm2(self, fabric, data):
-        res = mm2(fabric, data["q"], data["k"])
+        out = mm2_product(data["q"], data["k"])
         np.testing.assert_allclose(
-            res.output, data["q"] @ data["k"].T, rtol=2e-4, atol=1e-4
+            out, data["q"] @ data["k"].T, rtol=2e-4, atol=1e-4
         )
 
     def test_mm3(self, fabric, data):
-        res = mm3(fabric, data["attn"], data["v"])
+        out = mm3_product(data["attn"], data["v"])
         np.testing.assert_allclose(
-            res.output, data["attn"] @ data["v"], rtol=2e-4, atol=1e-4
+            out, data["attn"] @ data["v"], rtol=2e-4, atol=1e-4
         )
 
     def test_mm4(self, fabric, data):
-        res = mm4(fabric, data["heads"], data["wo"])
+        out = mm4_product(np.stack(data["heads"]), data["wo"])
         concat = np.concatenate(data["heads"], axis=1)
         np.testing.assert_allclose(
-            res.output, concat @ data["wo"], rtol=2e-4, atol=2e-4
+            out, concat @ data["wo"], rtol=2e-4, atol=2e-4
         )
 
     def test_mm5(self, fabric, data):
-        res = mm5(fabric, data["x"], data["w1"])
+        out = mm5_product(data["x"], data["w1"])
         np.testing.assert_allclose(
-            res.output, data["x"] @ data["w1"], rtol=2e-4, atol=2e-4
+            out, data["x"] @ data["w1"], rtol=2e-4, atol=2e-4
         )
 
     def test_mm6(self, fabric, data):
-        res = mm6(fabric, data["h"], data["w2"])
+        out = mm6_product(data["h"], data["w2"])
         np.testing.assert_allclose(
-            res.output, data["h"] @ data["w2"], rtol=2e-4, atol=4e-4
+            out, data["h"] @ data["w2"], rtol=2e-4, atol=4e-4
         )
 
     def test_shape_validation(self, fabric):
+        """Activations are checked where they enter a program; inside
+        it the products still reject operands that cannot multiply."""
+        program = lower(LoweringSpec("ffn", ModelConfig(), fabric, 4))
+        with pytest.raises(ValueError, match="input 'x'"):
+            execute_program(program, inputs={"x": np.zeros((4, 500), np.float32)})
         with pytest.raises(ValueError):
-            mm1(fabric, np.zeros((4, 500), dtype=np.float32), np.zeros((512, 64), dtype=np.float32))
+            mm4_product(np.zeros((0, 4, 64), np.float32), np.zeros((512, 512), np.float32))
         with pytest.raises(ValueError):
-            mm4(fabric, [], np.zeros((512, 512), dtype=np.float32))
-        with pytest.raises(ValueError):
-            mm2(fabric, np.zeros((4, 64), dtype=np.float32), np.zeros((4, 32), dtype=np.float32))
+            mm2_product(np.zeros((4, 64), np.float32), np.zeros((4, 32), np.float32))
 
 
 class TestCycleStructure:
-    def test_cycles_match_between_functional_and_pure(self, fabric, data):
-        assert mm1(fabric, data["x"], data["w_qkv"]).cycles == mm1_cycles(
-            fabric, S, 512, 64
-        )
-        assert mm2(fabric, data["q"], data["k"]).cycles == mm2_cycles(
-            fabric, S, S, 64
-        )
-        assert mm3(fabric, data["attn"], data["v"]).cycles == mm3_cycles(
-            fabric, S, S, 64
-        )
-        assert mm4(fabric, data["heads"], data["wo"]).cycles == mm4_cycles(
-            fabric, S, 8, 64, 512
-        )
-        assert mm5(fabric, data["x"], data["w1"]).cycles == mm5_cycles(
-            fabric, S, 512, 2048
-        )
-        assert mm6(fabric, data["h"], data["w2"]).cycles == mm6_cycles(
-            fabric, S, 2048, 512
-        )
+    def test_cycles_match_between_functional_and_pure(self, fabric):
+        """Every MATMUL op of a lowered encoder layer is priced by its
+        kernel's cycle formula."""
+        program = lower(LoweringSpec("encoder_layer", ModelConfig(), fabric, S))
+        want = {
+            "mm1": mm1_cycles(fabric, S, 512, 64),
+            "mm2": mm2_cycles(fabric, S, S, 64),
+            "mm3": mm3_cycles(fabric, S, S, 64),
+            "mm4": mm4_cycles(fabric, S, 8, 64, 512),
+            "mm5": mm5_cycles(fabric, S, 512, 2048),
+            "mm6": mm6_cycles(fabric, S, 2048, 512),
+        }
+        priced = {(op.semantic, op.cycles) for op in program.ops if op.semantic in want}
+        assert priced == set(want.items())
 
     def test_mm1_cycles_grow_with_s(self, fabric):
         assert mm1_cycles(fabric, 32, 512, 64) > mm1_cycles(fabric, 4, 512, 64)

@@ -8,7 +8,7 @@ import pytest
 from repro.config import ModelConfig
 from repro.decoding.greedy import greedy_decode
 from repro.hw.accelerator import TransformerAccelerator
-from repro.hw.kernels import Fabric, mm1
+from repro.hw.kernels import Fabric, mm1_cycles, mm1_product
 from repro.hw.kv_cache import (
     DecoderKVCache,
     LayerKVCache,
@@ -283,12 +283,11 @@ class TestCrossKvPrefill:
     def per_head(fabric, memory, attn):
         keys, values, cycles = [], [], 0
         for h in range(attn.num_heads):
-            k_res = mm1(fabric, memory, attn.wk[h])
-            v_res = mm1(fabric, memory, attn.wv[h])
-            keys.append(bias_unit(k_res.output, attn.bk[h]))
-            values.append(bias_unit(v_res.output, attn.bv[h]))
+            keys.append(bias_unit(mm1_product(fabric, memory, attn.wk[h]), attn.bk[h]))
+            values.append(bias_unit(mm1_product(fabric, memory, attn.wv[h]), attn.bv[h]))
             s, d_k = keys[-1].shape
-            cycles += k_res.cycles + v_res.cycles + 2 * fabric.units.bias_cycles(s, d_k)
+            mm1 = mm1_cycles(fabric, s, memory.shape[1], d_k)
+            cycles += 2 * mm1 + 2 * fabric.units.bias_cycles(s, d_k)
         return keys, values, cycles
 
     @pytest.mark.parametrize("s", [1, 8, 32])

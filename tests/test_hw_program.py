@@ -1,7 +1,8 @@
 """The block-program IR: one lowering, three executors in lock-step.
 
 The drift-lock sweep in ``test_hw_block_trace.py`` pins the cycle
-numbers against the analytic estimators; this file pins the *structure*
+numbers against the closed-form oracle (``tests/reference_cycles.py``);
+this file pins the *structure*
 of the program and the agreement between the executors — plus fault
 injection as a program transform.
 """
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.config import ModelConfig
 from repro.hw import program as program_module
-from repro.hw.controller import LatencyModel
+from repro.hw.controller import AcceleratorController, LatencyModel
 from repro.hw.dse import a4_candidate_pipelines
 from repro.hw.faults import FaultSpec, inject_faults, program_fault_hook
 from repro.hw.program import (
@@ -85,6 +86,12 @@ def reference_block_work(program, architecture):
             )
         i = j
     return units
+
+
+@pytest.fixture(scope="module")
+def paper_layer(small_params):
+    """One paper-sized encoder layer's parameters."""
+    return small_params.encoders[0]
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +244,47 @@ class TestFunctionalExecutor:
         program = encoder_stack_program(small_params.config, fabric, 4)
         with pytest.raises(KeyError):
             execute_program(program, root=small_params, inputs={})
+
+    @pytest.mark.parametrize("scope, shapes, bad", [
+        ("ffn", {"x": (12, 512)}, "x"),
+        ("ffn", {"x": (8, 500)}, "x"),
+        ("ffn", {"x": (512,)}, "x"),
+        ("mha", {"x_q": (8, 512), "x_kv": (12, 512)}, "x_kv"),
+        ("mha", {"x_q": (2, 3, 8, 512), "x_kv": (8, 512)}, "x_q"),
+        ("encoder_layer", {"x": (2, 12, 512)}, "x"),
+    ])
+    def test_rejects_a_mismatched_activation_shape(
+        self, fabric, paper_layer, scope, shapes, bad
+    ):
+        """A program lowered at s = 8 prices 8 rows of width 512: any
+        other activation shape is refused, naming the input and both
+        shapes, instead of running at a price that is not its own."""
+        program = lower(LoweringSpec(scope, ModelConfig(), fabric, 8))
+        root = paper_layer if scope == "encoder_layer" else getattr(paper_layer, scope)
+        inputs = {name: np.ones(shape, np.float32) for name, shape in shapes.items()}
+        got = str(shapes[bad]).replace("(", r"\(").replace(")", r"\)")
+        with pytest.raises(
+            ValueError,
+            match=rf"input '{bad}' must have shape \(8, 512\) or \(B, 8, 512\); got {got}",
+        ):
+            execute_program(program, root=root, inputs=inputs)
+
+    def test_rejects_a_step_input_with_more_than_one_row(self, fabric, small_params):
+        ctrl = AcceleratorController(small_params)
+        cache = ctrl.build_kv_cache(np.ones((4, 512), np.float32))
+        program = lower_decode_step(small_params.config, fabric, 1, 4)
+        with pytest.raises(ValueError, match=r"input 'x' must have shape \(1, 512\)"):
+            execute_program(
+                program, root=small_params,
+                inputs={"x": np.ones((2, 512), np.float32)}, caches=cache.layers,
+            )
+        assert cache.length == 0 and cache.layers[0].self_k == []
+
+    def test_accepts_a_leading_batch_axis(self, fabric, paper_layer):
+        program = lower(LoweringSpec("ffn", ModelConfig(), fabric, 8))
+        x = np.random.default_rng(0).standard_normal((3, 8, 512)).astype(np.float32)
+        run = execute_program(program, root=paper_layer.ffn, inputs={"x": x})
+        assert run.outputs["output"].shape == (3, 8, 512)
 
     def test_fault_hook_equals_param_injection(self, fabric, small_params, rng):
         """Fault injection as a program transform: hooking the weight
