@@ -1,31 +1,28 @@
-# Developer entry points.
+# Developer entry points; `test` and `bench` run what CI runs.
 
-.PHONY: install test bench examples verify all
+.PHONY: install test test-fast bench examples verify all
+
+EXAMPLES := $(sort $(wildcard examples/*.py))
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
 
 test:
-	pytest tests/
+	PYTHONPATH=src python -m pytest -x -q
 
 test-fast:
-	pytest tests/ -m "not slow"
+	PYTHONPATH=src python -m pytest -x -q -m "not slow"
 
 bench:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src python -m pytest -q benchmarks/
 
 verify:
-	python -m repro.cli verify
+	PYTHONPATH=src python -m repro.cli verify
 
 examples:
-	python examples/quickstart.py
-	python examples/latency_exploration.py
-	python examples/design_space_exploration.py
-	python examples/batch_transcription.py
-	python examples/schedule_gallery.py
-	python examples/quantization_study.py
-	python examples/retargetability.py
-	python examples/hls_pragma_study.py
-	python examples/streaming_asr.py
+	@for example in $(EXAMPLES); do \
+		echo "== $$example"; \
+		PYTHONPATH=src python $$example || exit 1; \
+	done
 
 all: test bench

@@ -15,7 +15,7 @@ import pytest
 from benchmarks.conftest import emit
 from repro.config import HardwareConfig
 from repro.hw.controller import LatencyModel
-from repro.hw.scheduler import schedule_a2
+from repro.hw.scheduler import schedule
 
 
 def run_ablations(latency_model):
@@ -34,7 +34,7 @@ def run_ablations(latency_model):
     blocks = base.build_blocks(4, "A2")
     overhead = base.calibration.block_overhead_cycles
     results["buffers"] = {
-        nb: schedule_a2(blocks, overhead, num_weight_buffers=nb).total_cycles
+        nb: schedule("A2", blocks, overhead, num_weight_buffers=nb).total_cycles
         / (base.hardware.clock_mhz * 1e3)
         for nb in (1, 2, 3)
     }

@@ -83,9 +83,6 @@ from repro.hw.scheduler import (
     BlockWork,
     ScheduleResult,
     schedule,
-    schedule_a1,
-    schedule_a2,
-    schedule_a3,
 )
 from repro.hw.systolic import SystolicArray
 from repro.hw.trace import Timeline, TraceEvent
@@ -160,9 +157,6 @@ __all__ = [
     "BlockWork",
     "ScheduleResult",
     "schedule",
-    "schedule_a1",
-    "schedule_a2",
-    "schedule_a3",
     "SystolicArray",
     "Timeline",
     "TraceEvent",

@@ -192,11 +192,9 @@ class TransformerAccelerator:
         The encoder prefill runs as ONE batched (B, S, d_model) pass —
         MM1-MM6 execute as stacked matmuls over the shared weights —
         and each session is then constructed from its slice of the
-        batched memory.  Functionally bit-identical to B independent
-        :meth:`decode_session` calls (the stacked kernels run each
-        member's own 2-D BLAS call); the wall-clock win is the
-        whole point, which the bench's batched-prefill scenario
-        measures.
+        batched memory.  Bit-identical to B independent
+        :meth:`decode_session` calls: the stacked kernels run each
+        member's own 2-D BLAS call.
         """
         if not features_list:
             raise ValueError("need at least one utterance to batch")

@@ -512,7 +512,7 @@ class PrefetchChannelPass:
     Deepens the A3 weight-buffer ring (``num_weight_buffers`` beyond
     one per channel lets ``LW_{i+k}`` issue before ``C_{i}`` retires)
     by recording ``schedule_params`` in program meta — every scheduling
-    entry point picks them up via ``schedule_params_for`` — and
+    entry point passes them on through ``schedule_program`` — and
     optionally re-balances un-pinned channel hints by accumulated load
     cycles.  Auto depth searches a small ring of candidates and keeps
     the best strictly-improving one; an explicit depth is applied

@@ -14,8 +14,8 @@ program and derives every execution mode from it:
   runs each attention head group as one head-stacked kernel call.
 * :func:`program_block_work` / :func:`schedule_program` — the cycle
   executor: per-block makespans fall out of an integer ASAP pass over
-  the dependency edges (once per program), then the A1/A2/A3
-  schedulers place the load/compute chain exactly as before.
+  the dependency edges (once per program), then the one A1/A2/A3
+  schedule recurrence places the load/compute chain.
 * :func:`trace_block` / :func:`trace_program` — the trace executor:
   emits per-engine :class:`repro.hw.trace.Timeline` events (the Gantt
   view), whose makespan equals the cycle executor's total.
@@ -1188,22 +1188,12 @@ def program_hbm_bytes(
     the channel its load actually landed on, so the per-channel sums
     always total :func:`program_load_bytes`.
     """
-    arch = Architecture(architecture)
-    units = _work_units(program, arch)
-    bytes_by_label = {
-        work.label: sum(blk.load_bytes for blk in group) for work, group in units
-    }
-    sched = schedule(
-        arch, [work for work, _ in units], 0, **schedule_params_for(program, arch)
-    )
+    units = _work_units(program, architecture)
+    sched = schedule_program(program, architecture)
     per_channel: dict[int, int] = {}
-    for event in sched.timeline.events:
-        if event.kind != "load" or not event.engine.startswith("hbm"):
-            continue
-        label = event.label[3:] if event.label.startswith("LW:") else event.label
-        channel = int(event.engine[len("hbm"):])
-        per_channel[channel] = per_channel.get(channel, 0) + bytes_by_label.get(
-            label, 0
+    for (_, group), channel in zip(units, sched.channel):
+        per_channel[channel] = per_channel.get(channel, 0) + sum(
+            blk.load_bytes for blk in group
         )
     return dict(sorted(per_channel.items()))
 
@@ -1272,45 +1262,23 @@ def program_block_work(
     return [work for work, _ in _work_units(program, architecture)]
 
 
-#: Scheduler keyword parameters each architecture understands; the
-#: meta-driven ``schedule_params`` entries outside this set are dropped
-#: when scheduling under that architecture (a prefetch-depth choice is
-#: meaningless to A1 and must not break A1/A2 equivalence runs).
-_ARCH_SCHEDULE_PARAMS = {
-    Architecture.A1: frozenset(),
-    Architecture.A2: frozenset({"num_weight_buffers"}),
-    Architecture.A3: frozenset({"num_channels", "num_weight_buffers"}),
-}
-
-
-def schedule_params_for(
-    program: BlockProgram, architecture: Architecture | str
-) -> dict[str, int]:
-    """The program's ``meta["schedule_params"]`` filtered down to the
-    parameters the requested architecture's scheduler accepts.
-
-    Optimizer passes record their prefetch-depth / channel choices in
-    program meta; every scheduling entry point funnels through this so
-    a transformed program is *self-scheduling* — callers never need to
-    thread pass parameters alongside the program.
-    """
-    arch = Architecture(architecture)
-    params = program.meta.get("schedule_params") or {}
-    allowed = _ARCH_SCHEDULE_PARAMS[arch]
-    return {k: int(v) for k, v in params.items() if k in allowed}
-
-
 def schedule_program(
     program: BlockProgram,
     architecture: Architecture | str = Architecture.A3,
     block_overhead: int = 0,
 ) -> ScheduleResult:
-    """Run the A1/A2/A3 schedule policy over the program's blocks."""
+    """Run the A1/A2/A3 schedule policy over the program's blocks.
+
+    Optimizer passes record their prefetch-depth / channel choices in
+    ``meta["schedule_params"]``, so a transformed program is
+    self-scheduling; each architecture reads only the parameters of
+    its row in :mod:`repro.hw.scheduler`.
+    """
     return schedule(
         architecture,
         program_block_work(program, architecture),
         block_overhead,
-        **schedule_params_for(program, architecture),
+        **(program.meta.get("schedule_params") or {}),
     )
 
 
@@ -1356,25 +1324,12 @@ def trace_program_with_schedule(
     place the HBM lanes, so callers needing both views (the telemetry
     probe, ``repro-asr profile``) get them from one scheduling pass
     instead of paying :func:`schedule_program` again."""
-    arch = Architecture(architecture)
-    units = _work_units(program, arch)
-    sched = schedule(
-        arch,
-        [w for w, _ in units],
-        block_overhead,
-        **schedule_params_for(program, arch),
-    )
-    starts: dict[str, float] = {}
-    for event in sched.timeline.events:
-        if event.engine == "compute" and event.label.startswith("C:"):
-            starts[event.label[2:]] = event.start
-    timeline = Timeline()
-    for event in sched.timeline.events:
-        if event.kind == "load":
-            timeline.add(event.engine, event.label, event.start, event.end, kind="load")
-    for work, group in units:
+    units = _work_units(program, architecture)
+    sched = schedule_program(program, architecture, block_overhead)
+    timeline = Timeline([e for e in sched.timeline.events if e.kind == "load"])
+    for i, (work, group) in enumerate(units):
         op_ids = [oid for blk in group for oid in blk.op_ids]
-        start = starts[work.label]
+        start = float(sched.compute_start[i])
         span = _emit_ops(program, op_ids, start, timeline)
         overhead = work.overhead(block_overhead)
         if overhead > 0:
@@ -1413,7 +1368,7 @@ class UnitSpan:
     compute_end: float
     load_start: float
     load_end: float
-    #: HBM lane the unit's weight load ran on ("" when it has no load).
+    #: HBM lane the unit's weight load ran on.
     load_engine: str
 
 
@@ -1428,40 +1383,23 @@ def program_unit_spans(
     Pass an existing ``sched`` (from the same program, architecture and
     overhead) to reuse its scheduling pass instead of paying another.
     """
-    arch = Architecture(architecture)
-    units = _work_units(program, arch)
+    units = _work_units(program, architecture)
     if sched is None:
-        sched = schedule(
-            arch,
-            [w for w, _ in units],
-            block_overhead,
-            **schedule_params_for(program, arch),
+        sched = schedule_program(program, architecture, block_overhead)
+    spans = [
+        UnitSpan(
+            label=work.label,
+            blocks=tuple(blk.label for blk in group),
+            compute_start=float(sched.compute_start[i]),
+            compute_span=work.compute_cycles,
+            overhead=work.overhead(block_overhead),
+            compute_end=float(sched.compute_end[i]),
+            load_start=float(sched.load_start[i]),
+            load_end=float(sched.load_end[i]),
+            load_engine=f"hbm{sched.channel[i]}",
         )
-    loads: dict[str, Any] = {}
-    comps: dict[str, Any] = {}
-    for event in sched.timeline.events:
-        label = event.label
-        if event.kind == "load":
-            loads[label[3:] if label.startswith("LW:") else label] = event
-        elif event.engine == "compute" and label.startswith("C:"):
-            comps[label[2:]] = event
-    spans: list[UnitSpan] = []
-    for work, group in units:
-        comp = comps[work.label]
-        load = loads.get(work.label)
-        spans.append(
-            UnitSpan(
-                label=work.label,
-                blocks=tuple(blk.label for blk in group),
-                compute_start=comp.start,
-                compute_span=work.compute_cycles,
-                overhead=work.overhead(block_overhead),
-                compute_end=comp.end,
-                load_start=load.start if load is not None else comp.start,
-                load_end=load.end if load is not None else comp.start,
-                load_engine=load.engine if load is not None else "",
-            )
-        )
+        for i, (work, group) in enumerate(units)
+    ]
     return spans, sched
 
 
@@ -1850,7 +1788,6 @@ __all__ = [
     "program_hbm_bytes",
     "lowering_cache_info",
     "record_lowering_cache_metrics",
-    "schedule_params_for",
     "schedule_program",
     "trace_block",
     "trace_program",

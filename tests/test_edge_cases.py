@@ -8,7 +8,7 @@ from repro.config import ModelConfig
 from repro.hw.accelerator import TransformerAccelerator
 from repro.hw.controller import LatencyModel
 from repro.hw.kernels import Fabric, mm1_product, mm2_product
-from repro.hw.scheduler import BlockWork, schedule_a1, schedule_a2, schedule_a3
+from repro.hw.scheduler import Architecture, BlockWork, schedule
 from repro.model.params import init_transformer_params
 from repro.model.transformer import Transformer
 
@@ -121,19 +121,20 @@ class TestMinimalConfigs:
 class TestSchedulerEdges:
     def test_single_block(self):
         blocks = [BlockWork("only", 100, 50)]
-        for fn in (schedule_a1, schedule_a2, schedule_a3):
-            assert fn(blocks).total_cycles == 150
+        for arch in Architecture:
+            assert schedule(arch, blocks).total_cycles == 150
 
     def test_zero_load_blocks(self):
         blocks = [BlockWork(f"b{i}", 0, 50) for i in range(4)]
-        assert schedule_a3(blocks).total_cycles == 200
+        assert schedule("A3", blocks).total_cycles == 200
 
     def test_zero_compute_blocks(self):
         blocks = [BlockWork(f"b{i}", 50, 0) for i in range(4)]
         # A3 with two channels: loads pair up.
-        assert schedule_a3(blocks).total_cycles < schedule_a1(
-            blocks
-        ).total_cycles
+        assert (
+            schedule("A3", blocks).total_cycles
+            < schedule("A1", blocks).total_cycles
+        )
 
     def test_wildly_heterogeneous_blocks(self):
         blocks = [
@@ -141,8 +142,8 @@ class TestSchedulerEdges:
             BlockWork("huge_load", 10**9, 1),
             BlockWork("huge_compute", 1, 10**9),
         ]
-        for fn in (schedule_a1, schedule_a2, schedule_a3):
-            result = fn(blocks)
+        for arch in Architecture:
+            result = schedule(arch, blocks)
             result.timeline.validate_no_engine_overlap()
             assert result.total_cycles >= 10**9
 

@@ -29,6 +29,7 @@ from repro.hw.program import (
     lower_full_pass,
     lowering_cache_info,
     program_block_work,
+    program_unit_spans,
     resolve_head_parallelism,
     schedule_program,
     trace_block,
@@ -230,6 +231,20 @@ class TestTraceExecutor:
         timeline = trace_program(program, architecture)
         assert timeline.makespan == total
         timeline.validate_no_engine_overlap()
+
+    @pytest.mark.parametrize("architecture", ["A1", "A2", "A3"])
+    def test_unit_spans_match_the_schedule_timeline(self, program, architecture):
+        spans, sched = program_unit_spans(program, architecture, 7)
+        events = sched.timeline.events
+        assert len(events) == 2 * len(spans)
+        for span, load, comp in zip(spans, events[::2], events[1::2]):
+            assert (load.label, comp.label) == (f"LW:{span.label}", f"C:{span.label}")
+            assert span.load_engine == load.engine
+            times = (
+                span.load_start, span.load_end, span.compute_start, span.compute_end
+            )
+            assert times == (load.start, load.end, comp.start, comp.end)
+            assert all(type(t) is float for t in times)
 
     def test_a3_uses_both_hbm_channels(self, program):
         timeline = trace_program(program, "A3")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.decoding.wer import edit_distance
-from repro.hw.scheduler import BlockWork, schedule_a1, schedule_a2, schedule_a3
+from repro.hw.scheduler import Architecture, BlockWork, schedule
 from repro.hw.systolic import SystolicArray
 from repro.model.layernorm import layer_norm
 from repro.model.ops import softmax
@@ -62,9 +62,9 @@ class TestSchedulerProperties:
     @given(block_lists(), st.integers(0, 100))
     @settings(max_examples=60, deadline=None)
     def test_architecture_ordering(self, blocks, overhead):
-        t1 = schedule_a1(blocks, overhead).total_cycles
-        t2 = schedule_a2(blocks, overhead).total_cycles
-        t3 = schedule_a3(blocks, overhead).total_cycles
+        t1 = schedule("A1", blocks, overhead).total_cycles
+        t2 = schedule("A2", blocks, overhead).total_cycles
+        t3 = schedule("A3", blocks, overhead).total_cycles
         assert t3 <= t2 <= t1
 
     @given(block_lists())
@@ -73,16 +73,16 @@ class TestSchedulerProperties:
         """No schedule beats max(total compute, slowest chain bound)."""
         total_compute = sum(b.compute_cycles for b in blocks)
         first_load = blocks[0].load_cycles
-        for fn in (schedule_a1, schedule_a2, schedule_a3):
-            result = fn(blocks)
+        for arch in Architecture:
+            result = schedule(arch, blocks)
             assert result.total_cycles >= total_compute
             assert result.total_cycles >= first_load + blocks[0].compute_cycles
 
     @given(block_lists(), st.integers(0, 50))
     @settings(max_examples=40, deadline=None)
     def test_no_engine_overlap_and_load_before_compute(self, blocks, overhead):
-        for fn in (schedule_a1, schedule_a2, schedule_a3):
-            result = fn(blocks, overhead)
+        for arch in Architecture:
+            result = schedule(arch, blocks, overhead)
             result.timeline.validate_no_engine_overlap()
             load_end = {}
             for eng in result.timeline.engines():
@@ -96,7 +96,7 @@ class TestSchedulerProperties:
     @settings(max_examples=30, deadline=None)
     def test_a1_is_exact_sum(self, blocks):
         expected = sum(b.load_cycles + b.compute_cycles for b in blocks)
-        assert schedule_a1(blocks).total_cycles == expected
+        assert schedule("A1", blocks).total_cycles == expected
 
 
 class TestNumericProperties:
