@@ -16,6 +16,7 @@ Two entry points:
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -154,12 +155,21 @@ class LatencyModel:
 
     def crossover_sequence_length(self, max_s: int = 128) -> int:
         """Smallest s at which encoder compute exceeds its load (the
-        paper observes s > 18)."""
-        for s in range(1, max_s + 1):
+        paper observes s > 18).
+
+        The load does not depend on s and the compute does not shrink
+        as s grows, so "compute exceeds load" is monotone in s and a
+        bisection finds the first s, lowering ~log2(max_s) layers
+        instead of every one up to the crossover."""
+
+        def crossed(s: int) -> bool:
             load, compute = self.mha_ffn_load_compute(s)
-            if compute > load:
-                return s
-        raise ValueError(f"no crossover found up to s={max_s}")
+            return compute > load
+
+        first = bisect.bisect_left(range(1, max_s + 1), True, key=crossed) + 1
+        if first > max_s:
+            raise ValueError(f"no crossover found up to s={max_s}")
+        return first
 
     # -------------------------------------------------------- programs
     def full_pass_program(self, s: int, t: int | None = None) -> BlockProgram:

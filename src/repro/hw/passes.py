@@ -29,14 +29,27 @@ its cost signal and only keeps a rewrite when the exact simulated
 cycle count strictly improves, so a pipeline is monotone under its
 cost architecture.  :class:`PassPipeline` composes passes and produces
 a :class:`PipelineReport` for the ``repro-asr optimize`` artifact.
-Pipelines apply to the cached baseline program and return a new one;
-their results are not cached, so a search over many candidate
-pipelines keeps none of the rejected programs alive.
+
+Pipelines apply to the cached baseline program and return a new one.
+Their results are not cached: a search over many candidate pipelines
+would otherwise keep every rejected program alive.  The A4 search
+(``hw/dse.py``) stays cheap without such a cache:
+
+* candidates walk the grid in pass order and share their longest
+  equal pipeline prefix, so each pass runs once per distinct prefix
+  and at most one chain of programs is alive;
+* a trial merge in :class:`CoalesceLoadsPass` is priced as one fused
+  ``BlockWork`` spliced into the work-unit chain, and only accepted
+  merges rebuild the program;
+* the PSA stall totals the passes read are classified once per program;
+* ``A4Result`` keeps the lowering spec and the winning pipeline, and
+  rebuilds the optimized program only when it is read.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Protocol, Sequence, runtime_checkable
 
@@ -55,12 +68,15 @@ from repro.hw.program import (
     OpKind,
     ValueRef,
     _bundle_load_cycles,
+    _makespan,
+    _work_units,
     block_compute_cycles,
     execute_program,
     program_load_bytes,
     program_unit_spans,
     schedule_program,
 )
+from repro.hw.scheduler import Architecture, BlockWork, _as_int, schedule
 
 __all__ = [
     "ProgramPass",
@@ -95,7 +111,9 @@ class ProgramPass(Protocol):
 
 # ---------------------------------------------------------- IR rebuild
 def _remap_ref(ref: ValueRef, pos: dict[int, int]) -> ValueRef:
-    return ValueRef("op", pos[ref.key]) if ref.kind == "op" else ref
+    if ref.kind != "op" or pos[ref.key] == ref.key:
+        return ref
+    return ValueRef("op", pos[ref.key])
 
 
 def _rebuild_program(
@@ -115,8 +133,9 @@ def _rebuild_program(
     outputs are expressed in that old/provisional id space and are
     rewritten here.  ``ops_override`` substitutes modified ops for old
     ids; ``deps_override`` substitutes whole dep tuples (still in the
-    old id space).  The result is validated: ids dense, references
-    topologically ordered, blocks a partition of the ops.
+    old id space).  An op, ref or block whose ids do not move is shared
+    with the input, not copied.  The result is validated: ids dense,
+    references topologically ordered, blocks a partition of the ops.
     """
     ops_override = ops_override or {}
     deps_override = deps_override or {}
@@ -133,23 +152,21 @@ def _rebuild_program(
             key = item
         else:
             op, key = item, item.op_id
-        deps = deps_override.get(key, op.deps)
-        new_ops.append(
-            dataclasses.replace(
-                op,
-                op_id=new_id,
-                deps=tuple(pos[d] for d in deps),
-                inputs=tuple(_remap_ref(r, pos) for r in op.inputs),
-            )
+        deps = tuple(pos[d] for d in deps_override.get(key, op.deps))
+        inputs = tuple(_remap_ref(r, pos) for r in op.inputs)
+        if op.op_id != new_id or deps != op.deps or inputs != op.inputs:
+            op = dataclasses.replace(op, op_id=new_id, deps=deps, inputs=inputs)
+        new_ops.append(op)
+    new_blocks = []
+    for blk in blocks:
+        op_ids = tuple(pos[i] for i in blk.op_ids)
+        new_blocks.append(
+            blk if op_ids == blk.op_ids else dataclasses.replace(blk, op_ids=op_ids)
         )
-    new_blocks = tuple(
-        dataclasses.replace(blk, op_ids=tuple(pos[i] for i in blk.op_ids))
-        for blk in blocks
-    )
     rebuilt = BlockProgram(
         fabric=program.fabric,
         ops=tuple(new_ops),
-        blocks=new_blocks,
+        blocks=tuple(new_blocks),
         outputs={
             name: _remap_ref(ref, pos) for name, ref in program.outputs.items()
         },
@@ -199,11 +216,47 @@ def _total_cycles(program: BlockProgram, architecture: str) -> int:
     return schedule_program(program, architecture, _overhead(program)).total_cycles
 
 
+def _psa_stalls(
+    program: BlockProgram, architecture: str, overhead: int
+) -> dict[str, float]:
+    """``classify_stalls(...).totals(".psa")``, classified once per
+    program, architecture and overhead (memoized on the program)."""
+    key = (Architecture(architecture), overhead)
+    memo = program._psa_stall_memo
+    if key not in memo:
+        memo[key] = classify_stalls(program, architecture, overhead).totals(".psa")
+    return dict(memo[key])
+
+
+def _require_blocks(program: BlockProgram, labels: Sequence[str], what: str) -> None:
+    known = {blk.label for blk in program.blocks}
+    for label in labels:
+        if label not in known:
+            raise PassError(f"{what}: no block labelled '{label}'")
+
+
 # ------------------------------------------------------- load coalescing
 def _mergeable(a: BlockIR, b: BlockIR) -> bool:
     """Only plain (un-merge-grouped) blocks fuse; decoder m/f parts owe
     their two-channel split to staying separate under A3."""
     return a.merge_group is None and b.merge_group is None
+
+
+def _merged_block(program: BlockProgram, a: BlockIR, b: BlockIR) -> BlockIR:
+    """The one block that fuses ``a`` with its successor ``b``."""
+    merged_bytes = a.load_bytes + b.load_bytes
+    return BlockIR(
+        label=f"{a.label}+{b.label}",
+        op_ids=(*a.op_ids, *b.op_ids),
+        load_cycles=(
+            _bundle_load_cycles(program.fabric, merged_bytes)
+            if merged_bytes
+            else a.load_cycles + b.load_cycles
+        ),
+        channel_hint=a.channel_hint if a.channel_hint == b.channel_hint else None,
+        overhead_override=a.overhead_override,
+        load_bytes=merged_bytes,
+    )
 
 
 def _merge_adjacent(
@@ -218,14 +271,8 @@ def _merge_adjacent(
     a, b = program.blocks[i], program.blocks[i + 1]
     if not _mergeable(a, b):
         return None
-    merged_label = f"{a.label}+{b.label}"
-    merged_bytes = a.load_bytes + b.load_bytes
-    merged_load = (
-        _bundle_load_cycles(program.fabric, merged_bytes)
-        if merged_bytes
-        else a.load_cycles + b.load_cycles
-    )
-    hint = a.channel_hint if a.channel_hint == b.channel_hint else None
+    merged = _merged_block(program, a, b)
+    merged_label, merged_load = merged.label, merged.load_cycles
     ops_override: dict[int, Op] = {}
     first_load_seen = False
     for op_id in (*a.op_ids, *b.op_ids):
@@ -242,14 +289,6 @@ def _merge_adjacent(
             else:
                 changes["cycles"] = 0
         ops_override[op_id] = dataclasses.replace(op, **changes)
-    merged = BlockIR(
-        label=merged_label,
-        op_ids=(*a.op_ids, *b.op_ids),
-        load_cycles=merged_load,
-        channel_hint=hint,
-        overhead_override=a.overhead_override,
-        load_bytes=merged_bytes,
-    )
     blocks = (*program.blocks[:i], merged, *program.blocks[i + 2:])
     return _rebuild_program(
         program,
@@ -284,6 +323,7 @@ class CoalesceLoadsPass:
                     raise PassError(
                         f"coalesce group {group} needs at least two blocks"
                     )
+                _require_blocks(prog, group, f"cannot coalesce {group}")
                 head = group[0]
                 for nxt in group[1:]:
                     labels = [blk.label for blk in prog.blocks]
@@ -304,33 +344,73 @@ class CoalesceLoadsPass:
                 actions.append(f"coalesced {'+'.join(group)}")
             return prog, tuple(actions)
 
-        report = classify_stalls(prog, self.architecture, _overhead(prog))
-        overhead_stall = report.totals(".psa")["overhead"]
+        overhead_stall = _psa_stalls(
+            prog, self.architecture, _overhead(prog)
+        )["overhead"]
         actions.append(
             f"cost signal: {overhead_stall:g} PSA overhead-stall cycles"
         )
         if overhead_stall <= 0:
             actions.append("no dispatch overhead to recover; skipped")
             return prog, tuple(actions)
-        best = _total_cycles(prog, self.architecture)
-        improved = True
-        while improved:
-            improved = False
-            for blk in prog.blocks[:-1]:
-                cand = _merge_adjacent(prog, blk.label)
-                if cand is None:
-                    continue
-                cycles = _total_cycles(cand, self.architecture)
-                if cycles < best:
-                    actions.append(
-                        f"coalesced {blk.label} with successor: "
-                        f"{best} -> {cycles} cycles"
-                    )
-                    prog, best, improved = cand, cycles, True
-                    break
+        for label in self._profitable_merges(prog, actions):
+            prog = _merge_adjacent(prog, label)
         if len(actions) == 1:
             actions.append("no profitable merge found")
         return prog, tuple(actions)
+
+    def _profitable_merges(
+        self, program: BlockProgram, actions: list[str]
+    ) -> list[str]:
+        """Greedy first-improvement merging, priced without a rebuild.
+
+        A merge changes only LOAD-op cycles and labels, which the ASAP
+        makespan skips, so a fused pair is exactly one ``BlockWork``
+        spliced into the work-unit chain: each trial is one schedule
+        call.  Fusable blocks are single units under every
+        architecture (A1/A2 fuse only merge-grouped parts), so walking
+        unit pairs tries the same pairs, in the same order, as walking
+        block pairs.  Returns the accepted merges' first labels, in
+        order, for :func:`_merge_adjacent` to materialize.
+        """
+        arch = Architecture(self.architecture)
+        a3 = arch is Architecture.A3
+        overhead = _overhead(program)
+        params = program.meta.get("schedule_params") or {}
+        units = list(_work_units(program, arch))
+        best = schedule(arch, [w for w, _ in units], overhead, **params).total_cycles
+        accepted: list[str] = []
+        improved = True
+        while improved:
+            improved = False
+            for u in range(len(units) - 1):
+                (_, ga), (_, gb) = units[u], units[u + 1]
+                if len(ga) != 1 or len(gb) != 1 or not _mergeable(ga[0], gb[0]):
+                    continue
+                merged = _merged_block(program, ga[0], gb[0])
+                unit = (
+                    BlockWork(
+                        merged.label,
+                        merged.load_cycles,
+                        _makespan(program, merged.op_ids),
+                        channel_hint=merged.channel_hint if a3 else None,
+                        overhead_override=merged.overhead_override if a3 else None,
+                    ),
+                    (merged,),
+                )
+                trial = [*units[:u], unit, *units[u + 2:]]
+                cycles = schedule(
+                    arch, [w for w, _ in trial], overhead, **params
+                ).total_cycles
+                if cycles < best:
+                    actions.append(
+                        f"coalesced {ga[0].label} with successor: "
+                        f"{best} -> {cycles} cycles"
+                    )
+                    accepted.append(ga[0].label)
+                    units, best, improved = trial, cycles, True
+                    break
+        return accepted
 
 
 # ----------------------------------------------------- load staging/split
@@ -451,6 +531,11 @@ class StageExposedLoadsPass:
     limit: int = 1
     architecture: str = "A3"
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "limit", _as_int(self.limit, "limit"))
+        if self.limit < 0:
+            raise PassError(f"limit must be >= 0; got {self.limit}")
+
     def run(self, program: BlockProgram) -> tuple[BlockProgram, tuple[str, ...]]:
         model = program.meta.get("model")
         if model is None:
@@ -459,6 +544,7 @@ class StageExposedLoadsPass:
         prog = program
         if self.blocks is not None:
             for label in self.blocks:
+                _require_blocks(prog, (label,), "cannot split")
                 cand = _split_block(prog, label, model)
                 if cand is None:
                     raise PassError(f"block '{label}' is not splittable")
@@ -466,7 +552,7 @@ class StageExposedLoadsPass:
                 actions.append(f"split {label} -> {label}m/{label}f")
             return prog, tuple(actions)
 
-        for _ in range(max(self.limit, 0)):
+        for _ in range(self.limit):
             spans, _sched = program_unit_spans(
                 prog, self.architecture, _overhead(prog)
             )
@@ -526,10 +612,16 @@ class PrefetchChannelPass:
     architecture: str = "A3"
     _AUTO_DEPTHS: ClassVar[tuple[int, ...]] = (2, 3, 4)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "num_weight_buffers",
+            _as_int(self.num_weight_buffers, "num_weight_buffers"),
+        )
+
     def run(self, program: BlockProgram) -> tuple[BlockProgram, tuple[str, ...]]:
         actions: list[str] = []
-        report = classify_stalls(program, self.architecture, _overhead(program))
-        psa = report.totals(".psa")
+        psa = _psa_stalls(program, self.architecture, _overhead(program))
         actions.append(
             "cost signal: "
             f"{psa['load_starved']:g} load-starved + "
@@ -542,7 +634,7 @@ class PrefetchChannelPass:
                 prog,
                 schedule_params={
                     **(prog.meta.get("schedule_params") or {}),
-                    "num_weight_buffers": int(self.num_weight_buffers),
+                    "num_weight_buffers": self.num_weight_buffers,
                 },
             )
             best = _total_cycles(prog, self.architecture)
@@ -655,30 +747,40 @@ def _list_schedule_block(
     start: dict[int, int] = {}
     end: dict[int, int] = {}
     chain: dict[int, set[int]] = {i: set() for i in comps}
-    pending = set(comps)
-    while pending:
-        ready = [i for i in pending if all(d in end for d in df[i])]
-        est = {
-            i: max(
-                max((end[d] for d in df[i]), default=0),
-                max(
-                    (engine_free.get(e, 0) for e in program.ops[i].engines),
-                    default=0,
-                ),
-            )
-            for i in ready
-        }
-        # Earliest feasible start wins; critical path breaks ties.
-        pick = min(ready, key=lambda i: (est[i], -cp[i], i))
+    unmet = {i: len(df[i]) for i in comps}
+
+    def key(i: int) -> tuple[int, int, int]:
+        est = max(
+            max((end[d] for d in df[i]), default=0),
+            max((engine_free.get(e, 0) for e in program.ops[i].engines), default=0),
+        )
+        return est, -cp[i], i
+
+    # Earliest feasible start wins; critical path breaks ties.  A ready
+    # op's key only grows (engines only get busier), so a popped entry
+    # whose key is still current is the true minimum; a stale one is
+    # re-keyed and pushed back.
+    ready = [key(i) for i in comps if not df[i]]
+    heapq.heapify(ready)
+    while ready:
+        entry = heapq.heappop(ready)
+        pick = entry[2]
+        current = key(pick)
+        if current != entry:
+            heapq.heappush(ready, current)
+            continue
         op = program.ops[pick]
-        start[pick] = est[pick]
-        end[pick] = est[pick] + op.cycles
+        start[pick] = entry[0]
+        end[pick] = entry[0] + op.cycles
         for e in op.engines:
             if e in engine_last:
                 chain[pick].add(engine_last[e])
             engine_free[e] = end[pick]
             engine_last[e] = pick
-        pending.remove(pick)
+        for s in succs[pick]:
+            unmet[s] -= 1
+            if not unmet[s]:
+                heapq.heappush(ready, key(s))
 
     old_span = block_compute_cycles(program, blk)
     new_span = max(end.values(), default=0)
@@ -692,18 +794,16 @@ def _list_schedule_block(
     for i in comps:
         for d in full_deps[i]:
             out_edges[d].append(i)
-    frontier = sorted(
-        (i for i in comps if indeg[i] == 0), key=lambda i: (start[i], i)
-    )
+    frontier = [(start[i], i) for i in comps if indeg[i] == 0]
+    heapq.heapify(frontier)
     ordered: list[int] = []
     while frontier:
-        frontier.sort(key=lambda i: (start[i], i))
-        cur = frontier.pop(0)
+        _, cur = heapq.heappop(frontier)
         ordered.append(cur)
         for s in out_edges[cur]:
             indeg[s] -= 1
             if indeg[s] == 0:
-                frontier.append(s)
+                heapq.heappush(frontier, (start[s], s))
     if len(ordered) != len(comps):
         raise PassError(f"reorder of '{blk.label}' produced a dependency cycle")
 
@@ -735,6 +835,8 @@ class ReorderOpsPass:
     architecture: str = "A3"
 
     def run(self, program: BlockProgram) -> tuple[BlockProgram, tuple[str, ...]]:
+        if self.blocks is not None:
+            _require_blocks(program, self.blocks, "cannot reorder")
         actions: list[str] = []
         new_orders: dict[str, list[int]] = {}
         deps_override: dict[int, tuple[int, ...]] = {}
@@ -834,6 +936,14 @@ class PassPipeline:
         for p in self.passes:
             if not isinstance(p, ProgramPass):
                 raise PassError(f"{p!r} does not implement ProgramPass")
+            # A pass prices its rewrites under its own architecture; a
+            # different one would break monotonicity under this one.
+            arch = getattr(p, "architecture", self.architecture)
+            if arch != self.architecture:
+                raise PassError(
+                    f"{p.name} optimizes for {arch} but the pipeline "
+                    f"reports {self.architecture}"
+                )
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -853,14 +963,14 @@ class PassPipeline:
         for p in self.passes:
             before = _total_cycles(prog, self.architecture)
             sb = (
-                classify_stalls(prog, self.architecture, overhead).totals(".psa")
+                _psa_stalls(prog, self.architecture, overhead)
                 if collect_stalls
                 else {}
             )
             prog, actions = p.run(prog)
             after = _total_cycles(prog, self.architecture)
             sa = (
-                classify_stalls(prog, self.architecture, overhead).totals(".psa")
+                _psa_stalls(prog, self.architecture, overhead)
                 if collect_stalls
                 else {}
             )

@@ -250,6 +250,12 @@ class BlockProgram:
         """:func:`_work_units` per architecture, filled on first use."""
         return {}
 
+    @cached_property
+    def _psa_stall_memo(self) -> dict[tuple[Architecture, int], dict[str, float]]:
+        """PSA stall totals per (architecture, overhead), filled by the
+        optimizer passes (``repro.hw.passes._psa_stalls``)."""
+        return {}
+
 
 @dataclass
 class ProgramRun:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import CalibrationConfig, HardwareConfig, ModelConfig
 from repro.hw.controller import AcceleratorController, LatencyModel
@@ -44,6 +46,38 @@ class TestLatencyModel:
         assert compute <= load
         load, compute = lm.mha_ffn_load_compute(19)
         assert compute > load
+
+    @given(
+        attention_ii=st.floats(1.0, 12.0),
+        ffn_ii=st.floats(1.0, 20.0),
+        invocation=st.integers(0, 30000),
+        load_efficiency=st.floats(1.0, 2.0),
+        gbps=st.floats(0.5, 8.0),
+        max_s=st.integers(1, 64),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_crossover_bisection_equals_linear_scan(
+        self, attention_ii, ffn_ii, invocation, load_efficiency, gbps, max_s
+    ):
+        lm = LatencyModel(
+            hardware=HardwareConfig(hbm_channel_gbps=gbps),
+            calibration=CalibrationConfig(
+                attention_ii=attention_ii,
+                ffn_ii=ffn_ii,
+                invocation_overhead_cycles=invocation,
+                load_efficiency=load_efficiency,
+            ),
+        )
+        scan = next(
+            (s for s in range(1, max_s + 1)
+             if lm.mha_ffn_load_compute(s)[1] > lm.mha_ffn_load_compute(s)[0]),
+            None,
+        )
+        if scan is None:
+            with pytest.raises(ValueError, match="no crossover"):
+                lm.crossover_sequence_length(max_s)
+        else:
+            assert lm.crossover_sequence_length(max_s) == scan
 
     def test_architecture_ordering(self, lm):
         for s in (4, 8, 16, 32):
