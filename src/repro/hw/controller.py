@@ -42,7 +42,13 @@ from repro.hw.program import (
     lower_full_pass,
     program_block_work,
 )
-from repro.hw.scheduler import Architecture, BlockWork, ScheduleResult, schedule
+from repro.hw.scheduler import (
+    Architecture,
+    BlockWork,
+    ScheduleResult,
+    _as_int,
+    schedule,
+)
 from repro.model.params import TransformerParams
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
@@ -287,9 +293,11 @@ class LatencyModel:
         the continuous-batching win.  Without it, each member re-streams
         every panel (the back-to-back chain of
         :meth:`autoregressive_report`).  Per-member host I/O (token in,
-        log-probs out) is charged either way.
+        log-probs out) is charged either way.  Prefix lengths are
+        integers, as for :meth:`decode_step_cycles`: floats, bools and
+        strings raise ``TypeError``.
         """
-        lengths = [int(t) for t in prefix_lengths]
+        lengths = [_as_int(t, "prefix length") for t in prefix_lengths]
         if not lengths:
             raise ValueError("prefix_lengths must be non-empty")
         if any(t <= 0 for t in lengths):
@@ -339,7 +347,7 @@ class LatencyModel:
         # main consumer.
         from repro.obs.costs import largest_remainder_split
 
-        lengths = [int(t) for t in prefix_lengths]
+        lengths = [_as_int(t, "prefix length") for t in prefix_lengths]
         total = self.decode_iteration_cycles(
             lengths, s, architecture, share_weights=share_weights
         )

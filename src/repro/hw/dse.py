@@ -276,27 +276,30 @@ def a4_candidate_pipelines(architecture: str = "A3") -> list:
     ]
 
 
-def _candidate_programs(base, candidates: list) -> Iterator[tuple[object, object]]:
-    """Yield ``(pipeline, program after its passes)`` per candidate.
+def _candidate_programs(base, candidates: list) -> Iterator[tuple[object, tuple]]:
+    """Yield ``(pipeline, its PassSteps on base)`` per candidate.
 
     Passes are pure functions of their input program, and the grid
     order is the pass order, so consecutive candidates share pipeline
-    prefixes: a stack of ``(pass, program after it)`` keeps the current
-    chain, each candidate reuses its longest equal prefix and runs only
-    the remaining passes.  The programs lack the ``passes`` meta entry
-    :meth:`PassPipeline.apply` adds, which no schedule reads.
+    prefixes: a stack of steps keeps the current chain, each candidate
+    reuses its longest equal prefix and runs only the remaining passes.
+    The steps are logged with ``log=False`` (see
+    :func:`repro.hw.passes._run_step`).
     """
-    stack: list[tuple[object, object]] = [(None, base)]
+    from repro.hw.passes import _run_step
+
+    stack: list = []
     for pipeline in candidates:
         keep = 0
-        for p, (done, _) in zip(pipeline.passes, stack[1:]):
-            if p != done:
+        for p, step in zip(pipeline.passes, stack):
+            if p != step.pass_:
                 break
             keep += 1
-        del stack[keep + 1:]
+        del stack[keep:]
         for p in pipeline.passes[keep:]:
-            stack.append((p, p.run(stack[-1][1])[0]))
-        yield pipeline, stack[-1][1]
+            before = stack[-1].after if stack else base
+            stack.append(_run_step(p, before, log=False))
+        yield pipeline, tuple(stack)
 
 
 @lru_cache(maxsize=8)
@@ -323,7 +326,7 @@ def synthesize_a4(
     ``a4_optimized`` bench scenario clears the cache to time a cold one).
     """
     from repro.hw.kernels import Fabric
-    from repro.hw.passes import _psa_stalls
+    from repro.hw.passes import _logged, _psa_stalls, _search_memo
     from repro.hw.program import LoweringSpec, lower, schedule_program
 
     model = model or ModelConfig()
@@ -337,26 +340,30 @@ def synthesize_a4(
     baseline_cycles = schedule_program(base, architecture, overhead).total_cycles
 
     best_pipeline = None
+    best_steps: tuple = ()
     best_cycles = baseline_cycles
     candidates = a4_candidate_pipelines(architecture)
-    for pipeline, optimized in _candidate_programs(base, candidates):
-        cycles = schedule_program(optimized, architecture, overhead).total_cycles
-        # Strictly better wins; on a tie, prefer the shorter pipeline
-        # (deterministic because the grid order is fixed).
-        if cycles < best_cycles or (
-            best_pipeline is not None
-            and cycles == best_cycles
-            and len(pipeline.passes) < len(best_pipeline.passes)
-        ):
-            best_pipeline = pipeline
-            best_cycles = cycles
+    with _search_memo():
+        for pipeline, steps in _candidate_programs(base, candidates):
+            optimized = steps[-1].after if steps else base
+            cycles = schedule_program(optimized, architecture, overhead).total_cycles
+            # Strictly better wins; on a tie, prefer the shorter pipeline
+            # (deterministic because the grid order is fixed).
+            if cycles < best_cycles or (
+                best_pipeline is not None
+                and cycles == best_cycles
+                and len(pipeline.passes) < len(best_pipeline.passes)
+            ):
+                best_pipeline, best_steps, best_cycles = pipeline, steps, cycles
     if best_pipeline is None:
         raise ValueError(
             f"no candidate pipeline strictly improves on {architecture} "
             f"at s={s} ({baseline_cycles} cycles)"
         )
 
-    program, report = best_pipeline.apply(base, collect_stalls=False)
+    program, report = best_pipeline.apply(
+        base, steps=[_logged(step) for step in best_steps]
+    )
     return A4Result(
         s=s,
         architecture=architecture,

@@ -37,11 +37,21 @@ would otherwise keep every rejected program alive.  The A4 search
 
 * candidates walk the grid in pass order and share their longest
   equal pipeline prefix, so each pass runs once per distinct prefix
-  and at most one chain of programs is alive;
-* a trial merge in :class:`CoalesceLoadsPass` is priced as one fused
-  ``BlockWork`` spliced into the work-unit chain, and only accepted
-  merges rebuild the program;
-* the PSA stall totals the passes read are classified once per program;
+  and at most the current and the best chain of programs are alive;
+* a trial merge in :class:`CoalesceLoadsPass` or trial split in
+  :class:`StageExposedLoadsPass` is priced as ``BlockWork`` units
+  spliced into the work-unit chain, and only accepted rewrites rebuild
+  the program; a rebuilt program inherits the spans of the blocks it
+  did not touch;
+* per program, the PSA stall totals the passes read are classified
+  once, and a meta-only copy (a prefetch depth) shares the spans and
+  work units;
+* per search (:func:`_search_memo`), a block's list schedule and span
+  are computed once per block *shape*, and a reorder is reused by the
+  meta-only copies of its input;
+* the search drops the log lines that only report (the prefetch cost
+  signal) except for its winner, whose report it builds from the
+  programs it already produced;
 * ``A4Result`` keeps the lowering spec and the winning pipeline, and
   rebuilds the optimized program only when it is read.
 """
@@ -50,8 +60,18 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Protocol, Sequence, runtime_checkable
+from typing import (
+    Any,
+    ClassVar,
+    Iterator,
+    NamedTuple,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 import numpy as np
 
@@ -69,8 +89,8 @@ from repro.hw.program import (
     ValueRef,
     _bundle_load_cycles,
     _makespan,
+    _preset_block_spans,
     _work_units,
-    block_compute_cycles,
     execute_program,
     program_load_bytes,
     program_unit_spans,
@@ -87,6 +107,7 @@ __all__ = [
     "ReorderOpsPass",
     "PassPipeline",
     "PassReport",
+    "PassStep",
     "PipelineReport",
     "default_pipeline",
     "semantic_op_counts",
@@ -123,7 +144,6 @@ def _rebuild_program(
     *,
     ops_override: dict[int, Op] | None = None,
     deps_override: dict[int, tuple[int, ...]] | None = None,
-    meta: dict | None = None,
 ) -> BlockProgram:
     """Renumber a transformed program so ``op_id == index`` again.
 
@@ -136,6 +156,10 @@ def _rebuild_program(
     old id space).  An op, ref or block whose ids do not move is shared
     with the input, not copied.  The result is validated: ids dense,
     references topologically ordered, blocks a partition of the ops.
+
+    The result's ``block_spans`` are preset: a block with the input's
+    label and op ids none of which is overridden keeps the input's span
+    (renumbering preserves every in-block edge); the rest are computed.
     """
     ops_override = ops_override or {}
     deps_override = deps_override or {}
@@ -145,6 +169,7 @@ def _rebuild_program(
         if key in pos:
             raise PassError(f"op {key} appears twice in the rebuilt order")
         pos[key] = new_id
+    moved = {key for key, new_id in pos.items() if key != new_id}
     new_ops: list[Op] = []
     for new_id, item in enumerate(order):
         if isinstance(item, int):
@@ -152,6 +177,13 @@ def _rebuild_program(
             key = item
         else:
             op, key = item, item.op_id
+        if key == new_id and key not in deps_override and (
+            not moved
+            or moved.isdisjoint(op.deps)
+            and not any(r.kind == "op" and r.key in moved for r in op.inputs)
+        ):
+            new_ops.append(op)  # no id it carries moves
+            continue
         deps = tuple(pos[d] for d in deps_override.get(key, op.deps))
         inputs = tuple(_remap_ref(r, pos) for r in op.inputs)
         if op.op_id != new_id or deps != op.deps or inputs != op.inputs:
@@ -170,9 +202,18 @@ def _rebuild_program(
         outputs={
             name: _remap_ref(ref, pos) for name, ref in program.outputs.items()
         },
-        meta=dict(program.meta) if meta is None else meta,
+        meta=dict(program.meta),
     )
     _validate_program(rebuilt)
+    known: dict[str, int] = {}
+    touched = ops_override.keys() | deps_override.keys()
+    old_ids = {blk.label: blk.op_ids for blk in program.blocks}
+    for blk, new_blk in zip(blocks, new_blocks):
+        if old_ids.get(blk.label) == blk.op_ids and touched.isdisjoint(blk.op_ids):
+            known[blk.label] = program.block_spans[blk.label]
+        else:
+            known[blk.label] = _makespan(rebuilt, new_blk.op_ids)
+    _preset_block_spans(rebuilt, known)
     return rebuilt
 
 
@@ -205,7 +246,7 @@ def _validate_program(program: BlockProgram) -> None:
 
 
 def _with_meta(program: BlockProgram, **updates: Any) -> BlockProgram:
-    return dataclasses.replace(program, meta={**program.meta, **updates})
+    return program.with_meta({**program.meta, **updates})
 
 
 def _overhead(program: BlockProgram) -> int:
@@ -226,6 +267,40 @@ def _psa_stalls(
     if key not in memo:
         memo[key] = classify_stalls(program, architecture, overhead).totals(".psa")
     return dict(memo[key])
+
+
+class _SearchMemo:
+    """Results one pipeline application or A4 search computes once.
+
+    ``shapes`` maps a block shape (:func:`_block_shape`) to its span and
+    list schedule; ``reorder`` holds the last :class:`ReorderOpsPass`
+    run as ``(pass, input, output or None, actions)``, which a meta-only
+    copy of that input reuses.  Both are pure functions of their keys.
+    """
+
+    def __init__(self) -> None:
+        self.shapes: dict[tuple, tuple] = {}
+        self.reorder: tuple | None = None
+
+
+_MEMO: ContextVar[_SearchMemo | None] = ContextVar("pass_memo", default=None)
+
+
+@contextmanager
+def _search_memo() -> Iterator[_SearchMemo]:
+    """Open a memo scope, or join the one already open.  The memo is
+    dropped when the outermost scope closes, so every search starts
+    with an empty one."""
+    memo = _MEMO.get()
+    if memo is not None:
+        yield memo
+        return
+    memo = _SearchMemo()
+    token = _MEMO.set(memo)
+    try:
+        yield memo
+    finally:
+        _MEMO.reset(token)
 
 
 def _require_blocks(program: BlockProgram, labels: Sequence[str], what: str) -> None:
@@ -260,36 +335,33 @@ def _merged_block(program: BlockProgram, a: BlockIR, b: BlockIR) -> BlockIR:
 
 
 def _merge_adjacent(
-    program: BlockProgram, first_label: str
+    program: BlockProgram, *first_labels: str
 ) -> BlockProgram | None:
-    """Fuse the named block with its successor into one schedulable
-    unit; None when the pair is not fusable."""
-    labels = [blk.label for blk in program.blocks]
-    i = labels.index(first_label)
-    if i + 1 >= len(labels):
-        return None
-    a, b = program.blocks[i], program.blocks[i + 1]
-    if not _mergeable(a, b):
-        return None
-    merged = _merged_block(program, a, b)
-    merged_label, merged_load = merged.label, merged.load_cycles
+    """Fuse each named block, in turn, with its successor into one
+    schedulable unit, in one rebuild; None when a pair is not fusable."""
+    blocks = list(program.blocks)
     ops_override: dict[int, Op] = {}
-    first_load_seen = False
-    for op_id in (*a.op_ids, *b.op_ids):
-        op = program.ops[op_id]
-        changes: dict[str, Any] = {"block": merged_label}
-        if op.kind is OpKind.LOAD:
-            # The fused bundle streams as one burst: the first LOAD op
-            # carries the whole transfer, followers become zero-cycle
-            # markers (op count stays conserved).
-            if not first_load_seen:
-                changes["cycles"] = merged_load
-                changes["label"] = f"LW:{merged_label}"
-                first_load_seen = True
-            else:
-                changes["cycles"] = 0
-        ops_override[op_id] = dataclasses.replace(op, **changes)
-    blocks = (*program.blocks[:i], merged, *program.blocks[i + 2:])
+    for first_label in first_labels:
+        i = [blk.label for blk in blocks].index(first_label)
+        if i + 1 >= len(blocks) or not _mergeable(blocks[i], blocks[i + 1]):
+            return None
+        merged = _merged_block(program, blocks[i], blocks[i + 1])
+        first_load_seen = False
+        for op_id in merged.op_ids:
+            op = ops_override.get(op_id, program.ops[op_id])
+            changes: dict[str, Any] = {"block": merged.label}
+            if op.kind is OpKind.LOAD:
+                # The fused bundle streams as one burst: the first LOAD
+                # op carries the whole transfer, followers become
+                # zero-cycle markers (op count stays conserved).
+                if not first_load_seen:
+                    changes["cycles"] = merged.load_cycles
+                    changes["label"] = f"LW:{merged.label}"
+                    first_load_seen = True
+                else:
+                    changes["cycles"] = 0
+            ops_override[op_id] = dataclasses.replace(op, **changes)
+        blocks[i:i + 2] = [merged]
     return _rebuild_program(
         program,
         list(range(program.num_ops)),
@@ -353,8 +425,9 @@ class CoalesceLoadsPass:
         if overhead_stall <= 0:
             actions.append("no dispatch overhead to recover; skipped")
             return prog, tuple(actions)
-        for label in self._profitable_merges(prog, actions):
-            prog = _merge_adjacent(prog, label)
+        accepted = self._profitable_merges(prog, actions)
+        if accepted:
+            prog = _merge_adjacent(prog, *accepted)
         if len(actions) == 1:
             actions.append("no profitable merge found")
         return prog, tuple(actions)
@@ -426,11 +499,13 @@ def _splittable(program: BlockProgram, blk: BlockIR) -> bool:
     return mm5s == 1
 
 
-def _split_block(
+def _split_parts(
     program: BlockProgram, label: str, model: ModelConfig
-) -> BlockProgram | None:
-    """Split one encoder-shaped block at its MHA/FFN boundary into the
-    Fig 4.11 two-channel form; None when the block does not match."""
+) -> tuple[BlockIR, BlockIR] | None:
+    """The ``m``/``f`` blocks that split one encoder-shaped block at its
+    MHA/FFN boundary into the Fig 4.11 two-channel form, in the input's
+    id space (the ``f`` part ends with the provisional id ``-1`` of its
+    new LOAD op); None when the block does not match."""
     blk = program.block(label)
     if not _splittable(program, blk):
         return None
@@ -448,43 +523,12 @@ def _split_block(
     m_ids, f_ids = blk.op_ids[:split_at], blk.op_ids[split_at:]
     if not any(program.ops[i].kind is OpKind.LOAD for i in m_ids):
         return None
-    m_label, f_label = f"{label}m", f"{label}f"
-    mha_load = _bundle_load_cycles(fabric, mha_bytes)
-    ffn_load = _bundle_load_cycles(fabric, ffn_bytes)
-
-    ops_override: dict[int, Op] = {}
-    for op_id in m_ids:
-        op = program.ops[op_id]
-        if op.kind is OpKind.LOAD:
-            ops_override[op_id] = dataclasses.replace(
-                op,
-                label=f"LW:{m_label}",
-                cycles=mha_load,
-                block=m_label,
-                attrs={"channel_hint": 0},
-            )
-        else:
-            ops_override[op_id] = dataclasses.replace(op, block=m_label)
-    for op_id in f_ids:
-        ops_override[op_id] = dataclasses.replace(
-            program.ops[op_id], block=f_label
-        )
-    f_load_op = Op(
-        op_id=-1,
-        kind=OpKind.LOAD,
-        label=f"LW:{f_label}",
-        engines=("hbm",),
-        cycles=ffn_load,
-        deps=(),
-        block=f_label,
-        attrs={"channel_hint": 1},
-    )
     # ``merge_group`` reconstructs the original unit under A1/A2, so
     # those schedules are exactly invariant under the split.
     m_blk = BlockIR(
-        label=m_label,
+        label=f"{label}m",
         op_ids=m_ids,
-        load_cycles=mha_load,
+        load_cycles=_bundle_load_cycles(fabric, mha_bytes),
         channel_hint=0,
         overhead_override=blk.overhead_override,
         merge_group=blk.label,
@@ -492,16 +536,71 @@ def _split_block(
         load_bytes=mha_bytes,
     )
     f_blk = BlockIR(
-        label=f_label,
+        label=f"{label}f",
         op_ids=(*f_ids, -1),
-        load_cycles=ffn_load,
+        load_cycles=_bundle_load_cycles(fabric, ffn_bytes),
         channel_hint=1,
         overhead_override=0,
         merge_group=blk.label,
         merged_load_cycles=blk.load_cycles,
         load_bytes=ffn_bytes,
     )
-    i = [b.label for b in program.blocks].index(label)
+    return m_blk, f_blk
+
+
+def _split_works(
+    program: BlockProgram, m_blk: BlockIR, f_blk: BlockIR
+) -> list[BlockWork]:
+    """The A3 work units of a split from :func:`_split_parts`.
+
+    A split changes only LOAD ops, which the ASAP makespan skips, so
+    each part's span is its ops' makespan in the unsplit program.
+    """
+    return [
+        BlockWork(
+            blk.label,
+            blk.load_cycles,
+            _makespan(program, [i for i in blk.op_ids if i >= 0]),
+            channel_hint=blk.channel_hint,
+            overhead_override=blk.overhead_override,
+        )
+        for blk in (m_blk, f_blk)
+    ]
+
+
+def _split_block(
+    program: BlockProgram, m_blk: BlockIR, f_blk: BlockIR
+) -> BlockProgram:
+    """Rebuild ``program`` with the split from :func:`_split_parts`."""
+    ops_override: dict[int, Op] = {}
+    for op_id in m_blk.op_ids:
+        op = program.ops[op_id]
+        if op.kind is OpKind.LOAD:
+            ops_override[op_id] = dataclasses.replace(
+                op,
+                label=f"LW:{m_blk.label}",
+                cycles=m_blk.load_cycles,
+                block=m_blk.label,
+                attrs={"channel_hint": 0},
+            )
+        else:
+            ops_override[op_id] = dataclasses.replace(op, block=m_blk.label)
+    f_ids = f_blk.op_ids[:-1]
+    for op_id in f_ids:
+        ops_override[op_id] = dataclasses.replace(
+            program.ops[op_id], block=f_blk.label
+        )
+    f_load_op = Op(
+        op_id=-1,
+        kind=OpKind.LOAD,
+        label=f"LW:{f_blk.label}",
+        engines=("hbm",),
+        cycles=f_blk.load_cycles,
+        deps=(),
+        block=f_blk.label,
+        attrs={"channel_hint": 1},
+    )
+    i = [b.label for b in program.blocks].index(m_blk.merge_group)
     blocks = (*program.blocks[:i], m_blk, f_blk, *program.blocks[i + 1:])
     order: list[int | Op] = list(range(program.num_ops))
     # Insert the new LOAD op just before the f-part ops (the identity
@@ -545,42 +644,51 @@ class StageExposedLoadsPass:
         if self.blocks is not None:
             for label in self.blocks:
                 _require_blocks(prog, (label,), "cannot split")
-                cand = _split_block(prog, label, model)
-                if cand is None:
+                parts = _split_parts(prog, label, model)
+                if parts is None:
                     raise PassError(f"block '{label}' is not splittable")
-                prog = cand
+                prog = _split_block(prog, *parts)
                 actions.append(f"split {label} -> {label}m/{label}f")
             return prog, tuple(actions)
 
+        arch = Architecture(self.architecture)
+        overhead = _overhead(program)
         for _ in range(self.limit):
-            spans, _sched = program_unit_spans(
-                prog, self.architecture, _overhead(prog)
-            )
-            gaps: list[tuple[float, str]] = []
+            spans, sched = program_unit_spans(prog, arch, overhead)
+            gaps: list[tuple[float, str, int]] = []
             prev_end = 0.0
-            for span in spans:
+            for u, span in enumerate(spans):
                 gap = span.compute_start - prev_end
                 prev_end = span.compute_end
                 if gap <= 0 or len(span.blocks) != 1:
                     continue
                 if _splittable(prog, prog.block(span.blocks[0])):
-                    gaps.append((gap, span.blocks[0]))
+                    gaps.append((gap, span.blocks[0], u))
             if not gaps:
                 break
             gaps.sort(key=lambda g: (-g[0], g[1]))
-            best = _total_cycles(prog, self.architecture)
+            best = sched.total_cycles
+            works = [work for work, _ in _work_units(prog, arch)]
+            params = prog.meta.get("schedule_params") or {}
             accepted = False
-            for gap, label in gaps:
-                cand = _split_block(prog, label, model)
-                if cand is None:
+            for gap, label, u in gaps:
+                parts = _split_parts(prog, label, model)
+                if parts is None:
                     continue
-                cycles = _total_cycles(cand, self.architecture)
+                # A trial is priced as the parts' units spliced into the
+                # chain; under A1/A2 their merge group is the old unit.
+                if arch is Architecture.A3:
+                    split = _split_works(prog, *parts)
+                else:
+                    split = [works[u]]
+                trial = [*works[:u], *split, *works[u + 1:]]
+                cycles = schedule(arch, trial, overhead, **params).total_cycles
                 if cycles < best:
                     actions.append(
                         f"split {label} ({gap:g} exposed load cycles): "
                         f"{best} -> {cycles} cycles"
                     )
-                    prog = cand
+                    prog = _split_block(prog, *parts)
                     accepted = True
                     break
             if not accepted:
@@ -620,13 +728,23 @@ class PrefetchChannelPass:
         )
 
     def run(self, program: BlockProgram) -> tuple[BlockProgram, tuple[str, ...]]:
-        actions: list[str] = []
+        prog, actions = self.tune(program)
+        return prog, (self.cost_signal(program), *actions)
+
+    def cost_signal(self, program: BlockProgram) -> str:
+        """The log line naming the stalls this pass targets.  It reads
+        a PSA stall classification but steers no decision, so the A4
+        search computes it for its winner only."""
         psa = _psa_stalls(program, self.architecture, _overhead(program))
-        actions.append(
+        return (
             "cost signal: "
             f"{psa['load_starved']:g} load-starved + "
             f"{psa['channel_contention']:g} channel-contention PSA cycles"
         )
+
+    def tune(self, program: BlockProgram) -> tuple[BlockProgram, tuple[str, ...]]:
+        """:meth:`run` without the cost-signal line."""
+        actions: list[str] = []
         prog = program
         best = _total_cycles(prog, self.architecture)
         if self.num_weight_buffers is not None:
@@ -696,22 +814,137 @@ class PrefetchChannelPass:
 
 
 # ------------------------------------------------------- op reordering
-def _dataflow_deps(op: Op, in_block: set[int]) -> tuple[int, ...]:
-    """The block-internal edges that carry data: every in-block op the
-    op *reads*.  The lowering's declared ``deps`` are not a superset of
-    these — a dataflow edge implied transitively through a
-    serialization edge (e.g. ``MM1(Q)`` reading the layer input behind
-    its ``MM1(K)`` chain edge) is omitted there, so reordering must
-    recover ordering from the inputs themselves."""
-    return tuple(
-        sorted(
-            {
-                ref.key
-                for ref in op.inputs
-                if ref.kind == "op" and ref.key in in_block
-            }
+def _block_shape(program: BlockProgram, blk: BlockIR) -> tuple[list[int], tuple]:
+    """A block's compute op ids, in block order, and its *shape*.
+
+    The shape is everything a block's ASAP span and list schedule read,
+    with op ids replaced by positions in that order: per op its
+    engines, cycles, in-block declared deps and in-block reads, plus the
+    order of the ids, which breaks ties.  LOAD ops are left out; neither
+    computation reads them.
+
+    The reads are the dataflow edges.  The lowering's declared deps are
+    not a superset of them — a dataflow edge implied transitively
+    through a serialization edge (e.g. ``MM1(Q)`` reading the layer
+    input behind its ``MM1(K)`` chain edge) is omitted there — so a
+    reorder recovers ordering from the reads themselves.
+    """
+    ops = program.ops
+    comps = [i for i in blk.op_ids if ops[i].kind is not OpKind.LOAD]
+    pos = {op_id: p for p, op_id in enumerate(comps)}
+    rows = []
+    for op_id in comps:
+        op = ops[op_id]
+        reads = {pos[r.key] for r in op.inputs if r.kind == "op" and r.key in pos}
+        rows.append((
+            op.engines,
+            op.cycles,
+            tuple([pos[d] for d in op.deps if d in pos]),
+            tuple(sorted(reads)),
+        ))
+    by_id = tuple(sorted(range(len(comps)), key=comps.__getitem__))
+    return comps, (by_id, tuple(rows))
+
+
+def _schedule_shape(
+    shape: tuple,
+) -> tuple[int, tuple[int, list[int], list[tuple[int, ...]]] | None]:
+    """A block shape's ASAP span and list schedule.
+
+    Returns ``(span, plan)``; ``plan`` is ``(new span, new order,
+    dataflow + engine-chain deps per op)`` in positions, or None when
+    there are fewer than two ops or no strict improvement.  Priority is
+    the critical-path length over dataflow edges; per-engine occupancy
+    is re-emitted as chain dependency edges so the ASAP cycle model
+    reproduces the list schedule exactly.
+    """
+    by_id, rows = shape
+    n = len(rows)
+    rank = [0] * n
+    for r, p in enumerate(by_id):
+        rank[p] = r
+    # The ASAP span reads declared deps on ops earlier in block order.
+    asap_end: list[int] = []
+    for p, (_, cycles, deps, _) in enumerate(rows):
+        start = max((asap_end[q] for q in deps if q < p), default=0)
+        asap_end.append(start + cycles)
+    span = max(asap_end, default=0)
+    if n < 2:
+        return span, None
+    df = [row[3] for row in rows]
+    succs: list[list[int]] = [[] for _ in range(n)]
+    for p in range(n):
+        for d in df[p]:
+            succs[d].append(p)
+    # Critical-path priority (longest path to a sink); reads point to
+    # lower ids, so descending id order is reverse topological.
+    cp = [0] * n
+    for p in reversed(by_id):
+        cp[p] = rows[p][1] + max((cp[q] for q in succs[p]), default=0)
+
+    engine_free: dict[str, int] = {}
+    engine_last: dict[str, int] = {}
+    start = [0] * n
+    end = [0] * n
+    chain: list[set[int]] = [set() for _ in range(n)]
+    unmet = [len(d) for d in df]
+
+    def key(p: int) -> tuple[int, int, int]:
+        est = max(
+            max((end[d] for d in df[p]), default=0),
+            max((engine_free.get(e, 0) for e in rows[p][0]), default=0),
         )
-    )
+        return est, -cp[p], rank[p]
+
+    # Earliest feasible start wins; critical path, then id, breaks ties.
+    # A ready op's key only grows (engines only get busier), so a popped
+    # entry whose key is still current is the true minimum; a stale one
+    # is re-keyed and pushed back.
+    ready = [key(p) for p in range(n) if not df[p]]
+    heapq.heapify(ready)
+    while ready:
+        entry = heapq.heappop(ready)
+        pick = by_id[entry[2]]
+        current = key(pick)
+        if current != entry:
+            heapq.heappush(ready, current)
+            continue
+        start[pick] = entry[0]
+        end[pick] = entry[0] + rows[pick][1]
+        for e in rows[pick][0]:
+            if e in engine_last:
+                chain[pick].add(engine_last[e])
+            engine_free[e] = end[pick]
+            engine_last[e] = pick
+        for q in succs[pick]:
+            unmet[q] -= 1
+            if not unmet[q]:
+                heapq.heappush(ready, key(q))
+
+    new_span = max(end)
+    if new_span >= span:
+        return span, None
+
+    # Final order: Kahn over dataflow + chain edges, (start, id) priority.
+    full_deps = [set(df[p]) | chain[p] for p in range(n)]
+    indeg = [len(d) for d in full_deps]
+    out_edges: list[list[int]] = [[] for _ in range(n)]
+    for p in range(n):
+        for d in full_deps[p]:
+            out_edges[d].append(p)
+    frontier = [(start[p], rank[p]) for p in range(n) if indeg[p] == 0]
+    heapq.heapify(frontier)
+    ordered: list[int] = []
+    while frontier:
+        cur = by_id[heapq.heappop(frontier)[1]]
+        ordered.append(cur)
+        for q in out_edges[cur]:
+            indeg[q] -= 1
+            if indeg[q] == 0:
+                heapq.heappush(frontier, (start[q], rank[q]))
+    if len(ordered) != n:
+        raise PassError("a list schedule produced a dependency cycle")
+    return span, (new_span, ordered, [tuple(d) for d in full_deps])
 
 
 def _list_schedule_block(
@@ -721,97 +954,29 @@ def _list_schedule_block(
 
     Returns (new op order, new deps per op in old-id space, old compute
     makespan, new compute makespan) or None when no strict improvement
-    exists.  Priority is the critical-path length over dataflow edges;
-    per-engine occupancy is re-emitted as chain dependency edges so the
-    ASAP cycle model reproduces the list schedule exactly.
+    exists (:func:`_schedule_shape`).  Inside a :func:`_search_memo`
+    scope each distinct block shape is scheduled once.
     """
+    comps, shape = _block_shape(program, blk)
+    memo = _MEMO.get()
+    result = memo.shapes.get(shape) if memo is not None else None
+    if result is None:
+        result = _schedule_shape(shape)
+        if memo is not None:
+            memo.shapes[shape] = result
+    old_span, plan = result
+    if plan is None:
+        return None
+    new_span, ordered, full_deps = plan
     in_block = set(blk.op_ids)
     loads = [i for i in blk.op_ids if program.ops[i].kind is OpKind.LOAD]
-    comps = [i for i in blk.op_ids if program.ops[i].kind is not OpKind.LOAD]
-    if len(comps) < 2:
-        return None
-    df = {i: _dataflow_deps(program.ops[i], in_block) for i in comps}
-    succs: dict[int, list[int]] = {i: [] for i in comps}
-    for i in comps:
-        for d in df[i]:
-            succs[d].append(i)
-    # Critical-path priority (longest path to a sink), reverse order.
-    cp: dict[int, int] = {}
-    for i in reversed(comps):
-        cp[i] = program.ops[i].cycles + max(
-            (cp[s] for s in succs[i]), default=0
-        )
-
-    engine_free: dict[str, int] = {}
-    engine_last: dict[str, int] = {}
-    start: dict[int, int] = {}
-    end: dict[int, int] = {}
-    chain: dict[int, set[int]] = {i: set() for i in comps}
-    unmet = {i: len(df[i]) for i in comps}
-
-    def key(i: int) -> tuple[int, int, int]:
-        est = max(
-            max((end[d] for d in df[i]), default=0),
-            max((engine_free.get(e, 0) for e in program.ops[i].engines), default=0),
-        )
-        return est, -cp[i], i
-
-    # Earliest feasible start wins; critical path breaks ties.  A ready
-    # op's key only grows (engines only get busier), so a popped entry
-    # whose key is still current is the true minimum; a stale one is
-    # re-keyed and pushed back.
-    ready = [key(i) for i in comps if not df[i]]
-    heapq.heapify(ready)
-    while ready:
-        entry = heapq.heappop(ready)
-        pick = entry[2]
-        current = key(pick)
-        if current != entry:
-            heapq.heappush(ready, current)
-            continue
-        op = program.ops[pick]
-        start[pick] = entry[0]
-        end[pick] = entry[0] + op.cycles
-        for e in op.engines:
-            if e in engine_last:
-                chain[pick].add(engine_last[e])
-            engine_free[e] = end[pick]
-            engine_last[e] = pick
-        for s in succs[pick]:
-            unmet[s] -= 1
-            if not unmet[s]:
-                heapq.heappush(ready, key(s))
-
-    old_span = block_compute_cycles(program, blk)
-    new_span = max(end.values(), default=0)
-    if new_span >= old_span:
-        return None
-
-    # Final order: Kahn over dataflow + chain edges, (start, id) priority.
-    full_deps = {i: set(df[i]) | chain[i] for i in comps}
-    indeg = {i: len(full_deps[i]) for i in comps}
-    out_edges: dict[int, list[int]] = {i: [] for i in comps}
-    for i in comps:
-        for d in full_deps[i]:
-            out_edges[d].append(i)
-    frontier = [(start[i], i) for i in comps if indeg[i] == 0]
-    heapq.heapify(frontier)
-    ordered: list[int] = []
-    while frontier:
-        _, cur = heapq.heappop(frontier)
-        ordered.append(cur)
-        for s in out_edges[cur]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                heapq.heappush(frontier, (start[s], s))
-    if len(ordered) != len(comps):
-        raise PassError(f"reorder of '{blk.label}' produced a dependency cycle")
-
     deps_map: dict[int, tuple[int, ...]] = {}
-    for i in comps:
-        external = tuple(d for d in program.ops[i].deps if d not in in_block)
-        deps_map[i] = tuple(sorted(set(external) | full_deps[i]))
-    return loads + ordered, deps_map, old_span, new_span
+    for p, op_id in enumerate(comps):
+        external = {d for d in program.ops[op_id].deps if d not in in_block}
+        deps_map[op_id] = tuple(
+            sorted(external | {comps[q] for q in full_deps[p]})
+        )
+    return loads + [comps[p] for p in ordered], deps_map, old_span, new_span
 
 
 @dataclass(frozen=True)
@@ -837,6 +1002,30 @@ class ReorderOpsPass:
     def run(self, program: BlockProgram) -> tuple[BlockProgram, tuple[str, ...]]:
         if self.blocks is not None:
             _require_blocks(program, self.blocks, "cannot reorder")
+        with _search_memo() as memo:
+            # The rewrite reads only ops and blocks, so a meta-only copy
+            # of the last input (another prefetch depth) reuses it.
+            last = memo.reorder
+            if not (
+                last is not None
+                and last[0] == self
+                and last[1].ops is program.ops
+                and last[1].blocks is program.blocks
+                and last[1].outputs is program.outputs
+            ):
+                last = memo.reorder = (self, program, *self._reorder(program))
+        _, _, rebuilt, actions = last
+        if rebuilt is None:
+            return program, actions
+        if rebuilt.meta != program.meta:
+            rebuilt = rebuilt.with_meta(dict(program.meta))
+        return rebuilt, actions
+
+    def _reorder(
+        self, program: BlockProgram
+    ) -> tuple[BlockProgram | None, tuple[str, ...]]:
+        """The rewrite and log of :meth:`run`; None when no block's
+        makespan shrinks."""
         actions: list[str] = []
         new_orders: dict[str, list[int]] = {}
         deps_override: dict[int, tuple[int, ...]] = {}
@@ -859,7 +1048,7 @@ class ReorderOpsPass:
                 "compute cycles"
             )
         if not new_orders:
-            return program, ("no profitable reorder found",)
+            return None, ("no profitable reorder found",)
         # Rebuild block-major: blocks are serialized by the schedulers,
         # so concatenating per-block orders stays topological.
         order: list[int | Op] = []
@@ -878,6 +1067,33 @@ class ReorderOpsPass:
 
 
 # ------------------------------------------------------------- pipeline
+class PassStep(NamedTuple):
+    """One pass run inside a pipeline: its input, output and log."""
+
+    pass_: Any
+    before: BlockProgram
+    after: BlockProgram
+    actions: tuple[str, ...]
+
+
+def _run_step(p: Any, before: BlockProgram, *, log: bool = True) -> PassStep:
+    """Run ``p`` on ``before``.  ``log=False`` leaves out the log lines
+    that only report (:meth:`PrefetchChannelPass.cost_signal`): the A4
+    search discards every log but its winner's, which :func:`_logged`
+    completes."""
+    if not log and isinstance(p, PrefetchChannelPass):
+        return PassStep(p, before, *p.tune(before))
+    return PassStep(p, before, *p.run(before))
+
+
+def _logged(step: PassStep) -> PassStep:
+    """A ``log=False`` step with the log ``run`` gives the same input."""
+    if isinstance(step.pass_, PrefetchChannelPass):
+        signal = step.pass_.cost_signal(step.before)
+        return step._replace(actions=(signal, *step.actions))
+    return step
+
+
 @dataclass
 class PassReport:
     """One pass's exact cycle/stall effect inside a pipeline run."""
@@ -950,35 +1166,49 @@ class PassPipeline:
         return tuple(p.name for p in self.passes)
 
     def apply(
-        self, program: BlockProgram, *, collect_stalls: bool = False
+        self,
+        program: BlockProgram,
+        *,
+        collect_stalls: bool = False,
+        steps: Sequence[PassStep] | None = None,
     ) -> tuple[BlockProgram, PipelineReport]:
+        """Run the passes on ``program``; returns the output program and
+        its report.  ``steps`` are this pipeline's passes already run on
+        ``program`` (the A4 search's winner): the report is built from
+        them instead of running the passes again."""
+        if steps is None:
+            steps = []
+            with _search_memo():
+                for p in self.passes:
+                    steps.append(_run_step(p, steps[-1].after if steps else program))
+        elif tuple(step.pass_ for step in steps) != self.passes or any(
+            step.before is not (steps[i - 1].after if i else program)
+            for i, step in enumerate(steps)
+        ):
+            raise PassError("steps are not this pipeline's passes run on program")
+        arch = self.architecture
         overhead = _overhead(program)
-        prog = program
+
+        def stalls(prog: BlockProgram) -> dict[str, float]:
+            return _psa_stalls(prog, arch, overhead) if collect_stalls else {}
+
         report = PipelineReport(
-            architecture=self.architecture,
+            architecture=arch,
             block_overhead=overhead,
-            cycles_before=_total_cycles(prog, self.architecture),
+            cycles_before=_total_cycles(program, arch),
             cycles_after=0,
         )
-        for p in self.passes:
-            before = _total_cycles(prog, self.architecture)
-            sb = (
-                _psa_stalls(prog, self.architecture, overhead)
-                if collect_stalls
-                else {}
-            )
-            prog, actions = p.run(prog)
-            after = _total_cycles(prog, self.architecture)
-            sa = (
-                _psa_stalls(prog, self.architecture, overhead)
-                if collect_stalls
-                else {}
-            )
-            report.passes.append(
-                PassReport(p.name, actions, before, after, sb, sa)
-            )
-        prog = _with_meta(prog, passes=self.names)
-        report.cycles_after = _total_cycles(prog, self.architecture)
+        for step in steps:
+            report.passes.append(PassReport(
+                step.pass_.name,
+                step.actions,
+                _total_cycles(step.before, arch),
+                _total_cycles(step.after, arch),
+                stalls(step.before),
+                stalls(step.after),
+            ))
+        prog = _with_meta(steps[-1].after if steps else program, passes=self.names)
+        report.cycles_after = _total_cycles(prog, arch)
         return prog, report
 
     def apply_program(self, program: BlockProgram) -> BlockProgram:

@@ -37,7 +37,7 @@ block schedule exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -81,6 +81,7 @@ from repro.hw.scheduler import (
     Architecture,
     BlockWork,
     ScheduleResult,
+    _as_int,
     schedule,
 )
 from repro.hw.systolic import ceil_div
@@ -195,8 +196,10 @@ class BlockProgram:
     Programs are never mutated in place — passes rebuild a new one —
     so the cycle executor's spans and work units are computed once per
     program and kept on it (``cached_property`` writes the instance
-    ``__dict__``, which a frozen dataclass still has).  A rebuilt
-    program starts with an empty memo.
+    ``__dict__``, which a frozen dataclass still has).  A meta-only
+    copy (:meth:`with_meta`) shares them; a pass that rebuilds a
+    program presets the spans it already knows
+    (:func:`_preset_block_spans`).
     """
 
     fabric: Fabric
@@ -255,6 +258,27 @@ class BlockProgram:
         """PSA stall totals per (architecture, overhead), filled by the
         optimizer passes (``repro.hw.passes._psa_stalls``)."""
         return {}
+
+    def with_meta(self, meta: dict) -> BlockProgram:
+        """This program with its ``meta`` replaced.
+
+        The copy shares the views that read only ``ops`` and ``blocks``
+        — spans, work units, execution plan — and, while
+        ``schedule_params`` is unchanged, the PSA stall memo.
+        """
+        copy = replace(self, meta=meta)
+        shared: tuple[str, ...] = (
+            "block_spans",
+            "merge_group_spans",
+            "execution_plan",
+            "_work_unit_memo",
+        )
+        if meta.get("schedule_params") == self.meta.get("schedule_params"):
+            shared += ("_psa_stall_memo",)
+        for name in shared:
+            if name in self.__dict__:
+                copy.__dict__[name] = self.__dict__[name]
+        return copy
 
 
 @dataclass
@@ -1046,7 +1070,9 @@ class LoweringSpec:
     ``s`` is the encoder length (the key rows of every attention over
     the memory); ``t`` the decoder prefix length (query rows of the
     decoder and MHA scopes, the cached prefix of ``decode_step``) and
-    defaults to ``s``.
+    defaults to ``s``.  ``s``, ``t`` and ``parallel_heads`` are
+    integers: numpy integers convert, floats, bools and strings raise
+    ``TypeError``.
     """
 
     scope: str
@@ -1061,6 +1087,8 @@ class LoweringSpec:
             raise ValueError(
                 f"scope must be one of {sorted(_SCOPES)}; got {self.scope!r}"
             )
+        for name in ("s", "t", "parallel_heads"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.s <= 0:
             raise ValueError(f"s must be positive; got {self.s}")
         if self.t is not None and self.t <= 0:
@@ -1138,6 +1166,14 @@ def _asap_times(
 
 def _makespan(program: BlockProgram, op_ids: Sequence[int]) -> int:
     return max((end for _, end in _asap_times(program, op_ids).values()), default=0)
+
+
+def _preset_block_spans(program: BlockProgram, spans: Mapping[str, int]) -> None:
+    """Set ``program.block_spans`` to ``spans`` (label -> exact ASAP
+    makespan of every block), for a pass that already knows them."""
+    program.__dict__["block_spans"] = MappingProxyType(
+        {blk.label: spans[blk.label] for blk in program.blocks}
+    )
 
 
 def block_compute_cycles(program: BlockProgram, block: BlockIR | str) -> int:

@@ -1,12 +1,17 @@
-"""The A4 search's hot loops as they stood before trial merges were
-priced as one ``BlockWork`` and pipelines shared prefixes, kept as the
-test oracle.
+"""The A4 search's hot loops as they stood before trials were priced
+as spliced ``BlockWork`` units and pipelines shared prefixes, kept as
+the test oracle.
 
-The bodies below are unchanged except for the function wrappers:
+The bodies below are unchanged except for the function wrappers and
+for pricing each trial program on a fresh copy, whose block spans are
+computed rather than inherited from the input:
 :func:`reference_coalesce` is the auto-mode loop of
 ``CoalesceLoadsPass.run`` (one ``_merge_adjacent`` rebuild per trial),
+:func:`reference_stage_exposed_loads` the auto-mode loop of
+``StageExposedLoadsPass.run`` (one split rebuild per trial),
 :func:`reference_list_schedule_block` is ``_list_schedule_block`` with
-its O(n) ready-set scan per pick, and :func:`reference_search` is
+its O(n) ready-set scan per pick (and its ``_dataflow_deps`` helper),
+before it scheduled block shapes instead of blocks, and :func:`reference_search` is
 ``synthesize_a4``'s per-candidate loop (every pipeline applied to the
 baseline afresh).  ``tests/test_hw_passes.py`` pins the current
 code equal to them.
@@ -14,20 +19,26 @@ code equal to them.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.hw.dse import a4_candidate_pipelines
 from repro.hw.introspect import classify_stalls
 from repro.hw.passes import (
     PassError,
-    _dataflow_deps,
     _merge_adjacent,
     _overhead,
+    _split_block,
+    _split_parts,
+    _splittable,
     _total_cycles,
 )
 from repro.hw.program import (
     BlockIR,
     BlockProgram,
+    Op,
     OpKind,
     block_compute_cycles,
+    program_unit_spans,
     schedule_program,
 )
 
@@ -55,6 +66,7 @@ def reference_coalesce(
             cand = _merge_adjacent(prog, blk.label)
             if cand is None:
                 continue
+            cand = dataclasses.replace(cand)
             cycles = _total_cycles(cand, architecture)
             if cycles < best:
                 actions.append(
@@ -66,6 +78,71 @@ def reference_coalesce(
     if len(actions) == 1:
         actions.append("no profitable merge found")
     return prog, tuple(actions)
+
+
+def reference_stage_exposed_loads(
+    program: BlockProgram, limit: int = 1, architecture: str = "A3"
+) -> tuple[BlockProgram, tuple[str, ...]]:
+    """``StageExposedLoadsPass(limit=limit, architecture=architecture)
+    .run(program)`` in auto mode."""
+    model = program.meta["model"]
+    actions: list[str] = []
+    prog = program
+    for _ in range(limit):
+        spans, _sched = program_unit_spans(
+            prog, architecture, _overhead(prog)
+        )
+        gaps: list[tuple[float, str]] = []
+        prev_end = 0.0
+        for span in spans:
+            gap = span.compute_start - prev_end
+            prev_end = span.compute_end
+            if gap <= 0 or len(span.blocks) != 1:
+                continue
+            if _splittable(prog, prog.block(span.blocks[0])):
+                gaps.append((gap, span.blocks[0]))
+        if not gaps:
+            break
+        gaps.sort(key=lambda g: (-g[0], g[1]))
+        best = _total_cycles(prog, architecture)
+        accepted = False
+        for gap, label in gaps:
+            parts = _split_parts(prog, label, model)
+            if parts is None:
+                continue
+            cand = dataclasses.replace(_split_block(prog, *parts))
+            cycles = _total_cycles(cand, architecture)
+            if cycles < best:
+                actions.append(
+                    f"split {label} ({gap:g} exposed load cycles): "
+                    f"{best} -> {cycles} cycles"
+                )
+                prog = cand
+                accepted = True
+                break
+        if not accepted:
+            break
+    if not actions:
+        actions.append("no profitable split found")
+    return prog, tuple(actions)
+
+
+def _dataflow_deps(op: Op, in_block: set[int]) -> tuple[int, ...]:
+    """The block-internal edges that carry data: every in-block op the
+    op *reads*.  The lowering's declared ``deps`` are not a superset of
+    these — a dataflow edge implied transitively through a
+    serialization edge (e.g. ``MM1(Q)`` reading the layer input behind
+    its ``MM1(K)`` chain edge) is omitted there, so reordering must
+    recover ordering from the inputs themselves."""
+    return tuple(
+        sorted(
+            {
+                ref.key
+                for ref in op.inputs
+                if ref.kind == "op" and ref.key in in_block
+            }
+        )
+    )
 
 
 def reference_list_schedule_block(

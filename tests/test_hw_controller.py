@@ -172,6 +172,24 @@ class TestPerMemberCycleShares:
             )
 
 
+class TestIntegerPrefixLengths:
+    """Iteration pricing takes prefix lengths as integers, like the
+    decode step it prices, so the two cannot disagree."""
+
+    @pytest.mark.parametrize("bad", [2.7, True, "3"])
+    def test_non_integers_rejected(self, lm, bad):
+        for price in (lm.decode_iteration_cycles, lm.per_member_cycle_shares):
+            with pytest.raises(TypeError, match="^prefix length must be an integer"):
+                price([3, bad], 32)
+        with pytest.raises(TypeError):
+            lm.decode_step_cycles(bad, 32)
+
+    @pytest.mark.parametrize("t", [1, 3, np.int64(5)])
+    def test_one_member_iteration_is_one_step(self, lm, t):
+        assert lm.decode_iteration_cycles([t], 32) == lm.decode_step_cycles(t, 32)
+        assert lm.per_member_cycle_shares([t], 32) == [lm.decode_step_cycles(t, 32)]
+
+
 class TestFunctionalController:
     def test_functional_cycles_match_latency_model(
         self, small_params, rng

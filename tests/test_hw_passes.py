@@ -24,8 +24,10 @@ from repro.hw.passes import (
     PrefetchChannelPass,
     ReorderOpsPass,
     StageExposedLoadsPass,
+    _MEMO,
     _list_schedule_block,
     _psa_stalls,
+    _search_memo,
     default_pipeline,
     semantic_op_counts,
     verify_semantics_preserved,
@@ -39,7 +41,9 @@ from repro.hw.program import (
     ValueRef,
     execute_program,
     lower,
+    _makespan,
     lower_full_pass,
+    lowering_cache_info,
     program_load_bytes,
     schedule_program,
     trace_program_with_schedule,
@@ -49,6 +53,7 @@ from tests.reference_passes import (
     reference_coalesce,
     reference_list_schedule_block,
     reference_search,
+    reference_stage_exposed_loads,
 )
 
 
@@ -271,6 +276,11 @@ class TestA4Synthesis:
         )
         assert reduced < reducible
 
+    @pytest.mark.parametrize("bad", [2.5, True, "8"])
+    def test_search_rejects_a_non_integer_length(self, small_config, bad):
+        with pytest.raises(TypeError, match="^s must be an integer"):
+            synthesize_a4(model=small_config, s=bad)
+
     def test_synthesize_a4_cached_and_serializable(self, small_config):
         first = synthesize_a4(model=small_config, s=8)
         again = synthesize_a4(model=small_config, s=8)
@@ -470,8 +480,10 @@ class TestPrefixSharedSearch:
         candidates = a4_candidate_pipelines(arch)
         walked = list(_candidate_programs(base, candidates))
         assert [p for p, _ in walked] == candidates
-        for pipeline, program in walked:
+        for pipeline, steps in walked:
+            assert tuple(step.pass_ for step in steps) == pipeline.passes
             fresh = pipeline.apply_program(base)
+            program = steps[-1].after if steps else base
             assert dataclasses.replace(program, meta=fresh.meta) == fresh
 
     @pytest.mark.parametrize("s", [4, 20])
@@ -485,6 +497,24 @@ class TestPrefixSharedSearch:
         assert result.psa_stalls_after == classify_stalls(
             result.program, "A3", _overhead(fabric)
         ).totals(".psa")
+
+    @pytest.mark.parametrize("s", [4, 20])
+    def test_winner_report_matches_a_fresh_apply(self, small_config, s):
+        """The winner's report comes from the search's own programs,
+        with the log lines the search skipped added back."""
+        result = synthesize_a4(model=small_config, s=s)
+        _, report = result.pipeline.apply(result.baseline_program)
+        assert result.report.as_dict() == report.as_dict()
+
+    def test_apply_takes_only_its_own_steps(self, small_config, fabric):
+        base = lower_full_pass(small_config, fabric, 8)
+        pipeline = default_pipeline()
+        ((_, steps),) = _candidate_programs(base, [pipeline])
+        assert pipeline.apply(base, steps=steps)[0] == pipeline.apply_program(base)
+        with pytest.raises(PassError, match="not this pipeline's passes"):
+            pipeline.apply(lower_full_pass(small_config, fabric, 12), steps=steps)
+        with pytest.raises(PassError, match="not this pipeline's passes"):
+            default_pipeline(reorder=False).apply(base, steps=steps)
 
     def test_psa_stalls_classified_once_per_program(self, small_config, fabric):
         base = lower_full_pass(small_config, fabric, 12)
@@ -511,3 +541,96 @@ class TestLazyA4Result:
         program = result.program
         assert vars(result)["program"] is program is result.program
         assert program == result.pipeline.apply_program(result.baseline_program)
+
+
+TINY_MODEL = ModelConfig(
+    d_model=64, num_heads=2, d_ff=128, num_encoders=1, num_decoders=1
+)
+
+
+class TestShapeMemo:
+    """A search schedules each distinct block shape once, and every
+    span and list schedule it reuses equals a fresh computation."""
+
+    @pytest.mark.parametrize("s", [4, 8, 19, 32])
+    @pytest.mark.parametrize(
+        "model", [ModelConfig(), TINY_MODEL], ids=["paper", "tiny"]
+    )
+    def test_memoized_results_equal_fresh_ones(self, fabric, model, s):
+        base = lower_full_pass(model, fabric, s)
+        programs: dict[int, BlockProgram] = {}
+        memoized = {}
+        with _search_memo():
+            for _, steps in _candidate_programs(base, a4_candidate_pipelines()):
+                for step in steps:
+                    programs.setdefault(id(step.after), step.after)
+            for key, program in programs.items():
+                memoized[key] = [
+                    _list_schedule_block(program, blk) for blk in program.blocks
+                ]
+        for key, program in programs.items():
+            fresh_spans = {
+                blk.label: _makespan(program, blk.op_ids) for blk in program.blocks
+            }
+            assert dict(program.block_spans) == fresh_spans
+            assert memoized[key] == [
+                _list_schedule_block(program, blk) for blk in program.blocks
+            ]
+
+    def test_each_search_starts_cold(self, small_config, monkeypatch):
+        """What a cold ``dse_sweep`` root clears leaves the next search
+        an empty memo, in which each distinct shape is scheduled once."""
+        from repro.hw import passes
+        from repro.hw import program as program_module
+
+        shapes: list[tuple] = []
+        schedule_shape = passes._schedule_shape
+        monkeypatch.setattr(
+            passes,
+            "_schedule_shape",
+            lambda shape: shapes.append(shape) or schedule_shape(shape),
+        )
+
+        def cold_search() -> list[tuple]:
+            for name in lowering_cache_info():
+                getattr(program_module, name).cache_clear()
+            synthesize_a4.cache_clear()
+            shapes.clear()
+            synthesize_a4(model=small_config, s=8)
+            return list(shapes)
+
+        first = cold_search()
+        assert first and len(set(first)) == len(first)
+        assert cold_search() == first
+        assert _MEMO.get() is None
+
+    def test_meta_only_copies_reuse_the_reorder(self, small_config, fabric):
+        base = lower_full_pass(small_config, fabric, 8)
+        deeper = base.with_meta(
+            {**base.meta, "schedule_params": {"num_weight_buffers": 4}}
+        )
+        with _search_memo():
+            first, actions = ReorderOpsPass().run(base)
+            second, again = ReorderOpsPass().run(deeper)
+        assert first is not base
+        assert again == actions and second.ops is first.ops
+        assert second.meta == deeper.meta
+        assert second == ReorderOpsPass().run(deeper)[0]
+
+
+class TestStageExposedLoadsOracle:
+    """Trial splits priced as spliced ``BlockWork`` units accept exactly
+    the splits the one-rebuild-per-trial reference accepted."""
+
+    @given(
+        s=st.integers(1, 40),
+        arch=st.sampled_from(["A1", "A2", "A3"]),
+        limit=st.integers(1, 3),
+    )
+    @example(s=16, arch="A3", limit=3)  # two splits accepted
+    @example(s=32, arch="A3", limit=1)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference(self, fabric, s, arch, limit):
+        program = lower_full_pass(COALESCE_MODEL, fabric, s)
+        got = StageExposedLoadsPass(limit=limit, architecture=arch).run(program)
+        assert got == reference_stage_exposed_loads(program, limit, arch)

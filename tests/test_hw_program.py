@@ -118,6 +118,20 @@ class TestLoweringSpec:
         with pytest.raises(ValueError, match="^scope must be one of"):
             LoweringSpec("decoder_stack", MODEL, fabric, 8)
 
+    @pytest.mark.parametrize("name", ["s", "t", "parallel_heads"])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+    def test_rejects_non_integer_fields(self, fabric, name, bad):
+        fields = {"s": 8, name: bad}
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            LoweringSpec("decode_step", MODEL, fabric, **fields)
+
+    def test_numpy_integers_convert(self, fabric):
+        spec = LoweringSpec(
+            "decode_step", MODEL, fabric, np.int64(8), np.int32(3), np.int64(2)
+        )
+        assert {type(spec.s), type(spec.t), type(spec.parallel_heads)} == {int}
+        assert lower(spec) is lower(LoweringSpec("decode_step", MODEL, fabric, 8, 3, 2))
+
 
 class TestLoweringCache:
     """The cold-clear contract: one cache, found by name, fully reset
