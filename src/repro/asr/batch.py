@@ -69,10 +69,11 @@ class BatchTranscriber:
     ) -> BatchResult:
         """Transcribe ``waveforms``; with ``batched_prefill`` (default)
         all encoder prefills run as ONE batched (B, S, d_model) pass
-        through the fabric — the MM stages execute as single large
-        GEMMs — before the per-utterance decodes.  Functionally
-        identical to the sequential path (the batched kernels are
-        bit-exact); only wall clock changes.
+        through the fabric before the per-utterance decodes.  The
+        stacked MM kernels make one 2-D BLAS call per member, not one
+        large GEMM, which is why the result is bit-identical to the
+        sequential path and why batching does not make the prefill
+        faster.
         """
         if not waveforms:
             raise ValueError("batch must contain at least one waveform")

@@ -205,9 +205,10 @@ class A4Result:
     pipeline: object  # PassPipeline (typed loosely to avoid an import cycle)
     baseline_cycles: int
     optimized_cycles: int
-    #: PSA-lane stall attribution (cause -> cycles) before/after, from
-    #: ``hw.introspect.classify_stalls`` — the evidence that the win
-    #: comes out of ``load_starved``/``channel_contention``.
+    #: PSA-lane stall attribution (cause -> cycles) before/after, the
+    #: ``hw.introspect.classify_stalls`` totals computed without a trace
+    #: (``psa_stall_totals``) — the evidence that the win comes out of
+    #: ``load_starved``/``channel_contention``.
     psa_stalls_before: dict[str, float]
     psa_stalls_after: dict[str, float]
     report: object  # PipelineReport for the winning pipeline
@@ -276,30 +277,40 @@ def a4_candidate_pipelines(architecture: str = "A3") -> list:
     ]
 
 
-def _candidate_programs(base, candidates: list) -> Iterator[tuple[object, tuple]]:
-    """Yield ``(pipeline, its PassSteps on base)`` per candidate.
+def _candidate_programs(
+    base, candidates: list
+) -> Iterator[tuple[object, tuple, object]]:
+    """Yield ``(pipeline, its PassSteps on base, final reorder)`` per
+    candidate.
 
     Passes are pure functions of their input program, and the grid
     order is the pass order, so consecutive candidates share pipeline
     prefixes: a stack of steps keeps the current chain, each candidate
     reuses its longest equal prefix and runs only the remaining passes.
     The steps are logged with ``log=False`` (see
-    :func:`repro.hw.passes._run_step`).
+    :func:`repro.hw.passes._run_step`).  A pipeline's last pass is left
+    unrun when it is a :class:`~repro.hw.passes.ReorderOpsPass`, and
+    yielded third (None otherwise): the search prices it
+    (:meth:`~repro.hw.passes.ReorderOpsPass.price`) and runs it for its
+    winner only.
     """
-    from repro.hw.passes import _run_step
+    from repro.hw.passes import ReorderOpsPass, _run_step
 
     stack: list = []
     for pipeline in candidates:
+        passes, reorder = pipeline.passes, None
+        if passes and isinstance(passes[-1], ReorderOpsPass):
+            passes, reorder = passes[:-1], passes[-1]
         keep = 0
-        for p, step in zip(pipeline.passes, stack):
+        for p, step in zip(passes, stack):
             if p != step.pass_:
                 break
             keep += 1
         del stack[keep:]
-        for p in pipeline.passes[keep:]:
+        for p in passes[keep:]:
             before = stack[-1].after if stack else base
             stack.append(_run_step(p, before, log=False))
-        yield pipeline, tuple(stack)
+        yield pipeline, tuple(stack), reorder
 
 
 @lru_cache(maxsize=8)
@@ -326,7 +337,7 @@ def synthesize_a4(
     ``a4_optimized`` bench scenario clears the cache to time a cold one).
     """
     from repro.hw.kernels import Fabric
-    from repro.hw.passes import _logged, _psa_stalls, _search_memo
+    from repro.hw.passes import _logged, _psa_stalls, _run_step, _search_memo
     from repro.hw.program import LoweringSpec, lower, schedule_program
 
     model = model or ModelConfig()
@@ -339,14 +350,19 @@ def synthesize_a4(
     base = lower(spec)
     baseline_cycles = schedule_program(base, architecture, overhead).total_cycles
 
-    best_pipeline = None
+    best_pipeline = best_reorder = None
     best_steps: tuple = ()
     best_cycles = baseline_cycles
     candidates = a4_candidate_pipelines(architecture)
     with _search_memo():
-        for pipeline, steps in _candidate_programs(base, candidates):
+        for pipeline, steps, reorder in _candidate_programs(base, candidates):
             optimized = steps[-1].after if steps else base
-            cycles = schedule_program(optimized, architecture, overhead).total_cycles
+            if reorder is None:
+                cycles = schedule_program(
+                    optimized, architecture, overhead
+                ).total_cycles
+            else:
+                cycles = reorder.price(optimized)
             # Strictly better wins; on a tie, prefer the shorter pipeline
             # (deterministic because the grid order is fixed).
             if cycles < best_cycles or (
@@ -355,6 +371,10 @@ def synthesize_a4(
                 and len(pipeline.passes) < len(best_pipeline.passes)
             ):
                 best_pipeline, best_steps, best_cycles = pipeline, steps, cycles
+                best_reorder = reorder
+        if best_reorder is not None:
+            before = best_steps[-1].after if best_steps else base
+            best_steps = (*best_steps, _run_step(best_reorder, before))
     if best_pipeline is None:
         raise ValueError(
             f"no candidate pipeline strictly improves on {architecture} "

@@ -12,7 +12,8 @@ Three pieces:
 
 * **Stall classifier** — :func:`classify_stalls` labels every idle
   interval on every engine lane with one cause from the fixed taxonomy
-  :data:`STALL_CAUSES`:
+  :data:`STALL_CAUSES` (:func:`psa_stall_totals` gives its PSA-lane
+  totals from the block schedule alone, without a trace):
 
   - ``load_starved``  — the serial compute chain waited on an HBM
     weight load (the A1 story);
@@ -53,7 +54,10 @@ from typing import Iterable, Mapping, Sequence
 from repro.hw.program import (
     BlockProgram,
     UnitSpan,
+    _asap_times,
+    _work_units,
     program_unit_spans,
+    schedule_program,
     trace_program_with_schedule,
 )
 from repro.hw.scheduler import ScheduleResult
@@ -65,6 +69,7 @@ __all__ = [
     "EngineStallBreakdown",
     "StallReport",
     "classify_stalls",
+    "psa_stall_totals",
     "Watchpoint",
     "WatchpointHit",
     "FlightRecorder",
@@ -293,8 +298,14 @@ def classify_stalls(
         busy = sum(e - s for s, e in busy_ivs)
         lane_end = busy_ivs[-1][1] if busy_ivs else 0.0
         stalls = {cause: 0.0 for cause in _WAIT_CAUSES}
+        # Gaps and segments are both sorted and disjoint, so a segment
+        # that ends before one gap starts misses every later gap too.
+        first = 0
         for g0, g1 in timeline.idle_gaps(engine):
-            for s0, s1, cause, block in segments:
+            while first < len(segments) and segments[first][1] <= g0:
+                first += 1
+            for i in range(first, len(segments)):
+                s0, s1, cause, block = segments[i]
                 lo, hi = max(g0, s0), min(g1, s1)
                 if hi > lo:
                     stalls[cause] += hi - lo
@@ -321,6 +332,70 @@ def classify_stalls(
         intervals=tuple(intervals),
         unit_spans=tuple(spans),
     )
+
+
+def psa_stall_totals(
+    program: BlockProgram,
+    architecture: str = "A3",
+    block_overhead: int | None = None,
+) -> dict[str, float]:
+    """``classify_stalls(...).totals(".psa")`` from the integer block
+    schedule alone, without building a trace.
+
+    The causal segments tile ``[0, last compute end)`` unit by unit,
+    and a PSA lane is busy only inside a unit's
+    ``[compute_start, compute_start + compute_span)``.  So a lane whose
+    last busy cycle falls in unit ``v`` owes every load gap of units
+    ``0..v``, the idle part of every op window and the dispatch
+    overhead of units ``0..v-1``, the idle part of unit ``v``'s op
+    window up to its last busy end, and ``no_work`` from there to the
+    makespan (the schedule's ``total_cycles``).  Per-unit sums are
+    prefix sums over the schedule arrays.  A lane's busy cycles are its
+    ops' cycles: the trace executor rejects an engine that runs two ops
+    at once.
+    """
+    if block_overhead is None:
+        block_overhead = program.fabric.calibration.block_overhead_cycles
+    units = _work_units(program, architecture)
+    sched = schedule_program(program, architecture, block_overhead)
+    cs, ce = sched.compute_start, sched.compute_end
+    # A load that starts the cycle another load on its channel ends
+    # was serialized behind it (``_load_wait_cause``).
+    serial_ends = {
+        (k, end)
+        for k, start, end in zip(sched.channel, sched.load_start, sched.load_end)
+        if end > start
+    }
+    # Cycles per cause in the segments of units [0, u): index u.
+    starved, contended, spans, overheads = [0], [0], [0], [0]
+    lanes: dict[str, list[int]] = {}  # lane -> [busy, last unit, last end]
+    prev_end = 0
+    for u, (work, group) in enumerate(units):
+        gap = cs[u] - prev_end
+        serial = (sched.channel[u], sched.load_start[u]) in serial_ends
+        starved.append(starved[-1] + (0 if serial else gap))
+        contended.append(contended[-1] + (gap if serial else 0))
+        spans.append(spans[-1] + work.compute_cycles)
+        overheads.append(overheads[-1] + ce[u] - cs[u] - work.compute_cycles)
+        prev_end = ce[u]
+        op_ids = [oid for blk in group for oid in blk.op_ids]
+        for op_id, (start, end) in _asap_times(program, op_ids).items():
+            if end == start:
+                continue  # the trace emits no event
+            for lane in program.ops[op_id].engines:
+                if ".psa" in lane:
+                    acc = lanes.setdefault(lane, [0, 0, 0])
+                    acc[0] += end - start
+                    acc[1] = u
+                    acc[2] = max(acc[2], cs[u] + end)
+    totals = dict.fromkeys(STALL_CAUSES, 0)
+    for busy, v, end in lanes.values():
+        totals["load_starved"] += starved[v + 1]
+        totals["channel_contention"] += contended[v + 1]
+        totals["dependency"] += spans[v] + end - cs[v] - busy
+        totals["overhead"] += overheads[v]
+        totals["no_work"] += sched.total_cycles - end
+    return {cause: float(cycles) for cause, cycles in totals.items()}
 
 
 # ------------------------------------------- watchpoints / flight recorder

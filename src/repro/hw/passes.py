@@ -42,13 +42,18 @@ would otherwise keep every rejected program alive.  The A4 search
   :class:`StageExposedLoadsPass` is priced as ``BlockWork`` units
   spliced into the work-unit chain, and only accepted rewrites rebuild
   the program; a rebuilt program inherits the spans of the blocks it
-  did not touch;
-* per program, the PSA stall totals the passes read are classified
-  once, and a meta-only copy (a prefetch depth) shares the spans and
-  work units;
+  did not touch, and copies an op or block with one positional
+  constructor call (:func:`_copy`);
+* a pipeline's final :class:`ReorderOpsPass` is priced the same way,
+  with the list-schedule spans spliced in under A3
+  (:meth:`ReorderOpsPass.price`), and run for the winner only;
+* per program, the PSA stall totals the passes read are computed once,
+  from the integer schedule without a trace
+  (:func:`repro.hw.introspect.psa_stall_totals`), and a meta-only copy
+  (a prefetch depth) shares the spans and work units;
 * per search (:func:`_search_memo`), a block's list schedule and span
-  are computed once per block *shape*, and a reorder is reused by the
-  meta-only copies of its input;
+  are computed once per block *shape*, and a reorder or its price is
+  reused by the meta-only copies of its input;
 * the search drops the log lines that only report (the prefetch cost
   signal) except for its winner, whose report it builds from the
   programs it already produced;
@@ -60,6 +65,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -76,7 +82,7 @@ from typing import (
 import numpy as np
 
 from repro.config import ModelConfig
-from repro.hw.introspect import classify_stalls
+from repro.hw.introspect import psa_stall_totals
 from repro.hw.memory import (
     encoder_ffn_weight_bytes,
     encoder_mha_weight_bytes,
@@ -131,10 +137,25 @@ class ProgramPass(Protocol):
 
 
 # ---------------------------------------------------------- IR rebuild
-def _remap_ref(ref: ValueRef, pos: dict[int, int]) -> ValueRef:
-    if ref.kind != "op" or pos[ref.key] == ref.key:
-        return ref
-    return ValueRef("op", pos[ref.key])
+_IR_FIELDS = {
+    cls: operator.attrgetter(*(f.name for f in dataclasses.fields(cls)))
+    for cls in (Op, BlockIR)
+}
+_IR_INDEX = {
+    cls: {f.name: i for i, f in enumerate(dataclasses.fields(cls))}
+    for cls in (Op, BlockIR)
+}
+
+
+def _copy(record: Op | BlockIR, **changes: Any) -> Any:
+    """``dataclasses.replace`` for an :class:`Op` or :class:`BlockIR`,
+    as one positional constructor call (``__post_init__`` still runs)."""
+    cls = type(record)
+    values = list(_IR_FIELDS[cls](record))
+    index = _IR_INDEX[cls]
+    for name, value in changes.items():
+        values[index[name]] = value
+    return cls(*values)
 
 
 def _rebuild_program(
@@ -170,37 +191,35 @@ def _rebuild_program(
             raise PassError(f"op {key} appears twice in the rebuilt order")
         pos[key] = new_id
     moved = {key for key, new_id in pos.items() if key != new_id}
+    refs = {key: ValueRef("op", pos[key]) for key in moved}
     new_ops: list[Op] = []
     for new_id, item in enumerate(order):
         if isinstance(item, int):
-            op = ops_override.get(item, program.ops[item])
-            key = item
+            op = ops_override.get(item) or program.ops[item]
         else:
-            op, key = item, item.op_id
-        if key == new_id and key not in deps_override and (
-            not moved
-            or moved.isdisjoint(op.deps)
-            and not any(r.kind == "op" and r.key in moved for r in op.inputs)
-        ):
-            new_ops.append(op)  # no id it carries moves
-            continue
-        deps = tuple(pos[d] for d in deps_override.get(key, op.deps))
-        inputs = tuple(_remap_ref(r, pos) for r in op.inputs)
-        if op.op_id != new_id or deps != op.deps or inputs != op.inputs:
-            op = dataclasses.replace(op, op_id=new_id, deps=deps, inputs=inputs)
+            op = item
+        deps = deps_override.get(op.op_id, op.deps)
+        if deps is not op.deps or not moved.isdisjoint(deps):
+            deps = tuple([pos[d] for d in deps])
+        inputs = op.inputs
+        if moved and any(r.kind == "op" and r.key in moved for r in inputs):
+            inputs = tuple(
+                [refs.get(r.key, r) if r.kind == "op" else r for r in inputs]
+            )
+        if op.op_id != new_id or deps != op.deps or inputs is not op.inputs:
+            op = _copy(op, op_id=new_id, deps=deps, inputs=inputs)
         new_ops.append(op)
     new_blocks = []
     for blk in blocks:
-        op_ids = tuple(pos[i] for i in blk.op_ids)
-        new_blocks.append(
-            blk if op_ids == blk.op_ids else dataclasses.replace(blk, op_ids=op_ids)
-        )
+        op_ids = tuple([pos[i] for i in blk.op_ids])
+        new_blocks.append(blk if op_ids == blk.op_ids else _copy(blk, op_ids=op_ids))
     rebuilt = BlockProgram(
         fabric=program.fabric,
         ops=tuple(new_ops),
         blocks=tuple(new_blocks),
         outputs={
-            name: _remap_ref(ref, pos) for name, ref in program.outputs.items()
+            name: refs.get(ref.key, ref) if ref.kind == "op" else ref
+            for name, ref in program.outputs.items()
         },
         meta=dict(program.meta),
     )
@@ -260,12 +279,14 @@ def _total_cycles(program: BlockProgram, architecture: str) -> int:
 def _psa_stalls(
     program: BlockProgram, architecture: str, overhead: int
 ) -> dict[str, float]:
-    """``classify_stalls(...).totals(".psa")``, classified once per
-    program, architecture and overhead (memoized on the program)."""
+    """The PSA stall totals, ``classify_stalls(...).totals(".psa")``,
+    computed from the integer block schedule without a trace
+    (:func:`repro.hw.introspect.psa_stall_totals`), once per program,
+    architecture and overhead (memoized on the program)."""
     key = (Architecture(architecture), overhead)
     memo = program._psa_stall_memo
     if key not in memo:
-        memo[key] = classify_stalls(program, architecture, overhead).totals(".psa")
+        memo[key] = psa_stall_totals(program, architecture, overhead)
     return dict(memo[key])
 
 
@@ -274,13 +295,21 @@ class _SearchMemo:
 
     ``shapes`` maps a block shape (:func:`_block_shape`) to its span and
     list schedule; ``reorder`` holds the last :class:`ReorderOpsPass`
-    run as ``(pass, input, output or None, actions)``, which a meta-only
-    copy of that input reuses.  Both are pure functions of their keys.
+    run as ``(pass, input, output or None, actions)`` and ``priced`` its
+    last :meth:`~ReorderOpsPass.price` as ``(pass, input, new spans)``,
+    which a meta-only copy of that input reuses.  All are pure
+    functions of their keys.
     """
 
     def __init__(self) -> None:
         self.shapes: dict[tuple, tuple] = {}
         self.reorder: tuple | None = None
+        self.priced: tuple | None = None
+
+
+def _same_ir(a: BlockProgram, b: BlockProgram) -> bool:
+    """Whether ``b`` is ``a`` or a meta-only copy of it."""
+    return a.ops is b.ops and a.blocks is b.blocks and a.outputs is b.outputs
 
 
 _MEMO: ContextVar[_SearchMemo | None] = ContextVar("pass_memo", default=None)
@@ -360,7 +389,7 @@ def _merge_adjacent(
                     first_load_seen = True
                 else:
                     changes["cycles"] = 0
-            ops_override[op_id] = dataclasses.replace(op, **changes)
+            ops_override[op_id] = _copy(op, **changes)
         blocks[i:i + 2] = [merged]
     return _rebuild_program(
         program,
@@ -576,7 +605,7 @@ def _split_block(
     for op_id in m_blk.op_ids:
         op = program.ops[op_id]
         if op.kind is OpKind.LOAD:
-            ops_override[op_id] = dataclasses.replace(
+            ops_override[op_id] = _copy(
                 op,
                 label=f"LW:{m_blk.label}",
                 cycles=m_blk.load_cycles,
@@ -584,12 +613,10 @@ def _split_block(
                 attrs={"channel_hint": 0},
             )
         else:
-            ops_override[op_id] = dataclasses.replace(op, block=m_blk.label)
+            ops_override[op_id] = _copy(op, block=m_blk.label)
     f_ids = f_blk.op_ids[:-1]
     for op_id in f_ids:
-        ops_override[op_id] = dataclasses.replace(
-            program.ops[op_id], block=f_blk.label
-        )
+        ops_override[op_id] = _copy(program.ops[op_id], block=f_blk.label)
     f_load_op = Op(
         op_id=-1,
         kind=OpKind.LOAD,
@@ -807,7 +834,7 @@ class PrefetchChannelPass:
             default = blk.channel_hint if blk.channel_hint is not None else i % num_channels
             if chan != default:
                 changed = True
-            new_blocks.append(dataclasses.replace(blk, channel_hint=chan))
+            new_blocks.append(_copy(blk, channel_hint=chan))
         if not changed:
             return None
         return dataclasses.replace(program, blocks=tuple(new_blocks))
@@ -947,16 +974,12 @@ def _schedule_shape(
     return span, (new_span, ordered, [tuple(d) for d in full_deps])
 
 
-def _list_schedule_block(
+def _shape_plan(
     program: BlockProgram, blk: BlockIR
-) -> tuple[list[int], dict[int, tuple[int, ...]], int, int] | None:
-    """List-schedule one block's compute DAG onto its engines.
-
-    Returns (new op order, new deps per op in old-id space, old compute
-    makespan, new compute makespan) or None when no strict improvement
-    exists (:func:`_schedule_shape`).  Inside a :func:`_search_memo`
-    scope each distinct block shape is scheduled once.
-    """
+) -> tuple[list[int], int, tuple[int, list[int], list[tuple[int, ...]]] | None]:
+    """A block's compute op ids and :func:`_schedule_shape` of its
+    shape.  Inside a :func:`_search_memo` scope each distinct block
+    shape is scheduled once."""
     comps, shape = _block_shape(program, blk)
     memo = _MEMO.get()
     result = memo.shapes.get(shape) if memo is not None else None
@@ -964,7 +987,19 @@ def _list_schedule_block(
         result = _schedule_shape(shape)
         if memo is not None:
             memo.shapes[shape] = result
-    old_span, plan = result
+    return comps, *result
+
+
+def _list_schedule_block(
+    program: BlockProgram, blk: BlockIR
+) -> tuple[list[int], dict[int, tuple[int, ...]], int, int] | None:
+    """List-schedule one block's compute DAG onto its engines.
+
+    Returns (new op order, new deps per op in old-id space, old compute
+    makespan, new compute makespan) or None when no strict improvement
+    exists (:func:`_schedule_shape`).
+    """
+    comps, old_span, plan = _shape_plan(program, blk)
     if plan is None:
         return None
     new_span, ordered, full_deps = plan
@@ -1006,13 +1041,7 @@ class ReorderOpsPass:
             # The rewrite reads only ops and blocks, so a meta-only copy
             # of the last input (another prefetch depth) reuses it.
             last = memo.reorder
-            if not (
-                last is not None
-                and last[0] == self
-                and last[1].ops is program.ops
-                and last[1].blocks is program.blocks
-                and last[1].outputs is program.outputs
-            ):
+            if last is None or last[0] != self or not _same_ir(last[1], program):
                 last = memo.reorder = (self, program, *self._reorder(program))
         _, _, rebuilt, actions = last
         if rebuilt is None:
@@ -1020,6 +1049,54 @@ class ReorderOpsPass:
         if rebuilt.meta != program.meta:
             rebuilt = rebuilt.with_meta(dict(program.meta))
         return rebuilt, actions
+
+    def price(self, program: BlockProgram) -> int:
+        """Total cycles of :meth:`run`'s output under the pass's
+        architecture, built only when that needs it.
+
+        A reorder changes nothing the schedule reads but block spans.
+        Under A3 every block is its own work unit, so the output is the
+        input's units with the list-schedule spans spliced in, as a
+        trial merge is priced.  Under A1/A2 a merge group's span is the
+        union makespan of its reordered parts, read from the rebuilt
+        program.
+        """
+        arch = Architecture(self.architecture)
+        if arch is not Architecture.A3:
+            return _total_cycles(self.run(program)[0], self.architecture)
+        if self.blocks is not None:
+            _require_blocks(program, self.blocks, "cannot reorder")
+        with _search_memo() as memo:
+            last = memo.priced
+            if last is None or last[0] != self or not _same_ir(last[1], program):
+                spans = {}
+                for blk in self._targets(program):
+                    plan = _shape_plan(program, blk)[2]
+                    if plan is not None:
+                        spans[blk.label] = plan[0]
+                last = memo.priced = (self, program, spans)
+        spans = last[2]
+        works = [
+            dataclasses.replace(work, compute_cycles=spans[work.label])
+            if work.label in spans
+            else work
+            for work, _ in _work_units(program, arch)
+        ]
+        params = program.meta.get("schedule_params") or {}
+        return schedule(arch, works, _overhead(program), **params).total_cycles
+
+    def _targets(self, program: BlockProgram) -> list[BlockIR]:
+        """The blocks the pass list-schedules: the named ones (every
+        one by default) that touch no KV-cache op."""
+        return [
+            blk
+            for blk in program.blocks
+            if (self.blocks is None or blk.label in self.blocks)
+            and not any(
+                program.ops[i].kind in (OpKind.CACHE, OpKind.STREAM)
+                for i in blk.op_ids
+            )
+        ]
 
     def _reorder(
         self, program: BlockProgram
@@ -1029,14 +1106,7 @@ class ReorderOpsPass:
         actions: list[str] = []
         new_orders: dict[str, list[int]] = {}
         deps_override: dict[int, tuple[int, ...]] = {}
-        for blk in program.blocks:
-            if self.blocks is not None and blk.label not in self.blocks:
-                continue
-            if any(
-                program.ops[i].kind in (OpKind.CACHE, OpKind.STREAM)
-                for i in blk.op_ids
-            ):
-                continue
+        for blk in self._targets(program):
             result = _list_schedule_block(program, blk)
             if result is None:
                 continue
@@ -1055,9 +1125,7 @@ class ReorderOpsPass:
         for blk in program.blocks:
             order.extend(new_orders.get(blk.label, list(blk.op_ids)))
         blocks = tuple(
-            dataclasses.replace(
-                blk, op_ids=tuple(new_orders.get(blk.label, blk.op_ids))
-            )
+            _copy(blk, op_ids=tuple(new_orders.get(blk.label, blk.op_ids)))
             for blk in program.blocks
         )
         rebuilt = _rebuild_program(

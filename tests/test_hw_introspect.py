@@ -2,7 +2,10 @@
 introspection surfacing (metrics, counters, dashboard, attribution)."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.config import CalibrationConfig, HardwareConfig, ModelConfig
 from repro.hw.controller import LatencyModel
 from repro.hw.introspect import (
     STALL_CAUSES,
@@ -12,10 +15,20 @@ from repro.hw.introspect import (
     classify_stalls,
     counter_tracks,
     default_watchpoints,
+    psa_stall_totals,
     render_stall_dashboard,
     run_watchpoints,
     utilization_counters,
 )
+from repro.hw.kernels import Fabric
+from repro.hw.passes import (
+    CoalesceLoadsPass,
+    PassPipeline,
+    PrefetchChannelPass,
+    ReorderOpsPass,
+    StageExposedLoadsPass,
+)
+from repro.hw.program import lower_full_pass
 from repro.hw.trace import Timeline
 
 
@@ -343,3 +356,72 @@ class TestClassifierEdgeCases:
         )
         fresh = classify_stalls(program, "A2", overhead)
         assert report.totals() == fresh.totals()
+
+
+MODELS = {
+    "tiny": ModelConfig(
+        d_model=64, num_heads=2, d_ff=128, num_encoders=1, num_decoders=1
+    ),
+    "small": ModelConfig(num_encoders=2, num_decoders=2),
+    "paper": ModelConfig(),
+}
+FABRIC = Fabric(HardwareConfig(), CalibrationConfig())
+CALIBRATED = CalibrationConfig().block_overhead_cycles
+#: The A4 search's passes, by name, for a given architecture.
+A4_PASSES = {
+    "split1": lambda arch: StageExposedLoadsPass(limit=1, architecture=arch),
+    "split2": lambda arch: StageExposedLoadsPass(limit=2, architecture=arch),
+    "coalesce": lambda arch: CoalesceLoadsPass(architecture=arch),
+    "prefetch": lambda arch: PrefetchChannelPass(architecture=arch),
+    "prefetch4": lambda arch: PrefetchChannelPass(
+        num_weight_buffers=4, architecture=arch
+    ),
+    "reorder": lambda arch: ReorderOpsPass(architecture=arch),
+}
+
+
+class TestPsaStallTotals:
+    """``psa_stall_totals`` is ``classify_stalls(...).totals(".psa")``
+    without the trace, on the programs the A4 passes produce."""
+
+    @given(
+        model=st.sampled_from(sorted(MODELS)),
+        s=st.integers(1, 40),
+        arch=st.sampled_from(["A1", "A2", "A3"]),
+        overhead=st.one_of(
+            st.sampled_from([0, CALIBRATED]), st.integers(1, 5000)
+        ),
+        pass_arch=st.sampled_from(["A1", "A2", "A3"]),
+        passes=st.lists(st.sampled_from(sorted(A4_PASSES)), unique=True, max_size=4),
+    )
+    @example(
+        model="paper", s=32, arch="A3", overhead=CALIBRATED, pass_arch="A3",
+        passes=["split2", "coalesce", "prefetch", "reorder"],
+    )
+    @example(
+        model="paper", s=8, arch="A1", overhead=0, pass_arch="A3",
+        passes=["reorder", "split1"],
+    )
+    @example(
+        model="tiny", s=1, arch="A2", overhead=1, pass_arch="A2", passes=[]
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_classifier(
+        self, model, s, arch, overhead, pass_arch, passes
+    ):
+        program = lower_full_pass(MODELS[model], FABRIC, s)
+        pipeline = PassPipeline(
+            tuple(A4_PASSES[name](pass_arch) for name in passes),
+            architecture=pass_arch,
+        )
+        program = pipeline.apply_program(program)
+        report = classify_stalls(program, arch, overhead)
+        report.verify_conservation()
+        totals = psa_stall_totals(program, arch, overhead)
+        assert list(totals.items()) == list(report.totals(".psa").items())
+
+    def test_overhead_defaults_to_the_calibrated_one(self, lm):
+        program = _program(lm, 8)
+        assert psa_stall_totals(program, "A2") == psa_stall_totals(
+            program, "A2", lm.calibration.block_overhead_cycles
+        )

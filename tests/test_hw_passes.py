@@ -27,6 +27,7 @@ from repro.hw.passes import (
     _MEMO,
     _list_schedule_block,
     _psa_stalls,
+    _run_step,
     _search_memo,
     default_pipeline,
     semantic_op_counts,
@@ -479,11 +480,17 @@ class TestPrefixSharedSearch:
         base = lower_full_pass(small_config, fabric, 20)
         candidates = a4_candidate_pipelines(arch)
         walked = list(_candidate_programs(base, candidates))
-        assert [p for p, _ in walked] == candidates
-        for pipeline, steps in walked:
-            assert tuple(step.pass_ for step in steps) == pipeline.passes
+        assert [p for p, _, _ in walked] == candidates
+        for pipeline, steps, reorder in walked:
+            ran = tuple(step.pass_ for step in steps)
+            assert ran + ((reorder,) if reorder else ()) == pipeline.passes
             fresh = pipeline.apply_program(base)
             program = steps[-1].after if steps else base
+            if reorder is not None:
+                assert reorder.price(program) == schedule_program(
+                    fresh, arch, _overhead(fabric)
+                ).total_cycles
+                program = reorder.run(program)[0]
             assert dataclasses.replace(program, meta=fresh.meta) == fresh
 
     @pytest.mark.parametrize("s", [4, 20])
@@ -509,7 +516,8 @@ class TestPrefixSharedSearch:
     def test_apply_takes_only_its_own_steps(self, small_config, fabric):
         base = lower_full_pass(small_config, fabric, 8)
         pipeline = default_pipeline()
-        ((_, steps),) = _candidate_programs(base, [pipeline])
+        ((_, steps, reorder),) = _candidate_programs(base, [pipeline])
+        steps = (*steps, _run_step(reorder, steps[-1].after))
         assert pipeline.apply(base, steps=steps)[0] == pipeline.apply_program(base)
         with pytest.raises(PassError, match="not this pipeline's passes"):
             pipeline.apply(lower_full_pass(small_config, fabric, 12), steps=steps)
@@ -561,9 +569,14 @@ class TestShapeMemo:
         programs: dict[int, BlockProgram] = {}
         memoized = {}
         with _search_memo():
-            for _, steps in _candidate_programs(base, a4_candidate_pipelines()):
-                for step in steps:
-                    programs.setdefault(id(step.after), step.after)
+            for _, steps, reorder in _candidate_programs(
+                base, a4_candidate_pipelines()
+            ):
+                outputs = [step.after for step in steps]
+                if reorder is not None:
+                    outputs.append(reorder.run(steps[-1].after if steps else base)[0])
+                for after in outputs:
+                    programs.setdefault(id(after), after)
             for key, program in programs.items():
                 memoized[key] = [
                     _list_schedule_block(program, blk) for blk in program.blocks
@@ -616,6 +629,51 @@ class TestShapeMemo:
         assert again == actions and second.ops is first.ops
         assert second.meta == deeper.meta
         assert second == ReorderOpsPass().run(deeper)[0]
+
+
+class TestTraceFreeSearch:
+    """The A4 search prices PSA stalls from the integer schedule: no
+    trace, no stall classification, no schedule ``Timeline``."""
+
+    @pytest.fixture
+    def no_traces(self, monkeypatch):
+        from repro.hw import introspect
+        from repro.hw import program as program_module
+        from repro.hw.scheduler import ScheduleResult
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the A4 search built a trace")
+
+        monkeypatch.setattr(introspect, "classify_stalls", forbidden)
+        monkeypatch.setattr(introspect, "trace_program_with_schedule", forbidden)
+        monkeypatch.setattr(program_module, "trace_program_with_schedule", forbidden)
+        monkeypatch.setattr(ScheduleResult, "timeline", property(forbidden))
+        for name in lowering_cache_info():
+            getattr(program_module, name).cache_clear()
+        synthesize_a4.cache_clear()
+        yield
+        synthesize_a4.cache_clear()
+
+    @pytest.mark.parametrize("s", [8, 32])
+    def test_cold_search_builds_no_trace(self, no_traces, s):
+        assert synthesize_a4(s=s).optimized_cycles > 0
+
+    @pytest.mark.parametrize("arch", ["A2", "A3"])
+    @pytest.mark.parametrize("s", [4, 8, 32])
+    @pytest.mark.parametrize(
+        "model",
+        [ModelConfig(), ModelConfig(num_encoders=2, num_decoders=2), TINY_MODEL],
+        ids=["paper", "small", "tiny"],
+    )
+    def test_stall_totals_match_the_classifier(self, fabric, model, s, arch):
+        result = synthesize_a4(model=model, s=s, architecture=arch)
+        overhead = _overhead(fabric)
+        for program, totals in (
+            (result.baseline_program, result.psa_stalls_before),
+            (result.program, result.psa_stalls_after),
+        ):
+            expected = classify_stalls(program, arch, overhead).totals(".psa")
+            assert list(totals.items()) == list(expected.items())
 
 
 class TestStageExposedLoadsOracle:
