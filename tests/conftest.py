@@ -3,21 +3,12 @@ functional tests stay fast while exercising every code path."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from repro.config import CalibrationConfig, HardwareConfig, ModelConfig
 from repro.hw.kernels import Fabric
 from repro.model.params import TransformerParams, init_transformer_params
-
-# In CI a failing property prints the ``@reproduce_failure`` blob that
-# replays it; every other setting stays that of the active profile.
-if "CI" in os.environ:
-    settings.register_profile("ci-print-blob", settings(), print_blob=True)
-    settings.load_profile("ci-print-blob")
 
 
 @pytest.fixture(scope="session")

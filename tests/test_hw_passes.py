@@ -581,6 +581,11 @@ class TestShapeMemo:
                 memoized[key] = [
                     _list_schedule_block(program, blk) for blk in program.blocks
                 ]
+            reorders = [ReorderOpsPass(architecture=a) for a in ("A3", "A2")]
+            prices = {
+                key: [r.price(program) for r in reorders]
+                for key, program in programs.items()
+            }
         for key, program in programs.items():
             fresh_spans = {
                 blk.label: _makespan(program, blk.op_ids) for blk in program.blocks
@@ -589,6 +594,27 @@ class TestShapeMemo:
             assert memoized[key] == [
                 _list_schedule_block(program, blk) for blk in program.blocks
             ]
+            # A priced reorder costs what the program it would build costs.
+            assert prices[key] == [
+                schedule_program(r.run(program)[0], r.architecture, _overhead(fabric))
+                .total_cycles
+                for r in reorders
+            ]
+
+    def test_price_memo_keys_on_the_program(self, fabric):
+        """One memo scope prices programs of other lengths and models
+        afresh."""
+        reorder = ReorderOpsPass()
+        programs = [
+            lower_full_pass(model, fabric, s)
+            for model, s in ((TINY_MODEL, 4), (TINY_MODEL, 32), (ModelConfig(), 8))
+        ]
+        with _search_memo():
+            priced = [reorder.price(p) for p in programs]
+        assert priced == [
+            schedule_program(reorder.run(p)[0], "A3", _overhead(fabric)).total_cycles
+            for p in programs
+        ]
 
     def test_each_search_starts_cold(self, small_config, monkeypatch):
         """What a cold ``dse_sweep`` root clears leaves the next search
