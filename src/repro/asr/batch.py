@@ -4,9 +4,9 @@ Transcribing a directory of utterances (the usual offline workload)
 keeps the accelerator busy back to back: the next sequence's first
 weight loads are prefetched during the current one's tail (the ``LW+``
 bars of Figs 4.8-4.10), so batch latency amortizes below
-``n x single_shot``.  :class:`BatchTranscriber` runs the functional
-pipeline per utterance and accounts the batch with the steady-state
-throughput model.
+``n x single_shot``.  :class:`BatchTranscriber` prefills every
+utterance in one batched encoder pass, decodes each one, and accounts
+the batch with the steady-state throughput model.
 """
 
 from __future__ import annotations
@@ -65,36 +65,26 @@ class BatchTranscriber:
         self,
         waveforms: list[np.ndarray],
         beam_size: int | None = None,
-        batched_prefill: bool = True,
     ) -> BatchResult:
-        """Transcribe ``waveforms``; with ``batched_prefill`` (default)
-        all encoder prefills run as ONE batched (B, S, d_model) pass
-        through the fabric before the per-utterance decodes.  The
-        stacked MM kernels make one 2-D BLAS call per member, not one
-        large GEMM, which is why the result is bit-identical to the
-        sequential path and why batching does not make the prefill
-        faster.
+        """Transcribe ``waveforms``: all encoder prefills run as ONE
+        batched (B, S, d_model) pass through the fabric before the
+        per-utterance decodes.  The stacked MM kernels make one 2-D BLAS
+        call per member, not one large GEMM, so the result is
+        bit-identical to solo sessions.
         """
         if not waveforms:
             raise ValueError("batch must contain at least one waveform")
-        use_batched = batched_prefill and len(waveforms) > 1
-        if use_batched:
-            feats = [
-                self.pipeline.preprocessor(np.asarray(w, dtype=np.float64))
-                for w in waveforms
-            ]
-            sessions = self.pipeline.accelerator.decode_sessions_batch(feats)
-            results = tuple(
-                self.pipeline.transcribe(
-                    w, beam_size=beam_size, features=f, session=sess
-                )
-                for w, f, sess in zip(waveforms, feats, sessions)
+        feats = [
+            self.pipeline.preprocessor(np.asarray(w, dtype=np.float64))
+            for w in waveforms
+        ]
+        sessions = self.pipeline.accelerator.decode_sessions_batch(feats)
+        results = tuple(
+            self.pipeline.transcribe(
+                w, beam_size=beam_size, features=f, session=sess
             )
-        else:
-            results = tuple(
-                self.pipeline.transcribe(w, beam_size=beam_size)
-                for w in waveforms
-            )
+            for w, f, sess in zip(waveforms, feats, sessions)
+        )
         accel = self.pipeline.accelerator
         lm = accel.latency_model
         s = accel.hw_seq_len
@@ -117,5 +107,4 @@ class BatchTranscriber:
             results=results,
             single_shot_ms=sum(r.accelerator_ms for r in results),
             pipelined_ms=pipelined_ms,
-            details={"batched_prefill": float(use_batched)},
         )

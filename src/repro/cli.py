@@ -1,29 +1,8 @@
-"""Command-line interface.
+"""Command-line interface: ``repro-asr <command> [options]``.
 
-    repro-asr latency   [--arch A3] [--seq 4 8 16 32]
-    repro-asr crossover
-    repro-asr resources [--seq 32] [--psa-rows 2]
-    repro-asr dse       [--seq 32]
-    repro-asr precision
-    repro-asr transcribe [--words N] [--seed N] [--beam K] [--json]
-    repro-asr inventory
-    repro-asr program   [--seq 32] [--arch A3] [--ops 24] [--width 100]
-    repro-asr profile   [--out DIR] [--words N] [--seed N] [--beam K] [--arch A3]
-    repro-asr metrics   [--words N] [--seed N] [--beam K] [--arch A3]
-    repro-asr bench run     [--out DIR] [--repeats K] [--quick]
-    repro-asr bench compare BASELINE CURRENT [--wall-tol F] [--fail-on-wall]
-                            [--artifact-hint PATH]
-    repro-asr bench report  [--seq 32] [--arch A3]
-    repro-asr diff      [--base A3] [--cand A4] [--seq 32] [--top N]
-                        [--json] [--out PATH] [--trace PATH]
-                        [--snapshots BASE CURRENT] [--profiles BASE CAND]
-                        [--serve --cand-arch A2 --cand-max-batch B ...]
-    repro-asr serve-sim [--arrival poisson] [--loads 0.5,2,8] [--requests N]
-                        [--max-batch B] [--kv-budget-bytes N] [--slo-ms F]
-                        [--json PATH] [--trace PATH] [--timeseries PATH]
-                        [--slo-report PATH]
-    repro-asr slo       [--load 8] [--requests N] [--slo-ms F]
-                        [--slo-target F] [--json]
+Every command and its options are declared once, in the ``COMMANDS``
+table at the bottom of this module; ``repro-asr --help`` and
+``repro-asr <command> --help`` list them.
 
 Each subcommand prints one of the paper's analyses from the simulator;
 ``transcribe`` runs the full E2E pipeline on a synthetic utterance.
@@ -46,14 +25,21 @@ heaviest load instrumented and writes a merged Perfetto trace (device
 lanes + per-request lifecycle tracks), a deterministic JSONL event
 log, sampled virtual-time series and the SLO report.  ``slo`` prints
 the SLO dashboard for one offered load (exit 1 if burn-rate alerts
-fired).
+fired).  ``costs`` attributes every device cycle and HBM byte to a
+request and tenant.
+
+Exit codes: 0 on success; 1 for a negative verdict (``resources``: does
+not fit, ``slo``: burn-rate alerts fired, ``verify``: a case failed,
+``bench compare``: regression); 2 for a usage error, printed as
+``error: <message>``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-from typing import Sequence
+import pathlib
+from typing import Callable, NamedTuple, Sequence
 
 from repro.analysis.inventory import weight_inventory
 from repro.analysis.report import format_table
@@ -61,6 +47,30 @@ from repro.config import HardwareConfig
 from repro.hw.controller import LatencyModel
 from repro.hw.dse import head_parallelism_sweep
 from repro.hw.resources import estimate_resources
+
+PERFETTO = "(open in https://ui.perfetto.dev)"
+
+
+def _write(path, text: str, note: str | None) -> pathlib.Path:
+    """Write ``text`` to ``path``, creating parent directories, then
+    print ``note`` with the path filled in (nothing if ``None``)."""
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    if note:
+        print(note.format(path))
+    return path
+
+
+def _emit(payload, path=None, note: str | None = "wrote {}") -> None:
+    """The one JSON serializer: print ``payload`` with ``indent=2``, or
+    with a ``path`` write it there with a trailing newline (see
+    :func:`_write`)."""
+    text = json.dumps(payload, indent=2)
+    if path is None:
+        print(text)
+    else:
+        _write(path, text + "\n", note)
 
 
 def _cmd_latency(args: argparse.Namespace) -> int:
@@ -151,25 +161,33 @@ def _result_breakdown(result) -> dict:
     }
 
 
-def _cmd_transcribe(args: argparse.Namespace) -> int:
-    from repro import obs
+def _utterance(args: argparse.Namespace, architecture: str = "A3"):
+    """The pipeline (weights seeded by ``--seed``) and the one synthetic
+    ``--words``-word utterance the utterance commands run.  Returns
+    ``(pipeline, utterance, beam_size)``."""
     from repro.asr.dataset import LibriSpeechLikeDataset
     from repro.asr.pipeline import AsrPipeline
     from repro.model.params import init_transformer_params
 
     params = init_transformer_params(seed=args.seed)
-    pipeline = AsrPipeline(params, hw_seq_len=32)
+    pipeline = AsrPipeline(params, hw_seq_len=32, architecture=architecture)
     utt = LibriSpeechLikeDataset(seed=args.seed).generate(
         1, min_words=args.words, max_words=args.words
     )[0]
-    beam = args.beam if args.beam > 1 else None
-    if getattr(args, "json", False):
+    return pipeline, utt, args.beam if args.beam > 1 else None
+
+
+def _cmd_transcribe(args: argparse.Namespace) -> int:
+    from repro import obs
+
+    pipeline, utt, beam = _utterance(args)
+    if args.json:
         with obs.telemetry() as session:
             result = pipeline.transcribe(utt.waveform, beam_size=beam)
         payload = _result_breakdown(result)
         payload["reference"] = utt.transcript
         payload["metrics"] = session.metrics.as_dict()
-        print(json.dumps(payload, indent=2))
+        _emit(payload)
         return 0
     result = pipeline.transcribe(utt.waveform, beam_size=beam)
     print(f"reference:  {utt.transcript!r}")
@@ -184,19 +202,10 @@ def _profiled_run(args: argparse.Namespace):
     trace-executor probe of the accelerator's block program.  Returns
     (result, session, timeline, pipeline)."""
     from repro import obs
-    from repro.asr.dataset import LibriSpeechLikeDataset
-    from repro.asr.pipeline import AsrPipeline
-    from repro.model.params import init_transformer_params
 
-    params = init_transformer_params(seed=args.seed)
-    pipeline = AsrPipeline(params, hw_seq_len=32, architecture=args.arch)
-    utt = LibriSpeechLikeDataset(seed=args.seed).generate(
-        1, min_words=args.words, max_words=args.words
-    )[0]
+    pipeline, utt, beam = _utterance(args, architecture=args.arch)
     with obs.telemetry() as session:
-        result = pipeline.transcribe(
-            utt.waveform, beam_size=args.beam if args.beam > 1 else None
-        )
+        result = pipeline.transcribe(utt.waveform, beam_size=beam)
         timeline = obs.record_program_metrics(
             pipeline.accelerator.program(), architecture=args.arch
         )
@@ -204,38 +213,36 @@ def _profiled_run(args: argparse.Namespace):
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    import pathlib
-
     from repro import obs
+    from repro.hw.introspect import counter_tracks
+    from repro.obs.diffprof import profile_run
 
     result, session, timeline, pipeline = _profiled_run(args)
     hardware = pipeline.accelerator.latency_model.hardware
     out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    from repro.hw.introspect import counter_tracks
-
-    trace_path = out / "trace.json"
-    trace_path.write_text(
+    trace_path = _write(
+        out / "trace.json",
         obs.chrome_trace_json(
             timeline,
             session.spans.records,
             clock_mhz=hardware.clock_mhz,
             metadata={"architecture": args.arch, "seed": args.seed},
             counters=counter_tracks(timeline) if timeline is not None else None,
-        )
+        ),
+        None,
     )
-    prom_path = out / "metrics.prom"
-    prom_path.write_text(obs.prometheus_text(session.metrics))
-    jsonl_path = out / "events.jsonl"
-    jsonl_path.write_text(
+    prom_path = _write(
+        out / "metrics.prom", obs.prometheus_text(session.metrics), None
+    )
+    jsonl_path = _write(
+        out / "events.jsonl",
         "".join(f"{line}\n" for line in obs.jsonl_lines(
             session.metrics, session.spans.records
-        ))
+        )),
+        None,
     )
     # Exact-integer run profile of the accelerator's block program —
     # the offline input of `repro-asr diff --profiles A B`.
-    from repro.obs.diffprof import profile_run
-
     program = pipeline.accelerator.program()
     prof = profile_run(
         program,
@@ -243,10 +250,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         label=f"{args.arch} s={program.meta.get('s')} seed={args.seed}",
     )
     profile_path = out / "runprofile.json"
-    profile_path.write_text(json.dumps(prof.as_dict(), indent=2) + "\n")
+    _emit(prof.as_dict(), profile_path, None)
     print(f"recognized: {result.text!r}  "
           f"(s={result.sequence_length}, e2e {result.e2e_ms:.1f} ms)")
-    print(f"chrome trace: {trace_path}  (open in https://ui.perfetto.dev)")
+    print(f"chrome trace: {trace_path}  {PERFETTO}")
     print(f"prometheus:   {prom_path}")
     print(f"jsonl:        {jsonl_path}")
     print(f"run profile:  {profile_path}  (diff with `repro-asr diff "
@@ -289,8 +296,6 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    import pathlib
-
     from repro.bench import compare_snapshots, latest_snapshot_path, load_snapshot
 
     current = pathlib.Path(args.current)
@@ -300,15 +305,9 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
             print(f"no BENCH_<n>.json snapshot found in {current}")
             return 2
         current = found
-    try:
-        baseline_snap = load_snapshot(args.baseline)
-        current_snap = load_snapshot(current)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}")
-        return 2
     report = compare_snapshots(
-        baseline_snap,
-        current_snap,
+        load_snapshot(args.baseline),
+        load_snapshot(current),
         wall_tolerance=args.wall_tol,
         fail_on_wall=args.fail_on_wall,
     )
@@ -321,38 +320,94 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _instrumented_serving_run(
-    config,
-    arrival_kind: str,
-    load_rps: float,
-    num_requests: int,
-    seed: int,
-    sample_cycles: int,
-    slo_target: float,
+def _cmd_bench_report(args: argparse.Namespace) -> int:
+    from repro.bench import build_attribution_report
+
+    report = build_attribution_report(s=args.seq, architecture=args.arch)
+    print(report.format())
+    return 0
+
+
+def _serving_config(
+    args: argparse.Namespace,
+    architecture: str | None = None,
+    max_batch: int | None = None,
 ):
-    """One serving run with the vtrace recorder + sampler installed,
-    held to an SLO objective.  Returns (result, recorder, sampler,
-    slo_report) — the raw material of every serving observability
-    artifact (merged Perfetto trace, JSONL event log, time series,
-    SLO report)."""
-    from repro.obs.vtrace import VSampler, VTraceRecorder
+    """The ``ServingConfig`` of the serving options; ``architecture``
+    and ``max_batch`` override ``--arch``/``--max-batch`` when set."""
+    from repro.serving import ServingConfig
+
+    return ServingConfig(
+        s=args.seq,
+        architecture=architecture or args.arch,
+        max_batch=max_batch or args.max_batch,
+        # `diff --serve` takes no --kv-budget-bytes: both its variants
+        # get the default budget.
+        kv_budget_bytes=getattr(args, "kv_budget_bytes", None),
+        slo_ms=args.slo_ms,
+    )
+
+
+def _loads(args: argparse.Namespace) -> list[float]:
+    """The ``--loads`` sweep, ascending."""
+    loads = sorted(float(x) for x in args.loads.split(","))
+    if len(loads) < 3:
+        raise ValueError("need at least 3 offered loads for a sweep")
+    return loads
+
+
+def _sweep(args: argparse.Namespace, loads: list[float], config):
+    from repro.serving import sweep_offered_load
+
+    return sweep_offered_load(
+        loads,
+        num_requests=args.requests,
+        arrival_kind=args.arrival,
+        config=config,
+        seed=args.seed,
+    )
+
+
+def _serving_run(
+    args: argparse.Namespace,
+    config,
+    load_rps: float,
+    tenant_classes: int = 1,
+    sampler=None,
+):
+    """One serving run of ``--requests`` ``--arrival`` requests at
+    ``load_rps`` with the vtrace recorder installed.  Returns
+    ``(result, recorder)``."""
+    from repro.obs.vtrace import VTraceRecorder
     from repro.serving import (
         ContinuousBatchingScheduler,
-        SloObjective,
-        evaluate_slo,
         make_arrival_model,
         synthesize_requests,
     )
 
-    arrival = make_arrival_model(arrival_kind, load_rps, seed=seed)
-    requests = synthesize_requests(arrival, num_requests, seed=seed)
+    arrival = make_arrival_model(args.arrival, load_rps, seed=args.seed)
+    requests = synthesize_requests(
+        arrival, args.requests, seed=args.seed, tenant_classes=tenant_classes
+    )
     recorder = VTraceRecorder()
-    sampler = VSampler(cadence_cycles=sample_cycles)
     sched = ContinuousBatchingScheduler(
         config, vtrace=recorder, sampler=sampler
     )
-    result = sched.run(requests)
-    objective = SloObjective(latency_ms=config.slo_ms, target=slo_target)
+    return sched.run(requests), recorder
+
+
+def _instrumented_serving_run(args: argparse.Namespace, config, load_rps: float):
+    """One serving run at ``load_rps`` with the vtrace recorder +
+    sampler installed, held to the ``--slo-target`` objective.  Returns
+    (result, recorder, sampler, slo_report) — the raw material of every
+    serving observability artifact (merged Perfetto trace, JSONL event
+    log, time series, SLO report)."""
+    from repro.obs.vtrace import VSampler
+    from repro.serving import SloObjective, evaluate_slo
+
+    sampler = VSampler(cadence_cycles=args.sample_cycles)
+    result, recorder = _serving_run(args, config, load_rps, sampler=sampler)
+    objective = SloObjective(latency_ms=config.slo_ms, target=args.slo_target)
     report = evaluate_slo(result, recorder.events, objective, recorder=recorder)
     return result, recorder, sampler, report
 
@@ -390,10 +445,10 @@ def _serving_stall_rate_tracks(result, sampler) -> dict:
     return tracks
 
 
-def _write_serving_artifacts(args, result, recorder, sampler, report) -> None:
+def _write_serving_artifacts(
+    args, load_rps, result, recorder, sampler, report
+) -> None:
     """Write the --trace / --timeseries / --slo-report artifacts."""
-    import pathlib
-
     from repro import obs
     from repro.obs.costs import cost_flow_events
     from repro.obs.vtrace import (
@@ -407,12 +462,10 @@ def _write_serving_artifacts(args, result, recorder, sampler, report) -> None:
         "architecture": result.config.architecture,
         "seed": args.seed,
         "arrival": args.arrival,
-        "offered_rps": args.trace_load,
+        "offered_rps": load_rps,
         "slo_ms": result.config.slo_ms,
     }
     if args.trace:
-        trace_path = pathlib.Path(args.trace)
-        trace_path.parent.mkdir(parents=True, exist_ok=True)
         counters = sampler.counter_tracks()
         counters.update(_serving_stall_rate_tracks(result, sampler))
         # Request lifecycle lanes plus cost flow arrows: each arrow
@@ -420,27 +473,26 @@ def _write_serving_artifacts(args, result, recorder, sampler, report) -> None:
         # so an SLO violation drills down to the charged device work.
         extra = request_track_events(recorder.events, clock_mhz=clock_mhz)
         extra.extend(cost_flow_events(recorder.events, clock_mhz=clock_mhz))
-        trace_path.write_text(
+        trace_path = _write(
+            args.trace,
             obs.chrome_trace_json(
                 device_timeline(recorder.events),
                 clock_mhz=clock_mhz,
                 metadata=meta,
                 counters=counters,
                 extra_events=extra,
-            )
+            ),
+            f"merged trace: {{}}  {PERFETTO}",
         )
-        events_path = trace_path.with_suffix(".events.jsonl")
-        events_path.write_text(
+        _write(
+            trace_path.with_suffix(".events.jsonl"),
             "".join(
                 f"{line}\n"
                 for line in vtrace_jsonl_lines(recorder.events, metadata=meta)
-            )
+            ),
+            "event log:    {}",
         )
-        print(f"merged trace: {trace_path}  (open in https://ui.perfetto.dev)")
-        print(f"event log:    {events_path}")
     if args.timeseries:
-        ts_path = pathlib.Path(args.timeseries)
-        ts_path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "cadence_cycles": sampler.cadence_cycles,
             "clock_mhz": clock_mhz,
@@ -449,46 +501,21 @@ def _write_serving_artifacts(args, result, recorder, sampler, report) -> None:
                 for name, ts in sorted(sampler.series().items())
             },
         }
-        ts_path.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"time series:  {ts_path}")
+        _emit(payload, args.timeseries, "time series:  {}")
     if args.slo_report:
-        slo_path = pathlib.Path(args.slo_report)
-        slo_path.parent.mkdir(parents=True, exist_ok=True)
-        slo_path.write_text(json.dumps(report.as_dict(), indent=2) + "\n")
-        print(f"slo report:   {slo_path}")
+        _emit(report.as_dict(), args.slo_report, "slo report:   {}")
 
 
 def _cmd_serve_sim(args: argparse.Namespace) -> int:
-    from repro.serving import (
-        ServingConfig,
-        render_slo_dashboard,
-        render_sweep,
-        sweep_offered_load,
-    )
+    import dataclasses
 
-    loads = sorted(float(x) for x in args.loads.split(","))
-    if len(loads) < 3:
-        print("error: need at least 3 offered loads for a sweep")
-        return 2
-    config = ServingConfig(
-        s=args.seq,
-        architecture=args.arch,
-        max_batch=args.max_batch,
-        kv_budget_bytes=args.kv_budget_bytes,
-        slo_ms=args.slo_ms,
-    )
-    sweep = sweep_offered_load(
-        loads,
-        num_requests=args.requests,
-        arrival_kind=args.arrival,
-        config=config,
-        seed=args.seed,
-    )
+    from repro.serving import render_slo_dashboard, render_sweep
+
+    loads = _loads(args)
+    config = _serving_config(args)
+    sweep = _sweep(args, loads, config)
     print(render_sweep(sweep))
     if args.json:
-        import dataclasses
-        import pathlib
-
         payload = {
             "config": dataclasses.asdict(config),
             "arrival": args.arrival,
@@ -497,104 +524,70 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
             "points": [dataclasses.asdict(p) for p in sweep.points],
             "attribution": sweep.attribution,
         }
-        out = pathlib.Path(args.json)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {out}")
+        _emit(payload, args.json)
     if args.trace or args.timeseries or args.slo_report:
         # Instrumented re-run of the heaviest offered load: that is
         # where the lifecycle (queueing, preemption, SLO misses) is.
-        args.trace_load = loads[-1]
         result, recorder, sampler, report = _instrumented_serving_run(
-            config,
-            args.arrival,
-            loads[-1],
-            args.requests,
-            args.seed,
-            args.sample_cycles,
-            args.slo_target,
+            args, config, loads[-1]
         )
         print()
         print(f"instrumented run at {loads[-1]:g} req/s:")
         print(render_slo_dashboard(report))
-        _write_serving_artifacts(args, result, recorder, sampler, report)
+        _write_serving_artifacts(
+            args, loads[-1], result, recorder, sampler, report
+        )
     return 0
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
-    from repro.serving import ServingConfig, render_slo_dashboard
+    from repro.serving import render_slo_dashboard
 
-    config = ServingConfig(
-        s=args.seq,
-        architecture=args.arch,
-        max_batch=args.max_batch,
-        kv_budget_bytes=args.kv_budget_bytes,
-        slo_ms=args.slo_ms,
-    )
+    config = _serving_config(args)
     result, recorder, _, report = _instrumented_serving_run(
-        config,
-        args.arrival,
-        args.load,
-        args.requests,
-        args.seed,
-        args.sample_cycles,
-        args.slo_target,
+        args, config, args.load
     )
     if args.json:
         payload = report.as_dict()
         payload["offered_rps"] = args.load
         payload["event_counts"] = recorder.counts()
         payload["device_end_cycles"] = result.device_end_cycles
-        print(json.dumps(payload, indent=2))
-        return 0 if not report.alerts else 1
-    print(
-        f"serving SLO dashboard: {args.arrival} arrivals at {args.load:g} "
-        f"req/s, {args.requests} requests, arch {config.architecture}, "
-        f"batch<={config.max_batch}"
-    )
-    print(render_slo_dashboard(report))
-    counts = recorder.counts()
-    print(
-        "events: "
-        + ", ".join(f"{kind}={counts[kind]}" for kind in sorted(counts))
-    )
+        _emit(payload)
+    else:
+        print(
+            f"serving SLO dashboard: {args.arrival} arrivals at {args.load:g} "
+            f"req/s, {args.requests} requests, arch {config.architecture}, "
+            f"batch<={config.max_batch}"
+        )
+        print(render_slo_dashboard(report))
+        counts = recorder.counts()
+        print(
+            "events: "
+            + ", ".join(f"{kind}={counts[kind]}" for kind in sorted(counts))
+        )
     return 0 if not report.alerts else 1
 
 
 def _cmd_costs(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from repro.obs.vtrace import VTraceRecorder
     from repro.serving import (
-        ContinuousBatchingScheduler,
-        ServingConfig,
         build_cost_ledger,
         estimate_capacity,
-        make_arrival_model,
         render_cost_dashboard,
-        synthesize_requests,
     )
 
-    config = ServingConfig(
-        s=args.seq,
-        architecture=args.arch,
-        max_batch=args.max_batch,
-        kv_budget_bytes=args.kv_budget_bytes,
-        slo_ms=args.slo_ms,
+    config = _serving_config(args)
+    result, recorder = _serving_run(
+        args, config, args.load, tenant_classes=args.tenants
     )
-    arrival = make_arrival_model(args.arrival, args.load, seed=args.seed)
-    requests = synthesize_requests(
-        arrival, args.requests, seed=args.seed, tenant_classes=args.tenants
-    )
-    recorder = VTraceRecorder()
-    result = ContinuousBatchingScheduler(config, vtrace=recorder).run(requests)
     ledger = build_cost_ledger(result, recorder.events)
     capacity = estimate_capacity(ledger, args.target_rps, args.utilization_cap)
     if args.json:
         payload = ledger.as_dict()
         payload["offered_rps"] = args.load
         payload["capacity"] = dataclasses.asdict(capacity)
-        print(json.dumps(payload, indent=2))
+        _emit(payload)
         return 0
     print(
         f"serving cost attribution: {args.arrival} arrivals at "
@@ -633,42 +626,28 @@ def _diff_live_profile(spec: str, s: int):
     return profile, timeline
 
 
-def _cmd_diff_serve(args: argparse.Namespace) -> int:
-    from repro.obs.diffprof import diff_tenant_costs
-    from repro.serving import (
-        ServingConfig,
-        build_cost_ledger,
-        diff_sweeps,
-        render_sweep_delta,
-        sweep_offered_load,
-    )
+def _show_delta(args: argparse.Namespace, delta, render) -> None:
+    """Print ``delta`` as JSON (--json) or as ``render``'s tables; with
+    --out also write its JSON there."""
+    if args.json:
+        _emit(delta.as_dict())
+    else:
+        print(render(delta, top=args.top))
+    if args.out:
+        _emit(delta.as_dict(), args.out)
 
-    loads = sorted(float(x) for x in args.loads.split(","))
-    if len(loads) < 3:
-        print("error: need at least 3 offered loads for a sweep")
-        return 2
-    base_config = ServingConfig(
-        s=args.seq, architecture=args.arch, max_batch=args.max_batch,
-        slo_ms=args.slo_ms,
+
+def _diff_serve(args: argparse.Namespace) -> int:
+    from repro.obs.diffprof import diff_tenant_costs
+    from repro.serving import build_cost_ledger, diff_sweeps, render_sweep_delta
+
+    loads = _loads(args)
+    configs = (
+        _serving_config(args),
+        _serving_config(args, args.cand_arch, args.cand_max_batch),
     )
-    cand_config = ServingConfig(
-        s=args.seq,
-        architecture=args.cand_arch or args.arch,
-        max_batch=args.cand_max_batch or args.max_batch,
-        slo_ms=args.slo_ms,
-    )
-    base_sweep, cand_sweep = (
-        sweep_offered_load(
-            loads, num_requests=args.requests, arrival_kind=args.arrival,
-            config=config, seed=args.seed,
-        )
-        for config in (base_config, cand_config)
-    )
-    try:
-        delta = diff_sweeps(base_sweep, cand_sweep)
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
+    base_sweep, cand_sweep = (_sweep(args, loads, c) for c in configs)
+    delta = diff_sweeps(base_sweep, cand_sweep)
     print(render_sweep_delta(delta))
     print()
 
@@ -676,10 +655,9 @@ def _cmd_diff_serve(args: argparse.Namespace) -> int:
     # re-run of each variant at the heaviest offered load — that is
     # where queueing, preemption, and SLO misses actually diverge.
     sides = []
-    for config in (base_config, cand_config):
+    for config in configs:
         result, recorder, _, slo_report = _instrumented_serving_run(
-            config, args.arrival, loads[-1], args.requests, args.seed,
-            args.sample_cycles, args.slo_target,
+            args, config, loads[-1]
         )
         sides.append((slo_report, build_cost_ledger(result, recorder.events)))
     (base_slo, base_ledger), (cand_slo, cand_ledger) = sides
@@ -712,20 +690,13 @@ def _cmd_diff_serve(args: argparse.Namespace) -> int:
         "costs": costs,
     }
     if args.json:
-        print(json.dumps(payload, indent=2))
+        _emit(payload)
     if args.out:
-        import pathlib
-
-        out = pathlib.Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {out}")
+        _emit(payload, args.out)
     return 0
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    import pathlib
-
     from repro import obs
     from repro.obs.diffprof import (
         delta_counter_tracks,
@@ -735,7 +706,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     )
 
     if args.serve:
-        return _cmd_diff_serve(args)
+        return _diff_serve(args)
     if args.snapshots:
         from repro.bench import (
             diff_snapshots,
@@ -743,55 +714,25 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             render_snapshot_delta,
         )
 
-        try:
-            delta = diff_snapshots(
-                load_snapshot(args.snapshots[0]),
-                load_snapshot(args.snapshots[1]),
-            )
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"error: {exc}")
-            return 2
-        if args.json:
-            print(json.dumps(delta.as_dict(), indent=2))
-        else:
-            print(render_snapshot_delta(delta, top=args.top))
-        if args.out:
-            out = pathlib.Path(args.out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(json.dumps(delta.as_dict(), indent=2) + "\n")
-            print(f"wrote {out}")
+        delta = diff_snapshots(*map(load_snapshot, args.snapshots))
+        _show_delta(args, delta, render_snapshot_delta)
         return 0
 
     timelines = None
     if args.profiles:
-        try:
-            base_prof = load_profile(args.profiles[0])
-            cand_prof = load_profile(args.profiles[1])
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"error: {exc}")
-            return 2
+        base_prof, cand_prof = map(load_profile, args.profiles)
     else:
         base_prof, base_tl = _diff_live_profile(args.base, args.seq)
         cand_prof, cand_tl = _diff_live_profile(args.cand, args.seq)
         timelines = (base_tl, cand_tl)
     waterfall = diff_profiles(base_prof, cand_prof)
-    if args.json:
-        print(json.dumps(waterfall.as_dict(), indent=2))
-    else:
-        print(render_waterfall(waterfall, top=args.top))
-    if args.out:
-        out = pathlib.Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(waterfall.as_dict(), indent=2) + "\n")
-        print(f"wrote {out}")
+    _show_delta(args, waterfall, render_waterfall)
     if args.trace:
         if timelines is None:
-            print("error: --trace needs a live diff (--base/--cand); "
-                  "saved profiles carry no timeline")
-            return 2
-        trace_path = pathlib.Path(args.trace)
-        trace_path.parent.mkdir(parents=True, exist_ok=True)
-        trace_path.write_text(
+            raise ValueError("--trace needs a live diff (--base/--cand); "
+                             "saved profiles carry no timeline")
+        _write(
+            args.trace,
             obs.chrome_trace_json(
                 clock_mhz=HardwareConfig().clock_mhz,
                 metadata={
@@ -800,17 +741,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
                     "makespan_delta_cycles": waterfall.makespan_delta,
                 },
                 counters=delta_counter_tracks(*timelines),
-            )
+            ),
+            f"delta trace: {{}}  {PERFETTO}",
         )
-        print(f"delta trace: {trace_path}  (open in https://ui.perfetto.dev)")
-    return 0
-
-
-def _cmd_bench_report(args: argparse.Namespace) -> int:
-    from repro.bench import build_attribution_report
-
-    report = build_attribution_report(s=args.seq, architecture=args.arch)
-    print(report.format())
     return 0
 
 
@@ -890,8 +823,6 @@ def _cmd_program(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.hw.introspect import (
         classify_stalls,
         default_watchpoints,
@@ -918,7 +849,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         payload["s"] = args.seq
         payload["crossover_s"] = crossover
         payload["watchpoint_hits"] = [h.as_dict() for h in hits]
-        print(_json.dumps(payload, indent=2))
+        _emit(payload)
         return 0
     print(render_stall_dashboard(report, hits, width=max(args.width // 3, 10)))
     print()
@@ -936,18 +867,14 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.hw.dse import synthesize_a4
 
     result = synthesize_a4(s=args.seq, architecture=args.arch)
     payload = result.as_dict()
     if args.out:
-        with open(args.out, "w") as fh:
-            _json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _emit(payload, args.out, None)
     if args.json:
-        print(_json.dumps(payload, indent=2))
+        _emit(payload)
         return 0
     print(
         f"A4 synthesis over {args.arch} at s={args.seq} "
@@ -991,313 +918,329 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
+# --- the command table -------------------------------------------------
+
+Option = tuple[tuple[str, ...], dict]
+
+
+def _opt(*flags: str, **kwargs) -> Option:
+    """One ``add_argument`` call, declared as data."""
+    return flags, kwargs
+
+
+def _json_flag(what: str) -> Option:
+    return _opt("--json", action="store_true", help=f"emit {what} as JSON")
+
+
+class Command(NamedTuple):
+    """One ``repro-asr`` subcommand: a leaf runs ``run``, a group
+    dispatches to its ``subcommands``."""
+
+    name: str
+    help: str
+    run: Callable[[argparse.Namespace], int] | None = None
+    options: tuple[Option, ...] = ()
+    subcommands: tuple["Command", ...] = ()
+
+
+ARCHS = ["A1", "A2", "A3"]
+
+SEQ = _opt("--seq", type=int, default=32)
+ARCH = _opt("--arch", default="A3", choices=ARCHS)
+SEQ_ARCH = (SEQ, ARCH)
+
+# One synthetic utterance (profile and metrics add --arch).
+UTTERANCE = (
+    _opt("--words", type=int, default=3),
+    _opt("--seed", type=int, default=42),
+    _opt("--beam", type=int, default=1),
+)
+
+# A serving run: workload, fabric and SLO.  slo, serve-sim and costs
+# add KV_BUDGET; the instrumented runs (diff --serve, serve-sim, slo)
+# add INSTRUMENTED.
+SERVING = (
+    _opt("--arrival", default="poisson",
+         choices=["poisson", "bursty", "diurnal"]),
+    _opt("--requests", type=int, default=16,
+         help="requests simulated per load level"),
+    *SEQ_ARCH,
+    _opt("--max-batch", type=int, default=4,
+         help="decode-iteration width (continuous batch size)"),
+    _opt("--slo-ms", type=float, default=1500.0,
+         help="latency SLO for goodput accounting (virtual ms)"),
+    _opt("--seed", type=int, default=11),
+)
+KV_BUDGET = _opt("--kv-budget-bytes", type=int, default=None,
+                 help="K/V BRAM budget; default fits max-batch full caches")
+INSTRUMENTED = (
+    _opt("--slo-target", type=float, default=0.95,
+         help="SLO attainment target in (0,1) for the instrumented run"),
+    _opt("--sample-cycles", type=int, default=100_000,
+         help="virtual-time sampler cadence, fabric cycles"),
+)
+LOADS = _opt("--loads", default="0.5,2,8",
+             help="comma-separated offered loads, requests/s (>=3)")
+LOAD = _opt("--load", type=float, default=8.0, help="offered load, requests/s")
+
+BENCH = (
+    Command(
+        "run", "run the scenario suite and write a BENCH_<n>.json snapshot",
+        _cmd_bench_run,
+        (
+            _opt("--out", default="benchmarks/snapshots",
+                 help="directory receiving the next BENCH_<n>.json"),
+            _opt("--repeats", type=int, default=3,
+                 help="wall-clock samples per scenario (median-of-k)"),
+            _opt("--quick", action="store_true",
+                 help="trimmed suite, one repeat (smoke runs / tests)"),
+        ),
+    ),
+    Command(
+        "compare", "diff a snapshot against a baseline (exit 1 on failure)",
+        _cmd_bench_compare,
+        (
+            _opt("baseline", help="committed baseline snapshot path"),
+            _opt("current",
+                 help="fresh snapshot path, or a directory holding "
+                      "BENCH_<n>.json files (highest n wins)"),
+            _opt("--wall-tol", type=float, default=0.25,
+                 help="fractional wall-clock drift considered meaningful"),
+            _opt("--fail-on-wall", action="store_true",
+                 help="escalate wall-clock regressions to failures"),
+            _opt("--artifact-hint", default=None, metavar="PATH",
+                 help="on failure, point the reader at the differential "
+                      "waterfall artifact explaining the drift (CI wires "
+                      "this to the uploaded diff JSON)"),
+        ),
+    ),
+    Command(
+        "report",
+        "bottleneck attribution: block bounds, crossover, roofline",
+        _cmd_bench_report,
+        SEQ_ARCH,
+    ),
+)
+
+COMMANDS = (
+    Command(
+        "latency", "Table 5.1 latency sweep", _cmd_latency,
+        (
+            _opt("--arch", nargs="+", default=list(ARCHS), choices=ARCHS),
+            _opt("--seq", nargs="+", type=int, default=[4, 8, 16, 32]),
+        ),
+    ),
+    Command("crossover", "Fig 5.2 load/compute crossover", _cmd_crossover),
+    Command(
+        "resources", "Table 5.2 resource estimate", _cmd_resources,
+        (SEQ, _opt("--psa-rows", type=int, default=2)),
+    ),
+    Command("dse", "Table 5.3 head-parallelism DSE", _cmd_dse, (SEQ,)),
+    Command("precision", "fixed-precision sweep (§6.2)", _cmd_precision),
+    Command(
+        "transcribe", "E2E demo on a synthetic utterance", _cmd_transcribe,
+        (*UTTERANCE, _json_flag("the result breakdown + metrics")),
+    ),
+    Command(
+        "profile", "profiled E2E run: Chrome trace (Perfetto) + metric dumps",
+        _cmd_profile,
+        (
+            _opt("--out", default="profile_out",
+                 help="output directory for trace.json / metrics.prom / "
+                      "events.jsonl"),
+            *UTTERANCE,
+            ARCH,
+        ),
+    ),
+    Command(
+        "metrics", "Prometheus exposition text of a profiled E2E run",
+        _cmd_metrics, (*UTTERANCE, ARCH),
+    ),
+    Command(
+        "bench", "performance-trajectory harness: snapshot, gate, attribute",
+        subcommands=BENCH,
+    ),
+    Command(
+        "diff",
+        "differential profiler: conservation-checked cycle-delta waterfall "
+        "between two runs (live A1-A4, saved profiles, bench snapshots, or "
+        "serving variants)",
+        _cmd_diff,
+        (
+            _opt("--base", default="A3", choices=[*ARCHS, "A4"],
+                 help="baseline run for a live diff (A4 = the "
+                      "optimizer's synthesized schedule over A3)"),
+            _opt("--cand", default="A4", choices=[*ARCHS, "A4"],
+                 help="candidate run for a live diff"),
+            _opt("--top", type=int, default=8,
+                 help="leaves/rows shown per waterfall table"),
+            _opt("--snapshots", nargs=2, metavar=("BASE", "CURRENT"),
+                 default=None,
+                 help="diff two BENCH_<n>.json snapshots instead "
+                      "(waterfalls where both embed run profiles)"),
+            _opt("--profiles", nargs=2, metavar=("BASE", "CAND"),
+                 default=None,
+                 help="diff two saved runprofile.json artifacts (or "
+                      "`repro-asr profile` output directories)"),
+            _opt("--serve", action="store_true",
+                 help="diff two serving variants: sweep deltas, knee "
+                      "movement, SLO attainment and per-tenant costs"),
+            _json_flag("the delta"),
+            _opt("--out", default=None, metavar="PATH",
+                 help="also write the delta JSON to this path (the CI "
+                      "waterfall artifact)"),
+            _opt("--trace", default=None, metavar="PATH",
+                 help="write Perfetto delta counter tracks "
+                      "(candidate-minus-base utilization per engine; "
+                      "live diffs only)"),
+            *SERVING,
+            *INSTRUMENTED,
+            LOADS,
+            _opt("--cand-arch", default=None, choices=ARCHS,
+                 help="candidate serving architecture (--serve; "
+                      "defaults to --arch)"),
+            _opt("--cand-max-batch", type=int, default=None,
+                 help="candidate decode-batch width (--serve; defaults "
+                      "to --max-batch)"),
+        ),
+    ),
+    Command(
+        "serve-sim", "multi-tenant serving simulator: latency vs offered load",
+        _cmd_serve_sim,
+        (
+            *SERVING,
+            KV_BUDGET,
+            *INSTRUMENTED,
+            LOADS,
+            _opt("--json", default=None, metavar="PATH",
+                 help="also write the sweep + attribution as JSON"),
+            _opt("--trace", default=None, metavar="PATH",
+                 help="write a merged Perfetto trace (device lanes + "
+                      "per-request lifecycle tracks) of an instrumented "
+                      "re-run at the highest load, plus a JSONL event "
+                      "log next to it"),
+            _opt("--timeseries", default=None, metavar="PATH",
+                 help="write the sampled virtual-time series "
+                      "(batch, queue depth, KV bytes, cycle accounts) "
+                      "as JSON"),
+            _opt("--slo-report", default=None, metavar="PATH",
+                 help="write the SLO report (attainment, burn rates, "
+                      "per-violation attribution) as JSON"),
+        ),
+    ),
+    Command(
+        "slo",
+        "serving SLO dashboard: attainment, error budget, burn-rate "
+        "alerts, per-violation phase + stall-cause attribution",
+        _cmd_slo,
+        (
+            *SERVING,
+            KV_BUDGET,
+            *INSTRUMENTED,
+            LOAD,
+            _json_flag("the SLO report + event counts"),
+        ),
+    ),
+    Command(
+        "costs",
+        "per-request/per-tenant cost attribution: exact cycle shares, HBM "
+        "bytes, KV residency, fairness readouts, and the capacity "
+        "extrapolation (cards for a target load)",
+        _cmd_costs,
+        (
+            *SERVING,
+            KV_BUDGET,
+            LOAD,
+            _opt("--tenants", type=int, default=2,
+                 help="tenant classes in the synthesized mix"),
+            _opt("--target-rps", type=float, default=100.0,
+                 help="target offered load for the capacity "
+                      "extrapolation (utterances/s fleet-wide)"),
+            _opt("--utilization-cap", type=float, default=0.7,
+                 help="per-card utilization headroom in (0,1]"),
+            _opt("--by-tenant", action="store_true",
+                 help="include the per-tenant breakdown and fairness "
+                      "readouts in the dashboard"),
+            _json_flag("the full ledger (per-request, per-tenant, "
+                       "fairness, capacity)"),
+        ),
+    ),
+    Command("inventory", "Table 4.1 weight inventory", _cmd_inventory),
+    Command(
+        "program", "lowered block-program op list + per-engine Gantt",
+        _cmd_program,
+        (
+            *SEQ_ARCH,
+            _opt("--ops", type=int, default=24,
+                 help="number of ops to list (the Gantt always covers all)"),
+            _opt("--width", type=int, default=100),
+        ),
+    ),
+    Command(
+        "inspect",
+        "ILA-style stall dashboard: utilization bars, stall causes, "
+        "watchpoint hits",
+        _cmd_inspect,
+        (
+            *SEQ_ARCH,
+            _opt("--width", type=int, default=100),
+            _opt("--watch-idle", type=float, default=0.05,
+                 help="idle watchpoint threshold, as a fraction of the "
+                      "makespan"),
+            _opt("--gantt", action="store_true",
+                 help="append the stall-annotated per-engine Gantt"),
+            _json_flag("the stall report + watchpoint hits"),
+        ),
+    ),
+    Command(
+        "optimize",
+        "search the pass pipeline space and synthesize the A4 schedule "
+        "(exact cycles + stall attribution)",
+        _cmd_optimize,
+        (
+            *SEQ_ARCH,
+            _json_flag("the full A4 report"),
+            _opt("--out", default=None,
+                 help="also write the JSON report to this path (the CI "
+                      "pass-report artifact)"),
+        ),
+    ),
+    Command("verify", "accelerator vs golden-model battery", _cmd_verify),
+    Command(
+        "utilization", "engine utilization per architecture", _cmd_utilization,
+        (SEQ,),
+    ),
+)
+
+
+def _add_commands(parser, commands: Sequence[Command], dest: str) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for command in commands:
+        p = sub.add_parser(command.name, help=command.help)
+        for flags, kwargs in command.options:
+            p.add_argument(*flags, **kwargs)
+        if command.subcommands:
+            _add_commands(p, command.subcommands, f"{command.name}_command")
+        else:
+            p.set_defaults(func=command.run)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-asr",
         description="Transformer-ASR FPGA accelerator simulator (RAW 2023 repro)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("latency", help="Table 5.1 latency sweep")
-    p.add_argument("--arch", nargs="+", default=["A1", "A2", "A3"],
-                   choices=["A1", "A2", "A3"])
-    p.add_argument("--seq", nargs="+", type=int, default=[4, 8, 16, 32])
-    p.set_defaults(func=_cmd_latency)
-
-    p = sub.add_parser("crossover", help="Fig 5.2 load/compute crossover")
-    p.set_defaults(func=_cmd_crossover)
-
-    p = sub.add_parser("resources", help="Table 5.2 resource estimate")
-    p.add_argument("--seq", type=int, default=32)
-    p.add_argument("--psa-rows", type=int, default=2)
-    p.set_defaults(func=_cmd_resources)
-
-    p = sub.add_parser("dse", help="Table 5.3 head-parallelism DSE")
-    p.add_argument("--seq", type=int, default=32)
-    p.set_defaults(func=_cmd_dse)
-
-    p = sub.add_parser("precision", help="fixed-precision sweep (§6.2)")
-    p.set_defaults(func=_cmd_precision)
-
-    p = sub.add_parser("transcribe", help="E2E demo on a synthetic utterance")
-    p.add_argument("--words", type=int, default=3)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--beam", type=int, default=1)
-    p.add_argument("--json", action="store_true",
-                   help="emit the result breakdown + metrics as JSON")
-    p.set_defaults(func=_cmd_transcribe)
-
-    p = sub.add_parser(
-        "profile",
-        help="profiled E2E run: Chrome trace (Perfetto) + metric dumps",
-    )
-    p.add_argument("--out", default="profile_out",
-                   help="output directory for trace.json / metrics.prom / "
-                        "events.jsonl")
-    p.add_argument("--words", type=int, default=3)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--beam", type=int, default=1)
-    p.add_argument("--arch", default="A3", choices=["A1", "A2", "A3"])
-    p.set_defaults(func=_cmd_profile)
-
-    p = sub.add_parser(
-        "metrics", help="Prometheus exposition text of a profiled E2E run"
-    )
-    p.add_argument("--words", type=int, default=3)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--beam", type=int, default=1)
-    p.add_argument("--arch", default="A3", choices=["A1", "A2", "A3"])
-    p.set_defaults(func=_cmd_metrics)
-
-    p = sub.add_parser(
-        "bench",
-        help="performance-trajectory harness: snapshot, gate, attribute",
-    )
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-
-    b = bench_sub.add_parser(
-        "run", help="run the scenario suite and write a BENCH_<n>.json snapshot"
-    )
-    b.add_argument("--out", default="benchmarks/snapshots",
-                   help="directory receiving the next BENCH_<n>.json")
-    b.add_argument("--repeats", type=int, default=3,
-                   help="wall-clock samples per scenario (median-of-k)")
-    b.add_argument("--quick", action="store_true",
-                   help="trimmed suite, one repeat (smoke runs / tests)")
-    b.set_defaults(func=_cmd_bench_run)
-
-    b = bench_sub.add_parser(
-        "compare", help="diff a snapshot against a baseline (exit 1 on failure)"
-    )
-    b.add_argument("baseline", help="committed baseline snapshot path")
-    b.add_argument("current",
-                   help="fresh snapshot path, or a directory holding "
-                        "BENCH_<n>.json files (highest n wins)")
-    b.add_argument("--wall-tol", type=float, default=0.25,
-                   help="fractional wall-clock drift considered meaningful")
-    b.add_argument("--fail-on-wall", action="store_true",
-                   help="escalate wall-clock regressions to failures")
-    b.add_argument("--artifact-hint", default=None, metavar="PATH",
-                   help="on failure, point the reader at the differential "
-                        "waterfall artifact explaining the drift (CI wires "
-                        "this to the uploaded diff JSON)")
-    b.set_defaults(func=_cmd_bench_compare)
-
-    b = bench_sub.add_parser(
-        "report", help="bottleneck attribution: block bounds, crossover, roofline"
-    )
-    b.add_argument("--seq", type=int, default=32)
-    b.add_argument("--arch", default="A3", choices=["A1", "A2", "A3"])
-    b.set_defaults(func=_cmd_bench_report)
-
-    p = sub.add_parser(
-        "diff",
-        help="differential profiler: conservation-checked cycle-delta "
-             "waterfall between two runs (live A1-A4, saved profiles, "
-             "bench snapshots, or serving variants)",
-    )
-    p.add_argument("--base", default="A3", choices=["A1", "A2", "A3", "A4"],
-                   help="baseline run for a live diff (A4 = the "
-                        "optimizer's synthesized schedule over A3)")
-    p.add_argument("--cand", default="A4", choices=["A1", "A2", "A3", "A4"],
-                   help="candidate run for a live diff")
-    p.add_argument("--seq", type=int, default=32)
-    p.add_argument("--top", type=int, default=8,
-                   help="leaves/rows shown per waterfall table")
-    p.add_argument("--snapshots", nargs=2, metavar=("BASE", "CURRENT"),
-                   default=None,
-                   help="diff two BENCH_<n>.json snapshots instead "
-                        "(waterfalls where both embed run profiles)")
-    p.add_argument("--profiles", nargs=2, metavar=("BASE", "CAND"),
-                   default=None,
-                   help="diff two saved runprofile.json artifacts (or "
-                        "`repro-asr profile` output directories)")
-    p.add_argument("--serve", action="store_true",
-                   help="diff two serving variants: sweep deltas, knee "
-                        "movement, SLO attainment and per-tenant costs")
-    p.add_argument("--json", action="store_true",
-                   help="emit the delta as JSON instead of tables")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="also write the delta JSON to this path (the CI "
-                        "waterfall artifact)")
-    p.add_argument("--trace", default=None, metavar="PATH",
-                   help="write Perfetto delta counter tracks "
-                        "(candidate-minus-base utilization per engine; "
-                        "live diffs only)")
-    p.add_argument("--arch", default="A3", choices=["A1", "A2", "A3"],
-                   help="base serving architecture (--serve)")
-    p.add_argument("--cand-arch", default=None, choices=["A1", "A2", "A3"],
-                   help="candidate serving architecture (--serve; "
-                        "defaults to --arch)")
-    p.add_argument("--max-batch", type=int, default=4)
-    p.add_argument("--cand-max-batch", type=int, default=None,
-                   help="candidate decode-batch width (--serve; defaults "
-                        "to --max-batch)")
-    p.add_argument("--arrival", default="poisson",
-                   choices=["poisson", "bursty", "diurnal"])
-    p.add_argument("--loads", default="0.5,2,8",
-                   help="comma-separated offered loads for --serve (>=3)")
-    p.add_argument("--requests", type=int, default=16)
-    p.add_argument("--slo-ms", type=float, default=1500.0)
-    p.add_argument("--slo-target", type=float, default=0.95)
-    p.add_argument("--sample-cycles", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=11)
-    p.set_defaults(func=_cmd_diff)
-
-    p = sub.add_parser(
-        "serve-sim",
-        help="multi-tenant serving simulator: latency vs offered load",
-    )
-    p.add_argument("--arrival", default="poisson",
-                   choices=["poisson", "bursty", "diurnal"])
-    p.add_argument("--loads", default="0.5,2,8",
-                   help="comma-separated offered loads, requests/s (>=3)")
-    p.add_argument("--requests", type=int, default=16,
-                   help="requests simulated per load level")
-    p.add_argument("--seq", type=int, default=32)
-    p.add_argument("--arch", default="A3", choices=["A1", "A2", "A3"])
-    p.add_argument("--max-batch", type=int, default=4,
-                   help="decode-iteration width (continuous batch size)")
-    p.add_argument("--kv-budget-bytes", type=int, default=None,
-                   help="K/V BRAM budget; default fits max-batch full caches")
-    p.add_argument("--slo-ms", type=float, default=1500.0,
-                   help="latency SLO for goodput accounting (virtual ms)")
-    p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--json", default=None, metavar="PATH",
-                   help="also write the sweep + attribution as JSON")
-    p.add_argument("--trace", default=None, metavar="PATH",
-                   help="write a merged Perfetto trace (device lanes + "
-                        "per-request lifecycle tracks) of an instrumented "
-                        "re-run at the highest load, plus a JSONL event "
-                        "log next to it")
-    p.add_argument("--timeseries", default=None, metavar="PATH",
-                   help="write the sampled virtual-time series "
-                        "(batch, queue depth, KV bytes, cycle accounts) "
-                        "as JSON")
-    p.add_argument("--slo-report", default=None, metavar="PATH",
-                   help="write the SLO report (attainment, burn rates, "
-                        "per-violation attribution) as JSON")
-    p.add_argument("--slo-target", type=float, default=0.95,
-                   help="SLO attainment target in (0,1) for the "
-                        "instrumented run")
-    p.add_argument("--sample-cycles", type=int, default=100_000,
-                   help="virtual-time sampler cadence, fabric cycles")
-    p.set_defaults(func=_cmd_serve_sim)
-
-    p = sub.add_parser(
-        "slo",
-        help="serving SLO dashboard: attainment, error budget, burn-rate "
-             "alerts, per-violation phase + stall-cause attribution",
-    )
-    p.add_argument("--arrival", default="poisson",
-                   choices=["poisson", "bursty", "diurnal"])
-    p.add_argument("--load", type=float, default=8.0,
-                   help="offered load, requests/s")
-    p.add_argument("--requests", type=int, default=16)
-    p.add_argument("--seq", type=int, default=32)
-    p.add_argument("--arch", default="A3", choices=["A1", "A2", "A3"])
-    p.add_argument("--max-batch", type=int, default=4)
-    p.add_argument("--kv-budget-bytes", type=int, default=None)
-    p.add_argument("--slo-ms", type=float, default=1500.0,
-                   help="latency SLO (virtual ms)")
-    p.add_argument("--slo-target", type=float, default=0.95,
-                   help="SLO attainment target in (0,1)")
-    p.add_argument("--sample-cycles", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--json", action="store_true",
-                   help="emit the SLO report + event counts as JSON")
-    p.set_defaults(func=_cmd_slo)
-
-    p = sub.add_parser(
-        "costs",
-        help="per-request/per-tenant cost attribution: exact cycle "
-             "shares, HBM bytes, KV residency, fairness readouts, and "
-             "the capacity extrapolation (cards for a target load)",
-    )
-    p.add_argument("--arrival", default="poisson",
-                   choices=["poisson", "bursty", "diurnal"])
-    p.add_argument("--load", type=float, default=8.0,
-                   help="offered load, requests/s")
-    p.add_argument("--requests", type=int, default=16)
-    p.add_argument("--tenants", type=int, default=2,
-                   help="tenant classes in the synthesized mix")
-    p.add_argument("--seq", type=int, default=32)
-    p.add_argument("--arch", default="A3", choices=["A1", "A2", "A3"])
-    p.add_argument("--max-batch", type=int, default=4)
-    p.add_argument("--kv-budget-bytes", type=int, default=None)
-    p.add_argument("--slo-ms", type=float, default=1500.0,
-                   help="latency SLO for goodput accounting (virtual ms)")
-    p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--target-rps", type=float, default=100.0,
-                   help="target offered load for the capacity "
-                        "extrapolation (utterances/s fleet-wide)")
-    p.add_argument("--utilization-cap", type=float, default=0.7,
-                   help="per-card utilization headroom in (0,1]")
-    p.add_argument("--by-tenant", action="store_true",
-                   help="include the per-tenant breakdown and fairness "
-                        "readouts in the dashboard")
-    p.add_argument("--json", action="store_true",
-                   help="emit the full ledger (per-request, per-tenant, "
-                        "fairness, capacity) as JSON")
-    p.set_defaults(func=_cmd_costs)
-
-    p = sub.add_parser("inventory", help="Table 4.1 weight inventory")
-    p.set_defaults(func=_cmd_inventory)
-
-    p = sub.add_parser(
-        "program", help="lowered block-program op list + per-engine Gantt"
-    )
-    p.add_argument("--seq", type=int, default=32)
-    p.add_argument("--arch", default="A3", choices=["A1", "A2", "A3"])
-    p.add_argument("--ops", type=int, default=24,
-                   help="number of ops to list (the Gantt always covers all)")
-    p.add_argument("--width", type=int, default=100)
-    p.set_defaults(func=_cmd_program)
-
-    p = sub.add_parser(
-        "inspect",
-        help="ILA-style stall dashboard: utilization bars, stall causes, "
-             "watchpoint hits",
-    )
-    p.add_argument("--seq", type=int, default=32)
-    p.add_argument("--arch", default="A3", choices=["A1", "A2", "A3"])
-    p.add_argument("--width", type=int, default=100)
-    p.add_argument("--watch-idle", type=float, default=0.05,
-                   help="idle watchpoint threshold, as a fraction of the "
-                        "makespan")
-    p.add_argument("--gantt", action="store_true",
-                   help="append the stall-annotated per-engine Gantt")
-    p.add_argument("--json", action="store_true",
-                   help="emit the stall report + watchpoint hits as JSON")
-    p.set_defaults(func=_cmd_inspect)
-
-    p = sub.add_parser(
-        "optimize",
-        help="search the pass pipeline space and synthesize the A4 "
-             "schedule (exact cycles + stall attribution)",
-    )
-    p.add_argument("--seq", type=int, default=32)
-    p.add_argument("--arch", default="A3", choices=["A1", "A2", "A3"])
-    p.add_argument("--json", action="store_true",
-                   help="emit the full A4 report as JSON")
-    p.add_argument("--out", default=None,
-                   help="also write the JSON report to this path (the CI "
-                        "pass-report artifact)")
-    p.set_defaults(func=_cmd_optimize)
-
-    p = sub.add_parser("verify", help="accelerator vs golden-model battery")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("utilization", help="engine utilization per architecture")
-    p.add_argument("--seq", type=int, default=32)
-    p.set_defaults(func=_cmd_utilization)
-
+    _add_commands(parser, COMMANDS, "command")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, FileNotFoundError) as exc:
+        print(f"error: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

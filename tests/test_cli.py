@@ -1,8 +1,103 @@
 """Tests for the repro-asr command-line interface."""
 
+import argparse
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+# Parsed defaults and option specs (flags, action kind, nargs, type,
+# choices) of every command, recorded from the hand-written parser the
+# command table replaced.  A table entry that changes a default, a dest
+# or a choice list fails here.  Regenerate only for an intended change.
+CLI_DEFAULTS = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "cli_defaults.json").read_text()
+)
+POSITIONALS = {"bench compare": ["BASELINE", "CURRENT"]}
+
+
+def _leaf_commands(parser, prefix=()):
+    """``(path, subparser)`` of every leaf command, e.g. ``"bench run"``."""
+    subs = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    if not subs:
+        yield " ".join(prefix), parser
+        return
+    for name, sub in subs[0].choices.items():
+        yield from _leaf_commands(sub, prefix + (name,))
+
+
+def _option_spec(action) -> dict:
+    return {
+        "flags": list(action.option_strings),
+        "kind": type(action).__name__,
+        "nargs": action.nargs,
+        "type": getattr(action.type, "__name__", None),
+        "choices": list(action.choices) if action.choices is not None else None,
+        "required": action.required,
+    }
+
+
+class TestParserPinned:
+    def test_same_commands(self):
+        assert sorted(c for c, _ in _leaf_commands(build_parser())) == sorted(
+            CLI_DEFAULTS
+        )
+
+    @pytest.mark.parametrize("command", sorted(CLI_DEFAULTS))
+    def test_defaults_and_options(self, command):
+        parser = build_parser()
+        args = vars(parser.parse_args(
+            command.split() + POSITIONALS.get(command, [])
+        ))
+        assert callable(args.pop("func"))
+        assert args == CLI_DEFAULTS[command]["defaults"]
+        sub = dict(_leaf_commands(parser))[command]
+        options = {
+            a.dest: _option_spec(a)
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        assert options == CLI_DEFAULTS[command]["options"]
+
+    @pytest.mark.parametrize("command", sorted(CLI_DEFAULTS) + ["bench"])
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command.split() + ["--help"])
+        assert exc.value.code == 0
+        assert f"usage: repro-asr {command}" in capsys.readouterr().out
+
+
+class TestUsageErrors:
+    """A bad value is a usage error: ``error: <message>`` on stdout and
+    exit 2, never a traceback.  Exit 1 keeps its per-command meaning
+    (does not fit, alerts fired, case failed, regression)."""
+
+    @pytest.mark.parametrize("argv", [
+        "latency --seq 0",
+        "program --seq 0",
+        "resources --seq 0",
+        "dse --seq 0",
+        "inspect --seq 0",
+        "optimize --seq 0",
+        "utilization --seq 0",
+        "serve-sim --loads 1,x,3",
+        "serve-sim --loads 0,1,2",
+        "serve-sim --loads 1,2",
+        "slo --requests 0",
+        "slo --slo-target 1.5",
+        "slo --load -1",
+        "costs --utilization-cap 0",
+        "transcribe --words 0",
+    ])
+    def test_exits_2_with_message(self, argv, capsys):
+        assert main(argv.split()) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: ")
+        assert out.count("\n") == 1
 
 
 class TestCli:
@@ -109,6 +204,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "# TYPE repro_e2e_ms histogram" in out
         assert "repro_asr_utterances 1" in out
+
+    def test_optimize_out_creates_parents_and_matches_json(
+        self, capsys, tmp_path
+    ):
+        out = tmp_path / "deep" / "dir" / "report.json"
+        assert main(["optimize", "--seq", "8", "--json", "--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
+        golden = Path(__file__).resolve().parent / "golden" / "optimize_seq8_A3.json"
+        assert out.read_text() == golden.read_text()
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -8,7 +8,8 @@ the sha256 of a canonical per-op listing of the A4 winner program
 (:func:`program_listing`).  They print cycles as floats, so a change in
 the schedule's placement or in its number types shows up here.  After
 an intended change, regenerate a file with the same command and review
-the diff.
+the diff.  ``cli_defaults.json`` pins the CLI parser instead (see
+``tests/test_cli.py``).
 """
 
 import hashlib
