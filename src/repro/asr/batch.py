@@ -74,16 +74,15 @@ class BatchTranscriber:
         """
         if not waveforms:
             raise ValueError("batch must contain at least one waveform")
-        feats = [
-            self.pipeline.preprocessor(np.asarray(w, dtype=np.float64))
-            for w in waveforms
-        ]
-        sessions = self.pipeline.accelerator.decode_sessions_batch(feats)
+        # Each member's frontend time is its own measured host time.
+        feats, host_ms = zip(*map(self.pipeline.preprocess, waveforms))
+        sessions = self.pipeline.accelerator.decode_sessions_batch(list(feats))
         results = tuple(
             self.pipeline.transcribe(
-                w, beam_size=beam_size, features=f, session=sess
+                w, beam_size=beam_size, features=f, measured_host_ms=ms,
+                session=sess,
             )
-            for w, f, sess in zip(waveforms, feats, sessions)
+            for w, f, ms, sess in zip(waveforms, feats, host_ms, sessions)
         )
         accel = self.pipeline.accelerator
         lm = accel.latency_model

@@ -205,18 +205,20 @@ class AsrPipeline:
         beam_size: int | None = None,
         *,
         features: np.ndarray | None = None,
+        measured_host_ms: float = 0.0,
         session=None,
     ) -> TranscriptionResult:
         """Run the full E2E flow on one utterance.
 
         ``features`` and ``session`` let a batch driver inject
-        precomputed frontend features and an already-prefilled
+        precomputed frontend features (from :meth:`preprocess`, with
+        the ``measured_host_ms`` it took) and an already-prefilled
         :class:`repro.hw.accelerator.HwDecodeSession` (from a batched
         encoder prefill); both default to per-utterance computation.
         """
         with obs_spans.tracer().span("asr.transcribe") as span:
             result = self._transcribe(
-                waveform, beam_size, features=features, session=session
+                waveform, beam_size, features, measured_host_ms, session
             )
             span.set(
                 sequence_length=result.sequence_length,
@@ -225,24 +227,27 @@ class AsrPipeline:
         self._record_metrics(result)
         return result
 
+    def preprocess(self, waveform: np.ndarray) -> tuple[np.ndarray, float]:
+        """The frontend features of ``waveform`` and the wall-clock
+        milliseconds the frontend took to compute them."""
+        start = time.perf_counter()
+        with obs_spans.tracer().span("asr.preprocess"):
+            features = self.preprocessor(np.asarray(waveform, dtype=np.float64))
+        return features, (time.perf_counter() - start) * 1e3
+
     def _transcribe(
         self,
         waveform: np.ndarray,
         beam_size: int | None,
-        features: np.ndarray | None = None,
-        session=None,
+        features: np.ndarray | None,
+        measured_host_ms: float,
+        session,
     ) -> TranscriptionResult:
         waveform = np.asarray(waveform, dtype=np.float64)
         if features is None:
-            start = time.perf_counter()
-            with obs_spans.tracer().span("asr.preprocess"):
-                features = self.preprocessor(waveform)
-            measured_host_ms = (time.perf_counter() - start) * 1e3
+            features, measured_host_ms = self.preprocess(waveform)
         else:
-            # Precomputed upstream (batched prefill); the host cost was
-            # paid there, so nothing is measured here.
             features = np.asarray(features)
-            measured_host_ms = 0.0
 
         s = features.shape[0]
         if s > self.accelerator.hw_seq_len:

@@ -302,8 +302,9 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
     if current.is_dir():
         found = latest_snapshot_path(current)
         if found is None:
-            print(f"no BENCH_<n>.json snapshot found in {current}")
-            return 2
+            raise FileNotFoundError(
+                f"no BENCH_<n>.json snapshot found in {current}"
+            )
         current = found
     report = compare_snapshots(
         load_snapshot(args.baseline),

@@ -149,7 +149,7 @@ _IR_INDEX = {
 
 def _copy(record: Op | BlockIR, **changes: Any) -> Any:
     """``dataclasses.replace`` for an :class:`Op` or :class:`BlockIR`,
-    as one positional constructor call (``__post_init__`` still runs)."""
+    as one positional constructor call (its validation still runs)."""
     cls = type(record)
     values = list(_IR_FIELDS[cls](record))
     index = _IR_INDEX[cls]

@@ -30,6 +30,9 @@ program transform via ``weight_hook``).
 One cached entry point, :func:`lower`, lowers a :class:`LoweringSpec`:
 the full encoder/decoder pass, the encoder stack (prefill), the
 single-token KV-cache decode step, or one layer or block on its own.
+Like the accelerator, which runs one kernel set for every layer, it
+lowers each distinct layer once, as a template, and stamps the copies
+(:func:`_stamp`).
 A block's compute cycles are always its ASAP makespan in the lowered
 program (``BlockProgram.block_spans``); no other cycle model of the
 block schedule exists.
@@ -37,7 +40,7 @@ block schedule exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -101,7 +104,21 @@ class OpKind(str, Enum):
     CACHE = "cache"  # zero-cycle cache bank bookkeeping
 
 
-@dataclass(frozen=True, slots=True)
+# The IR records are frozen, slotted dataclasses with a hand-written
+# ``__init__``: the generated frozen ``__init__`` assigns every field
+# through ``object.__setattr__``, while these write each slot through
+# its member descriptor (``_slot_setters``), about twice as fast.  A
+# lowering builds thousands of records, and assignment after
+# construction still raises ``FrozenInstanceError``.
+def _slot_setters(cls: type) -> tuple[Callable[[Any, Any], None], ...]:
+    """The ``__set__`` of each field's slot descriptor, in field order."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+_VALUE_KINDS = frozenset(("op", "ext", "cache"))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ValueRef:
     """Reference to a runtime value: an op output (``op``), an external
     program input (``ext``), or a KV-cache tensor (``cache``, keyed by
@@ -110,12 +127,15 @@ class ValueRef:
     kind: str
     key: Any
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("op", "ext", "cache"):
-            raise ValueError(f"unknown ValueRef kind '{self.kind}'")
+    def __init__(self, kind: str, key: Any) -> None:
+        if kind not in _VALUE_KINDS:
+            raise ValueError(f"unknown ValueRef kind '{kind}'")
+        _set_kind, _set_key = _VALUE_REF_SETTERS
+        _set_kind(self, kind)
+        _set_key(self, key)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ParamRef:
     """Path into the parameter tree, e.g. ``("encoders", 0, "mha",
     "wq")``.  Per-head stacks are referenced whole — the consuming op's
@@ -123,6 +143,9 @@ class ParamRef:
     dotted targets of :mod:`repro.hw.faults` exactly."""
 
     path: tuple
+
+    def __init__(self, path: tuple) -> None:
+        _PARAM_REF_SETTERS[0](self, path)
 
     def resolve(self, root: Any) -> np.ndarray:
         obj = root
@@ -141,7 +164,7 @@ class ParamRef:
         return ".".join(parts)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Op:
     """One scheduled unit of work with explicit dependency edges."""
 
@@ -161,9 +184,43 @@ class Op:
     params: tuple[ParamRef, ...] = ()
     attrs: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.cycles < 0:
+    def __init__(
+        self,
+        op_id: int,
+        kind: OpKind,
+        label: str,
+        engines: tuple[str, ...],
+        cycles: int,
+        deps: tuple[int, ...],
+        block: str,
+        semantic: str | None = None,
+        inputs: tuple[ValueRef, ...] = (),
+        params: tuple[ParamRef, ...] = (),
+        attrs: dict | None = None,
+    ) -> None:
+        if cycles < 0:
             raise ValueError("op cycles must be non-negative")
+        (
+            _set_op_id, _set_kind, _set_label, _set_engines, _set_cycles,
+            _set_deps, _set_block, _set_semantic, _set_inputs, _set_params,
+            _set_attrs,
+        ) = _OP_SETTERS
+        _set_op_id(self, op_id)
+        _set_kind(self, kind)
+        _set_label(self, label)
+        _set_engines(self, engines)
+        _set_cycles(self, cycles)
+        _set_deps(self, deps)
+        _set_block(self, block)
+        _set_semantic(self, semantic)
+        _set_inputs(self, inputs)
+        _set_params(self, params)
+        _set_attrs(self, {} if attrs is None else attrs)
+
+
+_VALUE_REF_SETTERS = _slot_setters(ValueRef)
+_PARAM_REF_SETTERS = _slot_setters(ParamRef)
+_OP_SETTERS = _slot_setters(Op)
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,7 +256,8 @@ class BlockProgram:
     ``__dict__``, which a frozen dataclass still has).  A meta-only
     copy (:meth:`with_meta`) shares them; a pass that rebuilds a
     program presets the spans it already knows
-    (:func:`_preset_block_spans`).
+    (:func:`_preset_block_spans`), and a lowering presets its layer
+    copies' spans from their template's.
     """
 
     fabric: Fabric
@@ -355,6 +413,9 @@ class _Builder:
         self.ops: list[Op] = []
         self.blocks: list[BlockIR] = []
         self.input_shapes: dict[str, tuple[int, int]] = {}
+        #: Spans of the blocks and merge groups stamped from a template.
+        self.spans: dict[str, int] = {}
+        self.group_spans: dict[str, int] = {}
 
     def ext(self, name: str, rows: int, width: int) -> ValueRef:
         """An external activation input, expected as ``(rows, width)``
@@ -423,7 +484,10 @@ class _Builder:
     def finish(
         self, outputs: dict[str, ValueRef | int], **meta: Any
     ) -> BlockProgram:
-        return BlockProgram(
+        """The program; when every block was stamped from a template,
+        its spans are preset from the templates' instead of a new ASAP
+        pass."""
+        program = BlockProgram(
             fabric=self.fabric,
             ops=tuple(self.ops),
             blocks=tuple(self.blocks),
@@ -433,6 +497,12 @@ class _Builder:
             },
             meta={**meta, "input_shapes": self.input_shapes},
         )
+        if len(self.spans) == len(self.blocks):
+            program.__dict__["block_spans"] = MappingProxyType(self.spans)
+            program.__dict__["merge_group_spans"] = MappingProxyType(
+                self.group_spans
+            )
+        return program
 
 
 def _load_op(b: _Builder, block: str, cycles: int, channel_hint: int | None) -> int:
@@ -868,39 +938,230 @@ def _bundle_load_cycles(fabric: Fabric, num_bytes: int) -> int:
     return hbm.transfer_cycles(num_bytes, channels=fabric.hardware.num_slrs)
 
 
-def _lower_encoders(
+# ------------------------------------------------------ layer templates
+# The accelerator runs one kernel set for every encoder and decoder
+# layer and streams only the weights (Algorithm 1), so the lowering
+# builds each distinct layer once, as a template, and stamps its copies.
+
+#: Dependencies of a template's entry ops; a stamp puts the ops the
+#: copy waits on in their place.
+_ENTRY_DEPS = (-1,)
+
+
+class _LayerTemplate:
+    """One layer lowered on its own, ids from 0, for :func:`_stamp`.
+
+    The layer is lowered with the first copy's labels (``names`` are
+    the label patterns of its blocks and merge groups, filled with the
+    1-based copy number) and layer index 0: its parameter paths index
+    the ``stack`` list (None: they start at the layer) and its cache
+    refs and ``CACHE`` ops name layer 0.  Its external inputs are
+    ``ext`` refs a stamp binds by name, and its entry ops depend on
+    :data:`_ENTRY_DEPS`.  ``output`` is the id of its output op.
+
+    ``rows`` holds each op as the :class:`Op` fields a copy takes over,
+    with the ``LOAD`` label left None, the entry deps None, and inputs
+    and parameters as slot numbers.  A copy's value slots are one ref
+    per op that an input or the output reads (the others' slots stay
+    None), then its :attr:`outer` refs: bound inputs and cache refs.
+    Its parameter slots follow :attr:`params`.
+    """
+
+    def __init__(
+        self, tb: _Builder, output: int, names: tuple[str, ...], stack: str | None
+    ) -> None:
+        self.program = tb.finish({})
+        self.output = output
+        self.names = names
+        self.stack = stack
+        n = len(self.program.ops)
+        outer: dict[ValueRef, int] = {}
+        params: dict[tuple, int] = {}
+        read = {output}
+        rows = []
+        for op in self.program.ops:
+            for ref in op.inputs:
+                if ref.kind == "op":
+                    read.add(ref.key)
+                elif ref not in outer:
+                    outer[ref] = n + len(outer)
+            for ref in op.params:
+                params.setdefault(ref.path, len(params))
+            rows.append((
+                op.op_id, op.kind, None if op.kind is OpKind.LOAD else op.label,
+                op.engines, op.cycles, None if op.deps == _ENTRY_DEPS else op.deps,
+                op.block, op.semantic,
+                tuple([
+                    ref.key if ref.kind == "op" else outer[ref] for ref in op.inputs
+                ]),
+                tuple([params[ref.path] for ref in op.params]),
+                op.attrs,
+            ))
+        self.rows = tuple(rows)
+        self.read = tuple(i in read for i in range(n))
+        self.outer = list(outer)
+        self.params = [ParamRef(path) for path in params]
+
+
+def _stamp(
     b: _Builder,
-    model: ModelConfig,
-    s: int,
-    parallel_heads: int | None,
-    x: ValueRef,
-    mask: str | None,
+    tpl: _LayerTemplate,
+    index: int,
+    bind: Mapping[str, ValueRef | None],
+    entry_deps: tuple[int, ...],
+) -> ValueRef:
+    """Append copy ``index`` of a layer template to ``b``: op ids
+    shifted past the ops already built, blocks relabelled, parameter
+    paths, cache refs and ``CACHE`` ops moved to layer ``index``, the
+    external inputs bound by name, and the entry ops made to wait on
+    ``entry_deps``.  The copy's spans are the template's.  Returns the
+    ref to the copy's output."""
+    src = tpl.program
+    offset = len(b.ops)
+    labels = {name.format(1): name.format(index + 1) for name in tpl.names}
+    load_labels = {old: f"LW:{new}" for old, new in labels.items()}
+    values = [
+        ValueRef("op", offset + i) if read else None
+        for i, read in enumerate(tpl.read)
+    ] + [
+        bind[ref.key] if ref.kind == "ext"
+        else _cacheref(ref.key[0], index, ref.key[2])
+        for ref in tpl.outer
+    ]
+    params = tpl.params if tpl.stack is None else [
+        ParamRef((tpl.stack, index) + ref.path[2:]) for ref in tpl.params
+    ]
+    shift, value, param = offset.__add__, values.__getitem__, params.__getitem__
+    append = b.ops.append
+    for (
+        op_id, kind, label, engines, cycles, deps, block, semantic, inputs,
+        op_params, attrs,
+    ) in tpl.rows:
+        append(Op(
+            op_id + offset,
+            kind,
+            load_labels[block] if label is None else label,
+            engines,
+            cycles,
+            entry_deps if deps is None else tuple(map(shift, deps)),
+            labels[block],
+            semantic,
+            tuple(map(value, inputs)),
+            tuple(map(param, op_params)),
+            {**attrs, "layer": index} if kind is OpKind.CACHE else attrs,
+        ))
+    for blk in src.blocks:
+        label = labels[blk.label]
+        b.blocks.append(replace(
+            blk,
+            label=label,
+            op_ids=tuple(map(shift, blk.op_ids)),
+            merge_group=labels.get(blk.merge_group),
+        ))
+        b.spans[label] = src.block_spans[blk.label]
+    for group, span in src.merge_group_spans.items():
+        b.group_spans[labels[group]] = span
+    return values[tpl.output]
+
+
+def _encoder_template(
+    fabric: Fabric, spec: LoweringSpec, mask: str, stack: bool
+) -> _LayerTemplate:
+    """One encoder layer (block ``enc1``, input ``x``): layer 0 of the
+    encoder stack behind its weight load with ``stack``, else the layer
+    alone without a load."""
+    model = spec.model
+    tb = _Builder(fabric)
+    load_cycles = load_bytes = 0
+    if stack:
+        load_bytes = encoder_weight_bytes(model, fabric.hardware.bytes_per_element)
+        load_cycles = _bundle_load_cycles(fabric, load_bytes)
+        _load_op(tb, "enc1", load_cycles, None)
+    out = _lower_encoder_layer(
+        tb, "enc1", ValueRef("ext", "x"), ("encoders", 0) if stack else (),
+        spec.s, model, spec.parallel_heads, mask, _ENTRY_DEPS,
+    )
+    tb.close_block("enc1", 0, load_cycles=load_cycles, load_bytes=load_bytes)
+    return _LayerTemplate(tb, out, ("enc{}",), "encoders" if stack else None)
+
+
+def _decoder_template(
+    fabric: Fabric,
+    spec: LoweringSpec,
+    t: int,
+    self_mask: str | None,
+    memory_mask: str | None,
+    stack: bool,
+    step: bool = False,
+) -> _LayerTemplate:
+    """One decoder layer as the ``dec1m``/``dec1f`` block pair (inputs
+    ``x`` and ``memory``): layer 0 of the decoder stack behind its two
+    weight loads with ``stack``, else the layer alone without loads;
+    with ``step``, one KV-cached decode step of it."""
+    model = spec.model
+    tb = _Builder(fabric)
+    mha_load = ffn_load = mha_bytes = ffn_bytes = 0
+    merged_load = None
+    if stack:
+        bpe = fabric.hardware.bytes_per_element
+        mha_bytes = decoder_mha_weight_bytes(model, bpe)
+        ffn_bytes = decoder_ffn_weight_bytes(model, bpe)
+        mha_load = _bundle_load_cycles(fabric, mha_bytes)
+        ffn_load = _bundle_load_cycles(fabric, ffn_bytes)
+        merged_load = _bundle_load_cycles(fabric, decoder_weight_bytes(model, bpe))
+        _load_op(tb, "dec1m", mha_load, 0)
+    m_end, out = _lower_decoder_layer(
+        tb, "dec1m", "dec1f", ValueRef("ext", "x"),
+        None if step else ValueRef("ext", "memory"),
+        ("decoders", 0) if stack else (), t, spec.s, model,
+        spec.parallel_heads, self_mask, memory_mask, _ENTRY_DEPS,
+        step_layer=0 if step else None,
+    )
+    tb.blocks.append(BlockIR(
+        "dec1m", tuple(range(m_end)), load_cycles=mha_load, channel_hint=0,
+        merge_group="dec1", merged_load_cycles=merged_load, load_bytes=mha_bytes,
+    ))
+    if stack:
+        # The f-part's load op follows the FFN ops the layer emitted;
+        # its id range covers both.
+        _load_op(tb, "dec1f", ffn_load, 1)
+    tb.blocks.append(BlockIR(
+        "dec1f", tuple(range(m_end, tb.mark())), load_cycles=ffn_load,
+        channel_hint=1, overhead_override=0, merge_group="dec1",
+        merged_load_cycles=merged_load, load_bytes=ffn_bytes,
+    ))
+    return _LayerTemplate(
+        tb, out, ("dec{}m", "dec{}f", "dec{}"), "decoders" if stack else None
+    )
+
+
+def _stamp_stack(
+    b: _Builder, tpl: _LayerTemplate, layers: int, x: ValueRef,
+    memory: ValueRef | None = None,
+) -> ValueRef:
+    """``layers`` copies of a layer template in a chain, each fed the
+    previous copy's output; returns the last output."""
+    entry: tuple[int, ...] = ()
+    for i in range(layers):
+        x = _stamp(b, tpl, i, {"x": x, "memory": memory}, entry)
+        entry = (x.key,)
+    return x
+
+
+def _lower_encoders(
+    b: _Builder, spec: LoweringSpec, x: ValueRef, mask: str
 ) -> ValueRef:
     """Every encoder layer, one block each behind its weight load."""
-    bpe = b.fabric.hardware.bytes_per_element
-    enc_bytes = encoder_weight_bytes(model, bpe) if model.num_encoders else 0
-    enc_load = _bundle_load_cycles(b.fabric, enc_bytes) if enc_bytes else 0
-    prev_out: tuple[int, ...] = ()
-    for i in range(model.num_encoders):
-        label = f"enc{i + 1}"
-        mark = b.mark()
-        _load_op(b, label, enc_load, None)
-        out = _lower_encoder_layer(
-            b, label, x, ("encoders", i), s, model, parallel_heads, mask,
-            prev_out,
-        )
-        b.close_block(label, mark, load_cycles=enc_load, load_bytes=enc_bytes)
-        x = _opref(out)
-        prev_out = (out,)
-    return x
+    if not spec.model.num_encoders:
+        return x
+    tpl = _encoder_template(b.fabric, spec, mask, stack=True)
+    return _stamp_stack(b, tpl, spec.model.num_encoders, x)
 
 
 def _lower_decoders(
     b: _Builder,
-    model: ModelConfig,
+    spec: LoweringSpec,
     t: int,
-    s: int,
-    parallel_heads: int | None,
     x: ValueRef,
     memory: ValueRef | None,
     self_mask: str | None,
@@ -909,67 +1170,23 @@ def _lower_decoders(
 ) -> ValueRef:
     """Every decoder layer as an m/f block pair (full pass, or one
     KV-cached decode step with ``step``)."""
-    fabric = b.fabric
-    bpe = fabric.hardware.bytes_per_element
-    if not model.num_decoders:
+    if not spec.model.num_decoders:
         return x
-    mha_bytes = decoder_mha_weight_bytes(model, bpe)
-    ffn_bytes = decoder_ffn_weight_bytes(model, bpe)
-    mha_load = _bundle_load_cycles(fabric, mha_bytes)
-    ffn_load = _bundle_load_cycles(fabric, ffn_bytes)
-    merged_load = _bundle_load_cycles(fabric, decoder_weight_bytes(model, bpe))
-    prev_out: tuple[int, ...] = ()
-    for i in range(model.num_decoders):
-        group = f"dec{i + 1}"
-        m_label, f_label = f"{group}m", f"{group}f"
-        mark = b.mark()
-        _load_op(b, m_label, mha_load, 0)
-        m_end, out = _lower_decoder_layer(
-            b, m_label, f_label, x, memory, ("decoders", i), t, s, model,
-            parallel_heads, self_mask, memory_mask, prev_out,
-            step_layer=i if step else None,
-        )
-        b.blocks.append(
-            BlockIR(
-                label=m_label,
-                op_ids=tuple(range(mark, m_end)),
-                load_cycles=mha_load,
-                channel_hint=0,
-                merge_group=group,
-                merged_load_cycles=merged_load,
-                load_bytes=mha_bytes,
-            )
-        )
-        # The f-part's load op follows the FFN ops the layer emitted;
-        # its id range covers both.
-        _load_op(b, f_label, ffn_load, 1)
-        b.blocks.append(
-            BlockIR(
-                label=f_label,
-                op_ids=tuple(range(m_end, b.mark())),
-                load_cycles=ffn_load,
-                channel_hint=1,
-                overhead_override=0,
-                merge_group=group,
-                merged_load_cycles=merged_load,
-                load_bytes=ffn_bytes,
-            )
-        )
-        x = _opref(out)
-        prev_out = (out,)
-    return x
+    tpl = _decoder_template(
+        b.fabric, spec, t, self_mask, memory_mask, stack=True, step=step
+    )
+    return _stamp_stack(b, tpl, spec.model.num_decoders, x, memory)
 
 
 # ------------------------------------------------- program entry points
 def _scope_full_pass(b: _Builder, spec: LoweringSpec, t: int) -> dict:
     """The full encoder + decoder pass: the program behind the Table
     5.1 / Fig 5.2 latency numbers and the teacher-forced run."""
-    model, ph = spec.model, spec.parallel_heads
-    x = b.ext("x", spec.s, model.d_model)
-    memory = _lower_encoders(b, model, spec.s, ph, x, "enc_mask")
+    d_model = spec.model.d_model
+    memory = _lower_encoders(b, spec, b.ext("x", spec.s, d_model), "enc_mask")
     out = _lower_decoders(
-        b, model, t, spec.s, ph, b.ext("dec_in", t, model.d_model), memory,
-        "dec_self_mask", "dec_memory_mask",
+        b, spec, t, b.ext("dec_in", t, d_model), memory, "dec_self_mask",
+        "dec_memory_mask",
     )
     return {"encoder_output": memory, "decoder_output": out}
 
@@ -977,8 +1194,7 @@ def _scope_full_pass(b: _Builder, spec: LoweringSpec, t: int) -> dict:
 def _scope_encoder_stack(b: _Builder, spec: LoweringSpec, t: int) -> dict:
     """The encoder stack alone (prefill)."""
     return {"output": _lower_encoders(
-        b, spec.model, spec.s, spec.parallel_heads,
-        b.ext("x", spec.s, spec.model.d_model), "enc_mask",
+        b, spec, b.ext("x", spec.s, spec.model.d_model), "enc_mask"
     )}
 
 
@@ -986,9 +1202,8 @@ def _scope_decode_step(b: _Builder, spec: LoweringSpec, t: int) -> dict:
     """One KV-cached decode step at prefix length ``t`` over an
     ``s``-row memory: a 1-row query through every decoder layer."""
     return {"output": _lower_decoders(
-        b, spec.model, t, spec.s, spec.parallel_heads,
-        b.ext("x", 1, spec.model.d_model), None,
-        None, "memory_mask", step=True,
+        b, spec, t, b.ext("x", 1, spec.model.d_model), None, None,
+        "memory_mask", step=True,
     )}
 
 
@@ -1021,31 +1236,23 @@ def _scope_ffn(b: _Builder, spec: LoweringSpec, t: int) -> dict:
 def _scope_encoder_layer(b: _Builder, spec: LoweringSpec, t: int) -> dict:
     """One encoder layer without its weight load (root:
     EncoderLayerParams) — the Fig 4.13 Gantt view."""
-    mark = b.mark()
-    out = _lower_encoder_layer(
-        b, "enc1", b.ext("x", spec.s, spec.model.d_model), (), spec.s,
-        spec.model, spec.parallel_heads, "mask", (),
-    )
-    b.close_block("enc1", mark)
-    return {"output": out}
+    tpl = _encoder_template(b.fabric, spec, "mask", stack=False)
+    return {"output": _stamp(
+        b, tpl, 0, {"x": b.ext("x", spec.s, spec.model.d_model)}, ()
+    )}
 
 
 def _scope_decoder_layer(b: _Builder, spec: LoweringSpec, t: int) -> dict:
     """One decoder layer without its weight loads (root:
     DecoderLayerParams), m/f split."""
-    m_end, out = _lower_decoder_layer(
-        b, "dec1m", "dec1f", b.ext("x", t, spec.model.d_model),
-        b.ext("memory", spec.s, spec.model.d_model), (), t, spec.s,
-        spec.model, spec.parallel_heads, "self_mask", "memory_mask", (),
+    tpl = _decoder_template(
+        b.fabric, spec, t, "self_mask", "memory_mask", stack=False
     )
-    b.blocks.append(
-        BlockIR("dec1m", tuple(range(m_end)), channel_hint=0, merge_group="dec1")
-    )
-    b.blocks.append(
-        BlockIR("dec1f", tuple(range(m_end, b.mark())), channel_hint=1,
-                overhead_override=0, merge_group="dec1")
-    )
-    return {"output": out}
+    bind = {
+        "x": b.ext("x", t, spec.model.d_model),
+        "memory": b.ext("memory", spec.s, spec.model.d_model),
+    }
+    return {"output": _stamp(b, tpl, 0, bind, ())}
 
 
 #: scope -> lowering of that scope's ops and blocks; returns the named
@@ -1101,6 +1308,25 @@ class LoweringSpec:
                 f"parallel_heads must be in [1, {total_psas}]; "
                 f"got {self.parallel_heads}"
             )
+        # Every lowering-cache lookup hashes the spec: hash it once, and
+        # without the fabric, whose hash (its HardwareConfig's, field by
+        # field) costs more than the rest together.  Equal specs still
+        # hash equal; specs that differ only in their fabric share a
+        # hash, and equality tells them apart.
+        object.__setattr__(self, "_hash", hash(
+            (self.scope, self.model, self.s, self.t, self.parallel_heads)
+        ))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt through ``__init__``, so the hash is recomputed: string
+        # hashes differ between interpreters.
+        return (LoweringSpec, (
+            self.scope, self.model, self.fabric, self.s, self.t,
+            self.parallel_heads,
+        ))
 
 
 @lru_cache(maxsize=512)

@@ -1,5 +1,7 @@
 """Tests for batch transcription with amortized accounting."""
 
+import time
+
 import pytest
 
 from repro.asr.batch import BatchTranscriber
@@ -73,3 +75,46 @@ class TestBatchTranscriber:
         assert result.single_shot_ms == pytest.approx(
             sum(r.accelerator_ms for r in result.results), abs=0.0
         )
+
+
+class _SlowSecondFrontend:
+    """The pipeline's preprocessor, 50 ms slower on its second call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def __call__(self, waveform):
+        self.calls += 1
+        if self.calls == 2:
+            time.sleep(0.05)
+        return self.inner(waveform)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class TestBatchHostTime:
+    """Regression: the batch ran the frontend itself and passed
+    ``features=``, so every member reported ``measured_host_ms == 0``."""
+
+    def test_every_member_reports_its_frontend_time(
+        self, transcriber, batch_waveforms
+    ):
+        for n in (1, 3):
+            result = transcriber.transcribe_batch(batch_waveforms[:n])
+            assert all(r.measured_host_ms > 0 for r in result.results)
+
+    def test_time_is_attributed_to_its_member(
+        self, transcriber, batch_waveforms, monkeypatch
+    ):
+        pipeline = transcriber.pipeline
+        monkeypatch.setattr(
+            pipeline, "preprocessor", _SlowSecondFrontend(pipeline.preprocessor)
+        )
+        host_ms = [
+            r.measured_host_ms
+            for r in transcriber.transcribe_batch(batch_waveforms[:2]).results
+        ]
+        assert host_ms[1] >= 50
+        assert host_ms[1] > host_ms[0]

@@ -263,6 +263,9 @@ class TestBenchCli:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["bench", "compare", str(baseline), str(empty)]) == 2
+        assert capsys.readouterr().out == (
+            f"error: no BENCH_<n>.json snapshot found in {empty}\n"
+        )
 
     def test_report_names_crossover_and_roofline(self, capsys):
         assert main(["bench", "report", "--seq", "32", "--arch", "A3"]) == 0

@@ -7,13 +7,18 @@ of the program and the agreement between the executors — plus fault
 injection as a program transform.
 """
 
+import ast
 import dataclasses
+import importlib
+import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.hw
 from repro.config import ModelConfig
 from repro.hw import program as program_module
 from repro.hw.controller import AcceleratorController, LatencyModel
@@ -35,7 +40,9 @@ from repro.hw.program import (
     trace_block,
     trace_program,
 )
+from repro.hw.kernels import Fabric
 from repro.hw.scheduler import Architecture, BlockWork, schedule
+from tests.reference_lowering import lowering_listing, reference_lower
 
 MODEL = ModelConfig(num_encoders=2, num_decoders=2)
 SCOPES = [
@@ -132,6 +139,28 @@ class TestLoweringSpec:
         assert {type(spec.s), type(spec.t), type(spec.parallel_heads)} == {int}
         assert lower(spec) is lower(LoweringSpec("decode_step", MODEL, fabric, 8, 3, 2))
 
+    def test_hash_is_cached_and_consistent_with_equality(self, fabric):
+        spec = LoweringSpec("decode_step", MODEL, fabric, 8, 3)
+        same = LoweringSpec("decode_step", MODEL, Fabric(), 8, t=3)
+        assert spec == same and hash(spec) == hash(same)
+        assert spec.__dict__["_hash"] == hash(spec)
+        slower = Fabric(dataclasses.replace(fabric.hardware, clock_mhz=150.0))
+        other = LoweringSpec("decode_step", MODEL, slower, 8, 3)
+        assert other != spec and lower(other) is not lower(spec)
+        assert lower(other).fabric == slower
+        assert dataclasses.replace(spec, t=4) == LoweringSpec(
+            "decode_step", MODEL, fabric, 8, 4
+        )
+
+    def test_pickle_recomputes_the_hash(self, fabric):
+        import pickle
+
+        spec = LoweringSpec("decode_step", MODEL, fabric, 8, 3)
+        object.__setattr__(spec, "_hash", 0)  # as if hashed elsewhere
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec
+        assert hash(copy) == hash(LoweringSpec("decode_step", MODEL, fabric, 8, 3))
+
 
 class TestLoweringCache:
     """The cold-clear contract: one cache, found by name, fully reset
@@ -155,6 +184,102 @@ class TestLoweringCache:
         b = LoweringSpec("decode_step", MODEL, fabric, 8, t=3)
         assert a is not b and lower(a) is lower(b)
         assert lower_decode_step(MODEL, fabric, 3, 8) is lower(a)
+
+    def test_every_hw_cache_is_registered(self):
+        """A cache outside ``lowering_cache_info()`` (other than the A4
+        search's own) would survive perfbench's cold reset and turn the
+        cold ``dse_sweep`` roots warm.  Every ``functools.lru_cache`` or
+        ``functools.cache`` in ``repro.hw`` must decorate a module-level
+        function that the registry lists by name, or be
+        ``synthesize_a4``."""
+        from repro.hw import dse
+
+        registered = lowering_cache_info()
+        found = []
+        for info in pkgutil.iter_modules(repro.hw.__path__):
+            module = importlib.import_module(f"repro.hw.{info.name}")
+            tree = ast.parse(Path(module.__file__).read_text())
+            decorates = {
+                id(node): fn.name
+                for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                for dec in fn.decorator_list for node in ast.walk(dec)
+            }
+            for use in _functools_caches(tree):
+                where = f"repro.hw.{info.name}:{use.lineno}"
+                assert id(use) in decorates, (
+                    f"{where}: a cache that does not decorate a module-level "
+                    f"function"
+                )
+                fn = getattr(module, decorates[id(use)])
+                assert fn is dse.synthesize_a4 or (
+                    fn.__name__ in registered
+                    and getattr(program_module, fn.__name__, None) is fn
+                ), f"{where}: {fn.__name__} is not in lowering_cache_info()"
+                found.append(fn)
+        assert lower in found and dse.synthesize_a4 in found
+
+
+def _functools_caches(tree: ast.Module) -> list[ast.expr]:
+    """Every expression in a module naming ``functools.lru_cache`` or
+    ``functools.cache``."""
+    kinds = ("lru_cache", "cache")
+    names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names if alias.name in kinds
+    }
+    return [
+        node for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (
+            isinstance(node, ast.Attribute) and node.attr in kinds
+            and isinstance(node.value, ast.Name) and node.value.id == "functools"
+        )
+    ]
+
+
+@st.composite
+def stack_specs(draw) -> LoweringSpec:
+    """A lowering spec of a templated scope on a generated model: 0 to
+    4 encoder and decoder layers (0 and 1 leave no copy to stamp), 1 to
+    8 heads, and any s, t and head parallelism."""
+    num_heads = draw(st.sampled_from([1, 2, 4, 8]))
+    model = ModelConfig(
+        d_model=num_heads * draw(st.sampled_from([4, 8, 16])),
+        num_heads=num_heads,
+        d_ff=draw(st.sampled_from([8, 24, 64])),
+        num_encoders=draw(st.integers(0, 4)),
+        num_decoders=draw(st.integers(0, 4)),
+    )
+    return LoweringSpec(
+        draw(st.sampled_from([
+            "full_pass", "encoder_stack", "decode_step", "encoder_layer",
+            "decoder_layer",
+        ])),
+        model,
+        Fabric(),
+        draw(st.integers(1, 40)),
+        draw(st.none() | st.integers(1, 40)),
+        draw(st.none() | st.integers(1, 8)),
+    )
+
+
+class TestTemplateLowering:
+    """Stamping layer templates builds the program the per-layer loop
+    built (``tests/reference_lowering.py``), spans included."""
+
+    @given(spec=stack_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_layer_lowering(self, spec):
+        assert lowering_listing(lower(spec)) == lowering_listing(
+            reference_lower(spec)
+        )
+
+    def test_copies_share_the_template_spans(self, fabric):
+        program = lower_full_pass(MODEL, fabric, 8)
+        assert "block_spans" in program.__dict__
+        assert_memo_matches_reference(program)
 
 
 class TestLoweringStructure:
