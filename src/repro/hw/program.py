@@ -963,8 +963,8 @@ class _LayerTemplate:
     with the ``LOAD`` label left None, the entry deps None, and inputs
     and parameters as slot numbers.  A copy's value slots are one ref
     per op that an input or the output reads (the others' slots stay
-    None), then its :attr:`outer` refs: bound inputs and cache refs.
-    Its parameter slots follow :attr:`params`.
+    None), then one per :attr:`outer` ``(kind, key)`` pair: bound
+    inputs and cache refs.  Its parameter slots follow :attr:`params`.
     """
 
     def __init__(
@@ -975,7 +975,7 @@ class _LayerTemplate:
         self.names = names
         self.stack = stack
         n = len(self.program.ops)
-        outer: dict[ValueRef, int] = {}
+        outer: dict[tuple[str, Any], int] = {}
         params: dict[tuple, int] = {}
         read = {output}
         rows = []
@@ -983,8 +983,8 @@ class _LayerTemplate:
             for ref in op.inputs:
                 if ref.kind == "op":
                     read.add(ref.key)
-                elif ref not in outer:
-                    outer[ref] = n + len(outer)
+                else:
+                    outer.setdefault((ref.kind, ref.key), n + len(outer))
             for ref in op.params:
                 params.setdefault(ref.path, len(params))
             rows.append((
@@ -992,7 +992,8 @@ class _LayerTemplate:
                 op.engines, op.cycles, None if op.deps == _ENTRY_DEPS else op.deps,
                 op.block, op.semantic,
                 tuple([
-                    ref.key if ref.kind == "op" else outer[ref] for ref in op.inputs
+                    ref.key if ref.kind == "op" else outer[ref.kind, ref.key]
+                    for ref in op.inputs
                 ]),
                 tuple([params[ref.path] for ref in op.params]),
                 op.attrs,
@@ -1024,9 +1025,8 @@ def _stamp(
         ValueRef("op", offset + i) if read else None
         for i, read in enumerate(tpl.read)
     ] + [
-        bind[ref.key] if ref.kind == "ext"
-        else _cacheref(ref.key[0], index, ref.key[2])
-        for ref in tpl.outer
+        bind[key] if kind == "ext" else _cacheref(key[0], index, key[2])
+        for kind, key in tpl.outer
     ]
     params = tpl.params if tpl.stack is None else [
         ParamRef((tpl.stack, index) + ref.path[2:]) for ref in tpl.params
@@ -1381,12 +1381,19 @@ def _asap_times(
     are satisfied by construction.
     """
     times: dict[int, tuple[int, int]] = {}
+    ends: dict[int, int] = {}
+    ops = program.ops
     for op_id in op_ids:
-        op = program.ops[op_id]
+        op = ops[op_id]
         if op.kind is OpKind.LOAD:
             continue
-        start = max((times[d][1] for d in op.deps if d in times), default=0)
-        times[op_id] = (start, start + op.cycles)
+        start = 0
+        for dep in op.deps:
+            end = ends.get(dep, 0)
+            if end > start:
+                start = end
+        ends[op_id] = end = start + op.cycles
+        times[op_id] = (start, end)
     return times
 
 
