@@ -132,19 +132,26 @@ class HardwareConfig:
         _require(self.bytes_per_element in (1, 2, 4, 8), "unsupported precision")
         _require(self.adder_width >= 1, "adder_width must be >= 1")
         _require(self.board_power_w > 0, "board_power_w must be positive")
-
-    def __hash__(self) -> int:
         # The generated frozen-dataclass hash chokes on the resources
-        # dict; canonicalize it so configs stay usable as cache keys
-        # (the program lowerings memoize on them).  Consistent with the
-        # generated __eq__, which compares the dict by value.
+        # dict; canonicalize it so configs stay usable as cache keys.
+        # Consistent with the generated __eq__, which compares the dict
+        # by value.  Hashed once: walking the fields on every lookup
+        # costs more than the lookup.
         values = []
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, dict):
                 value = tuple(sorted(value.items()))
             values.append(value)
-        return hash(tuple(values))
+        object.__setattr__(self, "_hash", hash(tuple(values)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt through ``__init__``, so the hash is recomputed: string
+        # hashes differ between interpreters.
+        return (HardwareConfig, tuple(getattr(self, f.name) for f in fields(self)))
 
     @property
     def total_psas(self) -> int:

@@ -32,7 +32,8 @@ the full encoder/decoder pass, the encoder stack (prefill), the
 single-token KV-cache decode step, or one layer or block on its own.
 Like the accelerator, which runs one kernel set for every layer, it
 lowers each distinct layer once, as a template, and stamps the copies
-(:func:`_stamp`).
+(:func:`_stamp`): their blocks and spans at once, their ops on the
+first read of ``BlockProgram.ops``.
 A block's compute cycles are always its ASAP makespan in the lowered
 program (``BlockProgram.block_spans``); no other cycle model of the
 block schedule exists.
@@ -40,6 +41,7 @@ block schedule exists.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -257,18 +259,43 @@ class BlockProgram:
     copy (:meth:`with_meta`) shares them; a pass that rebuilds a
     program presets the spans it already knows
     (:func:`_preset_block_spans`), and a lowering presets its layer
-    copies' spans from their template's.
+    copies' spans from their template's and builds their ops only when
+    ``ops`` is first read.
     """
 
     fabric: Fabric
+    #: The ops in id order.  A lowering that stamps layer copies passes
+    #: their recipe (:class:`_DeferredOps`) instead, and the copies'
+    #: ops are built on the first read of this attribute; the block
+    #: views (``num_ops``, ``blocks``, the spans, ``outputs``, ``meta``,
+    #: the work units) never read it.
     ops: tuple[Op, ...]
     blocks: tuple[BlockIR, ...]
     outputs: dict[str, ValueRef]
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if isinstance(self.__dict__["ops"], _DeferredOps):
+            self.__dict__["_deferred"] = self.__dict__.pop("ops")
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for an attribute the instance lacks: ``ops``
+        # before its recipe has run.  The built tuple is published
+        # before the recipe is dropped, so a reader sees one or the
+        # other, never neither.
+        deferred = self.__dict__.get("_deferred") if name == "ops" else None
+        if deferred is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        ops = self.__dict__["ops"] = deferred.build()
+        self.__dict__.pop("_deferred", None)
+        return ops
+
     @property
     def num_ops(self) -> int:
-        return len(self.ops)
+        deferred = self.__dict__.get("_deferred")
+        return len(self.ops) if deferred is None else deferred.num_ops
 
     def block(self, label: str) -> BlockIR:
         for blk in self.blocks:
@@ -320,11 +347,14 @@ class BlockProgram:
     def with_meta(self, meta: dict) -> BlockProgram:
         """This program with its ``meta`` replaced.
 
-        The copy shares the views that read only ``ops`` and ``blocks``
-        — spans, work units, execution plan — and, while
-        ``schedule_params`` is unchanged, the PSA stall memo.
+        The copy shares the ops — built or not, both programs get one
+        tuple — the views that read only ``ops`` and ``blocks`` — spans,
+        work units, execution plan — and, while ``schedule_params`` is
+        unchanged, the PSA stall memo.
         """
-        copy = replace(self, meta=meta)
+        copy = replace(
+            self, meta=meta, ops=self.__dict__.get("_deferred") or self.ops
+        )
         shared: tuple[str, ...] = (
             "block_spans",
             "merge_group_spans",
@@ -405,12 +435,48 @@ def _cacheref(which: str, layer: int, head: int) -> ValueRef:
     return ValueRef("cache", (which, layer, head))
 
 
+#: Appends one stamped layer copy's ops (see :func:`_stamp`).
+_CopyBuilder = Callable[[Callable[[Op], None]], None]
+
+
+class _DeferredOps:
+    """A lowered program's ops before they are built: its own ops and
+    one builder per stamped layer copy, in id order.  :meth:`build`
+    runs them once, under a lock, and keeps only the tuple."""
+
+    __slots__ = ("parts", "num_ops", "ops", "lock")
+
+    def __init__(self, parts: list[Op | _CopyBuilder], num_ops: int) -> None:
+        self.parts: list[Op | _CopyBuilder] | None = parts
+        self.num_ops = num_ops
+        self.ops: tuple[Op, ...] | None = None
+        self.lock = threading.Lock()
+
+    def build(self) -> tuple[Op, ...]:
+        with self.lock:
+            if self.ops is None:
+                ops: list[Op] = []
+                append = ops.append
+                for part in self.parts:
+                    if isinstance(part, Op):
+                        append(part)
+                    else:
+                        part(append)
+                self.ops, self.parts = tuple(ops), None
+        return self.ops
+
+
 class _Builder:
     """Accumulates ops and blocks during lowering."""
 
     def __init__(self, fabric: Fabric) -> None:
         self.fabric = fabric
-        self.ops: list[Op] = []
+        #: The ops in id order, a stamped copy standing in as the one
+        #: builder of its ops.
+        self.ops: list[Op | _CopyBuilder] = []
+        #: Op count so far, copies included: the next op id.
+        self.size = 0
+        self.stamped = False
         self.blocks: list[BlockIR] = []
         self.input_shapes: dict[str, tuple[int, int]] = {}
         #: Spans of the blocks and merge groups stamped from a template.
@@ -436,7 +502,8 @@ class _Builder:
         params: Sequence[tuple] = (),
         **attrs: Any,
     ) -> int:
-        op_id = len(self.ops)
+        op_id = self.size
+        self.size += 1
         self.ops.append(
             Op(
                 op_id=op_id,
@@ -455,7 +522,14 @@ class _Builder:
         return op_id
 
     def mark(self) -> int:
-        return len(self.ops)
+        return self.size
+
+    def stamp(self, build: _CopyBuilder, count: int) -> None:
+        """Reserve the next ``count`` op ids for ops that ``build``
+        appends on the first read of the program's ops."""
+        self.ops.append(build)
+        self.size += count
+        self.stamped = True
 
     def close_block(
         self,
@@ -470,7 +544,7 @@ class _Builder:
     ) -> BlockIR:
         blk = BlockIR(
             label=label,
-            op_ids=tuple(range(mark, len(self.ops))),
+            op_ids=tuple(range(mark, self.size)),
             load_cycles=load_cycles,
             channel_hint=channel_hint,
             overhead_override=overhead_override,
@@ -486,10 +560,11 @@ class _Builder:
     ) -> BlockProgram:
         """The program; when every block was stamped from a template,
         its spans are preset from the templates' instead of a new ASAP
-        pass."""
+        pass, and its ops are built when first read."""
         program = BlockProgram(
             fabric=self.fabric,
-            ops=tuple(self.ops),
+            ops=_DeferredOps(self.ops, self.size) if self.stamped
+            else tuple(self.ops),
             blocks=tuple(self.blocks),
             outputs={
                 name: _opref(ref) if isinstance(ref, int) else ref
@@ -957,7 +1032,9 @@ class _LayerTemplate:
     the ``stack`` list (None: they start at the layer) and its cache
     refs and ``CACHE`` ops name layer 0.  Its external inputs are
     ``ext`` refs a stamp binds by name, and its entry ops depend on
-    :data:`_ENTRY_DEPS`.  ``output`` is the id of its output op.
+    :data:`_ENTRY_DEPS`.  ``output`` is the id of its output op; the
+    template keeps the layer's blocks and spans but not its ops, which
+    a program waiting to build its copies would otherwise hold.
 
     ``rows`` holds each op as the :class:`Op` fields a copy takes over,
     with the ``LOAD`` label left None, the entry deps None, and inputs
@@ -970,16 +1047,19 @@ class _LayerTemplate:
     def __init__(
         self, tb: _Builder, output: int, names: tuple[str, ...], stack: str | None
     ) -> None:
-        self.program = tb.finish({})
+        program = tb.finish({})
+        self.blocks = program.blocks
+        self.spans = program.block_spans
+        self.group_spans = program.merge_group_spans
         self.output = output
         self.names = names
         self.stack = stack
-        n = len(self.program.ops)
+        n = len(program.ops)
         outer: dict[tuple[str, Any], int] = {}
         params: dict[tuple, int] = {}
         read = {output}
         rows = []
-        for op in self.program.ops:
+        for op in program.ops:
             for ref in op.inputs:
                 if ref.kind == "op":
                     read.add(ref.key)
@@ -1015,42 +1095,13 @@ def _stamp(
     shifted past the ops already built, blocks relabelled, parameter
     paths, cache refs and ``CACHE`` ops moved to layer ``index``, the
     external inputs bound by name, and the entry ops made to wait on
-    ``entry_deps``.  The copy's spans are the template's.  Returns the
-    ref to the copy's output."""
-    src = tpl.program
-    offset = len(b.ops)
+    ``entry_deps``.  The copy's blocks, spans and output are made now;
+    its ops when the program's ops are first read.  Returns the ref to
+    the copy's output."""
+    offset = b.size
     labels = {name.format(1): name.format(index + 1) for name in tpl.names}
-    load_labels = {old: f"LW:{new}" for old, new in labels.items()}
-    values = [
-        ValueRef("op", offset + i) if read else None
-        for i, read in enumerate(tpl.read)
-    ] + [
-        bind[key] if kind == "ext" else _cacheref(key[0], index, key[2])
-        for kind, key in tpl.outer
-    ]
-    params = tpl.params if tpl.stack is None else [
-        ParamRef((tpl.stack, index) + ref.path[2:]) for ref in tpl.params
-    ]
-    shift, value, param = offset.__add__, values.__getitem__, params.__getitem__
-    append = b.ops.append
-    for (
-        op_id, kind, label, engines, cycles, deps, block, semantic, inputs,
-        op_params, attrs,
-    ) in tpl.rows:
-        append(Op(
-            op_id + offset,
-            kind,
-            load_labels[block] if label is None else label,
-            engines,
-            cycles,
-            entry_deps if deps is None else tuple(map(shift, deps)),
-            labels[block],
-            semantic,
-            tuple(map(value, inputs)),
-            tuple(map(param, op_params)),
-            {**attrs, "layer": index} if kind is OpKind.CACHE else attrs,
-        ))
-    for blk in src.blocks:
+    shift = offset.__add__
+    for blk in tpl.blocks:
         label = labels[blk.label]
         b.blocks.append(replace(
             blk,
@@ -1058,10 +1109,45 @@ def _stamp(
             op_ids=tuple(map(shift, blk.op_ids)),
             merge_group=labels.get(blk.merge_group),
         ))
-        b.spans[label] = src.block_spans[blk.label]
-    for group, span in src.merge_group_spans.items():
+        b.spans[label] = tpl.spans[blk.label]
+    for group, span in tpl.group_spans.items():
         b.group_spans[labels[group]] = span
-    return values[tpl.output]
+    output = ValueRef("op", offset + tpl.output)
+
+    def build(append: Callable[[Op], None]) -> None:
+        load_labels = {old: f"LW:{new}" for old, new in labels.items()}
+        values = [
+            ValueRef("op", offset + i) if read else None
+            for i, read in enumerate(tpl.read)
+        ] + [
+            bind[key] if kind == "ext" else _cacheref(key[0], index, key[2])
+            for kind, key in tpl.outer
+        ]
+        values[tpl.output] = output
+        params = tpl.params if tpl.stack is None else [
+            ParamRef((tpl.stack, index) + ref.path[2:]) for ref in tpl.params
+        ]
+        value, param = values.__getitem__, params.__getitem__
+        for (
+            op_id, kind, label, engines, cycles, deps, block, semantic,
+            inputs, op_params, attrs,
+        ) in tpl.rows:
+            append(Op(
+                op_id + offset,
+                kind,
+                load_labels[block] if label is None else label,
+                engines,
+                cycles,
+                entry_deps if deps is None else tuple(map(shift, deps)),
+                labels[block],
+                semantic,
+                tuple(map(value, inputs)),
+                tuple(map(param, op_params)),
+                {**attrs, "layer": index} if kind is OpKind.CACHE else attrs,
+            ))
+
+    b.stamp(build, len(tpl.rows))
+    return output
 
 
 def _encoder_template(
@@ -1309,10 +1395,9 @@ class LoweringSpec:
                 f"got {self.parallel_heads}"
             )
         # Every lowering-cache lookup hashes the spec: hash it once, and
-        # without the fabric, whose hash (its HardwareConfig's, field by
-        # field) costs more than the rest together.  Equal specs still
-        # hash equal; specs that differ only in their fabric share a
-        # hash, and equality tells them apart.
+        # without the fabric (its calibration hashes field by field).
+        # Equal specs still hash equal; specs that differ only in their
+        # fabric share a hash, and equality tells them apart.
         object.__setattr__(self, "_hash", hash(
             (self.scope, self.model, self.s, self.t, self.parallel_heads)
         ))

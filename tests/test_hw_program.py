@@ -11,6 +11,8 @@ import ast
 import dataclasses
 import importlib
 import pkgutil
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 import repro.hw
 from repro.config import ModelConfig
+from repro.hw import passes as passes_module
 from repro.hw import program as program_module
 from repro.hw.controller import AcceleratorController, LatencyModel
 from repro.hw.dse import a4_candidate_pipelines
@@ -280,6 +283,85 @@ class TestTemplateLowering:
         program = lower_full_pass(MODEL, fabric, 8)
         assert "block_spans" in program.__dict__
         assert_memo_matches_reference(program)
+
+    @given(spec=stack_specs())
+    @settings(max_examples=40, deadline=None)
+    def test_block_views_before_ops_match_per_layer_lowering(self, spec):
+        """The block views read before the copies' ops are built agree
+        with the per-layer lowering, and so do the ops built after."""
+        program = lower.__wrapped__(spec)  # fresh: no cached reads
+        num_ops = program.num_ops
+        blocks, outputs = program.blocks, program.outputs
+        spans = dict(program.block_spans), dict(program.merge_group_spans)
+        work = {arch: program_block_work(program, arch) for arch in Architecture}
+        copy = program.with_meta({**program.meta, "note": 1})
+        reference = reference_lower(spec)
+        assert lowering_listing(program) == lowering_listing(reference)
+        assert (blocks, outputs) == (reference.blocks, reference.outputs)
+        assert spans == (
+            dict(reference.block_spans), dict(reference.merge_group_spans)
+        )
+        assert work == {
+            arch: program_block_work(reference, arch) for arch in Architecture
+        }
+        assert copy.ops is program.ops and passes_module._same_ir(program, copy)
+        assert num_ops == program.num_ops == len(program.ops)
+
+    def test_block_level_readers_build_no_copy_ops(self, monkeypatch):
+        """A cold design point (its reports and the op count the
+        ``dse`` sweeps record) and a decode iteration build the ops of
+        the layer templates and of no copy: a block-level reader that
+        touches ``ops`` fails here."""
+        built, held = [0], [0]
+        op_init = program_module.Op.__init__
+        template_init = program_module._LayerTemplate.__init__
+
+        def counting_op_init(self, *args, **kwargs):
+            built[0] += 1
+            op_init(self, *args, **kwargs)
+
+        def counting_template_init(self, tb, *args, **kwargs):
+            held[0] += tb.size
+            template_init(self, tb, *args, **kwargs)
+
+        monkeypatch.setattr(program_module.Op, "__init__", counting_op_init)
+        monkeypatch.setattr(
+            program_module._LayerTemplate, "__init__", counting_template_init
+        )
+        lower.cache_clear()
+        lm = LatencyModel()
+        for arch in ("A1", "A2", "A3"):
+            assert lm.latency_report(32, arch).total_cycles > 0
+        assert lm.decode_iteration_cycles([3, 7], 32) > 0
+        num_ops = lm.full_pass_program(32).num_ops
+        assert 0 < built[0] <= held[0] < num_ops
+
+    def test_concurrent_first_reads_share_one_tuple(self):
+        """Threads that read ``ops`` of a fresh program at once all get
+        the one fully built tuple."""
+        spec = LoweringSpec("full_pass", MODEL, Fabric(), 8)
+        program = lower.__wrapped__(spec)
+        start = threading.Barrier(8)
+        seen = []
+
+        def read():
+            start.wait(timeout=30)
+            seen.append(program.ops)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads finely
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8 and all(ops is seen[0] for ops in seen)
+        assert len(seen[0]) == program.num_ops
+        assert lowering_listing(program) == lowering_listing(reference_lower(spec))
 
 
 class TestLoweringStructure:

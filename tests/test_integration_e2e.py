@@ -2,12 +2,15 @@
 pipeline, trained-model deployment onto the accelerator, and config
 round trips."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.asr.dataset import LibriSpeechLikeDataset
 from repro.asr.pipeline import AsrPipeline
-from repro.config import ModelConfig
+from repro.config import HardwareConfig, ModelConfig
 from repro.decoding.greedy import greedy_decode
 from repro.decoding.vocab import CharVocabulary
 from repro.hw.accelerator import TransformerAccelerator
@@ -99,6 +102,24 @@ class TestConfigIntegration:
         ms = hardware.cycles_to_ms(300_000)
         assert ms == pytest.approx(1.0)
         assert hardware.ms_to_cycles(ms) == pytest.approx(300_000)
+
+    def test_hardware_hash_is_cached_and_consistent_with_equality(self):
+        hw = HardwareConfig()
+        same = HardwareConfig(resources=dict(reversed(hw.resources.items())))
+        assert hw == same and hash(hw) == hash(same)
+        assert hw.__dict__["_hash"] == hash(hw)
+        slower = dataclasses.replace(hw, clock_mhz=150.0)
+        assert slower != hw and hash(slower) == hash(
+            HardwareConfig(clock_mhz=150.0)
+        )
+
+    def test_hardware_pickle_rehashes_and_finds_its_key(self):
+        hw = HardwareConfig(psas_per_slr=2)
+        cache = {hw: "cached"}
+        object.__setattr__(hw, "_hash", 0)  # as if hashed elsewhere
+        copy = pickle.loads(pickle.dumps(hw))
+        assert copy == hw and cache[copy] == "cached"
+        assert hash(copy) == hash(HardwareConfig(psas_per_slr=2))
 
     def test_config_validation_messages(self):
         with pytest.raises(ValueError):
