@@ -1,6 +1,6 @@
 # Developer entry points; `test` and `bench` run what CI runs.
 
-.PHONY: install test test-fast bench examples verify all
+.PHONY: install test test-fast bench perfbench examples verify all
 
 EXAMPLES := $(sort $(wildcard examples/*.py))
 
@@ -15,6 +15,14 @@ test-fast:
 
 bench:
 	PYTHONPATH=src python -m pytest -q benchmarks/
+
+# One perfbench run: make perfbench W=dse_sweep SEED=11 TRACE=0
+W ?= all
+SEED ?= 1
+TRACE ?= 0
+
+perfbench:
+	python3 perfbench/run.py --workload $(W) --seed $(SEED) --trace $(TRACE)
 
 verify:
 	PYTHONPATH=src python -m repro.cli verify

@@ -54,7 +54,7 @@ from typing import Iterable, Mapping, Sequence
 from repro.hw.program import (
     BlockProgram,
     UnitSpan,
-    _asap_times,
+    _unit_shape,
     _work_units,
     program_unit_spans,
     schedule_program,
@@ -352,7 +352,9 @@ def psa_stall_totals(
     makespan (the schedule's ``total_cycles``).  Per-unit sums are
     prefix sums over the schedule arrays.  A lane's busy cycles are its
     ops' cycles: the trace executor rejects an engine that runs two ops
-    at once.
+    at once.  Each unit's lane busy cycles and last end come from its
+    block shape (``BlockShape.psa``), which every copy of a layer shares,
+    so no op is read.
     """
     if block_overhead is None:
         block_overhead = program.fabric.calibration.block_overhead_cycles
@@ -378,16 +380,11 @@ def psa_stall_totals(
         spans.append(spans[-1] + work.compute_cycles)
         overheads.append(overheads[-1] + ce[u] - cs[u] - work.compute_cycles)
         prev_end = ce[u]
-        op_ids = [oid for blk in group for oid in blk.op_ids]
-        for op_id, (start, end) in _asap_times(program, op_ids).items():
-            if end == start:
-                continue  # the trace emits no event
-            for lane in program.ops[op_id].engines:
-                if ".psa" in lane:
-                    acc = lanes.setdefault(lane, [0, 0, 0])
-                    acc[0] += end - start
-                    acc[1] = u
-                    acc[2] = max(acc[2], cs[u] + end)
+        for lane, busy, end in _unit_shape(program, group).psa:
+            acc = lanes.setdefault(lane, [0, 0, 0])
+            acc[0] += busy
+            acc[1] = u
+            acc[2] = max(acc[2], cs[u] + end)
     totals = dict.fromkeys(STALL_CAUSES, 0)
     for busy, v, end in lanes.values():
         totals["load_starved"] += starved[v + 1]

@@ -35,25 +35,34 @@ Their results are not cached: a search over many candidate pipelines
 would otherwise keep every rejected program alive.  The A4 search
 (``hw/dse.py``) stays cheap without such a cache:
 
+* every block carries its :class:`~repro.hw.program.BlockShape` —
+  what the passes read of its ops, with ids replaced by positions —
+  which the copies of one layer template share.  The passes price and
+  decide from shapes alone, and derive the shapes of the blocks they
+  rewrite from their inputs' (:func:`_split_shape`,
+  :func:`~repro.hw.program._union_shape`, :func:`_reordered_shape`),
+  once per input shape;
 * candidates walk the grid in pass order and share their longest
   equal pipeline prefix, so each pass runs once per distinct prefix
   and at most the current and the best chain of programs are alive;
 * a trial merge in :class:`CoalesceLoadsPass` or trial split in
   :class:`StageExposedLoadsPass` is priced as ``BlockWork`` units
-  spliced into the work-unit chain, and only accepted rewrites rebuild
-  the program; a rebuilt program inherits the spans of the blocks it
-  did not touch, and copies an op or block with one positional
-  constructor call (:func:`_copy`);
+  spliced into the work-unit chain, their spans read off the shapes,
+  and only accepted rewrites rebuild the program;
+* a rebuild (:func:`_rebuild_program`) makes the new blocks, spans and
+  outputs at once and validates them from the shapes, and builds the
+  renumbered ops on the first read of ``ops``, so a search builds no
+  op beyond the lowering's templates;
 * a pipeline's final :class:`ReorderOpsPass` is priced the same way,
-  with the list-schedule spans spliced in under A3
-  (:meth:`ReorderOpsPass.price`), and run for the winner only;
+  with the list-schedule spans (once per shape, :func:`_plan`) spliced
+  in under A3 (:meth:`ReorderOpsPass.price`), and run for the winner
+  only;
 * per program, the PSA stall totals the passes read are computed once,
-  from the integer schedule without a trace
+  from the integer schedule and the shapes' PSA-lane profiles
   (:func:`repro.hw.introspect.psa_stall_totals`), and a meta-only copy
-  (a prefetch depth) shares the spans and work units;
-* per search (:func:`_search_memo`), a block's list schedule and span
-  are computed once per block *shape*, and a reorder or its price is
-  reused by the meta-only copies of its input;
+  (a prefetch depth) shares the ops, spans and work units;
+* per search (:func:`_search_memo`), a reorder is reused by the
+  meta-only copies of its input;
 * the search drops the log lines that only report (the prefetch cost
   signal) except for its winner, whose report it builds from the
   programs it already produced;
@@ -71,8 +80,10 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Callable,
     ClassVar,
     Iterator,
+    Mapping,
     NamedTuple,
     Protocol,
     Sequence,
@@ -90,12 +101,15 @@ from repro.hw.memory import (
 from repro.hw.program import (
     BlockIR,
     BlockProgram,
+    BlockShape,
     Op,
     OpKind,
     ValueRef,
     _bundle_load_cycles,
-    _makespan,
-    _preset_block_spans,
+    _DeferredOps,
+    _shaped,
+    _union_shape,
+    _union_span,
     _work_units,
     execute_program,
     program_load_bytes,
@@ -158,110 +172,170 @@ def _copy(record: Op | BlockIR, **changes: Any) -> Any:
     return cls(*values)
 
 
+class _NewOp(NamedTuple):
+    """An op a rewrite adds: its provisional negative id and the other
+    :class:`Op` fields, built with the rest of the rebuilt ops."""
+
+    op_id: int
+    fields: dict[str, Any]
+
+
+#: Field changes for one op of a rewrite, in the input's id space: a
+#: dict, or a function of the input op that returns one.
+_Edit = dict[str, Any] | Callable[[Op], dict[str, Any]]
+
+
 def _rebuild_program(
     program: BlockProgram,
-    order: Sequence[int | Op],
+    order: Sequence[int | _NewOp],
     blocks: Sequence[BlockIR],
     *,
-    ops_override: dict[int, Op] | None = None,
-    deps_override: dict[int, tuple[int, ...]] | None = None,
+    edits: Mapping[int, _Edit] | None = None,
 ) -> BlockProgram:
     """Renumber a transformed program so ``op_id == index`` again.
 
     ``order`` is the new global op sequence: each element is an old op
-    id or a brand-new :class:`Op` carrying a *provisional* negative
-    ``op_id``.  All deps, inputs, ``op_ids`` in ``blocks``, and program
-    outputs are expressed in that old/provisional id space and are
-    rewritten here.  ``ops_override`` substitutes modified ops for old
-    ids; ``deps_override`` substitutes whole dep tuples (still in the
-    old id space).  An op, ref or block whose ids do not move is shared
-    with the input, not copied.  The result is validated: ids dense,
-    references topologically ordered, blocks a partition of the ops.
+    id or a :class:`_NewOp` carrying a *provisional* negative id.  The
+    ``op_ids`` and ports of ``blocks``, the ``edits`` (field changes,
+    ``deps`` included) and the program outputs are expressed in that
+    old/provisional id space and are rewritten here.  Every block must
+    carry its shape (the input's blocks may instead get theirs from
+    :func:`repro.hw.program._shaped`).
 
-    The result's ``block_spans`` are preset: a block with the input's
-    label and op ids none of which is overridden keeps the input's span
-    (renumbering preserves every in-block edge); the rest are computed.
+    The result's blocks, spans and outputs are made at once; its ops
+    are built on the first read of ``ops`` (an op whose fields and ids
+    do not move is shared with the input, not copied).  The rewrite is
+    validated now, from the blocks' shapes and ports
+    (:func:`_validate_blocks`): ids dense, references topologically
+    ordered, blocks a partition of the ops, outputs present.
     """
-    ops_override = ops_override or {}
-    deps_override = deps_override or {}
-    pos: dict[int, int] = {}
-    for new_id, item in enumerate(order):
-        key = item if isinstance(item, int) else item.op_id
-        if key in pos:
-            raise PassError(f"op {key} appears twice in the rebuilt order")
-        pos[key] = new_id
-    moved = {key for key, new_id in pos.items() if key != new_id}
-    refs = {key: ValueRef("op", pos[key]) for key in moved}
-    new_ops: list[Op] = []
-    for new_id, item in enumerate(order):
-        if isinstance(item, int):
-            op = ops_override.get(item) or program.ops[item]
-        else:
-            op = item
-        deps = deps_override.get(op.op_id, op.deps)
-        if deps is not op.deps or not moved.isdisjoint(deps):
-            deps = tuple([pos[d] for d in deps])
-        inputs = op.inputs
-        if moved and any(r.kind == "op" and r.key in moved for r in inputs):
-            inputs = tuple(
-                [refs.get(r.key, r) if r.kind == "op" else r for r in inputs]
-            )
-        if op.op_id != new_id or deps != op.deps or inputs is not op.inputs:
-            op = _copy(op, op_id=new_id, deps=deps, inputs=inputs)
-        new_ops.append(op)
+    edits = edits or {}
+    keys = [item if type(item) is int else item.op_id for item in order]
+    pos = dict(zip(keys, range(len(keys))))
+    if len(pos) != len(keys):
+        seen: set[int] = set()
+        twice = next(key for key in keys if key in seen or seen.add(key))
+        raise PassError(f"op {twice} appears twice in the rebuilt order")
+    # Provisional ids are negative, old ids in range(program.num_ops).
+    num_new = sum(1 for item in order if type(item) is not int)
+    ranked = sorted(keys)
+    if ranked and (
+        ranked[-1] >= program.num_ops
+        or (num_new < len(ranked) and ranked[num_new] < 0)
+    ):
+        raise PassError("the rebuilt order names an op the program lacks")
+    # Old ids below the first one that moves keep their id.
+    still = next((i for i, key in enumerate(keys) if key != i), len(keys))
     new_blocks = []
     for blk in blocks:
-        op_ids = tuple([pos[i] for i in blk.op_ids])
-        new_blocks.append(blk if op_ids == blk.op_ids else _copy(blk, op_ids=op_ids))
-    rebuilt = BlockProgram(
+        shaped = _shaped(program, blk)
+        if (
+            shaped is blk
+            and max(blk.op_ids, default=-1) < still
+            and all(max(ids, default=-1) < still for ids in blk.ports)
+        ):
+            new_blocks.append(blk)
+            continue
+        try:
+            op_ids = tuple([pos[i] for i in blk.op_ids])
+            ports = tuple([tuple([pos[i] for i in ids]) for ids in shaped.ports])
+        except KeyError as missing:
+            raise PassError(
+                f"block '{blk.label}' references op {missing} outside the "
+                "rebuilt order"
+            ) from None
+        if shaped is blk and op_ids == blk.op_ids and ports == blk.ports:
+            new_blocks.append(blk)
+        else:
+            new_blocks.append(_copy(shaped, op_ids=op_ids, ports=ports))
+    outputs = {}
+    for name, ref in program.outputs.items():
+        if ref.kind == "op":
+            if ref.key not in pos:
+                raise PassError(f"output references missing op {ref.key}")
+            if pos[ref.key] != ref.key:
+                ref = ValueRef("op", pos[ref.key])
+        outputs[name] = ref
+    _validate_blocks(new_blocks, len(order))
+
+    def build(append: Callable[[Op], None]) -> None:
+        ops = program.ops
+        moved = {key for key, new_id in pos.items() if key != new_id}
+        refs = {key: ValueRef("op", pos[key]) for key in moved}
+        for new_id, item in enumerate(order):
+            if type(item) is not int:
+                append(Op(new_id, **item.fields))
+                continue
+            op = ops[item]
+            edit = edits.get(item)
+            changes = {} if edit is None else (
+                edit(op) if callable(edit) else dict(edit)
+            )
+            deps = changes.pop("deps", op.deps)
+            if deps is not op.deps or not moved.isdisjoint(deps):
+                deps = tuple([pos[d] for d in deps])
+            inputs = op.inputs
+            if moved and any(r.kind == "op" and r.key in moved for r in inputs):
+                inputs = tuple(
+                    [refs.get(r.key, r) if r.kind == "op" else r for r in inputs]
+                )
+            if (
+                changes
+                or op.op_id != new_id
+                or deps != op.deps
+                or inputs is not op.inputs
+            ):
+                op = _copy(op, op_id=new_id, deps=deps, inputs=inputs, **changes)
+            append(op)
+
+    return BlockProgram(
         fabric=program.fabric,
-        ops=tuple(new_ops),
+        ops=_DeferredOps([build], len(order)),
         blocks=tuple(new_blocks),
-        outputs={
-            name: refs.get(ref.key, ref) if ref.kind == "op" else ref
-            for name, ref in program.outputs.items()
-        },
+        outputs=outputs,
         meta=dict(program.meta),
     )
-    _validate_program(rebuilt)
-    known: dict[str, int] = {}
-    touched = ops_override.keys() | deps_override.keys()
-    old_ids = {blk.label: blk.op_ids for blk in program.blocks}
-    for blk, new_blk in zip(blocks, new_blocks):
-        if old_ids.get(blk.label) == blk.op_ids and touched.isdisjoint(blk.op_ids):
-            known[blk.label] = program.block_spans[blk.label]
-        else:
-            known[blk.label] = _makespan(rebuilt, new_blk.op_ids)
-    _preset_block_spans(rebuilt, known)
-    return rebuilt
 
 
-def _validate_program(program: BlockProgram) -> None:
-    """The invariants every executor relies on, checked after a pass."""
+def _validate_blocks(blocks: Sequence[BlockIR], num_ops: int) -> None:
+    """The invariants every executor relies on, checked after a pass
+    from the blocks' shapes and ports, without the ops: the blocks
+    partition ``range(num_ops)`` (so ids are dense), and every dep and
+    read names an earlier op.  A shape's in-block links are checked
+    once per block whose ids ascend, a port against the first op that
+    links to it."""
     seen: set[int] = set()
-    for i, op in enumerate(program.ops):
-        if op.op_id != i:
-            raise PassError(f"op at index {i} carries op_id {op.op_id}")
-        for d in op.deps:
-            if d >= i:
-                raise PassError(
-                    f"op {i} ('{op.label}') depends on later op {d}"
-                )
-        for ref in op.inputs:
-            if ref.kind == "op" and ref.key >= i:
-                raise PassError(
-                    f"op {i} ('{op.label}') reads later op {ref.key}"
-                )
-    for blk in program.blocks:
-        ids = set(blk.op_ids)
-        if ids & seen:
-            raise PassError(f"block '{blk.label}' shares ops with another block")
-        seen |= ids
-    if seen != set(range(program.num_ops)):
+    total = 0
+    for blk in blocks:
+        ids, shape = blk.op_ids, blk.shape
+        if len(ids) != len(shape.entries) or len(blk.ports) != shape.num_ports:
+            raise PassError(
+                f"block '{blk.label}' holds {len(ids)} ops and "
+                f"{len(blk.ports)} ports but its shape {len(shape.entries)} "
+                f"and {shape.num_ports}"
+            )
+        total += len(ids)
+        seen.update(ids)
+        ascending = all(map(operator.lt, ids, ids[1:]))
+        if not (ascending and shape.forward):
+            for p, entry in enumerate(shape.entries):
+                for what, links in (("depends on", entry[4]), ("reads", entry[5])):
+                    for q in links:
+                        if q >= 0 and ids[q] >= ids[p]:
+                            raise PassError(
+                                f"op {ids[p]} (block '{blk.label}') {what} "
+                                f"later op {ids[q]}"
+                            )
+        for bound, users in zip(blk.ports, shape.port_users):
+            if bound and users:
+                first = ids[users[0]] if ascending else min(ids[p] for p in users)
+                if max(bound) >= first:
+                    raise PassError(
+                        f"an op of block '{blk.label}' links to later op "
+                        f"{max(bound)}"
+                    )
+    if total != num_ops or seen != set(range(num_ops)):
         raise PassError("blocks no longer partition the op list")
-    for ref in program.outputs.values():
-        if ref.kind == "op" and not 0 <= ref.key < program.num_ops:
-            raise PassError(f"output references missing op {ref.key}")
 
 
 def _with_meta(program: BlockProgram, **updates: Any) -> BlockProgram:
@@ -293,23 +367,32 @@ def _psa_stalls(
 class _SearchMemo:
     """Results one pipeline application or A4 search computes once.
 
-    ``shapes`` maps a block shape (:func:`_block_shape`) to its span and
-    list schedule; ``reorder`` holds the last :class:`ReorderOpsPass`
-    run as ``(pass, input, output or None, actions)`` and ``priced`` its
-    last :meth:`~ReorderOpsPass.price` as ``(pass, input, new spans)``,
-    which a meta-only copy of that input reuses.  All are pure
-    functions of their keys.
+    ``reorder`` holds the last :class:`ReorderOpsPass` run as ``(pass,
+    input, output or None, actions)``, which a meta-only copy of that
+    input reuses.  (Block-shape results live on the shapes themselves:
+    :func:`_plan` and the derivation memos of :class:`BlockShape`.)
     """
 
     def __init__(self) -> None:
-        self.shapes: dict[tuple, tuple] = {}
         self.reorder: tuple | None = None
-        self.priced: tuple | None = None
 
 
 def _same_ir(a: BlockProgram, b: BlockProgram) -> bool:
-    """Whether ``b`` is ``a`` or a meta-only copy of it."""
-    return a.ops is b.ops and a.blocks is b.blocks and a.outputs is b.outputs
+    """Whether ``b`` is ``a`` or a meta-only copy of it (which shares
+    its ops, built or not)."""
+    return (
+        _ops_source(a) is _ops_source(b)
+        and a.blocks is b.blocks
+        and a.outputs is b.outputs
+    )
+
+
+def _ops_source(program: BlockProgram) -> object:
+    """``program.ops`` if built, else the recipe that will build them."""
+    deferred = program.__dict__.get("_deferred")
+    if deferred is None:
+        return program.ops
+    return deferred.ops if deferred.ops is not None else deferred
 
 
 _MEMO: ContextVar[_SearchMemo | None] = ContextVar("pass_memo", default=None)
@@ -346,9 +429,17 @@ def _mergeable(a: BlockIR, b: BlockIR) -> bool:
     return a.merge_group is None and b.merge_group is None
 
 
-def _merged_block(program: BlockProgram, a: BlockIR, b: BlockIR) -> BlockIR:
-    """The one block that fuses ``a`` with its successor ``b``."""
+def _merged_block(
+    program: BlockProgram, a: BlockIR, b: BlockIR, shape: bool = True
+) -> BlockIR:
+    """The one block that fuses ``a`` with its successor ``b``, with
+    the shape derived from theirs (:func:`repro.hw.program._union_shape`)
+    unless ``shape`` is False."""
     merged_bytes = a.load_bytes + b.load_bytes
+    union, ports = (
+        _union_shape(_shaped(program, a), _shaped(program, b))
+        if shape else (None, ())
+    )
     return BlockIR(
         label=f"{a.label}+{b.label}",
         op_ids=(*a.op_ids, *b.op_ids),
@@ -360,6 +451,8 @@ def _merged_block(program: BlockProgram, a: BlockIR, b: BlockIR) -> BlockIR:
         channel_hint=a.channel_hint if a.channel_hint == b.channel_hint else None,
         overhead_override=a.overhead_override,
         load_bytes=merged_bytes,
+        shape=union,
+        ports=ports,
     )
 
 
@@ -369,17 +462,16 @@ def _merge_adjacent(
     """Fuse each named block, in turn, with its successor into one
     schedulable unit, in one rebuild; None when a pair is not fusable."""
     blocks = list(program.blocks)
-    ops_override: dict[int, Op] = {}
+    edits: dict[int, dict[str, Any]] = {}
     for first_label in first_labels:
         i = [blk.label for blk in blocks].index(first_label)
         if i + 1 >= len(blocks) or not _mergeable(blocks[i], blocks[i + 1]):
             return None
         merged = _merged_block(program, blocks[i], blocks[i + 1])
         first_load_seen = False
-        for op_id in merged.op_ids:
-            op = ops_override.get(op_id, program.ops[op_id])
+        for op_id, kind in zip(merged.op_ids, merged.shape.kinds):
             changes: dict[str, Any] = {"block": merged.label}
-            if op.kind is OpKind.LOAD:
+            if kind is OpKind.LOAD:
                 # The fused bundle streams as one burst: the first LOAD
                 # op carries the whole transfer, followers become
                 # zero-cycle markers (op count stays conserved).
@@ -389,13 +481,10 @@ def _merge_adjacent(
                     first_load_seen = True
                 else:
                     changes["cycles"] = 0
-            ops_override[op_id] = _copy(op, **changes)
+            edits[op_id] = {**edits.get(op_id, {}), **changes}
         blocks[i:i + 2] = [merged]
     return _rebuild_program(
-        program,
-        list(range(program.num_ops)),
-        blocks,
-        ops_override=ops_override,
+        program, list(range(program.num_ops)), blocks, edits=edits
     )
 
 
@@ -468,12 +557,15 @@ class CoalesceLoadsPass:
 
         A merge changes only LOAD-op cycles and labels, which the ASAP
         makespan skips, so a fused pair is exactly one ``BlockWork``
-        spliced into the work-unit chain: each trial is one schedule
-        call.  Fusable blocks are single units under every
-        architecture (A1/A2 fuse only merge-grouped parts), so walking
-        unit pairs tries the same pairs, in the same order, as walking
-        block pairs.  Returns the accepted merges' first labels, in
-        order, for :func:`_merge_adjacent` to materialize.
+        spliced into the work-unit chain, its span the pair's union
+        span (:func:`~repro.hw.program._union_span`, from the two
+        shapes): each trial is one schedule call, and the pairs of two
+        layer copies derive that span once.  Fusable blocks are single
+        units under every architecture (A1/A2 fuse only merge-grouped
+        parts), so walking unit pairs tries the same pairs, in the same
+        order, as walking block pairs.  Returns the accepted merges'
+        first labels, in order, for :func:`_merge_adjacent` to
+        materialize.
         """
         arch = Architecture(self.architecture)
         a3 = arch is Architecture.A3
@@ -489,28 +581,29 @@ class CoalesceLoadsPass:
                 (_, ga), (_, gb) = units[u], units[u + 1]
                 if len(ga) != 1 or len(gb) != 1 or not _mergeable(ga[0], gb[0]):
                     continue
-                merged = _merged_block(program, ga[0], gb[0])
-                unit = (
-                    BlockWork(
-                        merged.label,
-                        merged.load_cycles,
-                        _makespan(program, merged.op_ids),
-                        channel_hint=merged.channel_hint if a3 else None,
-                        overhead_override=merged.overhead_override if a3 else None,
+                merged = _merged_block(program, ga[0], gb[0], shape=False)
+                work = BlockWork(
+                    merged.label,
+                    merged.load_cycles,
+                    _union_span(
+                        _shaped(program, ga[0]), _shaped(program, gb[0])
                     ),
-                    (merged,),
+                    channel_hint=merged.channel_hint if a3 else None,
+                    overhead_override=merged.overhead_override if a3 else None,
                 )
-                trial = [*units[:u], unit, *units[u + 2:]]
-                cycles = schedule(
-                    arch, [w for w, _ in trial], overhead, **params
-                ).total_cycles
+                trial = [w for w, _ in units[:u]] + [work] + [
+                    w for w, _ in units[u + 2:]
+                ]
+                cycles = schedule(arch, trial, overhead, **params).total_cycles
                 if cycles < best:
                     actions.append(
                         f"coalesced {ga[0].label} with successor: "
                         f"{best} -> {cycles} cycles"
                     )
                     accepted.append(ga[0].label)
-                    units, best, improved = trial, cycles, True
+                    merged = _merged_block(program, ga[0], gb[0])
+                    units[u:u + 2] = [(work, (merged,))]
+                    best, improved = cycles, True
                     break
         return accepted
 
@@ -519,13 +612,44 @@ class CoalesceLoadsPass:
 def _splittable(program: BlockProgram, blk: BlockIR) -> bool:
     if blk.merge_group is not None or blk.load_bytes <= 0:
         return False
-    kinds = [program.ops[i].kind for i in blk.op_ids]
-    if any(k in (OpKind.CACHE, OpKind.STREAM) for k in kinds):
-        return False
-    mm5s = sum(
-        1 for i in blk.op_ids if program.ops[i].semantic == "mm5"
-    )
-    return mm5s == 1
+    shape = _shaped(program, blk).shape
+    return not shape.touches_cache and shape.semantics.count("mm5") == 1
+
+
+def _split_shape(shape: BlockShape, at: int) -> tuple:
+    """The shapes of a block's ops before and after position ``at``,
+    the second followed by a new LOAD op, each with the positions of
+    the other part's ops that its links now name through new ports
+    (numbered after the block's own).  Memoized on ``shape``."""
+    key = ("split", at)
+    parts = shape.derived.get(key)
+    if parts is not None:
+        return parts
+    entries, k = shape.entries, shape.num_ports
+    c_at = sum(1 for p in shape.comps if p < at)
+    parts = []
+    for lo, hi, load in ((0, at, False), (at, len(entries), True)):
+        moved: dict[int, int] = {}
+
+        def relink(links: tuple[int, ...]) -> tuple[int, ...]:
+            return tuple([
+                q if q < 0
+                else q - lo if lo <= q < hi
+                else -1 - k - moved.setdefault(q, len(moved))
+                for q in links
+            ])
+
+        part = [
+            (kind, semantic, engines, cycles, relink(deps), relink(reads))
+            for kind, semantic, engines, cycles, deps, reads in entries[lo:hi]
+        ]
+        if load:
+            part.append((OpKind.LOAD, None, (), 0, (), ()))
+        c_lo, c_hi = (0, c_at) if lo == 0 else (c_at, len(shape.comps))
+        by_id = [c - c_lo for c in shape.by_id if c_lo <= c < c_hi]
+        parts += [BlockShape(part, k + len(moved), by_id), tuple(moved)]
+    parts = shape.derived[key] = tuple(parts)
+    return parts
 
 
 def _split_parts(
@@ -534,7 +658,8 @@ def _split_parts(
     """The ``m``/``f`` blocks that split one encoder-shaped block at its
     MHA/FFN boundary into the Fig 4.11 two-channel form, in the input's
     id space (the ``f`` part ends with the provisional id ``-1`` of its
-    new LOAD op); None when the block does not match."""
+    new LOAD op), with their shapes derived from the block's; None when
+    the block does not match."""
     blk = program.block(label)
     if not _splittable(program, blk):
         return None
@@ -544,14 +669,13 @@ def _split_parts(
     ffn_bytes = encoder_ffn_weight_bytes(model, bpe)
     if mha_bytes + ffn_bytes != blk.load_bytes:
         return None  # not an encoder bundle for this model config
-    split_at = next(
-        idx
-        for idx, op_id in enumerate(blk.op_ids)
-        if program.ops[op_id].semantic == "mm5"
-    )
-    m_ids, f_ids = blk.op_ids[:split_at], blk.op_ids[split_at:]
-    if not any(program.ops[i].kind is OpKind.LOAD for i in m_ids):
+    shaped = _shaped(program, blk)
+    shape = shaped.shape
+    split_at = shape.semantics.index("mm5")
+    if OpKind.LOAD not in shape.kinds[:split_at]:
         return None
+    m_ids, f_ids = blk.op_ids[:split_at], blk.op_ids[split_at:]
+    m_shape, m_moved, f_shape, f_moved = _split_shape(shape, split_at)
     # ``merge_group`` reconstructs the original unit under A1/A2, so
     # those schedules are exactly invariant under the split.
     m_blk = BlockIR(
@@ -563,6 +687,8 @@ def _split_parts(
         merge_group=blk.label,
         merged_load_cycles=blk.load_cycles,
         load_bytes=mha_bytes,
+        shape=m_shape,
+        ports=shaped.ports + tuple((blk.op_ids[q],) for q in m_moved),
     )
     f_blk = BlockIR(
         label=f"{label}f",
@@ -573,23 +699,24 @@ def _split_parts(
         merge_group=blk.label,
         merged_load_cycles=blk.load_cycles,
         load_bytes=ffn_bytes,
+        shape=f_shape,
+        ports=shaped.ports + tuple((blk.op_ids[q],) for q in f_moved),
     )
     return m_blk, f_blk
 
 
-def _split_works(
-    program: BlockProgram, m_blk: BlockIR, f_blk: BlockIR
-) -> list[BlockWork]:
+def _split_works(m_blk: BlockIR, f_blk: BlockIR) -> list[BlockWork]:
     """The A3 work units of a split from :func:`_split_parts`.
 
     A split changes only LOAD ops, which the ASAP makespan skips, so
-    each part's span is its ops' makespan in the unsplit program.
+    each part's span is its ops' makespan in the unsplit program, which
+    its shape holds.
     """
     return [
         BlockWork(
             blk.label,
             blk.load_cycles,
-            _makespan(program, [i for i in blk.op_ids if i >= 0]),
+            blk.shape.span,
             channel_hint=blk.channel_hint,
             overhead_override=blk.overhead_override,
         )
@@ -601,39 +728,36 @@ def _split_block(
     program: BlockProgram, m_blk: BlockIR, f_blk: BlockIR
 ) -> BlockProgram:
     """Rebuild ``program`` with the split from :func:`_split_parts`."""
-    ops_override: dict[int, Op] = {}
-    for op_id in m_blk.op_ids:
-        op = program.ops[op_id]
-        if op.kind is OpKind.LOAD:
-            ops_override[op_id] = _copy(
-                op,
-                label=f"LW:{m_blk.label}",
-                cycles=m_blk.load_cycles,
-                block=m_blk.label,
-                attrs={"channel_hint": 0},
-            )
+    edits: dict[int, dict[str, Any]] = {}
+    for op_id, kind in zip(m_blk.op_ids, m_blk.shape.kinds):
+        if kind is OpKind.LOAD:
+            edits[op_id] = {
+                "label": f"LW:{m_blk.label}",
+                "cycles": m_blk.load_cycles,
+                "block": m_blk.label,
+                "attrs": {"channel_hint": 0},
+            }
         else:
-            ops_override[op_id] = _copy(op, block=m_blk.label)
+            edits[op_id] = {"block": m_blk.label}
     f_ids = f_blk.op_ids[:-1]
     for op_id in f_ids:
-        ops_override[op_id] = _copy(program.ops[op_id], block=f_blk.label)
-    f_load_op = Op(
-        op_id=-1,
-        kind=OpKind.LOAD,
-        label=f"LW:{f_blk.label}",
-        engines=("hbm",),
-        cycles=f_blk.load_cycles,
-        deps=(),
-        block=f_blk.label,
-        attrs={"channel_hint": 1},
-    )
+        edits[op_id] = {"block": f_blk.label}
+    f_load_op = _NewOp(-1, {
+        "kind": OpKind.LOAD,
+        "label": f"LW:{f_blk.label}",
+        "engines": ("hbm",),
+        "cycles": f_blk.load_cycles,
+        "deps": (),
+        "block": f_blk.label,
+        "attrs": {"channel_hint": 1},
+    })
     i = [b.label for b in program.blocks].index(m_blk.merge_group)
     blocks = (*program.blocks[:i], m_blk, f_blk, *program.blocks[i + 1:])
-    order: list[int | Op] = list(range(program.num_ops))
+    order: list[int | _NewOp] = list(range(program.num_ops))
     # Insert the new LOAD op just before the f-part ops (the identity
     # order makes index == old id) so blocks stay position-contiguous.
     order.insert(f_ids[0], f_load_op)
-    return _rebuild_program(program, order, blocks, ops_override=ops_override)
+    return _rebuild_program(program, order, blocks, edits=edits)
 
 
 @dataclass(frozen=True)
@@ -705,7 +829,7 @@ class StageExposedLoadsPass:
                 # A trial is priced as the parts' units spliced into the
                 # chain; under A1/A2 their merge group is the old unit.
                 if arch is Architecture.A3:
-                    split = _split_works(prog, *parts)
+                    split = _split_works(*parts)
                 else:
                     split = [works[u]]
                 trial = [*works[:u], *split, *works[u + 1:]]
@@ -837,67 +961,36 @@ class PrefetchChannelPass:
             new_blocks.append(_copy(blk, channel_hint=chan))
         if not changed:
             return None
-        return dataclasses.replace(program, blocks=tuple(new_blocks))
+        return dataclasses.replace(
+            program, blocks=tuple(new_blocks), ops=_ops_source(program)
+        )
 
 
 # ------------------------------------------------------- op reordering
-def _block_shape(program: BlockProgram, blk: BlockIR) -> tuple[list[int], tuple]:
-    """A block's compute op ids, in block order, and its *shape*.
-
-    The shape is everything a block's ASAP span and list schedule read,
-    with op ids replaced by positions in that order: per op its
-    engines, cycles, in-block declared deps and in-block reads, plus the
-    order of the ids, which breaks ties.  LOAD ops are left out; neither
-    computation reads them.
-
-    The reads are the dataflow edges.  The lowering's declared deps are
-    not a superset of them — a dataflow edge implied transitively
-    through a serialization edge (e.g. ``MM1(Q)`` reading the layer
-    input behind its ``MM1(K)`` chain edge) is omitted there — so a
-    reorder recovers ordering from the reads themselves.
-    """
-    ops = program.ops
-    comps = [i for i in blk.op_ids if ops[i].kind is not OpKind.LOAD]
-    pos = {op_id: p for p, op_id in enumerate(comps)}
-    rows = []
-    for op_id in comps:
-        op = ops[op_id]
-        reads = {pos[r.key] for r in op.inputs if r.kind == "op" and r.key in pos}
-        rows.append((
-            op.engines,
-            op.cycles,
-            tuple([pos[d] for d in op.deps if d in pos]),
-            tuple(sorted(reads)),
-        ))
-    by_id = tuple(sorted(range(len(comps)), key=comps.__getitem__))
-    return comps, (by_id, tuple(rows))
-
-
 def _schedule_shape(
-    shape: tuple,
-) -> tuple[int, tuple[int, list[int], list[tuple[int, ...]]] | None]:
-    """A block shape's ASAP span and list schedule.
+    shape: BlockShape,
+) -> tuple[int, list[int], list[tuple[int, ...]]] | None:
+    """A block shape's list schedule.
 
-    Returns ``(span, plan)``; ``plan`` is ``(new span, new order,
-    dataflow + engine-chain deps per op)`` in positions, or None when
-    there are fewer than two ops or no strict improvement.  Priority is
-    the critical-path length over dataflow edges; per-engine occupancy
-    is re-emitted as chain dependency edges so the ASAP cycle model
-    reproduces the list schedule exactly.
+    Returns ``(new span, new order, dataflow + engine-chain deps per
+    op)`` in compute-op indices, or None when there are fewer than two
+    ops or no strict improvement on the shape's ASAP span.  The reads
+    are the dataflow edges: the lowering's declared deps are not a
+    superset of them (a dataflow edge implied transitively through a
+    serialization edge, e.g. ``MM1(Q)`` reading the layer input behind
+    its ``MM1(K)`` chain edge, is omitted there), so a reorder recovers
+    ordering from the reads themselves.  Priority is the critical-path
+    length over dataflow edges; per-engine occupancy is re-emitted as
+    chain dependency edges so the ASAP cycle model reproduces the list
+    schedule exactly.
     """
-    by_id, rows = shape
+    by_id, rows, span = shape.by_id, shape.rows, shape.span
     n = len(rows)
     rank = [0] * n
     for r, p in enumerate(by_id):
         rank[p] = r
-    # The ASAP span reads declared deps on ops earlier in block order.
-    asap_end: list[int] = []
-    for p, (_, cycles, deps, _) in enumerate(rows):
-        start = max((asap_end[q] for q in deps if q < p), default=0)
-        asap_end.append(start + cycles)
-    span = max(asap_end, default=0)
     if n < 2:
-        return span, None
+        return None
     df = [row[3] for row in rows]
     succs: list[list[int]] = [[] for _ in range(n)]
     for p in range(n):
@@ -950,7 +1043,7 @@ def _schedule_shape(
 
     new_span = max(end)
     if new_span >= span:
-        return span, None
+        return None
 
     # Final order: Kahn over dataflow + chain edges, (start, id) priority.
     full_deps = [set(df[p]) | chain[p] for p in range(n)]
@@ -971,23 +1064,72 @@ def _schedule_shape(
                 heapq.heappush(frontier, (start[q], rank[q]))
     if len(ordered) != n:
         raise PassError("a list schedule produced a dependency cycle")
-    return span, (new_span, ordered, [tuple(d) for d in full_deps])
+    return new_span, ordered, [tuple(d) for d in full_deps]
 
 
-def _shape_plan(
-    program: BlockProgram, blk: BlockIR
-) -> tuple[list[int], int, tuple[int, list[int], list[tuple[int, ...]]] | None]:
-    """A block's compute op ids and :func:`_schedule_shape` of its
-    shape.  Inside a :func:`_search_memo` scope each distinct block
-    shape is scheduled once."""
-    comps, shape = _block_shape(program, blk)
-    memo = _MEMO.get()
-    result = memo.shapes.get(shape) if memo is not None else None
-    if result is None:
-        result = _schedule_shape(shape)
-        if memo is not None:
-            memo.shapes[shape] = result
-    return comps, *result
+def _plan(shape: BlockShape) -> tuple[int, list[int], list[tuple[int, ...]]] | None:
+    """:func:`_schedule_shape` of ``shape``, computed once per shape."""
+    if shape.plan is None:
+        shape.plan = (_schedule_shape(shape),)
+    return shape.plan[0]
+
+
+def _reordered_shape(shape: BlockShape) -> BlockShape:
+    """The shape of a block rewritten by its list schedule
+    (:func:`_plan`): its LOAD ops, then its compute ops in the new
+    order, each compute op depending on its ports and on the plan's
+    deps, in the op-id order of the input.  Memoized on ``shape``."""
+    key = ("reorder",)
+    new = shape.derived.get(key)
+    if new is None:
+        _, ordered, full_deps = _plan(shape)
+        loads = [p for p, kind in enumerate(shape.kinds) if kind is OpKind.LOAD]
+        at = {p: i for i, p in enumerate(loads)}
+        for i, c in enumerate(ordered):
+            at[shape.comps[c]] = len(loads) + i
+        rank = {c: r for r, c in enumerate(shape.by_id)}
+        comp_of = {p: c for c, p in enumerate(shape.comps)}
+        entries = []
+        for p in (*loads, *[shape.comps[c] for c in ordered]):
+            kind, semantic, engines, cycles, deps, reads = shape.entries[p]
+            if kind is not OpKind.LOAD:
+                deps = tuple([q for q in deps if q < 0]) + tuple([
+                    shape.comps[q]
+                    for q in sorted(full_deps[comp_of[p]], key=rank.__getitem__)
+                ])
+            entries.append((
+                kind, semantic, engines, cycles,
+                tuple([q if q < 0 else at[q] for q in deps]),
+                tuple([q if q < 0 else at[q] for q in reads]),
+            ))
+        new = shape.derived[key] = BlockShape(entries, shape.num_ports)
+    return new
+
+
+def _reorder_edit(
+    blk: BlockIR,
+) -> tuple[list[int], Callable[[Op], dict[str, Any]]] | None:
+    """A shaped block's list-schedule rewrite in the program's id
+    space: its op ids in the new order and the edit that gives each
+    compute op its new deps (its deps outside the block, plus the
+    plan's); None when :func:`_plan` finds no improvement."""
+    shape = blk.shape
+    plan = _plan(shape)
+    if plan is None:
+        return None
+    _, ordered, full_deps = plan
+    comps = [blk.op_ids[p] for p in shape.comps]
+    in_block = set(blk.op_ids)
+    new_deps = {
+        op_id: {comps[q] for q in deps} for op_id, deps in zip(comps, full_deps)
+    }
+
+    def edit(op: Op) -> dict[str, Any]:
+        external = {d for d in op.deps if d not in in_block}
+        return {"deps": tuple(sorted(external | new_deps[op.op_id]))}
+
+    loads = [i for i, kind in zip(blk.op_ids, shape.kinds) if kind is OpKind.LOAD]
+    return loads + [comps[c] for c in ordered], edit
 
 
 def _list_schedule_block(
@@ -997,21 +1139,20 @@ def _list_schedule_block(
 
     Returns (new op order, new deps per op in old-id space, old compute
     makespan, new compute makespan) or None when no strict improvement
-    exists (:func:`_schedule_shape`).
+    exists (:func:`_schedule_shape`): the op-level view of the rewrite
+    :class:`ReorderOpsPass` makes.
     """
-    comps, old_span, plan = _shape_plan(program, blk)
-    if plan is None:
+    shaped = _shaped(program, blk)
+    rewrite = _reorder_edit(shaped)
+    if rewrite is None:
         return None
-    new_span, ordered, full_deps = plan
-    in_block = set(blk.op_ids)
-    loads = [i for i in blk.op_ids if program.ops[i].kind is OpKind.LOAD]
-    deps_map: dict[int, tuple[int, ...]] = {}
-    for p, op_id in enumerate(comps):
-        external = {d for d in program.ops[op_id].deps if d not in in_block}
-        deps_map[op_id] = tuple(
-            sorted(external | {comps[q] for q in full_deps[p]})
-        )
-    return loads + [comps[p] for p in ordered], deps_map, old_span, new_span
+    order, edit = rewrite
+    deps_map = {
+        op_id: edit(program.ops[op_id])["deps"]
+        for op_id in order
+        if program.ops[op_id].kind is not OpKind.LOAD
+    }
+    return order, deps_map, shaped.shape.span, _plan(shaped.shape)[0]
 
 
 @dataclass(frozen=True)
@@ -1056,26 +1197,21 @@ class ReorderOpsPass:
 
         A reorder changes nothing the schedule reads but block spans.
         Under A3 every block is its own work unit, so the output is the
-        input's units with the list-schedule spans spliced in, as a
-        trial merge is priced.  Under A1/A2 a merge group's span is the
-        union makespan of its reordered parts, read from the rebuilt
-        program.
+        input's units with the list-schedule spans (once per block
+        shape, :func:`_plan`) spliced in, as a trial merge is priced.
+        Under A1/A2 a merge group's span is the union makespan of its
+        reordered parts, read from the rebuilt program.
         """
         arch = Architecture(self.architecture)
         if arch is not Architecture.A3:
             return _total_cycles(self.run(program)[0], self.architecture)
         if self.blocks is not None:
             _require_blocks(program, self.blocks, "cannot reorder")
-        with _search_memo() as memo:
-            last = memo.priced
-            if last is None or last[0] != self or not _same_ir(last[1], program):
-                spans = {}
-                for blk in self._targets(program):
-                    plan = _shape_plan(program, blk)[2]
-                    if plan is not None:
-                        spans[blk.label] = plan[0]
-                last = memo.priced = (self, program, spans)
-        spans = last[2]
+        spans = {}
+        for blk in self._targets(program):
+            plan = _plan(blk.shape)
+            if plan is not None:
+                spans[blk.label] = plan[0]
         works = [
             dataclasses.replace(work, compute_cycles=spans[work.label])
             if work.label in spans
@@ -1086,17 +1222,14 @@ class ReorderOpsPass:
         return schedule(arch, works, _overhead(program), **params).total_cycles
 
     def _targets(self, program: BlockProgram) -> list[BlockIR]:
-        """The blocks the pass list-schedules: the named ones (every
-        one by default) that touch no KV-cache op."""
-        return [
-            blk
+        """The blocks the pass list-schedules, with their shapes: the
+        named ones (every one by default) that touch no KV-cache op."""
+        shaped = [
+            _shaped(program, blk)
             for blk in program.blocks
-            if (self.blocks is None or blk.label in self.blocks)
-            and not any(
-                program.ops[i].kind in (OpKind.CACHE, OpKind.STREAM)
-                for i in blk.op_ids
-            )
+            if self.blocks is None or blk.label in self.blocks
         ]
+        return [blk for blk in shaped if not blk.shape.touches_cache]
 
     def _reorder(
         self, program: BlockProgram
@@ -1104,33 +1237,30 @@ class ReorderOpsPass:
         """The rewrite and log of :meth:`run`; None when no block's
         makespan shrinks."""
         actions: list[str] = []
-        new_orders: dict[str, list[int]] = {}
-        deps_override: dict[int, tuple[int, ...]] = {}
+        new_blocks: dict[str, BlockIR] = {}
+        edits: dict[int, _Edit] = {}
         for blk in self._targets(program):
-            result = _list_schedule_block(program, blk)
-            if result is None:
+            rewrite = _reorder_edit(blk)
+            if rewrite is None:
                 continue
-            order, deps_map, old_span, new_span = result
-            new_orders[blk.label] = order
-            deps_override.update(deps_map)
-            actions.append(
-                f"reordered {blk.label}: {old_span} -> {new_span} "
-                "compute cycles"
+            order, edit = rewrite
+            new_blocks[blk.label] = _copy(
+                blk, op_ids=tuple(order), shape=_reordered_shape(blk.shape)
             )
-        if not new_orders:
+            edits.update(dict.fromkeys(
+                (blk.op_ids[p] for p in blk.shape.comps), edit
+            ))
+            actions.append(
+                f"reordered {blk.label}: {blk.shape.span} -> "
+                f"{_plan(blk.shape)[0]} compute cycles"
+            )
+        if not new_blocks:
             return None, ("no profitable reorder found",)
         # Rebuild block-major: blocks are serialized by the schedulers,
         # so concatenating per-block orders stays topological.
-        order: list[int | Op] = []
-        for blk in program.blocks:
-            order.extend(new_orders.get(blk.label, list(blk.op_ids)))
-        blocks = tuple(
-            _copy(blk, op_ids=tuple(new_orders.get(blk.label, blk.op_ids)))
-            for blk in program.blocks
-        )
-        rebuilt = _rebuild_program(
-            program, order, blocks, deps_override=deps_override
-        )
+        blocks = tuple(new_blocks.get(blk.label, blk) for blk in program.blocks)
+        order = [op_id for blk in blocks for op_id in blk.op_ids]
+        rebuilt = _rebuild_program(program, order, blocks, edits=edits)
         return rebuilt, tuple(actions)
 
 

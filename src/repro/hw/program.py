@@ -42,6 +42,7 @@ block schedule exists.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -245,6 +246,308 @@ class BlockIR:
     #: Bytes of the weight bundle behind ``load_cycles`` (exact, from
     #: the model configuration; telemetry accounts HBM traffic with it).
     load_bytes: int = 0
+    #: The block's :class:`BlockShape`, which the copies of one layer
+    #: template share; None for a block built by hand, whose shape is
+    #: derived from the program's ops when first needed (:func:`_shaped`).
+    shape: BlockShape | None = field(default=None, compare=False, repr=False)
+    #: The op ids behind each port of ``shape``: the producers outside
+    #: the block that its ops depend on or read.
+    ports: tuple[tuple[int, ...], ...] = field(
+        default=(), compare=False, repr=False
+    )
+
+
+class BlockShape:
+    """What the cycle executor and the optimizer passes read of one
+    block, with op ids replaced by positions: the block's *shape*.
+
+    ``entries`` holds each op in block order as ``(kind, semantic,
+    engines, cycles, deps, reads)``; a LOAD op's engines and cycles are
+    left out (``()`` and 0), since no span reads them.  ``deps`` are
+    the op's declared deps and ``reads`` the ops whose outputs it
+    reads, each a *link*: a position in the block (>= 0), or the port
+    ``-1 - k`` for producers outside it, which the block's
+    ``BlockIR.ports[k]`` names.  ``by_id`` lists the compute (non-LOAD)
+    ops in op-id order, which breaks list-schedule ties.
+
+    From those it computes ``comps`` (the compute ops' positions) at
+    once and, on first read, ``rows`` (per compute op its engines,
+    cycles, in-block deps and reads as indices into ``comps``), the
+    ASAP ``times`` and ``span`` of the compute ops, and the PSA-lane
+    profile ``psa`` of ``(lane, busy cycles, last end)``.  Dependencies
+    outside the block are ready at time 0, as in :func:`_asap_times`.
+
+    A lowering builds one record per layer-template block and every
+    stamped copy shares it; a pass derives the records of the blocks it
+    rewrites from its inputs' records and memoizes each derivation on
+    its input (``derived``), so one shape is one object.  A derivation
+    from two records names the second by a weak reference: fusing two
+    copies of one layer pairs a record with itself, and a strong one
+    would make a cycle that only the cyclic collector frees.  Records
+    compare by structure.
+    """
+
+    def __init__(
+        self,
+        entries: Sequence[tuple],
+        num_ports: int,
+        by_id: Sequence[int] | None = None,
+    ) -> None:
+        self.entries = entries = tuple(entries)
+        self.num_ports = num_ports
+        self.kinds = tuple([e[0] for e in entries])
+        self.comps = tuple(
+            [p for p, kind in enumerate(self.kinds) if kind is not OpKind.LOAD]
+        )
+        self.by_id = tuple(range(len(self.comps)) if by_id is None else by_id)
+        #: What the passes derived from this record, by derivation key.
+        self.derived: dict[tuple, Any] = {}
+        #: The list schedule of the passes' reorder, once computed.
+        self.plan: Any = None
+        self._hash: int | None = None
+
+    # The facts below are computed on first read: a lowering reads only
+    # the spans, the passes the rest.
+    @cached_property
+    def semantics(self) -> tuple[str | None, ...]:
+        return tuple([e[1] for e in self.entries])
+
+    @cached_property
+    def rows(self) -> tuple[tuple, ...]:
+        index = {p: c for c, p in enumerate(self.comps)}
+        rows = []
+        for p in self.comps:
+            _, _, engines, cycles, deps, reads = self.entries[p]
+            rows.append((
+                engines,
+                cycles,
+                tuple([index[q] for q in deps if q in index]),
+                tuple(sorted({index[q] for q in reads if q in index})),
+            ))
+        return tuple(rows)
+
+    def _ends(self) -> dict[int, int]:
+        """The ASAP end of each compute op, by position.  A dep on a
+        LOAD op, a port or a later op is ready at time 0."""
+        ends: dict[int, int] = {}
+        for p in self.comps:
+            _, _, _, cycles, deps, _ = self.entries[p]
+            start = 0
+            for q in deps:
+                end = ends.get(q, 0)
+                if end > start:
+                    start = end
+            ends[p] = start + cycles
+        return ends
+
+    @cached_property
+    def times(self) -> tuple[tuple[int, int], ...]:
+        ends = self._ends()
+        return tuple([(ends[p] - self.entries[p][3], ends[p]) for p in self.comps])
+
+    @cached_property
+    def span(self) -> int:
+        # Not read off ``times``: a lowering reads only the span, and
+        # keeps its programs' records in the lowering cache.
+        return max(self._ends().values(), default=0)
+
+    @cached_property
+    def psa(self) -> tuple[tuple[str, int, int], ...]:
+        lanes: dict[str, list[int]] = {}
+        for p, (start, end) in zip(self.comps, self.times):
+            if end == start:
+                continue
+            for lane in self.entries[p][2]:
+                if ".psa" in lane:
+                    acc = lanes.setdefault(lane, [0, 0])
+                    acc[0] += end - start
+                    acc[1] = max(acc[1], end)
+        return tuple((lane, busy, end) for lane, (busy, end) in lanes.items())
+
+    @cached_property
+    def touches_cache(self) -> bool:
+        return any(
+            kind is OpKind.CACHE or kind is OpKind.STREAM for kind in self.kinds
+        )
+
+    @cached_property
+    def port_users(self) -> tuple[tuple[int, ...], ...]:
+        """Per port, the positions of the ops that link to it."""
+        users: list[list[int]] = [[] for _ in range(self.num_ports)]
+        for p, entry in enumerate(self.entries):
+            for q in (*entry[4], *entry[5]):
+                if q < 0:
+                    users[-1 - q].append(p)
+        return tuple(tuple(u) for u in users)
+
+    @cached_property
+    def forward(self) -> bool:
+        """Whether every in-block link points to an earlier position."""
+        return all(
+            q < p
+            for p, entry in enumerate(self.entries)
+            for q in (*entry[4], *entry[5])
+        )
+
+    def _identity(self) -> tuple:
+        return self.entries, self.num_ports, self.by_id
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, BlockShape):
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._identity())
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return BlockShape, self._identity()
+
+    def __repr__(self) -> str:
+        return (
+            f"BlockShape({len(self.entries)} ops, {self.num_ports} ports, "
+            f"span={self.span})"
+        )
+
+
+def _shape_from_ops(
+    ops: Sequence[Op], op_ids: Sequence[int], template: bool = False
+) -> tuple[BlockShape, tuple]:
+    """The shape of the block holding ``op_ids`` and the key of each of
+    its ports: ``("op", id)`` for an op outside the block.  In a layer
+    ``template`` an ``ext`` input is a port too (``("ext", name)``,
+    bound to a copy's input), and the entry ops' :data:`_ENTRY_DEPS`
+    one port ``"entry"``."""
+    at = {op_id: p for p, op_id in enumerate(op_ids)}.get
+    ports: dict[Any, int] = {}
+    port = ports.setdefault
+    entries = []
+    for op_id in op_ids:
+        op = ops[op_id]
+        if template and op.deps == _ENTRY_DEPS:
+            deps: tuple[int, ...] = (-1 - port("entry", len(ports)),)
+        else:
+            deps = tuple([
+                p if (p := at(d)) is not None
+                else -1 - port(("op", d), len(ports))
+                for d in op.deps
+            ])
+        reads = []
+        for ref in op.inputs:
+            kind = ref.kind
+            if kind == "op" and (p := at(ref.key)) is not None:
+                reads.append(p)
+            elif kind == "op" or (template and kind == "ext"):
+                reads.append(-1 - port((kind, ref.key), len(ports)))
+        if op.kind is OpKind.LOAD:
+            entries.append((op.kind, op.semantic, (), 0, deps, tuple(reads)))
+        else:
+            entries.append((
+                op.kind, op.semantic, op.engines, op.cycles, deps, tuple(reads)
+            ))
+    comps = [op_id for op_id, e in zip(op_ids, entries) if e[0] is not OpKind.LOAD]
+    by_id = sorted(range(len(comps)), key=comps.__getitem__)
+    return BlockShape(entries, len(ports), by_id), tuple(ports)
+
+
+def _resolve(first: BlockIR, second: BlockIR) -> tuple:
+    """How ``second``'s ports land when its ops follow ``first``'s in
+    one block: per port the positions in ``first`` it names
+    (``inside``) and the op ids outside both (``outside``), plus the
+    union's ``by_id`` (None when it is the identity)."""
+    a, b = first.shape, second.shape
+    ids = first.op_ids
+    base = ids[0] if ids else 0
+    lookup: dict[int, int] | None = None
+    inside = []
+    outside = []
+    for bound in second.ports:
+        hits = []
+        for op_id in bound:
+            j = op_id - base
+            if not (0 <= j < len(ids) and ids[j] == op_id):
+                if lookup is None:
+                    lookup = {i: p for p, i in enumerate(ids)}
+                j = lookup.get(op_id)
+            hits.append(j)
+        inside.append(tuple([h for h in hits if h is not None]))
+        outside.append(tuple([i for i, h in zip(bound, hits) if h is None]))
+    if (
+        a.by_id == tuple(range(len(a.comps)))
+        and b.by_id == tuple(range(len(b.comps)))
+        and (
+            not a.comps or not b.comps
+            or ids[a.comps[-1]] < second.op_ids[b.comps[0]]
+        )
+    ):
+        by_id = None
+    else:
+        comp_ids = [ids[p] for p in a.comps] + [second.op_ids[p] for p in b.comps]
+        by_id = tuple(sorted(range(len(comp_ids)), key=comp_ids.__getitem__))
+    return tuple(inside), tuple(outside), by_id
+
+
+def _union_shape(
+    first: BlockIR, second: BlockIR
+) -> tuple[BlockShape, tuple[tuple[int, ...], ...]]:
+    """The shape and ports of the one block holding ``first``'s ops,
+    then ``second``'s (both carrying shapes, in one id space): the
+    ports of ``second`` that name ops of ``first`` become in-block
+    links.  Memoized on ``first``'s shape, so the pairs of two layer
+    copies share one result."""
+    a, b = first.shape, second.shape
+    inside, outside, by_id = _resolve(first, second)
+    key = ("union", weakref.ref(b), inside, by_id)
+    shape = a.derived.get(key)
+    if shape is None:
+        n, k = len(a.entries), a.num_ports
+
+        def relink(links: tuple[int, ...]) -> tuple[int, ...]:
+            out: list[int] = []
+            for q in links:
+                if q >= 0:
+                    out.append(q + n)
+                else:
+                    out.extend(inside[-1 - q])
+                    out.append(q - k)
+            return tuple(out)
+
+        entries = a.entries + tuple(
+            (kind, semantic, engines, cycles, relink(deps), relink(reads))
+            for kind, semantic, engines, cycles, deps, reads in b.entries
+        )
+        shape = a.derived[key] = BlockShape(entries, k + b.num_ports, by_id)
+    return shape, first.ports + outside
+
+
+def _union_span(first: BlockIR, second: BlockIR) -> int:
+    """``_union_shape(first, second)[0].span`` without building the
+    union: ``second``'s ASAP pass rerun with the ends of the ops of
+    ``first`` its ports name.  Memoized on ``first``'s shape."""
+    a, b = first.shape, second.shape
+    inside, _, by_id = _resolve(first, second)
+    key = ("union span", weakref.ref(b), inside, by_id)
+    span = a.derived.get(key)
+    if span is None:
+        a_end = dict(zip(a.comps, [end for _, end in a.times]))
+        ends: list[int] = []
+        for c, p in enumerate(b.comps):
+            _, _, _, cycles, links, _ = b.entries[p]
+            start = 0
+            for q in b.rows[c][2]:
+                if q < c and ends[q] > start:
+                    start = ends[q]
+            for q in links:
+                if q < 0:
+                    for r in inside[-1 - q]:
+                        start = max(start, a_end.get(r, 0))
+            ends.append(start + cycles)
+        span = a.derived[key] = max(a.span, max(ends, default=0))
+    return span
 
 
 @dataclass(frozen=True)
@@ -256,11 +559,10 @@ class BlockProgram:
     so the cycle executor's spans and work units are computed once per
     program and kept on it (``cached_property`` writes the instance
     ``__dict__``, which a frozen dataclass still has).  A meta-only
-    copy (:meth:`with_meta`) shares them; a pass that rebuilds a
-    program presets the spans it already knows
-    (:func:`_preset_block_spans`), and a lowering presets its layer
-    copies' spans from their template's and builds their ops only when
-    ``ops`` is first read.
+    copy (:meth:`with_meta`) shares them.  The spans are read off the
+    blocks' shapes (:class:`BlockShape`), which lowering and the passes
+    give every block they make, so a lowering and a pass rebuild can
+    both leave ``ops`` to be built on its first read.
     """
 
     fabric: Fabric
@@ -281,10 +583,12 @@ class BlockProgram:
     def __getattr__(self, name: str) -> Any:
         # Reached only for an attribute the instance lacks: ``ops``
         # before its recipe has run.  The built tuple is published
-        # before the recipe is dropped, so a reader sees one or the
-        # other, never neither.
+        # before the recipe is dropped, so a reader that finds neither
+        # the tuple nor the recipe missed the tuple by a hair.
         deferred = self.__dict__.get("_deferred") if name == "ops" else None
         if deferred is None:
+            if name == "ops" and "ops" in self.__dict__:
+                return self.__dict__["ops"]
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
@@ -307,7 +611,7 @@ class BlockProgram:
     def block_spans(self) -> Mapping[str, int]:
         """Read-only label -> ASAP makespan of each block's compute ops."""
         return MappingProxyType(
-            {blk.label: _makespan(self, blk.op_ids) for blk in self.blocks}
+            {blk.label: _shaped(self, blk).shape.span for blk in self.blocks}
         )
 
     @cached_property
@@ -316,13 +620,17 @@ class BlockProgram:
         blocks that fuse into one A1/A2 work unit."""
         return MappingProxyType(
             {
-                group[0].merge_group: _makespan(
-                    self, [oid for blk in group for oid in blk.op_ids]
-                )
+                group[0].merge_group: _unit_shape(self, group).span
                 for group in _unit_groups(self.blocks, merge=True)
                 if len(group) > 1
             }
         )
+
+    @cached_property
+    def _shape_memo(self) -> dict[str, BlockIR]:
+        """Blocks built without a shape, with the one derived from the
+        ops (:func:`_shaped`), by label."""
+        return {}
 
     @cached_property
     def execution_plan(self) -> tuple[PlanStep, ...]:
@@ -360,6 +668,7 @@ class BlockProgram:
             "merge_group_spans",
             "execution_plan",
             "_work_unit_memo",
+            "_shape_memo",
         )
         if meta.get("schedule_params") == self.meta.get("schedule_params"):
             shared += ("_psa_stall_memo",)
@@ -367,6 +676,34 @@ class BlockProgram:
             if name in self.__dict__:
                 copy.__dict__[name] = self.__dict__[name]
         return copy
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt through the constructor from the built ops: neither a
+        # recipe (closures, a lock) nor the read-only span views pickle.
+        spans = {
+            name: dict(self.__dict__[name])
+            for name in ("block_spans", "merge_group_spans")
+            if name in self.__dict__
+        }
+        return _restore_program, (
+            self.fabric, self.ops, self.blocks, dict(self.outputs),
+            dict(self.meta), spans,
+        )
+
+
+def _restore_program(
+    fabric: Fabric,
+    ops: tuple[Op, ...],
+    blocks: tuple[BlockIR, ...],
+    outputs: dict[str, ValueRef],
+    meta: dict,
+    spans: dict[str, dict[str, int]],
+) -> BlockProgram:
+    """Unpickle a :class:`BlockProgram` (see ``__reduce__``)."""
+    program = BlockProgram(fabric, ops, blocks, outputs, meta)
+    for name, values in spans.items():
+        program.__dict__[name] = MappingProxyType(values)
+    return program
 
 
 @dataclass
@@ -479,9 +816,6 @@ class _Builder:
         self.stamped = False
         self.blocks: list[BlockIR] = []
         self.input_shapes: dict[str, tuple[int, int]] = {}
-        #: Spans of the blocks and merge groups stamped from a template.
-        self.spans: dict[str, int] = {}
-        self.group_spans: dict[str, int] = {}
 
     def ext(self, name: str, rows: int, width: int) -> ValueRef:
         """An external activation input, expected as ``(rows, width)``
@@ -558,9 +892,9 @@ class _Builder:
     def finish(
         self, outputs: dict[str, ValueRef | int], **meta: Any
     ) -> BlockProgram:
-        """The program; when every block was stamped from a template,
-        its spans are preset from the templates' instead of a new ASAP
-        pass, and its ops are built when first read."""
+        """The program; when layer copies were stamped, its ops are
+        built when first read and its block spans are read off the
+        copies' shapes, their templates'."""
         program = BlockProgram(
             fabric=self.fabric,
             ops=_DeferredOps(self.ops, self.size) if self.stamped
@@ -572,10 +906,9 @@ class _Builder:
             },
             meta={**meta, "input_shapes": self.input_shapes},
         )
-        if len(self.spans) == len(self.blocks):
-            program.__dict__["block_spans"] = MappingProxyType(self.spans)
-            program.__dict__["merge_group_spans"] = MappingProxyType(
-                self.group_spans
+        if all(blk.shape is not None for blk in self.blocks):
+            program.__dict__["block_spans"] = MappingProxyType(
+                {blk.label: blk.shape.span for blk in self.blocks}
             )
         return program
 
@@ -1033,8 +1366,10 @@ class _LayerTemplate:
     refs and ``CACHE`` ops name layer 0.  Its external inputs are
     ``ext`` refs a stamp binds by name, and its entry ops depend on
     :data:`_ENTRY_DEPS`.  ``output`` is the id of its output op; the
-    template keeps the layer's blocks and spans but not its ops, which
-    a program waiting to build its copies would otherwise hold.
+    template keeps the layer's blocks, each with its shape, but not its
+    ops, which a program waiting to build its copies would otherwise
+    hold.  ``ports`` holds the port keys of each block's shape, which a
+    stamp binds to the copy's op ids.
 
     ``rows`` holds each op as the :class:`Op` fields a copy takes over,
     with the ``LOAD`` label left None, the entry deps None, and inputs
@@ -1048,9 +1383,14 @@ class _LayerTemplate:
         self, tb: _Builder, output: int, names: tuple[str, ...], stack: str | None
     ) -> None:
         program = tb.finish({})
-        self.blocks = program.blocks
-        self.spans = program.block_spans
-        self.group_spans = program.merge_group_spans
+        blocks = []
+        self.ports: dict[str, tuple] = {}
+        for blk in program.blocks:
+            shape, self.ports[blk.label] = _shape_from_ops(
+                program.ops, blk.op_ids, template=True
+            )
+            blocks.append(replace(blk, shape=shape))
+        self.blocks = tuple(blocks)
         self.output = output
         self.names = names
         self.stack = stack
@@ -1095,23 +1435,30 @@ def _stamp(
     shifted past the ops already built, blocks relabelled, parameter
     paths, cache refs and ``CACHE`` ops moved to layer ``index``, the
     external inputs bound by name, and the entry ops made to wait on
-    ``entry_deps``.  The copy's blocks, spans and output are made now;
-    its ops when the program's ops are first read.  Returns the ref to
-    the copy's output."""
+    ``entry_deps``.  The copy's blocks, which share the template's
+    shapes, and its output are made now; its ops when the program's ops
+    are first read.  Returns the ref to the copy's output."""
     offset = b.size
     labels = {name.format(1): name.format(index + 1) for name in tpl.names}
     shift = offset.__add__
+
+    def bound(key: Any) -> tuple[int, ...]:
+        if key == "entry":
+            return entry_deps
+        kind, name = key
+        if kind == "op":
+            return (offset + name,)
+        ref = bind[name]
+        return (ref.key,) if ref is not None and ref.kind == "op" else ()
+
     for blk in tpl.blocks:
-        label = labels[blk.label]
         b.blocks.append(replace(
             blk,
-            label=label,
+            label=labels[blk.label],
             op_ids=tuple(map(shift, blk.op_ids)),
             merge_group=labels.get(blk.merge_group),
+            ports=tuple(map(bound, tpl.ports[blk.label])),
         ))
-        b.spans[label] = tpl.spans[blk.label]
-    for group, span in tpl.group_spans.items():
-        b.group_spans[labels[group]] = span
     output = ValueRef("op", offset + tpl.output)
 
     def build(append: Callable[[Op], None]) -> None:
@@ -1486,12 +1833,32 @@ def _makespan(program: BlockProgram, op_ids: Sequence[int]) -> int:
     return max((end for _, end in _asap_times(program, op_ids).values()), default=0)
 
 
-def _preset_block_spans(program: BlockProgram, spans: Mapping[str, int]) -> None:
-    """Set ``program.block_spans`` to ``spans`` (label -> exact ASAP
-    makespan of every block), for a pass that already knows them."""
-    program.__dict__["block_spans"] = MappingProxyType(
-        {blk.label: spans[blk.label] for blk in program.blocks}
-    )
+def _shaped(program: BlockProgram, blk: BlockIR) -> BlockIR:
+    """``blk`` with its shape and ports: ``blk`` itself when it carries
+    them, else a copy with the ones derived from the program's ops,
+    made once per program and block."""
+    if blk.shape is not None:
+        return blk
+    memo = program._shape_memo
+    shaped = memo.get(blk.label)
+    if shaped is None or shaped != blk:
+        shape, keys = _shape_from_ops(program.ops, blk.op_ids)
+        shaped = memo[blk.label] = replace(
+            blk, shape=shape, ports=tuple((key[1],) for key in keys)
+        )
+    return shaped
+
+
+def _unit_shape(program: BlockProgram, group: Sequence[BlockIR]) -> BlockShape:
+    """The shape of one work unit: a block's, or the union of the
+    blocks of a merge group (:func:`_union_shape`)."""
+    unit = _shaped(program, group[0])
+    for blk in group[1:]:
+        shape, ports = _union_shape(unit, _shaped(program, blk))
+        unit = BlockIR(
+            unit.label, unit.op_ids + blk.op_ids, shape=shape, ports=ports
+        )
+    return unit.shape
 
 
 def block_compute_cycles(program: BlockProgram, block: BlockIR | str) -> int:

@@ -594,20 +594,24 @@ class TestSpanMemo:
         for pipeline in a4_candidate_pipelines("A3"):
             assert_memo_matches_reference(pipeline.apply_program(base))
 
-    def test_asap_runs_once_per_block_and_merge_group(
+    def test_spans_are_read_off_block_shapes(
         self, fabric, small_params, rng, monkeypatch
     ):
+        """Every block of a lowering carries its template's shape, so no
+        span, merge-group span or work unit runs an ASAP pass over ops
+        or derives a shape from them."""
         cfg = small_params.config
         # ``replace`` builds a new program object with an empty memo.
         program = dataclasses.replace(lower_full_pass(cfg, fabric, 4))
         calls = []
-        real = program_module._asap_times
+        for name in ("_asap_times", "_shape_from_ops"):
+            real = getattr(program_module, name)
 
-        def counting(prog, op_ids):
-            calls.append(tuple(op_ids))
-            return real(prog, op_ids)
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(program_module, "_asap_times", counting)
+            monkeypatch.setattr(program_module, name, counting)
         inputs = {
             "x": rng.standard_normal((4, cfg.d_model)).astype(np.float32),
             "dec_in": rng.standard_normal((4, cfg.d_model)).astype(np.float32),
@@ -619,7 +623,11 @@ class TestSpanMemo:
             execute_program(program, root=small_params, inputs=inputs)
         merge_groups = {b.merge_group for b in program.blocks} - {None}
         assert len(merge_groups) == cfg.num_decoders
-        assert len(calls) == len(program.blocks) + len(merge_groups)
+        assert len(program.merge_group_spans) == cfg.num_decoders
+        assert calls == []
+        assert dict(program.block_spans) == {
+            blk.label: asap_span(program, blk.op_ids) for blk in program.blocks
+        }
 
     def test_run_cycles_are_a_copy(self, fabric, small_params, rng):
         program = encoder_stack_program(small_params.config, fabric, 4)
