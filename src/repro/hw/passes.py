@@ -259,6 +259,12 @@ def _rebuild_program(
     _validate_blocks(new_blocks, len(order))
 
     def build(append: Callable[[Op], None]) -> None:
+        # ``pos`` is made again rather than kept: an unbuilt program
+        # would otherwise hold a dict over every op id.
+        pos = {
+            item if type(item) is int else item.op_id: new_id
+            for new_id, item in enumerate(order)
+        }
         ops = program.ops
         moved = {key for key, new_id in pos.items() if key != new_id}
         refs = {key: ValueRef("op", pos[key]) for key in moved}
@@ -468,23 +474,25 @@ def _merge_adjacent(
         if i + 1 >= len(blocks) or not _mergeable(blocks[i], blocks[i + 1]):
             return None
         merged = _merged_block(program, blocks[i], blocks[i + 1])
+        # A compute op only moves block: its ops share one edit.
+        moved = {"block": merged.label}
         first_load_seen = False
         for op_id, kind in zip(merged.op_ids, merged.shape.kinds):
-            changes: dict[str, Any] = {"block": merged.label}
-            if kind is OpKind.LOAD:
-                # The fused bundle streams as one burst: the first LOAD
-                # op carries the whole transfer, followers become
-                # zero-cycle markers (op count stays conserved).
-                if not first_load_seen:
-                    changes["cycles"] = merged.load_cycles
-                    changes["label"] = f"LW:{merged.label}"
-                    first_load_seen = True
-                else:
-                    changes["cycles"] = 0
+            if kind is not OpKind.LOAD:
+                edits[op_id] = moved
+                continue
+            # The fused bundle streams as one burst: the first LOAD op
+            # carries the whole transfer, followers become zero-cycle
+            # markers (op count stays conserved).
+            changes: dict[str, Any] = {"block": merged.label, "cycles": 0}
+            if not first_load_seen:
+                changes["cycles"] = merged.load_cycles
+                changes["label"] = f"LW:{merged.label}"
+                first_load_seen = True
             edits[op_id] = {**edits.get(op_id, {}), **changes}
         blocks[i:i + 2] = [merged]
     return _rebuild_program(
-        program, list(range(program.num_ops)), blocks, edits=edits
+        program, range(program.num_ops), blocks, edits=edits
     )
 
 
@@ -727,8 +735,10 @@ def _split_works(m_blk: BlockIR, f_blk: BlockIR) -> list[BlockWork]:
 def _split_block(
     program: BlockProgram, m_blk: BlockIR, f_blk: BlockIR
 ) -> BlockProgram:
-    """Rebuild ``program`` with the split from :func:`_split_parts`."""
+    """Rebuild ``program`` with the split from :func:`_split_parts`.
+    The ops that only change block share one edit per part."""
     edits: dict[int, dict[str, Any]] = {}
+    m_moved = {"block": m_blk.label}
     for op_id, kind in zip(m_blk.op_ids, m_blk.shape.kinds):
         if kind is OpKind.LOAD:
             edits[op_id] = {
@@ -738,10 +748,11 @@ def _split_block(
                 "attrs": {"channel_hint": 0},
             }
         else:
-            edits[op_id] = {"block": m_blk.label}
+            edits[op_id] = m_moved
     f_ids = f_blk.op_ids[:-1]
+    f_moved = {"block": f_blk.label}
     for op_id in f_ids:
-        edits[op_id] = {"block": f_blk.label}
+        edits[op_id] = f_moved
     f_load_op = _NewOp(-1, {
         "kind": OpKind.LOAD,
         "label": f"LW:{f_blk.label}",
