@@ -1130,14 +1130,14 @@ def _reorder_edit(
         return None
     _, ordered, full_deps = plan
     comps = [blk.op_ids[p] for p in shape.comps]
+    index = {op_id: c for c, op_id in enumerate(comps)}
     in_block = set(blk.op_ids)
-    new_deps = {
-        op_id: {comps[q] for q in deps} for op_id, deps in zip(comps, full_deps)
-    }
 
     def edit(op: Op) -> dict[str, Any]:
-        external = {d for d in op.deps if d not in in_block}
-        return {"deps": tuple(sorted(external | new_deps[op.op_id]))}
+        # The plan's deps, which the shape keeps, in this block's ids.
+        deps = {d for d in op.deps if d not in in_block}
+        deps.update([comps[q] for q in full_deps[index[op.op_id]]])
+        return {"deps": tuple(sorted(deps))}
 
     loads = [i for i, kind in zip(blk.op_ids, shape.kinds) if kind is OpKind.LOAD]
     return loads + [comps[c] for c in ordered], edit

@@ -41,6 +41,7 @@ block schedule exists.
 
 from __future__ import annotations
 
+import sys
 import threading
 import weakref
 from dataclasses import dataclass, field, fields, replace
@@ -1445,7 +1446,11 @@ def _stamp(
     shapes, and its output are made now; its ops when the program's ops
     are first read.  Returns the ref to the copy's output."""
     offset = b.size
-    labels = {name.format(1): name.format(index + 1) for name in tpl.names}
+    # Interned: every lowering makes the same labels, and schedules and
+    # reports that outlive their program keep them.
+    labels = {
+        name.format(1): sys.intern(name.format(index + 1)) for name in tpl.names
+    }
     shift = offset.__add__
 
     def bound(key: Any) -> tuple[int, ...]:
