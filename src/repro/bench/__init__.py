@@ -7,19 +7,20 @@ a trajectory that can be tracked across changes:
 
 * :mod:`repro.bench.scenarios` — a declarative scenario suite (encoder
   prefill, KV-cached decode, streaming, the A1/A2/A3 × sequence-length
-  sweep).  Each scenario runs under :func:`repro.obs.telemetry`,
-  collecting median-of-k wall-clock timings with a robust spread plus
-  the simulator's *deterministic* cycle metrics.
+  sweep).  Each scenario runs under :func:`repro.obs.telemetry` and
+  yields the simulator's *deterministic* cycle metrics, checked
+  identical across repeats.
 * :mod:`repro.bench.snapshot` — schema-versioned ``BENCH_<n>.json``
-  snapshots with an environment fingerprint.
+  snapshots that depend only on the code.
 * :mod:`repro.bench.compare` — diffs a snapshot against a committed
-  baseline: exact-match gating for cycle counts, noise-aware
-  thresholds for wall-clock.
+  baseline with exact-match gating of cycle counts.
 * :mod:`repro.bench.attribution` — classifies each block as load- or
   compute-bound, locates the Fig 5.2 crossover from the model, and
   builds the §4.2 roofline table per matmul MM1–MM6.
 
-CLI surface: ``repro-asr bench run|compare|report``.
+CLI surface: ``repro-asr bench run|compare|report``.  This package
+owns the modeled numbers; host wall time belongs to perfbench
+(``perfbench/``, bounds in ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -49,12 +50,11 @@ from repro.bench.scenarios import (
 )
 from repro.bench.snapshot import (
     SNAPSHOT_SCHEMA,
-    WallStats,
     build_snapshot,
-    environment_fingerprint,
     latest_snapshot_path,
     load_snapshot,
     next_snapshot_path,
+    resolve_snapshot_path,
     write_snapshot,
 )
 
@@ -65,12 +65,11 @@ __all__ = [
     "run_scenario",
     "run_suite",
     "SNAPSHOT_SCHEMA",
-    "WallStats",
     "build_snapshot",
-    "environment_fingerprint",
     "latest_snapshot_path",
     "load_snapshot",
     "next_snapshot_path",
+    "resolve_snapshot_path",
     "write_snapshot",
     "ComparisonReport",
     "Finding",

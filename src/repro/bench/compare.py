@@ -1,17 +1,11 @@
-"""Snapshot comparator: exact-match gating for cycle metrics,
-noise-aware thresholds for wall-clock.
+"""Snapshot comparator: exact-match gating of cycle metrics.
 
-The two metric classes fail differently by design:
-
-* **Cycle metrics** are pure arithmetic over the configuration — any
-  change is a real change to the modeled hardware (or a bug), so the
-  gate is exact equality and a mismatch is a hard failure.
-* **Wall-clock medians** carry scheduler noise, turbo states and
-  machine differences, so a drift only *warns* unless it exceeds a
-  threshold that accounts for both the configured tolerance and the
-  measured spread of the two runs — and even then it stays a warning
-  unless ``fail_on_wall`` is set (CI compares cross-machine, where
-  wall numbers are indicative at best).
+Cycle metrics are pure arithmetic over the configuration, so any
+change is a real change to the modeled hardware (or a bug): the gate
+is exact equality and a mismatch is a hard failure.  A failure is
+attributed to the (block, engine, cause) triples the cycles moved on
+when both snapshots embed the scenario's run profile.  Host time is
+not compared here; perfbench's bounds (``BENCHMARK.json``) gate it.
 """
 
 from __future__ import annotations
@@ -23,10 +17,6 @@ from typing import Mapping
 from repro.bench.snapshot import SNAPSHOT_SCHEMA
 
 __all__ = ["Finding", "ComparisonReport", "compare_snapshots"]
-
-#: Spread multiplier: a drift below ``_SIGMAS`` robust standard
-#: deviations of either run is indistinguishable from noise.
-_SIGMAS = 4.0
 
 
 @dataclass(frozen=True)
@@ -47,8 +37,6 @@ class Finding:
 class ComparisonReport:
     """All findings of one baseline-vs-current diff."""
 
-    baseline_env: dict = field(default_factory=dict)
-    current_env: dict = field(default_factory=dict)
     findings: list[Finding] = field(default_factory=list)
 
     def add(self, severity: str, scenario: str, metric: str, message: str) -> None:
@@ -68,14 +56,6 @@ class ComparisonReport:
 
     def format(self) -> str:
         lines: list[str] = []
-        if self.baseline_env and self.current_env:
-            same = self.baseline_env == self.current_env
-            lines.append(
-                "environment: "
-                + ("same fingerprint as baseline"
-                   if same else "DIFFERS from baseline (wall-clock drift "
-                                "is expected; cycle counts must still match)")
-            )
         order = {"fail": 0, "warn": 1, "info": 2}
         for f in sorted(self.findings, key=lambda f: (order[f.severity], f.scenario)):
             lines.append(
@@ -145,73 +125,9 @@ def _compare_cycles(
             )
 
 
-def _compare_wall(
-    report: ComparisonReport,
-    scenario: str,
-    base: Mapping[str, object],
-    cur: Mapping[str, object],
-    tolerance: float,
-    min_wall_ms: float,
-    fail_on_wall: bool,
-) -> None:
-    b_invalid = int(base.get("invalid_samples", 0) or 0)
-    c_invalid = int(cur.get("invalid_samples", 0) or 0)
-    if b_invalid:
-        report.add("warn", scenario, "wall",
-                   f"baseline has {b_invalid} non-finite wall sample(s)")
-    if c_invalid:
-        report.add("warn", scenario, "wall",
-                   f"current run has {c_invalid} non-finite wall sample(s)")
-
-    b_med = float(base.get("median_ms", math.nan))
-    c_med = float(cur.get("median_ms", math.nan))
-    if not math.isfinite(b_med) or not math.isfinite(c_med):
-        which = "baseline" if not math.isfinite(b_med) else "current"
-        report.add("warn", scenario, "wall",
-                   f"{which} wall median is not finite; drift not comparable")
-        return
-
-    b_spread = float(base.get("spread_ms", 0.0) or 0.0)
-    c_spread = float(cur.get("spread_ms", 0.0) or 0.0)
-    if not math.isfinite(b_spread):
-        b_spread = 0.0
-    if not math.isfinite(c_spread):
-        c_spread = 0.0
-    # A drift must clear the relative tolerance, the noise floor of
-    # both runs, and an absolute floor (sub-millisecond scenarios are
-    # all noise) before it means anything.
-    threshold = max(
-        tolerance * b_med, _SIGMAS * max(b_spread, c_spread), min_wall_ms
-    )
-    delta = c_med - b_med
-    desc = (f"median {b_med:.2f} ms -> {c_med:.2f} ms "
-            f"({delta:+.2f} ms, threshold {threshold:.2f} ms)")
-    if delta > threshold:
-        report.add("fail" if fail_on_wall else "warn", scenario, "wall",
-                   f"wall-clock regression: {desc}")
-    elif delta < -threshold:
-        report.add("info", scenario, "wall", f"wall-clock improvement: {desc}")
-
-
-def compare_snapshots(
-    baseline: dict,
-    current: dict,
-    wall_tolerance: float = 0.25,
-    min_wall_ms: float = 1.0,
-    fail_on_wall: bool = False,
-) -> ComparisonReport:
-    """Diff ``current`` against ``baseline``.
-
-    ``wall_tolerance`` is the fractional wall-clock drift considered
-    meaningful (before the spread-based noise floor); ``min_wall_ms``
-    an absolute floor below which drift is ignored entirely.
-    """
-    if wall_tolerance < 0 or min_wall_ms < 0:
-        raise ValueError("tolerances must be non-negative")
-    report = ComparisonReport(
-        baseline_env=dict(baseline.get("env", {})),
-        current_env=dict(current.get("env", {})),
-    )
+def compare_snapshots(baseline: dict, current: dict) -> ComparisonReport:
+    """Diff ``current``'s cycle metrics against ``baseline``'s."""
+    report = ComparisonReport()
     b_schema = baseline.get("schema")
     c_schema = current.get("schema")
     if b_schema != SNAPSHOT_SCHEMA or c_schema != SNAPSHOT_SCHEMA:
@@ -244,10 +160,4 @@ def compare_snapshots(
             _attach_attribution(
                 report, name, b_scenarios[name], c_scenarios[name]
             )
-        _compare_wall(
-            report, name,
-            b_scenarios[name].get("wall", {}),
-            c_scenarios[name].get("wall", {}),
-            wall_tolerance, min_wall_ms, fail_on_wall,
-        )
     return report

@@ -2,8 +2,8 @@
 
 A :class:`Scenario` names a *kind* (one of :data:`RUNNERS`) plus its
 parameters; :func:`run_scenario` executes it ``repeats`` times inside a
-fresh :func:`repro.obs.telemetry` session each time, records the
-wall-clock of every repeat, and keeps the scenario's cycle metrics.
+fresh :func:`repro.obs.telemetry` session each time and checks that
+every repeat produced the same cycle metrics and run profile.
 
 Two metric classes come out of a run:
 
@@ -12,21 +12,17 @@ Two metric classes come out of a run:
   over the configuration, identical on every machine, and the runner
   *verifies* they are identical across repeats — the comparator then
   gates them with exact equality.
-* ``info`` — everything else worth recording but not gating: modeled
-  latencies that depend on data-dependent token counts (BLAS rounding
-  can flip a greedy argmax across platforms), measured host times, RTF.
+* ``info`` — modeled numbers worth recording but not gating: latencies
+  that depend on data-dependent token counts (BLAS rounding can flip a
+  greedy argmax across platforms), RTF, goodput.
 
-Wall-clock is always reported as a median-of-k with a robust spread
-(:class:`repro.bench.snapshot.WallStats`).
+Host time is not measured here; perfbench owns it.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
-
-from repro.bench.snapshot import WallStats
 
 __all__ = [
     "Scenario",
@@ -64,7 +60,6 @@ class ScenarioResult:
     name: str
     kind: str
     params: Mapping[str, object]
-    wall: WallStats
     #: Deterministic simulated-cycle metrics (exact-match gated).
     cycles: dict[str, float]
     #: Informational metrics (recorded, never gated).
@@ -179,10 +174,9 @@ def _run_kv_decode(params: Mapping[str, object], session) -> tuple[dict, dict]:
 
 
 def _run_e2e_transcribe(params: Mapping[str, object], session) -> tuple[dict, dict]:
-    """The full functional pipeline on one synthetic utterance — the
-    wall-clock-heavy scenario.  Gated cycles cover only the padded
-    prefill pass (data-independent); token-count-dependent results are
-    informational."""
+    """The full functional pipeline on one synthetic utterance.  Gated
+    cycles cover only the padded prefill pass (data-independent);
+    token-count-dependent results are informational."""
     from repro.asr.dataset import LibriSpeechLikeDataset
     from repro.asr.pipeline import AsrPipeline
     from repro.model.params import init_transformer_params
@@ -210,7 +204,6 @@ def _run_e2e_transcribe(params: Mapping[str, object], session) -> tuple[dict, di
         "tokens": float(result.tokens.size),
         "decode_steps": result.details.get("decode_steps", 0.0),
         "e2e_ms_modeled": result.e2e_ms,
-        "host_ms_measured": result.measured_host_ms,
         "decode_ms_modeled": result.decode_total_ms,
     }
     return cycles, info
@@ -432,8 +425,8 @@ def _run_a4_optimized(params: Mapping[str, object], session) -> tuple[dict, dict
     """The A4 pass-pipeline synthesis: exact A3 vs A4 cycles plus the
     PSA stall attribution the win comes out of.  Both ``synthesize_a4``
     and the lowering are ``lru_cache``d, so each repeat clears them
-    first: every wall sample times a cold search, and the cycle metrics
-    still gate exactly."""
+    first: every repeat runs a cold search, and the runner's
+    repeat-to-repeat determinism check covers it."""
     from repro.hw.dse import synthesize_a4
     from repro.hw.program import lower
 
@@ -463,8 +456,7 @@ def _run_batched_serving(params: Mapping[str, object], session) -> tuple[dict, d
     continuous-batching scheduler decodes a request population in
     batched steps.  Its emitted tokens must equal each request's solo
     greedy decode, and its device cycles those of a modeled run of the
-    same requests; both gate exactly.  The batched run's wall clock is
-    reported."""
+    same requests; both gate exactly."""
     import numpy as np
 
     from repro.config import ModelConfig
@@ -502,9 +494,7 @@ def _run_batched_serving(params: Mapping[str, object], session) -> tuple[dict, d
 
     accel = TransformerAccelerator(weights, hw_seq_len=s)
     ex = FunctionalExecutor(scfg, accel, lambda r: feats[r.request_id])
-    start = time.perf_counter()
     result = ContinuousBatchingScheduler(scfg, ex).run(list(reqs))
-    bat_ms = (time.perf_counter() - start) * 1e3
     modeled = ContinuousBatchingScheduler(
         scfg, ModeledExecutor(scfg, accel.latency_model)
     ).run(list(reqs))
@@ -530,10 +520,7 @@ def _run_batched_serving(params: Mapping[str, object], session) -> tuple[dict, d
             result.device_end_cycles == modeled.device_end_cycles
         ),
     }
-    info = {
-        "batched_wall_ms": bat_ms,
-        "peak_batch": float(result.peak_batch),
-    }
+    info = {"peak_batch": float(result.peak_batch)}
     return cycles, info
 
 
@@ -555,13 +542,13 @@ RUNNERS: dict[str, Callable[[Mapping[str, object], object], tuple]] = {
 }
 
 
-def default_scenarios(quick: bool = False, repeats: int = 3) -> list[Scenario]:
+def default_scenarios(quick: bool = False) -> list[Scenario]:
     """The standard suite: the A1/A2/A3 × s sweep plus the prefill
     probe, fixed-budget KV decode, one functional E2E utterance and one
-    streaming run.  ``quick`` trims to one repeat and drops the
-    functional scenarios (useful in tests and smoke runs)."""
-    if quick:
-        repeats = 1
+    streaming run, three repeats each.  ``quick`` trims to one repeat
+    and drops the functional scenarios (useful in tests and smoke
+    runs)."""
+    repeats = 1 if quick else 3
     scenarios = [
         Scenario(
             f"sweep_{arch.lower()}_s{s}",
@@ -646,16 +633,13 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     """
     from repro import obs
 
-    samples: list[float] = []
     cycles: dict[str, float] | None = None
     info: dict[str, float] = {}
     profile: dict | None = None
     seen_profile = False
     for _ in range(scenario.repeats):
         with obs.telemetry() as session:
-            start = time.perf_counter()
             out = RUNNERS[scenario.kind](scenario.params, session)
-            samples.append((time.perf_counter() - start) * 1e3)
         run_cycles, run_info = out[0], out[1]
         run_profile = out[2] if len(out) > 2 else None
         if cycles is not None and run_cycles != cycles:
@@ -684,7 +668,6 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         name=scenario.name,
         kind=scenario.kind,
         params=dict(scenario.params),
-        wall=WallStats.from_samples(samples),
         cycles=cycles,
         info=info,
         profile=profile,

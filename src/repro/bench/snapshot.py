@@ -1,103 +1,26 @@
 """Schema-versioned benchmark snapshots (``BENCH_<n>.json``).
 
-A snapshot records one run of the scenario suite: per-scenario
-wall-clock statistics (median-of-k with a robust spread), the
-deterministic simulated-cycle metrics, and an environment fingerprint
-identifying the machine/interpreter the wall-clock numbers came from.
-Cycle metrics are machine-independent (the cycle model is pure
-arithmetic) and are gated exactly by the comparator; wall-clock is
-machine-dependent and only ever compared with noise-aware thresholds.
+A snapshot records one run of the scenario suite: per scenario its
+kind and parameters, the deterministic simulated-cycle metrics, the
+informational modeled metrics and, for traced scenarios, the run
+profile.  Everything in it is modeled arithmetic, so a snapshot
+depends only on the code: two runs of the same tree write the same
+bytes.  Host time is not recorded here; perfbench (``BENCHMARK.json``)
+measures and bounds it.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import os
-import platform
 import re
-import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 #: Bumped whenever the snapshot layout changes incompatibly.  The
 #: comparator refuses to diff snapshots with different schemas.
-SNAPSHOT_SCHEMA = "repro.bench/1"
+SNAPSHOT_SCHEMA = "repro.bench/2"
 
 _SNAPSHOT_RE = re.compile(r"^BENCH_(\d+)\.json$")
-
-
-@dataclass(frozen=True)
-class WallStats:
-    """Robust wall-clock statistics of one scenario's repeats.
-
-    ``median``/``spread`` are computed over the *finite* samples only
-    (``spread`` is the normalized median absolute deviation, which
-    estimates a standard deviation without being wrecked by one slow
-    outlier).  Non-finite samples are preserved in ``samples`` and
-    counted in ``invalid`` so the comparator can flag them.
-    """
-
-    samples: tuple[float, ...]
-    median: float
-    spread: float
-    invalid: int
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[float]) -> "WallStats":
-        samples = tuple(float(x) for x in samples)
-        finite = sorted(x for x in samples if math.isfinite(x))
-        invalid = len(samples) - len(finite)
-        if not finite:
-            return cls(samples=samples, median=math.nan, spread=math.nan,
-                       invalid=invalid)
-        med = _median(finite)
-        mad = _median(sorted(abs(x - med) for x in finite))
-        return cls(
-            samples=samples,
-            median=med,
-            # 1.4826 scales the MAD to a normal-distribution sigma.
-            spread=1.4826 * mad,
-            invalid=invalid,
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "samples_ms": list(self.samples),
-            "median_ms": self.median,
-            "spread_ms": self.spread,
-            "repeats": len(self.samples),
-            "invalid_samples": self.invalid,
-        }
-
-
-def _median(ordered: Sequence[float]) -> float:
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
-def environment_fingerprint() -> dict:
-    """Where the wall-clock numbers came from.
-
-    Deliberately excludes anything volatile (load average, free
-    memory): two runs on the same machine should fingerprint
-    identically so the comparator can tell "same box, got slower"
-    from "different box, numbers incomparable".
-    """
-    import numpy
-
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "numpy": numpy.__version__,
-        "cpu_count": os.cpu_count(),
-    }
 
 
 def build_snapshot(
@@ -112,22 +35,18 @@ def build_snapshot(
         entry = {
             "kind": r.kind,
             "params": dict(r.params),
-            "wall": r.wall.as_dict(),
             "cycles": {k: r.cycles[k] for k in sorted(r.cycles)},
             "info": {k: r.info[k] for k in sorted(r.info)},
         }
         # Scenario runners may attach a serialized run profile
         # (repro.obs.diffprof.RunProfile); the comparator uses it to
-        # attribute exact-gate failures.  Additive — older snapshots
-        # without it still compare cleanly.
+        # attribute exact-gate failures.
         profile = getattr(r, "profile", None)
         if profile:
             entry["profile"] = profile
         scenarios[name] = entry
     return {
         "schema": SNAPSHOT_SCHEMA,
-        "created_unix": time.time(),
-        "env": environment_fingerprint(),
         "config": dict(config or {}),
         "scenarios": scenarios,
     }
@@ -157,6 +76,23 @@ def latest_snapshot_path(directory: str | Path) -> Path | None:
     return best[1] if best else None
 
 
+def resolve_snapshot_path(path: str | Path) -> Path:
+    """The snapshot file ``path`` names: the file itself, or for a
+    directory its highest-numbered ``BENCH_<n>.json``.  Raises
+    ``FileNotFoundError`` when there is none."""
+    path = Path(path)
+    if path.is_dir():
+        found = latest_snapshot_path(path)
+        if found is None:
+            raise FileNotFoundError(
+                f"no BENCH_<n>.json snapshot found in {path}"
+            )
+        return found
+    if not path.exists():
+        raise FileNotFoundError(f"no snapshot at {path}")
+    return path
+
+
 def write_snapshot(snapshot: dict, directory: str | Path) -> Path:
     """Write the snapshot as the next ``BENCH_<n>.json``; returns the
     path."""
@@ -166,16 +102,50 @@ def write_snapshot(snapshot: dict, directory: str | Path) -> Path:
     return path
 
 
+def _check_structure(snapshot: object, where: Path) -> None:
+    """Raise ``ValueError`` unless ``snapshot`` has the layout the
+    comparator and the snapshot diff read: a ``schema``, and
+    ``scenarios`` mapping names to mappings whose ``cycles`` map
+    metric names to numbers (and whose ``profile``, if any, is a
+    mapping)."""
+    if not isinstance(snapshot, dict) or "schema" not in snapshot:
+        raise ValueError(f"snapshot {where} has no 'schema' field")
+    scenarios = snapshot.get("scenarios")
+    if not isinstance(scenarios, dict):
+        raise ValueError(
+            f"snapshot {where}: 'scenarios' must map scenario names "
+            f"to scenarios"
+        )
+    for name, scenario in scenarios.items():
+        if not isinstance(scenario, dict):
+            raise ValueError(
+                f"snapshot {where}: scenario '{name}' is not a mapping"
+            )
+        cycles = scenario.get("cycles")
+        if not isinstance(cycles, dict) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in cycles.values()
+        ):
+            raise ValueError(
+                f"snapshot {where}: scenario '{name}' 'cycles' must map "
+                f"metric names to numbers"
+            )
+        if not isinstance(scenario.get("profile") or {}, dict):
+            raise ValueError(
+                f"snapshot {where}: scenario '{name}' 'profile' is not "
+                f"a mapping"
+            )
+
+
 def load_snapshot(path: str | Path) -> dict:
-    """Read one snapshot; raises ``FileNotFoundError`` /
-    ``ValueError`` on missing or malformed files."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no snapshot at {path}")
+    """Read one snapshot (a file, or a directory's latest
+    ``BENCH_<n>.json``); raises ``FileNotFoundError`` when there is
+    none and ``ValueError`` when it is not valid JSON or not shaped
+    like a snapshot."""
+    path = resolve_snapshot_path(path)
     try:
         snapshot = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"snapshot {path} is not valid JSON: {exc}") from exc
-    if not isinstance(snapshot, dict) or "schema" not in snapshot:
-        raise ValueError(f"snapshot {path} has no 'schema' field")
+    _check_structure(snapshot, path)
     return snapshot

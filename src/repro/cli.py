@@ -10,9 +10,10 @@ Each subcommand prints one of the paper's analyses from the simulator;
 Perfetto-loadable Chrome trace plus Prometheus/JSONL metric dumps;
 ``metrics`` prints the Prometheus exposition text to stdout.  ``bench``
 is the performance-trajectory harness: ``run`` writes a
-schema-versioned ``BENCH_<n>.json`` snapshot, ``compare`` gates it
-against a baseline (exact-match on cycle counts, noise-aware on
-wall-clock), ``report`` prints the bottleneck attribution.
+schema-versioned ``BENCH_<n>.json`` snapshot of modeled numbers,
+``compare`` gates its cycle counts exactly against a baseline,
+``report`` prints the bottleneck attribution; host wall time is
+perfbench's (``perfbench/``, bounds in ``BENCHMARK.json``).
 ``diff`` is the differential profiler: it compares any two runs — two
 live architectures (A4 is the optimizer's synthesized schedule), two
 saved ``runprofile.json`` artifacts, two bench snapshots with embedded
@@ -272,47 +273,21 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_bench_run(args: argparse.Namespace) -> int:
     from repro.bench import build_snapshot, default_scenarios, run_suite, write_snapshot
 
-    scenarios = default_scenarios(quick=args.quick, repeats=args.repeats)
-    results = run_suite(scenarios)
-    snapshot = build_snapshot(
-        results,
-        config={"repeats": args.repeats, "quick": bool(args.quick)},
-    )
+    results = run_suite(default_scenarios(quick=args.quick))
+    snapshot = build_snapshot(results, config={"quick": bool(args.quick)})
     path = write_snapshot(snapshot, args.out)
-    rows = [
-        [
-            r.name,
-            f"{r.wall.median:.2f}",
-            f"{r.wall.spread:.2f}",
-            len(r.cycles),
-        ]
-        for r in (results[name] for name in sorted(results))
-    ]
-    print(format_table(
-        ["scenario", "wall median ms", "spread ms", "cycle metrics"], rows
-    ))
+    rows = [[name, len(results[name].cycles)] for name in sorted(results)]
+    print(format_table(["scenario", "cycle metrics"], rows))
     print(f"snapshot: {path}")
     return 0
 
 
 def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.bench import compare_snapshots, latest_snapshot_path, load_snapshot
+    from repro.bench import compare_snapshots, load_snapshot, resolve_snapshot_path
 
-    current = pathlib.Path(args.current)
-    if current.is_dir():
-        found = latest_snapshot_path(current)
-        if found is None:
-            raise FileNotFoundError(
-                f"no BENCH_<n>.json snapshot found in {current}"
-            )
-        current = found
-    report = compare_snapshots(
-        load_snapshot(args.baseline),
-        load_snapshot(current),
-        wall_tolerance=args.wall_tol,
-        fail_on_wall=args.fail_on_wall,
-    )
-    print(f"baseline: {args.baseline}")
+    baseline, current = map(resolve_snapshot_path, (args.baseline, args.current))
+    report = compare_snapshots(load_snapshot(baseline), load_snapshot(current))
+    print(f"baseline: {baseline}")
     print(f"current:  {current}")
     print(report.format())
     if not report.passed and args.artifact_hint:
@@ -991,8 +966,6 @@ BENCH = (
         (
             _opt("--out", default="benchmarks/snapshots",
                  help="directory receiving the next BENCH_<n>.json"),
-            _opt("--repeats", type=int, default=3,
-                 help="wall-clock samples per scenario (median-of-k)"),
             _opt("--quick", action="store_true",
                  help="trimmed suite, one repeat (smoke runs / tests)"),
         ),
@@ -1001,14 +974,12 @@ BENCH = (
         "compare", "diff a snapshot against a baseline (exit 1 on failure)",
         _cmd_bench_compare,
         (
-            _opt("baseline", help="committed baseline snapshot path"),
+            _opt("baseline",
+                 help="committed baseline snapshot path, or a directory "
+                      "holding BENCH_<n>.json files (highest n wins)"),
             _opt("current",
                  help="fresh snapshot path, or a directory holding "
                       "BENCH_<n>.json files (highest n wins)"),
-            _opt("--wall-tol", type=float, default=0.25,
-                 help="fractional wall-clock drift considered meaningful"),
-            _opt("--fail-on-wall", action="store_true",
-                 help="escalate wall-clock regressions to failures"),
             _opt("--artifact-hint", default=None, metavar="PATH",
                  help="on failure, point the reader at the differential "
                       "waterfall artifact explaining the drift (CI wires "

@@ -1,46 +1,23 @@
 """Comparator edge cases: missing baselines, metric churn, zero-valued
-baselines, non-finite wall samples, and the gating semantics."""
+baselines, malformed snapshots, and the gating semantics."""
 
 import json
-import math
 
 import pytest
 
 from repro.bench.compare import ComparisonReport, Finding, compare_snapshots
-from repro.bench.snapshot import (
-    SNAPSHOT_SCHEMA,
-    WallStats,
-    load_snapshot,
-)
+from repro.bench.snapshot import SNAPSHOT_SCHEMA, load_snapshot
 
 
-def make_snapshot(
-    cycles=None,
-    wall=None,
-    name="scn",
-    schema=SNAPSHOT_SCHEMA,
-    env=None,
-):
+def make_snapshot(cycles=None, name="scn", schema=SNAPSHOT_SCHEMA):
     return {
         "schema": schema,
-        "created_unix": 0.0,
-        "env": env or {"python": "3.12.0"},
         "config": {},
         "scenarios": {
             name: {
                 "kind": "arch_sweep",
                 "params": {},
                 "cycles": dict(cycles or {"total_cycles": 100.0}),
-                "wall": dict(
-                    wall
-                    or {
-                        "median_ms": 10.0,
-                        "spread_ms": 0.1,
-                        "samples_ms": [10.0, 10.1, 9.9],
-                        "repeats": 3,
-                        "invalid_samples": 0,
-                    }
-                ),
             }
         },
     }
@@ -110,116 +87,15 @@ class TestScenarioChurn:
         assert any("new scenario" in w.message for w in report.warnings)
 
     def test_schema_mismatch_fails_immediately(self):
-        report = compare_snapshots(
-            make_snapshot(schema="repro.bench/0"), make_snapshot()
-        )
-        assert not report.passed
-        assert "schema mismatch" in report.failures[0].message
-        # No per-scenario findings after a schema failure.
-        assert len(report.findings) == 1
-
-
-class TestWallClock:
-    def test_within_noise_is_silent(self):
-        report = compare_snapshots(
-            make_snapshot(wall={"median_ms": 10.0, "spread_ms": 0.1}),
-            make_snapshot(wall={"median_ms": 10.5, "spread_ms": 0.1}),
-        )
-        assert report.passed
-        assert report.findings == []
-
-    def test_regression_warns_by_default(self):
-        report = compare_snapshots(
-            make_snapshot(wall={"median_ms": 10.0, "spread_ms": 0.1}),
-            make_snapshot(wall={"median_ms": 20.0, "spread_ms": 0.1}),
-        )
-        assert report.passed  # warning, not failure
-        assert any("wall-clock regression" in w.message for w in report.warnings)
-
-    def test_fail_on_wall_escalates(self):
-        report = compare_snapshots(
-            make_snapshot(wall={"median_ms": 10.0, "spread_ms": 0.1}),
-            make_snapshot(wall={"median_ms": 20.0, "spread_ms": 0.1}),
-            fail_on_wall=True,
-        )
-        assert not report.passed
-
-    def test_improvement_is_informational(self):
-        report = compare_snapshots(
-            make_snapshot(wall={"median_ms": 20.0, "spread_ms": 0.1}),
-            make_snapshot(wall={"median_ms": 10.0, "spread_ms": 0.1}),
-        )
-        assert report.passed
-        assert any(
-            f.severity == "info" and "improvement" in f.message
-            for f in report.findings
-        )
-
-    def test_large_spread_raises_the_threshold(self):
-        # A 50% drift that sits inside 4 sigma of a noisy baseline does
-        # not warn.
-        report = compare_snapshots(
-            make_snapshot(wall={"median_ms": 10.0, "spread_ms": 2.0}),
-            make_snapshot(wall={"median_ms": 15.0, "spread_ms": 2.0}),
-        )
-        assert report.findings == []
-
-    def test_sub_millisecond_drift_is_ignored(self):
-        report = compare_snapshots(
-            make_snapshot(wall={"median_ms": 0.2, "spread_ms": 0.0}),
-            make_snapshot(wall={"median_ms": 0.9, "spread_ms": 0.0}),
-        )
-        assert report.findings == []
-
-    def test_zero_baseline_median_uses_absolute_floor(self):
-        report = compare_snapshots(
-            make_snapshot(wall={"median_ms": 0.0, "spread_ms": 0.0}),
-            make_snapshot(wall={"median_ms": 5.0, "spread_ms": 0.0}),
-        )
-        assert any("wall-clock regression" in w.message for w in report.warnings)
-
-    def test_nan_median_warns_without_crash(self):
-        report = compare_snapshots(
-            make_snapshot(wall={"median_ms": math.nan, "spread_ms": math.nan}),
-            make_snapshot(wall={"median_ms": 10.0, "spread_ms": 0.1}),
-        )
-        assert report.passed
-        assert any("not finite" in w.message for w in report.warnings)
-
-    def test_invalid_samples_are_flagged(self):
-        report = compare_snapshots(
-            make_snapshot(
-                wall={"median_ms": 10.0, "spread_ms": 0.1, "invalid_samples": 2}
-            ),
-            make_snapshot(wall={"median_ms": 10.0, "spread_ms": 0.1}),
-        )
-        assert any("non-finite wall sample" in w.message for w in report.warnings)
-
-    def test_infinite_spread_falls_back_to_tolerance(self):
-        report = compare_snapshots(
-            make_snapshot(wall={"median_ms": 10.0, "spread_ms": math.inf}),
-            make_snapshot(wall={"median_ms": 100.0, "spread_ms": 0.1}),
-        )
-        assert any("wall-clock regression" in w.message for w in report.warnings)
-
-
-class TestWallStats:
-    def test_nan_and_inf_samples_are_counted_not_aggregated(self):
-        stats = WallStats.from_samples([10.0, math.nan, math.inf, 12.0])
-        assert stats.invalid == 2
-        assert stats.median == pytest.approx(11.0)
-        assert math.isfinite(stats.spread)
-
-    def test_all_invalid_yields_nan_median(self):
-        stats = WallStats.from_samples([math.nan, math.inf])
-        assert stats.invalid == 2
-        assert math.isnan(stats.median)
-
-    def test_robust_to_one_outlier(self):
-        calm = WallStats.from_samples([10.0, 10.1, 9.9, 10.05, 9.95])
-        spiky = WallStats.from_samples([10.0, 10.1, 9.9, 10.05, 500.0])
-        assert spiky.median == pytest.approx(calm.median, rel=0.01)
-        assert spiky.spread < 1.0
+        # repro.bench/1 snapshots carried host wall time.
+        for schema in ("repro.bench/0", "repro.bench/1"):
+            report = compare_snapshots(
+                make_snapshot(schema=schema), make_snapshot()
+            )
+            assert not report.passed
+            assert "schema mismatch" in report.failures[0].message
+            # No per-scenario findings after a schema failure.
+            assert len(report.findings) == 1
 
 
 class TestSnapshotIo:
@@ -239,17 +115,44 @@ class TestSnapshotIo:
         with pytest.raises(ValueError, match="schema"):
             load_snapshot(path)
 
+    @pytest.mark.parametrize("scenarios, match", [
+        (None, "'scenarios' must map"),
+        ([], "'scenarios' must map"),
+        ({"scn": [1, 2]}, "scenario 'scn' is not a mapping"),
+        ({"scn": {"kind": "arch_sweep"}}, "'cycles' must map"),
+        ({"scn": {"cycles": [100.0]}}, "'cycles' must map"),
+        ({"scn": {"cycles": {"total": "100"}}}, "'cycles' must map"),
+        ({"scn": {"cycles": {"total": True}}}, "'cycles' must map"),
+        ({"scn": {"cycles": {}, "profile": [1]}}, "'profile' is not"),
+    ])
+    def test_malformed_structure_raises_value_error(
+        self, tmp_path, scenarios, match
+    ):
+        snapshot = {"schema": SNAPSHOT_SCHEMA}
+        if scenarios is not None:
+            snapshot["scenarios"] = scenarios
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(snapshot))
+        with pytest.raises(ValueError, match=match):
+            load_snapshot(path)
+
+    def test_directory_loads_its_latest_snapshot(self, tmp_path):
+        for n, total in ((2, 200.0), (10, 1000.0)):
+            (tmp_path / f"BENCH_{n}.json").write_text(
+                json.dumps(make_snapshot({"total_cycles": total}))
+            )
+        loaded = load_snapshot(tmp_path)
+        assert loaded["scenarios"]["scn"]["cycles"]["total_cycles"] == 1000.0
+
 
 class TestReportRendering:
     def test_format_orders_failures_first_and_states_result(self):
         report = compare_snapshots(
-            make_snapshot({"a": 1.0}, env={"python": "3.12"}),
-            make_snapshot({"a": 2.0}, env={"python": "3.13"}),
+            make_snapshot({"a": 1.0}), make_snapshot({"a": 2.0, "b": 1.0})
         )
         text = report.format()
-        assert "DIFFERS from baseline" in text
-        assert "[FAIL]" in text
-        assert text.strip().endswith("1 failure(s), 0 warning(s))")
+        assert text.index("[FAIL]") < text.index("[WARN]")
+        assert text.strip().endswith("1 failure(s), 1 warning(s))")
 
     def test_finding_rejects_unknown_severity(self):
         with pytest.raises(ValueError):

@@ -40,15 +40,13 @@ def make_profile(makespan=100, busy=60, stall=30, label="p"):
 def make_snapshot(scenarios):
     return {
         "schema": SNAPSHOT_SCHEMA,
-        "created_unix": 0.0,
-        "env": {},
         "config": {},
         "scenarios": scenarios,
     }
 
 
 def scenario(cycles, profile=None):
-    entry = {"kind": "arch_sweep", "params": {}, "wall": {}, "cycles": cycles}
+    entry = {"kind": "arch_sweep", "params": {}, "cycles": cycles}
     if profile is not None:
         entry["profile"] = profile
     return entry

@@ -1,7 +1,5 @@
 """Scenario runner, snapshot round-trip, and bottleneck attribution."""
 
-import math
-
 import pytest
 
 from repro.bench import (
@@ -57,9 +55,6 @@ class TestScenarioRunner:
         report = LatencyModel().latency_report(8, "A3")
         assert result.cycles["total_cycles"] == report.total_cycles
         assert result.cycles["stall_cycles"] == report.schedule.stall_cycles
-        assert len(result.wall.samples) == 2
-        assert result.wall.invalid == 0
-        assert math.isfinite(result.wall.median)
 
     def test_encoder_prefill_accounts_are_consistent(self):
         result = run_scenario(
@@ -131,7 +126,7 @@ class TestSnapshotRoundTrip:
         results = run_suite(default_scenarios(quick=True))
         snapshot = build_snapshot(results, config={"quick": True})
         assert snapshot["schema"] == SNAPSHOT_SCHEMA
-        assert snapshot["env"]["python"]
+        assert snapshot.keys() == {"schema", "config", "scenarios"}
         path = write_snapshot(snapshot, tmp_path)
         assert path.name == "BENCH_1.json"
         loaded = load_snapshot(path)

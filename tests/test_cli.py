@@ -234,6 +234,11 @@ class TestBenchCli:
             ["bench", "compare", str(out / "BENCH_1.json"), str(out)]
         ) == 0
         assert "result: PASS" in capsys.readouterr().out
+        # A directory resolves to its latest snapshot on either side.
+        assert main(["bench", "compare", str(out), str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert f"baseline: {out / 'BENCH_1.json'}\n" in stdout
+        assert stdout.endswith("result: PASS (0 failure(s), 0 warning(s))\n")
 
     def test_compare_fails_on_injected_cycle_regression(self, capsys, tmp_path):
         import json
@@ -262,10 +267,60 @@ class TestBenchCli:
         baseline.write_text("{}")
         empty = tmp_path / "empty"
         empty.mkdir()
-        assert main(["bench", "compare", str(baseline), str(empty)]) == 2
-        assert capsys.readouterr().out == (
-            f"error: no BENCH_<n>.json snapshot found in {empty}\n"
-        )
+        for argv in ([baseline, empty], [empty, baseline]):
+            assert main(["bench", "compare", *map(str, argv)]) == 2
+            assert capsys.readouterr().out == (
+                f"error: no BENCH_<n>.json snapshot found in {empty}\n"
+            )
+
+    def test_run_snapshots_are_byte_identical(self, tmp_path):
+        # A snapshot holds modeled numbers only, so it depends on the
+        # code alone: two runs in fresh processes with different hash
+        # seeds write the same bytes.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            subprocess.run(
+                [sys.executable, "-m", "repro.cli", "bench", "run",
+                 "--quick", "--out", str(tmp_path / seed)],
+                check=True, env=env, stdout=subprocess.DEVNULL,
+            )
+        first = (tmp_path / "1" / "BENCH_1.json").read_bytes()
+        assert first == (tmp_path / "2" / "BENCH_1.json").read_bytes()
+
+    @pytest.mark.parametrize("scenarios", [
+        ["scn"],
+        {"scn": [1.0]},
+        {"scn": {"cycles": [1.0]}},
+        {"scn": {"cycles": {"total_cycles": "1"}}},
+    ], ids=["scenarios-list", "scenario-list", "cycles-list", "cycles-str"])
+    @pytest.mark.parametrize("command", ["bench compare", "diff --snapshots"])
+    def test_malformed_snapshot_is_usage_error(
+        self, capsys, tmp_path, command, scenarios
+    ):
+        from repro.bench.snapshot import SNAPSHOT_SCHEMA
+
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({
+            "schema": SNAPSHOT_SCHEMA, "config": {},
+            "scenarios": {"scn": {"cycles": {"total_cycles": 1.0}}},
+        }))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "schema": SNAPSHOT_SCHEMA, "config": {}, "scenarios": scenarios,
+        }))
+        for pair in ((bad, good), (good, bad)):
+            argv = command.split() + [str(p) for p in pair]
+            assert main(argv) == 2
+            out = capsys.readouterr().out
+            assert out.startswith(f"error: snapshot {bad}")
+            assert out.count("\n") == 1
 
     def test_report_names_crossover_and_roofline(self, capsys):
         assert main(["bench", "report", "--seq", "32", "--arch", "A3"]) == 0
@@ -357,10 +412,10 @@ class TestDiffCli:
         def snap(path, cycles, makespan):
             path.write_text(json.dumps({
                 "schema": SNAPSHOT_SCHEMA,
-                "created_unix": 0.0, "env": {}, "config": {},
+                "config": {},
                 "scenarios": {
                     "scn": {
-                        "kind": "arch_sweep", "params": {}, "wall": {},
+                        "kind": "arch_sweep", "params": {},
                         "cycles": cycles,
                         "profile": _diff_profile_dict(
                             makespan, busy=60, stall=makespan - 70
@@ -389,11 +444,10 @@ class TestDiffCli:
         def snap(path, total, makespan, stall):
             path.write_text(json.dumps({
                 "schema": SNAPSHOT_SCHEMA,
-                "created_unix": 0.0, "env": {}, "config": {},
+                "config": {},
                 "scenarios": {
                     "scn": {
                         "kind": "arch_sweep", "params": {},
-                        "wall": {"median_ms": 1.0, "spread_ms": 0.1},
                         "cycles": {"total_cycles": total},
                         "profile": _diff_profile_dict(
                             makespan, busy=60, stall=stall
