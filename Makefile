@@ -1,6 +1,6 @@
 # Developer entry points; `test` and `bench` run what CI runs.
 
-.PHONY: install test test-fast bench perfbench examples verify all
+.PHONY: install test test-fast bench perfbench examples verify loc all
 
 EXAMPLES := $(sort $(wildcard examples/*.py))
 
@@ -26,6 +26,10 @@ perfbench:
 
 verify:
 	PYTHONPATH=src python -m repro.cli verify
+
+# Lines of Python under src/repro, the figure each CHANGES.md entry reports.
+loc:
+	@find src/repro -name '*.py' -exec cat {} + | wc -l
 
 examples:
 	@for example in $(EXAMPLES); do \

@@ -380,7 +380,7 @@ def psa_stall_totals(
         spans.append(spans[-1] + work.compute_cycles)
         overheads.append(overheads[-1] + ce[u] - cs[u] - work.compute_cycles)
         prev_end = ce[u]
-        for lane, busy, end in _unit_shape(program, group).psa:
+        for lane, busy, end in _unit_shape(group).psa:
             acc = lanes.setdefault(lane, [0, 0, 0])
             acc[0] += busy
             acc[1] = u

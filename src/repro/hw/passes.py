@@ -35,13 +35,14 @@ Their results are not cached: a search over many candidate pipelines
 would otherwise keep every rejected program alive.  The A4 search
 (``hw/dse.py``) stays cheap without such a cache:
 
-* every block carries its :class:`~repro.hw.program.BlockShape` —
-  what the passes read of its ops, with ids replaced by positions —
-  which the copies of one layer template share.  The passes price and
-  decide from shapes alone, and derive the shapes of the blocks they
-  rewrite from their inputs' (:func:`_split_shape`,
-  :func:`~repro.hw.program._union_shape`, :func:`_reordered_shape`),
-  once per input shape;
+* every block of every program carries its
+  :class:`~repro.hw.program.BlockShape` — what the passes read of its
+  ops, with ids replaced by positions — which the copies of one layer
+  template share (a block built by hand gets its shape when its
+  program is constructed).  The passes price and decide from shapes
+  alone, and derive the shapes of the blocks they rewrite from their
+  inputs' (:func:`_split_shape`, :func:`~repro.hw.program._union_shape`,
+  :func:`_reordered_shape`), once per input shape;
 * candidates walk the grid in pass order and share their longest
   equal pipeline prefix, so each pass runs once per distinct prefix
   and at most the current and the best chain of programs are alive;
@@ -107,7 +108,6 @@ from repro.hw.program import (
     ValueRef,
     _bundle_load_cycles,
     _DeferredOps,
-    _shaped,
     _union_shape,
     _union_span,
     _work_units,
@@ -199,8 +199,7 @@ def _rebuild_program(
     ``op_ids`` and ports of ``blocks``, the ``edits`` (field changes,
     ``deps`` included) and the program outputs are expressed in that
     old/provisional id space and are rewritten here.  Every block must
-    carry its shape (the input's blocks may instead get theirs from
-    :func:`repro.hw.program._shaped`).
+    carry its shape.
 
     The result's blocks, spans and outputs are made at once; its ops
     are built on the first read of ``ops`` (an op whose fields and ids
@@ -228,26 +227,23 @@ def _rebuild_program(
     still = next((i for i, key in enumerate(keys) if key != i), len(keys))
     new_blocks = []
     for blk in blocks:
-        shaped = _shaped(program, blk)
-        if (
-            shaped is blk
-            and max(blk.op_ids, default=-1) < still
-            and all(max(ids, default=-1) < still for ids in blk.ports)
+        if max(blk.op_ids, default=-1) < still and all(
+            max(ids, default=-1) < still for ids in blk.ports
         ):
             new_blocks.append(blk)
             continue
         try:
             op_ids = tuple([pos[i] for i in blk.op_ids])
-            ports = tuple([tuple([pos[i] for i in ids]) for ids in shaped.ports])
+            ports = tuple([tuple([pos[i] for i in ids]) for ids in blk.ports])
         except KeyError as missing:
             raise PassError(
                 f"block '{blk.label}' references op {missing} outside the "
                 "rebuilt order"
             ) from None
-        if shaped is blk and op_ids == blk.op_ids and ports == blk.ports:
+        if op_ids == blk.op_ids and ports == blk.ports:
             new_blocks.append(blk)
         else:
-            new_blocks.append(_copy(shaped, op_ids=op_ids, ports=ports))
+            new_blocks.append(_copy(blk, op_ids=op_ids, ports=ports))
     outputs = {}
     for name, ref in program.outputs.items():
         if ref.kind == "op":
@@ -306,12 +302,21 @@ def _rebuild_program(
 def _validate_blocks(blocks: Sequence[BlockIR], num_ops: int) -> None:
     """The invariants every executor relies on, checked after a pass
     from the blocks' shapes and ports, without the ops: the blocks
-    partition ``range(num_ops)`` (so ids are dense), and every dep and
-    read names an earlier op.  A shape's in-block links are checked
-    once per block whose ids ascend, a port against the first op that
-    links to it."""
+    partition ``range(num_ops)`` (so ids are dense) under distinct
+    labels, and every dep and read names an earlier op.  A shape's
+    in-block links are checked once per block whose ids ascend, a port
+    against the first op that links to it."""
     seen: set[int] = set()
+    labels: set[str] = set()
     total = 0
+    for blk in blocks:
+        if blk.label in labels:
+            raise PassError(f"two blocks are labelled '{blk.label}'")
+        labels.add(blk.label)
+        total += len(blk.op_ids)
+        seen.update(blk.op_ids)
+    if total != num_ops or seen != set(range(num_ops)):
+        raise PassError("blocks no longer partition the op list")
     for blk in blocks:
         ids, shape = blk.op_ids, blk.shape
         if len(ids) != len(shape.entries) or len(blk.ports) != shape.num_ports:
@@ -320,8 +325,6 @@ def _validate_blocks(blocks: Sequence[BlockIR], num_ops: int) -> None:
                 f"{len(blk.ports)} ports but its shape {len(shape.entries)} "
                 f"and {shape.num_ports}"
             )
-        total += len(ids)
-        seen.update(ids)
         ascending = all(map(operator.lt, ids, ids[1:]))
         if not (ascending and shape.forward):
             for p, entry in enumerate(shape.entries):
@@ -340,8 +343,6 @@ def _validate_blocks(blocks: Sequence[BlockIR], num_ops: int) -> None:
                         f"an op of block '{blk.label}' links to later op "
                         f"{max(bound)}"
                     )
-    if total != num_ops or seen != set(range(num_ops)):
-        raise PassError("blocks no longer partition the op list")
 
 
 def _with_meta(program: BlockProgram, **updates: Any) -> BlockProgram:
@@ -442,10 +443,7 @@ def _merged_block(
     the shape derived from theirs (:func:`repro.hw.program._union_shape`)
     unless ``shape`` is False."""
     merged_bytes = a.load_bytes + b.load_bytes
-    union, ports = (
-        _union_shape(_shaped(program, a), _shaped(program, b))
-        if shape else (None, ())
-    )
+    union, ports = _union_shape(a, b) if shape else (None, ())
     return BlockIR(
         label=f"{a.label}+{b.label}",
         op_ids=(*a.op_ids, *b.op_ids),
@@ -593,9 +591,7 @@ class CoalesceLoadsPass:
                 work = BlockWork(
                     merged.label,
                     merged.load_cycles,
-                    _union_span(
-                        _shaped(program, ga[0]), _shaped(program, gb[0])
-                    ),
+                    _union_span(ga[0], gb[0]),
                     channel_hint=merged.channel_hint if a3 else None,
                     overhead_override=merged.overhead_override if a3 else None,
                 )
@@ -617,10 +613,10 @@ class CoalesceLoadsPass:
 
 
 # ----------------------------------------------------- load staging/split
-def _splittable(program: BlockProgram, blk: BlockIR) -> bool:
+def _splittable(blk: BlockIR) -> bool:
     if blk.merge_group is not None or blk.load_bytes <= 0:
         return False
-    shape = _shaped(program, blk).shape
+    shape = blk.shape
     return not shape.touches_cache and shape.semantics.count("mm5") == 1
 
 
@@ -669,7 +665,7 @@ def _split_parts(
     new LOAD op), with their shapes derived from the block's; None when
     the block does not match."""
     blk = program.block(label)
-    if not _splittable(program, blk):
+    if not _splittable(blk):
         return None
     fabric = program.fabric
     bpe = fabric.hardware.bytes_per_element
@@ -677,8 +673,7 @@ def _split_parts(
     ffn_bytes = encoder_ffn_weight_bytes(model, bpe)
     if mha_bytes + ffn_bytes != blk.load_bytes:
         return None  # not an encoder bundle for this model config
-    shaped = _shaped(program, blk)
-    shape = shaped.shape
+    shape = blk.shape
     split_at = shape.semantics.index("mm5")
     if OpKind.LOAD not in shape.kinds[:split_at]:
         return None
@@ -696,7 +691,7 @@ def _split_parts(
         merged_load_cycles=blk.load_cycles,
         load_bytes=mha_bytes,
         shape=m_shape,
-        ports=shaped.ports + tuple((blk.op_ids[q],) for q in m_moved),
+        ports=blk.ports + tuple((blk.op_ids[q],) for q in m_moved),
     )
     f_blk = BlockIR(
         label=f"{label}f",
@@ -708,7 +703,7 @@ def _split_parts(
         merged_load_cycles=blk.load_cycles,
         load_bytes=ffn_bytes,
         shape=f_shape,
-        ports=shaped.ports + tuple((blk.op_ids[q],) for q in f_moved),
+        ports=blk.ports + tuple((blk.op_ids[q],) for q in f_moved),
     )
     return m_blk, f_blk
 
@@ -824,7 +819,7 @@ class StageExposedLoadsPass:
                 prev_end = span.compute_end
                 if gap <= 0 or len(span.blocks) != 1:
                     continue
-                if _splittable(prog, prog.block(span.blocks[0])):
+                if _splittable(prog.block(span.blocks[0])):
                     gaps.append((gap, span.blocks[0], u))
             if not gaps:
                 break
@@ -1153,8 +1148,7 @@ def _list_schedule_block(
     exists (:func:`_schedule_shape`): the op-level view of the rewrite
     :class:`ReorderOpsPass` makes.
     """
-    shaped = _shaped(program, blk)
-    rewrite = _reorder_edit(shaped)
+    rewrite = _reorder_edit(blk)
     if rewrite is None:
         return None
     order, edit = rewrite
@@ -1163,7 +1157,7 @@ def _list_schedule_block(
         for op_id in order
         if program.ops[op_id].kind is not OpKind.LOAD
     }
-    return order, deps_map, shaped.shape.span, _plan(shaped.shape)[0]
+    return order, deps_map, blk.shape.span, _plan(blk.shape)[0]
 
 
 @dataclass(frozen=True)
@@ -1233,14 +1227,13 @@ class ReorderOpsPass:
         return schedule(arch, works, _overhead(program), **params).total_cycles
 
     def _targets(self, program: BlockProgram) -> list[BlockIR]:
-        """The blocks the pass list-schedules, with their shapes: the
-        named ones (every one by default) that touch no KV-cache op."""
-        shaped = [
-            _shaped(program, blk)
-            for blk in program.blocks
-            if self.blocks is None or blk.label in self.blocks
+        """The blocks the pass list-schedules: the named ones (every
+        one by default) that touch no KV-cache op."""
+        return [
+            blk for blk in program.blocks
+            if (self.blocks is None or blk.label in self.blocks)
+            and not blk.shape.touches_cache
         ]
-        return [blk for blk in shaped if not blk.shape.touches_cache]
 
     def _reorder(
         self, program: BlockProgram

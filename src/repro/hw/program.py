@@ -14,11 +14,12 @@ program and derives every execution mode from it:
   runs each attention head group as one head-stacked kernel call.
 * :func:`program_block_work` / :func:`schedule_program` — the cycle
   executor: per-block makespans fall out of an integer ASAP pass over
-  the dependency edges (once per program), then the one A1/A2/A3
-  schedule recurrence places the load/compute chain.
+  each block's :class:`BlockShape` (once per shape), then the one
+  A1/A2/A3 schedule recurrence places the load/compute chain.
 * :func:`trace_block` / :func:`trace_program` — the trace executor:
   emits per-engine :class:`repro.hw.trace.Timeline` events (the Gantt
-  view), whose makespan equals the cycle executor's total.
+  view) at the same shapes' ASAP times, so their makespan equals the
+  cycle executor's total.
 
 Ops carry their engine placement (PSA group, vector adder, softmax
 unit, HBM channel hint), explicit dependency edges, and — for the
@@ -34,8 +35,8 @@ Like the accelerator, which runs one kernel set for every layer, it
 lowers each distinct layer once, as a template, and stamps the copies
 (:func:`_stamp`): their blocks and spans at once, their ops on the
 first read of ``BlockProgram.ops``.
-A block's compute cycles are always its ASAP makespan in the lowered
-program (``BlockProgram.block_spans``); no other cycle model of the
+A block's compute cycles are always the ASAP makespan its shape
+records (``BlockProgram.block_spans``); no other cycle model of the
 block schedule exists.
 """
 
@@ -248,8 +249,9 @@ class BlockIR:
     #: the model configuration; telemetry accounts HBM traffic with it).
     load_bytes: int = 0
     #: The block's :class:`BlockShape`, which the copies of one layer
-    #: template share; None for a block built by hand, whose shape is
-    #: derived from the program's ops when first needed (:func:`_shaped`).
+    #: template share.  Every block of a :class:`BlockProgram` has one:
+    #: a block built by hand gets it from its ops when its program is
+    #: constructed (:func:`_shape_from_ops`).
     shape: BlockShape | None = field(default=None, compare=False, repr=False)
     #: The op ids behind each port of ``shape``: the producers outside
     #: the block that its ops depend on or read.
@@ -276,16 +278,20 @@ class BlockShape:
     cycles, in-block deps and reads as indices into ``comps``), the
     ASAP ``times`` and ``span`` of the compute ops, and the PSA-lane
     profile ``psa`` of ``(lane, busy cycles, last end)``.  Dependencies
-    outside the block are ready at time 0, as in :func:`_asap_times`.
+    outside the block are ready at time 0: the block schedulers
+    serialize whole blocks, so cross-block edges hold by construction.
+    These are the cycle model of the block schedule; the cycle and
+    trace executors read nothing else.
 
     A lowering builds one record per layer-template block and every
-    stamped copy shares it; a pass derives the records of the blocks it
-    rewrites from its inputs' records and memoizes each derivation on
-    its input (``derived``), so one shape is one object.  A derivation
-    from two records names the second by a weak reference: fusing two
-    copies of one layer pairs a record with itself, and a strong one
-    would make a cycle that only the cyclic collector frees.  Records
-    compare by structure.
+    stamped copy shares it; a block built by hand gets one from its ops
+    when its program is constructed; a pass derives the records of the
+    blocks it rewrites from its inputs' records and memoizes each
+    derivation on its input (``derived``), so one shape is one object.
+    A derivation from two records names the second by a weak reference:
+    fusing two copies of one layer pairs a record with itself, and a
+    strong one would make a cycle that only the cyclic collector frees.
+    Records compare by structure.
     """
 
     def __init__(
@@ -414,50 +420,54 @@ class BlockShape:
         )
 
 
+class _ShapeWalk:
+    """One block's :class:`BlockShape`, made op by op in block order.
+    A link names an op of the block by its position and any other
+    producer key by a port, numbered in order of first use."""
+
+    def __init__(self, op_ids: Sequence[int]) -> None:
+        self.op_ids = op_ids
+        self.at = {op_id: p for p, op_id in enumerate(op_ids)}
+        self.ports: dict[Any, int] = {}
+        self.entries: list[tuple] = []
+
+    def add(self, op: Op, deps: Sequence, reads: Sequence) -> None:
+        """Append ``op``, which waits on the producers ``deps`` and
+        reads ``reads`` (op ids or port keys)."""
+        at, ports = self.at, self.ports
+        port = ports.setdefault
+        links = []
+        for key in (*deps, *reads):  # one loop: a comprehension is a call
+            links.append(at[key] if key in at else -1 - port(key, len(ports)))
+        deps, reads = tuple(links[:len(deps)]), tuple(links[len(deps):])
+        if op.kind is OpKind.LOAD:
+            self.entries.append((op.kind, op.semantic, (), 0, deps, reads))
+        else:
+            self.entries.append(
+                (op.kind, op.semantic, op.engines, op.cycles, deps, reads)
+            )
+
+    def finish(self) -> tuple[BlockShape, tuple]:
+        """The shape and the key of each of its ports."""
+        load = OpKind.LOAD  # an Enum member lookup costs ~0.16 us
+        comps = [
+            op_id for op_id, e in zip(self.op_ids, self.entries) if e[0] is not load
+        ]
+        by_id = sorted(range(len(comps)), key=comps.__getitem__)
+        return BlockShape(self.entries, len(self.ports), by_id), tuple(self.ports)
+
+
 def _shape_from_ops(
-    ops: Sequence[Op], op_ids: Sequence[int], template: bool = False
-) -> tuple[BlockShape, tuple]:
-    """The shape of the block holding ``op_ids`` and the key of each of
-    its ports: ``("op", id)`` for an op outside the block.  In a layer
-    ``template`` an ``ext`` input is a port too (``("ext", name)``,
-    bound to a copy's input), and the entry ops' :data:`_ENTRY_DEPS`
-    one port ``"entry"``."""
-    at = {op_id: p for p, op_id in enumerate(op_ids)}
-    ports: dict[Any, int] = {}
-    port = ports.setdefault
-    entries = []
-    append = entries.append
-    load = OpKind.LOAD  # an Enum member lookup costs ~0.16 us
+    ops: Sequence[Op], op_ids: Sequence[int]
+) -> tuple[BlockShape, tuple[tuple[int, ...], ...]]:
+    """The shape of the block holding ``op_ids`` and its ports: each
+    the one op outside the block that its ops depend on or read."""
+    walk = _ShapeWalk(op_ids)
     for op_id in op_ids:
         op = ops[op_id]
-        op_deps = op.deps
-        if not op_deps:
-            deps: tuple[int, ...] = ()
-        elif template and op_deps == _ENTRY_DEPS:
-            deps = (-1 - port("entry", len(ports)),)
-        else:
-            deps = tuple([
-                at[d] if d in at else -1 - port(("op", d), len(ports))
-                for d in op_deps
-            ])
-        reads = []
-        for ref in op.inputs:
-            kind = ref.kind
-            if kind == "op":
-                key = ref.key
-                reads.append(
-                    at[key] if key in at else -1 - port(("op", key), len(ports))
-                )
-            elif template and kind == "ext":
-                reads.append(-1 - port(("ext", ref.key), len(ports)))
-        kind = op.kind
-        if kind is load:
-            append((kind, op.semantic, (), 0, deps, tuple(reads)))
-        else:
-            append((kind, op.semantic, op.engines, op.cycles, deps, tuple(reads)))
-    comps = [op_id for op_id, e in zip(op_ids, entries) if e[0] is not load]
-    by_id = sorted(range(len(comps)), key=comps.__getitem__)
-    return BlockShape(entries, len(ports), by_id), tuple(ports)
+        walk.add(op, op.deps, [ref.key for ref in op.inputs if ref.kind == "op"])
+    shape, keys = walk.finish()
+    return shape, tuple([(key,) for key in keys])
 
 
 def _resolve(first: BlockIR, second: BlockIR) -> tuple:
@@ -565,10 +575,12 @@ class BlockProgram:
     so the cycle executor's spans and work units are computed once per
     program and kept on it (``cached_property`` writes the instance
     ``__dict__``, which a frozen dataclass still has).  A meta-only
-    copy (:meth:`with_meta`) shares them.  The spans are read off the
-    blocks' shapes (:class:`BlockShape`), which lowering and the passes
-    give every block they make, so a lowering and a pass rebuild can
-    both leave ``ops`` to be built on its first read.
+    copy (:meth:`with_meta`) shares them.  Every block carries its
+    shape (:class:`BlockShape`) and the spans are read off them.
+    Lowering and the passes give every block they make its shape, so a
+    lowering and a pass rebuild can both leave ``ops`` to be built on
+    its first read; a block built by hand gets its shape from the ops
+    here, at construction.  Block labels are unique.
     """
 
     fabric: Fabric
@@ -585,6 +597,16 @@ class BlockProgram:
     def __post_init__(self) -> None:
         if isinstance(self.__dict__["ops"], _DeferredOps):
             self.__dict__["_deferred"] = self.__dict__.pop("ops")
+        labels: set[str] = set()
+        blocks = list(self.blocks)
+        for i, blk in enumerate(blocks):
+            if blk.label in labels:
+                raise ValueError(f"two blocks are labelled '{blk.label}'")
+            labels.add(blk.label)
+            if blk.shape is None:
+                shape, ports = _shape_from_ops(self.ops, blk.op_ids)
+                blocks[i] = replace(blk, shape=shape, ports=ports)
+                self.__dict__["blocks"] = tuple(blocks)
 
     def __getattr__(self, name: str) -> Any:
         # Reached only for an attribute the instance lacks: ``ops``
@@ -616,9 +638,7 @@ class BlockProgram:
     @cached_property
     def block_spans(self) -> Mapping[str, int]:
         """Read-only label -> ASAP makespan of each block's compute ops."""
-        return MappingProxyType(
-            {blk.label: _shaped(self, blk).shape.span for blk in self.blocks}
-        )
+        return MappingProxyType({blk.label: blk.shape.span for blk in self.blocks})
 
     @cached_property
     def merge_group_spans(self) -> Mapping[str, int]:
@@ -626,17 +646,11 @@ class BlockProgram:
         blocks that fuse into one A1/A2 work unit."""
         return MappingProxyType(
             {
-                group[0].merge_group: _unit_shape(self, group).span
+                group[0].merge_group: _unit_shape(group).span
                 for group in _unit_groups(self.blocks, merge=True)
                 if len(group) > 1
             }
         )
-
-    @cached_property
-    def _shape_memo(self) -> dict[str, BlockIR]:
-        """Blocks built without a shape, with the one derived from the
-        ops (:func:`_shaped`), by label."""
-        return {}
 
     @cached_property
     def execution_plan(self) -> tuple[PlanStep, ...]:
@@ -674,7 +688,6 @@ class BlockProgram:
             "merge_group_spans",
             "execution_plan",
             "_work_unit_memo",
-            "_shape_memo",
         )
         if meta.get("schedule_params") == self.meta.get("schedule_params"):
             shared += ("_psa_stall_memo",)
@@ -686,30 +699,10 @@ class BlockProgram:
     def __reduce__(self) -> tuple:
         # Rebuilt through the constructor from the built ops: neither a
         # recipe (closures, a lock) nor the read-only span views pickle.
-        spans = {
-            name: dict(self.__dict__[name])
-            for name in ("block_spans", "merge_group_spans")
-            if name in self.__dict__
-        }
-        return _restore_program, (
-            self.fabric, self.ops, self.blocks, dict(self.outputs),
-            dict(self.meta), spans,
+        # The blocks keep their shapes, so the spans come back from them.
+        return BlockProgram, (
+            self.fabric, self.ops, self.blocks, self.outputs, self.meta
         )
-
-
-def _restore_program(
-    fabric: Fabric,
-    ops: tuple[Op, ...],
-    blocks: tuple[BlockIR, ...],
-    outputs: dict[str, ValueRef],
-    meta: dict,
-    spans: dict[str, dict[str, int]],
-) -> BlockProgram:
-    """Unpickle a :class:`BlockProgram` (see ``__reduce__``)."""
-    program = BlockProgram(fabric, ops, blocks, outputs, meta)
-    for name, values in spans.items():
-        program.__dict__[name] = MappingProxyType(values)
-    return program
 
 
 @dataclass
@@ -898,9 +891,8 @@ class _Builder:
     def finish(
         self, outputs: dict[str, ValueRef | int], **meta: Any
     ) -> BlockProgram:
-        """The program; when layer copies were stamped, its ops are
-        built when first read and its block spans are read off the
-        copies' shapes, their templates'."""
+        """The program with its block spans read; when layer copies
+        were stamped, its ops are built when first read."""
         program = BlockProgram(
             fabric=self.fabric,
             ops=_DeferredOps(self.ops, self.size) if self.stamped
@@ -912,10 +904,7 @@ class _Builder:
             },
             meta={**meta, "input_shapes": self.input_shapes},
         )
-        if all(blk.shape is not None for blk in self.blocks):
-            program.__dict__["block_spans"] = MappingProxyType(
-                {blk.label: blk.shape.span for blk in self.blocks}
-            )
+        program.block_spans  # every reader of a lowering reads its spans
         return program
 
 
@@ -1375,7 +1364,8 @@ class _LayerTemplate:
     template keeps the layer's blocks, each with its shape, but not its
     ops, which a program waiting to build its copies would otherwise
     hold.  ``ports`` holds the port keys of each block's shape, which a
-    stamp binds to the copy's op ids.
+    stamp binds to the copy's op ids: an op id, an ``ext`` input
+    ``("ext", name)``, or ``"entry"`` for the entry ops' deps.
 
     ``rows`` holds each op as the :class:`Op` fields a copy takes over,
     with the ``LOAD`` label left None, the entry deps None, and inputs
@@ -1388,43 +1378,49 @@ class _LayerTemplate:
     def __init__(
         self, tb: _Builder, output: int, names: tuple[str, ...], stack: str | None
     ) -> None:
-        program = tb.finish({})
+        # One walk over the ops makes both the rows and the shapes.
+        ops = tb.ops
+        n = len(ops)
+        outer: dict[tuple[str, Any], int] = {}
+        params: dict[tuple, int] = {}
+        read = {output}
+        rows: list[tuple | None] = [None] * n
         blocks = []
         self.ports: dict[str, tuple] = {}
-        for blk in program.blocks:
-            shape, self.ports[blk.label] = _shape_from_ops(
-                program.ops, blk.op_ids, template=True
-            )
+        load = OpKind.LOAD  # an Enum member lookup costs ~0.16 us
+        for blk in tb.blocks:
+            walk = _ShapeWalk(blk.op_ids)
+            for op_id in blk.op_ids:
+                op = ops[op_id]
+                slots, reads = [], []
+                for ref in op.inputs:
+                    kind, key = ref.kind, ref.key
+                    if kind == "op":
+                        read.add(key)
+                        slots.append(key)
+                        reads.append(key)
+                    else:
+                        slots.append(outer.setdefault((kind, key), n + len(outer)))
+                        if kind == "ext":
+                            reads.append((kind, key))
+                entry = op.deps == _ENTRY_DEPS
+                walk.add(op, ("entry",) if entry else op.deps, reads)
+                rows[op_id] = (
+                    op_id, op.kind, None if op.kind is load else op.label,
+                    op.engines, op.cycles, None if entry else op.deps,
+                    op.block, op.semantic, tuple(slots),
+                    tuple([
+                        params.setdefault(ref.path, len(params))
+                        for ref in op.params
+                    ]),
+                    op.attrs,
+                )
+            shape, self.ports[blk.label] = walk.finish()
             blocks.append(replace(blk, shape=shape))
         self.blocks = tuple(blocks)
         self.output = output
         self.names = names
         self.stack = stack
-        n = len(program.ops)
-        outer: dict[tuple[str, Any], int] = {}
-        params: dict[tuple, int] = {}
-        read = {output}
-        rows = []
-        load = OpKind.LOAD  # an Enum member lookup costs ~0.16 us
-        for op in program.ops:
-            for ref in op.inputs:
-                if ref.kind == "op":
-                    read.add(ref.key)
-                else:
-                    outer.setdefault((ref.kind, ref.key), n + len(outer))
-            for ref in op.params:
-                params.setdefault(ref.path, len(params))
-            rows.append((
-                op.op_id, op.kind, None if op.kind is load else op.label,
-                op.engines, op.cycles, None if op.deps == _ENTRY_DEPS else op.deps,
-                op.block, op.semantic,
-                tuple([
-                    ref.key if ref.kind == "op" else outer[ref.kind, ref.key]
-                    for ref in op.inputs
-                ]),
-                tuple([params[ref.path] for ref in op.params]),
-                op.attrs,
-            ))
         self.rows = tuple(rows)
         self.read = tuple(i in read for i in range(n))
         self.outer = list(outer)
@@ -1454,12 +1450,11 @@ def _stamp(
     shift = offset.__add__
 
     def bound(key: Any) -> tuple[int, ...]:
+        if type(key) is int:
+            return (offset + key,)
         if key == "entry":
             return entry_deps
-        kind, name = key
-        if kind == "op":
-            return (offset + name,)
-        ref = bind[name]
+        ref = bind[key[1]]
         return (ref.key,) if ref is not None and ref.kind == "op" else ()
 
     for blk in tpl.blocks:
@@ -1815,58 +1810,12 @@ def lower_decode_step(
 
 
 # ------------------------------------------------------- cycle executor
-def _asap_times(
-    program: BlockProgram, op_ids: Sequence[int]
-) -> dict[int, tuple[int, int]]:
-    """Integer ASAP (start, end) per compute op over the given id set.
-
-    Dependencies outside the set are treated as ready at time 0 — the
-    block-level schedulers serialize whole blocks, so cross-block edges
-    are satisfied by construction.
-    """
-    times: dict[int, tuple[int, int]] = {}
-    ends: dict[int, int] = {}
-    ops = program.ops
-    for op_id in op_ids:
-        op = ops[op_id]
-        if op.kind is OpKind.LOAD:
-            continue
-        start = 0
-        for dep in op.deps:
-            end = ends.get(dep, 0)
-            if end > start:
-                start = end
-        ends[op_id] = end = start + op.cycles
-        times[op_id] = (start, end)
-    return times
-
-
-def _makespan(program: BlockProgram, op_ids: Sequence[int]) -> int:
-    return max((end for _, end in _asap_times(program, op_ids).values()), default=0)
-
-
-def _shaped(program: BlockProgram, blk: BlockIR) -> BlockIR:
-    """``blk`` with its shape and ports: ``blk`` itself when it carries
-    them, else a copy with the ones derived from the program's ops,
-    made once per program and block."""
-    if blk.shape is not None:
-        return blk
-    memo = program._shape_memo
-    shaped = memo.get(blk.label)
-    if shaped is None or shaped != blk:
-        shape, keys = _shape_from_ops(program.ops, blk.op_ids)
-        shaped = memo[blk.label] = replace(
-            blk, shape=shape, ports=tuple((key[1],) for key in keys)
-        )
-    return shaped
-
-
-def _unit_shape(program: BlockProgram, group: Sequence[BlockIR]) -> BlockShape:
+def _unit_shape(group: Sequence[BlockIR]) -> BlockShape:
     """The shape of one work unit: a block's, or the union of the
     blocks of a merge group (:func:`_union_shape`)."""
-    unit = _shaped(program, group[0])
+    unit = group[0]
     for blk in group[1:]:
-        shape, ports = _union_shape(unit, _shaped(program, blk))
+        shape, ports = _union_shape(unit, blk)
         unit = BlockIR(
             unit.label, unit.op_ids + blk.op_ids, shape=shape, ports=ports
         )
@@ -2022,24 +1971,26 @@ def schedule_program(
 
 
 # ------------------------------------------------------- trace executor
-def _emit_ops(
+def _emit_unit(
     program: BlockProgram,
-    op_ids: Sequence[int],
+    group: Sequence[BlockIR],
     offset: float,
     timeline: Timeline,
 ) -> int:
-    """Emit one work unit's op events at ``offset``; returns its span."""
-    times = _asap_times(program, op_ids)
-    span = 0
-    for op_id, (start, end) in times.items():
-        op = program.ops[op_id]
-        span = max(span, end)
-        if op.cycles <= 0:
-            continue
-        kind = "stream" if op.kind is OpKind.STREAM else "compute"
-        for engine in op.engines:
-            timeline.add(engine, op.label, offset + start, offset + end, kind=kind)
-    return span
+    """Emit one work unit's op events at ``offset``, timed by its shape
+    (:func:`_unit_shape`); returns its span."""
+    shape = _unit_shape(group)
+    op_ids = [op_id for blk in group for op_id in blk.op_ids]
+    ops = program.ops
+    stream = OpKind.STREAM
+    for p, (start, end) in zip(shape.comps, shape.times):
+        if end > start:
+            op_kind, _, engines = shape.entries[p][:3]
+            kind = "stream" if op_kind is stream else "compute"
+            label = ops[op_ids[p]].label
+            for engine in engines:
+                timeline.add(engine, label, offset + start, offset + end, kind=kind)
+    return shape.span
 
 
 def trace_block(program: BlockProgram, block_label: str | None = None) -> Timeline:
@@ -2049,7 +2000,7 @@ def trace_block(program: BlockProgram, block_label: str | None = None) -> Timeli
         program.blocks[0] if block_label is None else program.block(block_label)
     )
     timeline = Timeline()
-    _emit_ops(program, blk.op_ids, 0.0, timeline)
+    _emit_unit(program, (blk,), 0.0, timeline)
     return timeline
 
 
@@ -2067,9 +2018,8 @@ def trace_program_with_schedule(
     sched = schedule_program(program, architecture, block_overhead)
     timeline = Timeline([e for e in sched.timeline.events if e.kind == "load"])
     for i, (work, group) in enumerate(units):
-        op_ids = [oid for blk in group for oid in blk.op_ids]
         start = float(sched.compute_start[i])
-        span = _emit_ops(program, op_ids, start, timeline)
+        span = _emit_unit(program, group, start, timeline)
         overhead = work.overhead(block_overhead)
         if overhead > 0:
             timeline.add(

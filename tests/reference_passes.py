@@ -99,7 +99,7 @@ def reference_stage_exposed_loads(
             prev_end = span.compute_end
             if gap <= 0 or len(span.blocks) != 1:
                 continue
-            if _splittable(prog, prog.block(span.blocks[0])):
+            if _splittable(prog.block(span.blocks[0])):
                 gaps.append((gap, span.blocks[0]))
         if not gaps:
             break

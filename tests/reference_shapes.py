@@ -2,7 +2,10 @@
 ops as they were before blocks carried a ``BlockShape``, kept as the
 test oracle.
 
-:func:`reference_block_shape` is the passes' ``_block_shape``,
+:func:`_asap_times` and :func:`_makespan` are the op-walking ASAP pass
+the cycle and trace executors ran before they read block shapes,
+:func:`reference_trace` is ``trace_program_with_schedule`` timed by
+it, :func:`reference_block_shape` is the passes' ``_block_shape``,
 :func:`reference_psa_stall_totals` is ``psa_stall_totals`` with its
 per-unit ASAP pass over the ops, and :func:`reference_validate_program`
 is the passes' ``_validate_program``, each unchanged except for its
@@ -14,14 +17,76 @@ from __future__ import annotations
 
 from repro.hw.introspect import STALL_CAUSES
 from repro.hw.passes import PassError
+from typing import Sequence
+
 from repro.hw.program import (
     BlockIR,
     BlockProgram,
     OpKind,
-    _asap_times,
     _work_units,
     schedule_program,
 )
+from repro.hw.scheduler import ScheduleResult
+from repro.hw.trace import Timeline
+
+
+def _asap_times(
+    program: BlockProgram, op_ids: Sequence[int]
+) -> dict[int, tuple[int, int]]:
+    """Integer ASAP (start, end) per compute op over the given id set.
+
+    Dependencies outside the set are treated as ready at time 0 — the
+    block-level schedulers serialize whole blocks, so cross-block edges
+    are satisfied by construction.
+    """
+    times: dict[int, tuple[int, int]] = {}
+    ends: dict[int, int] = {}
+    ops = program.ops
+    for op_id in op_ids:
+        op = ops[op_id]
+        if op.kind is OpKind.LOAD:
+            continue
+        start = 0
+        for dep in op.deps:
+            end = ends.get(dep, 0)
+            if end > start:
+                start = end
+        ends[op_id] = end = start + op.cycles
+        times[op_id] = (start, end)
+    return times
+
+
+def _makespan(program: BlockProgram, op_ids: Sequence[int]) -> int:
+    return max((end for _, end in _asap_times(program, op_ids).values()), default=0)
+
+
+def reference_trace(
+    program: BlockProgram, architecture: str = "A3", block_overhead: int = 0
+) -> tuple[Timeline, ScheduleResult]:
+    """``trace_program_with_schedule``, each work unit's op events timed
+    by an ASAP pass over its ops."""
+    units = _work_units(program, architecture)
+    sched = schedule_program(program, architecture, block_overhead)
+    timeline = Timeline([e for e in sched.timeline.events if e.kind == "load"])
+    for i, (work, group) in enumerate(units):
+        offset = float(sched.compute_start[i])
+        times = _asap_times(program, [i for blk in group for i in blk.op_ids])
+        for op_id, (start, end) in times.items():
+            op = program.ops[op_id]
+            if op.cycles <= 0:
+                continue
+            kind = "stream" if op.kind is OpKind.STREAM else "compute"
+            for engine in op.engines:
+                timeline.add(engine, op.label, offset + start, offset + end, kind=kind)
+        span = max((end for _, end in times.values()), default=0)
+        overhead = work.overhead(block_overhead)
+        if overhead > 0:
+            timeline.add(
+                "host", f"disp:{work.label}", offset + span,
+                offset + span + overhead, kind="overhead",
+            )
+    timeline.validate_no_engine_overlap()
+    return timeline, sched
 
 
 def reference_block_shape(

@@ -42,7 +42,6 @@ from repro.hw.program import (
     ValueRef,
     execute_program,
     lower,
-    _makespan,
     lower_full_pass,
     lowering_cache_info,
     program_load_bytes,
@@ -56,6 +55,7 @@ from tests.reference_passes import (
     reference_search,
     reference_stage_exposed_loads,
 )
+from tests.reference_shapes import _makespan
 
 
 def _full_pass_inputs(config, s, rng):

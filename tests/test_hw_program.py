@@ -28,7 +28,10 @@ from repro.hw.controller import AcceleratorController, LatencyModel
 from repro.hw.dse import a4_candidate_pipelines
 from repro.hw.faults import FaultSpec, inject_faults, program_fault_hook
 from repro.hw.program import (
+    BlockIR,
+    BlockProgram,
     LoweringSpec,
+    Op,
     OpKind,
     block_compute_cycles,
     execute_program,
@@ -46,6 +49,7 @@ from repro.hw.program import (
 from repro.hw.kernels import Fabric
 from repro.hw.scheduler import Architecture, BlockWork, schedule
 from tests.reference_lowering import lowering_listing, reference_lower
+from tests.reference_shapes import _makespan
 
 MODEL = ModelConfig(num_encoders=2, num_decoders=2)
 SCOPES = [
@@ -56,12 +60,6 @@ SCOPES = [
 
 def encoder_stack_program(model, fabric, s):
     return lower(LoweringSpec("encoder_stack", model, fabric, s))
-
-
-def asap_span(program, op_ids):
-    """Makespan straight from ``_asap_times``, bypassing the memo."""
-    times = program_module._asap_times(program, op_ids)
-    return max((end for _, end in times.values()), default=0)
 
 
 def reference_block_work(program, architecture):
@@ -83,14 +81,14 @@ def reference_block_work(program, architecture):
             )
             op_ids = [oid for g in group for oid in g.op_ids]
             units.append(
-                BlockWork(blk.merge_group, load, asap_span(program, op_ids))
+                BlockWork(blk.merge_group, load, _makespan(program, op_ids))
             )
         else:
             units.append(
                 BlockWork(
                     blk.label,
                     blk.load_cycles,
-                    asap_span(program, blk.op_ids),
+                    _makespan(program, blk.op_ids),
                     channel_hint=blk.channel_hint if a3 else None,
                     overhead_override=blk.overhead_override if a3 else None,
                 )
@@ -389,6 +387,20 @@ class TestLoweringStructure:
             seen |= ids
         assert seen == set(range(program.num_ops))
 
+    def test_rejects_two_blocks_with_one_label(self, fabric):
+        """Spans and work units are keyed by label, so a second block
+        labelled ``b`` would take the first's span."""
+        ops = tuple(
+            Op(i, OpKind.VECTOR, f"v{i}", ("slr0.adder0",), cycles, (), "b")
+            for i, cycles in enumerate((5, 3))
+        )
+        blocks = (BlockIR("b", (0,)), BlockIR("b", (1,)))
+        with pytest.raises(ValueError, match="two blocks are labelled 'b'"):
+            BlockProgram(fabric, ops, blocks, {})
+        program = BlockProgram(fabric, ops, (blocks[0], BlockIR("c", (1,))), {})
+        assert dict(program.block_spans) == {"b": 5, "c": 3}
+        assert [w.compute_cycles for w in program_block_work(program, "A3")] == [5, 3]
+
     def test_block_labels_follow_layers(self, program):
         labels = [b.label for b in program.blocks]
         assert labels == ["enc1", "enc2", "dec1m", "dec1f", "dec2m", "dec2f"]
@@ -570,7 +582,7 @@ class TestFunctionalExecutor:
 
 def assert_memo_matches_reference(program):
     assert program.block_spans == {
-        blk.label: asap_span(program, blk.op_ids) for blk in program.blocks
+        blk.label: _makespan(program, blk.op_ids) for blk in program.blocks
     }
     for arch in Architecture:
         assert program_block_work(program, arch) == reference_block_work(
@@ -598,13 +610,13 @@ class TestSpanMemo:
         self, fabric, small_params, rng, monkeypatch
     ):
         """Every block of a lowering carries its template's shape, so no
-        span, merge-group span or work unit runs an ASAP pass over ops
-        or derives a shape from them."""
+        span, merge-group span or work unit walks ops to derive a shape
+        (every such walk is a ``_ShapeWalk``)."""
         cfg = small_params.config
         # ``replace`` builds a new program object with an empty memo.
         program = dataclasses.replace(lower_full_pass(cfg, fabric, 4))
         calls = []
-        for name in ("_asap_times", "_shape_from_ops"):
+        for name in ("_ShapeWalk", "_shape_from_ops"):
             real = getattr(program_module, name)
 
             def counting(*args, _real=real, _name=name, **kwargs):
@@ -626,7 +638,7 @@ class TestSpanMemo:
         assert len(program.merge_group_spans) == cfg.num_decoders
         assert calls == []
         assert dict(program.block_spans) == {
-            blk.label: asap_span(program, blk.op_ids) for blk in program.blocks
+            blk.label: _makespan(program, blk.op_ids) for blk in program.blocks
         }
 
     def test_run_cycles_are_a_copy(self, fabric, small_params, rng):

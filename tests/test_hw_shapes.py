@@ -1,13 +1,15 @@
-"""Block shapes: the record each block of a lowered or pass-rewritten
-program carries equals what walking its ops gives
-(``tests/reference_shapes.py``); a cold A4 search derives each distinct
-shape once and builds no op for a block its winner did not rewrite; a
-corrupted rewrite still fails the pass that made it; and programs,
-built or not, survive pickle and deepcopy."""
+"""Block shapes: the record each block of a lowered, pass-rewritten or
+hand-built program carries equals what walking its ops gives
+(``tests/reference_shapes.py``), and so do the traces timed by them; a
+cold A4 search derives each distinct shape once and builds no op for a
+block its winner did not rewrite; a corrupted rewrite still fails the
+pass that made it; and programs, built or not, survive pickle and
+deepcopy."""
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import gc
 import hashlib
 import pickle
@@ -36,21 +38,25 @@ from repro.hw.program import (
     BlockIR,
     BlockProgram,
     LoweringSpec,
+    Op,
     OpKind,
-    _asap_times,
-    _makespan,
-    _shaped,
+    ValueRef,
+    _shape_from_ops,
     _union_shape,
     _union_span,
     _unit_groups,
     _unit_shape,
     lower,
     lowering_cache_info,
+    trace_program_with_schedule,
 )
 from tests.reference_lowering import lowering_listing
 from tests.reference_shapes import (
+    _asap_times,
+    _makespan,
     reference_block_shape,
     reference_psa_stall_totals,
+    reference_trace,
     reference_validate_program,
 )
 
@@ -88,8 +94,7 @@ def assert_shapes_match_ops(program: BlockProgram, architecture: str) -> None:
     ops = program.ops
     reference_validate_program(program)
     for blk in program.blocks:
-        shaped = _shaped(program, blk)
-        shape = shaped.shape
+        shape = blk.shape
         comps, key = reference_block_shape(program, blk)
         assert [blk.op_ids[p] for p in shape.comps] == comps
         assert (shape.by_id, shape.rows) == key
@@ -101,22 +106,21 @@ def assert_shapes_match_ops(program: BlockProgram, architecture: str) -> None:
         assert shape.psa == _psa_profile(program, blk.op_ids)
         for entry, op_id in zip(shape.entries, blk.op_ids):
             op = ops[op_id]
-            assert _expand(entry[4], blk.op_ids, shaped.ports) == sorted(op.deps)
-            assert _expand(entry[5], blk.op_ids, shaped.ports) == sorted(
+            assert _expand(entry[4], blk.op_ids, blk.ports) == sorted(op.deps)
+            assert _expand(entry[5], blk.op_ids, blk.ports) == sorted(
                 ref.key for ref in op.inputs if ref.kind == "op"
             )
     for group in _unit_groups(program.blocks, merge=True):
         if len(group) > 1:
             ids = [i for blk in group for i in blk.op_ids]
-            unit = _unit_shape(program, group)
+            unit = _unit_shape(group)
             assert unit.span == _makespan(program, ids)
             assert program.merge_group_spans[group[0].merge_group] == unit.span
             assert unit.psa == _psa_profile(program, ids)
     for a, b in zip(program.blocks, program.blocks[1:]):
-        first, second = _shaped(program, a), _shaped(program, b)
         span = _makespan(program, a.op_ids + b.op_ids)
-        assert _union_span(first, second) == span
-        assert _union_shape(first, second)[0].span == span
+        assert _union_span(a, b) == span
+        assert _union_shape(a, b)[0].span == span
     assert psa_stall_totals(program, architecture, OVERHEAD) == (
         reference_psa_stall_totals(program, architecture, OVERHEAD)
     )
@@ -199,6 +203,61 @@ class TestShapesMatchOps:
             assert_shapes_match_ops(program, arch)
 
 
+class TestTraceMatchesOps:
+    """The trace executor times each work unit by its shape; its events,
+    in order, and the stall totals read off them equal an ASAP pass over
+    the unit's ops."""
+
+    @staticmethod
+    def assert_trace_matches_ops(program: BlockProgram, arch: str) -> None:
+        timeline, sched = trace_program_with_schedule(program, arch, OVERHEAD)
+        reference, _ = reference_trace(program, arch, OVERHEAD)
+        assert timeline.events == reference.events
+        assert classify_stalls(program, arch, OVERHEAD).totals() == (
+            classify_stalls(
+                program, arch, OVERHEAD, timeline=reference, sched=sched
+            ).totals()
+        )
+
+    @pytest.mark.parametrize("arch", ["A1", "A2", "A3"])
+    @pytest.mark.parametrize("model", [ModelConfig(), SMALL], ids=["paper", "small"])
+    def test_lowered_programs(self, model, arch):
+        for spec in (
+            LoweringSpec("full_pass", model, FABRIC, 8),
+            LoweringSpec("decode_step", model, FABRIC, 8, 5),
+        ):
+            self.assert_trace_matches_ops(lower.__wrapped__(spec), arch)
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        """Every program the A4 grids of the three architectures make on
+        the small model at s = 8, and how many reorders moved ops."""
+        base = lower.__wrapped__(LoweringSpec("full_pass", SMALL, FABRIC, 8))
+        seen: dict[int, BlockProgram] = {id(base): base}
+        reordered = 0
+        for arch in ("A1", "A2", "A3"):
+            for _, steps, reorder in _candidate_programs(
+                base, a4_candidate_pipelines(arch)
+            ):
+                for step in steps:
+                    seen.setdefault(id(step.after), step.after)
+                if reorder is not None:
+                    before = steps[-1].after if steps else base
+                    out = reorder.run(before)[0]
+                    reordered += out is not before
+                    seen.setdefault(id(out), out)
+        return list(seen.values()), reordered
+
+    @pytest.mark.parametrize("arch", ["A1", "A2", "A3"])
+    def test_a4_candidate_programs(self, grid, arch):
+        """Merges, splits and reorders, traced under each architecture."""
+        programs, reordered = grid
+        labels = {blk.label for program in programs for blk in program.blocks}
+        assert reordered and "enc1m" in labels and "enc1+enc2" in labels
+        for program in programs:
+            self.assert_trace_matches_ops(program, arch)
+
+
 def _count(monkeypatch, owner, name: str, calls: list) -> None:
     """Record each call of ``owner.name`` (its first argument)."""
     real = getattr(owner, name)
@@ -230,7 +289,7 @@ class TestColdSearch:
             real_init(self, *args, **kwargs)
             shapes.append(self)
 
-        built, from_ops, scheduled = [0], [], []
+        built, walks, from_ops, scheduled = [0], [], [], []
         real_op_init = program_module.Op.__init__
 
         def counting_op_init(self, *args, **kwargs):
@@ -239,14 +298,20 @@ class TestColdSearch:
 
         monkeypatch.setattr(program_module.BlockShape, "__init__", recording_init)
         monkeypatch.setattr(program_module.Op, "__init__", counting_op_init)
+        _count(monkeypatch, program_module, "_ShapeWalk", walks)
         _count(monkeypatch, program_module, "_shape_from_ops", from_ops)
         _count(monkeypatch, passes, "_schedule_shape", scheduled)
 
         result = synthesize_a4(s=s)
         # One record per distinct shape, the three template blocks'
-        # from ops (enc1, dec1m, dec1f), the rest derived from records.
+        # from one walk of their ops each (enc1, dec1m, dec1f), the rest
+        # derived from records; no block is shaped from a program's ops.
         assert len(set(shapes)) == len(shapes)
-        assert len(from_ops) == 3
+        assert [len(ids) for ids in walks] == [
+            len(blk.op_ids) for blk in lower(result.spec).blocks
+            if blk.label in ("enc1", "dec1m", "dec1f")
+        ]
+        assert from_ops == []
         assert len(set(scheduled)) == len(scheduled)
         template_ops = sum(
             len(blk.op_ids) for blk in lower(result.spec).blocks
@@ -365,14 +430,39 @@ class TestCorruptedRewrites:
         with pytest.raises(PassError, match="partition"):
             _rebuild_program(program, list(range(n)), blocks)
 
+    def test_blocks_that_share_a_label(self, program):
+        first, *rest = program.blocks
+        blocks = (first, dataclasses.replace(rest[0], label=first.label), *rest[1:])
+        with pytest.raises(PassError, match=f"two blocks are labelled '{first.label}'"):
+            _rebuild_program(program, list(range(program.num_ops)), blocks)
+
 
 def _digest(program: BlockProgram) -> str:
     return hashlib.sha256(lowering_listing(program).encode()).hexdigest()
 
 
+def _hand_built() -> BlockProgram:
+    """Two blocks built by hand, without shapes: ``b`` waits on and
+    reads ops of ``a`` and an external input."""
+    x, ref = ValueRef("ext", "x"), lambda i: ValueRef("op", i)
+    ops = (
+        Op(0, OpKind.LOAD, "LW:a", ("hbm",), 7, (), "a"),
+        Op(1, OpKind.MATMUL, "m1", ("slr0.psa0",), 5, (), "a", inputs=(x,)),
+        Op(2, OpKind.VECTOR, "v1", ("slr0.adder0",), 3, (1,), "a",
+           inputs=(ref(1),)),
+        Op(3, OpKind.MATMUL, "m2", ("slr0.psa0",), 4, (2,), "b",
+           inputs=(ref(2), x)),
+        Op(4, OpKind.VECTOR, "v2", ("slr0.adder0",), 2, (3, 1), "b",
+           inputs=(ref(3), ref(1))),
+    )
+    blocks = (BlockIR("a", (0, 1, 2), load_cycles=7), BlockIR("b", (3, 4)))
+    return BlockProgram(FABRIC, ops, blocks, {"out": ref(4)})
+
+
 class TestPickling:
     """Programs rebuild through the constructor from their built ops,
-    spans and shapes included."""
+    spans and shapes included; so do meta-only and ``replace`` copies,
+    and a hand-built program's blocks keep the shapes its ops give."""
 
     CASES = {
         "full_pass": lambda: lower.__wrapped__(
@@ -382,6 +472,7 @@ class TestPickling:
             LoweringSpec("decode_step", ModelConfig(), FABRIC, 8, 5)
         ),
         "a4_winner": lambda: synthesize_a4(model=SMALL, s=32).program,
+        "hand_built": _hand_built,
     }
 
     @pytest.mark.parametrize("read_first", [False, True], ids=["unbuilt", "built"])
@@ -390,7 +481,16 @@ class TestPickling:
         program = self.CASES[case]()
         if read_first:
             program.ops, program.block_spans, program.merge_group_spans
-        copies = [pickle.loads(pickle.dumps(program)), copy.deepcopy(program)]
+        copies = [
+            pickle.loads(pickle.dumps(program)),
+            copy.deepcopy(program),
+            program.with_meta(dict(program.meta)),
+            dataclasses.replace(program),
+        ]
+        if case == "hand_built":
+            assert [(b.shape, b.ports) for b in program.blocks] == [
+                _shape_from_ops(program.ops, b.op_ids) for b in program.blocks
+            ]
         digest = _digest(program)
         for clone in copies:
             assert _digest(clone) == digest
