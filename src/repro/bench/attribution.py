@@ -255,10 +255,9 @@ def build_attribution_report(
     stalls = []
     for arch in ("A1", "A2", "A3"):
         report = classify_stalls(program, arch)
-        report.verify_conservation()
         stalls.append(ArchStallSummary(
             architecture=arch,
-            makespan=report.makespan,
+            makespan=float(report.makespan),
             totals=report.totals(),
             psa_totals=report.totals(".psa"),
             psa_dominant=report.dominant_cause(".psa"),

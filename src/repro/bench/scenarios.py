@@ -105,7 +105,7 @@ def _run_arch_sweep(
 def _run_encoder_prefill(
     params: Mapping[str, object], session
 ) -> tuple[dict, dict, dict]:
-    """Trace-executor probe of the full prefill pass: where the cycles
+    """Device-profile probe of the full prefill pass: where the cycles
     go per engine under one architecture."""
     from repro import obs
     from repro.hw.controller import LatencyModel
@@ -116,7 +116,7 @@ def _run_encoder_prefill(
     arch = str(params.get("arch", "A3"))
     lm = LatencyModel()
     program = lm.full_pass_program(s)
-    timeline = obs.record_program_metrics(program, architecture=arch)
+    device = obs.record_program_metrics(program, architecture=arch)
     cycles = {
         "program_ops": float(program.num_ops),
         "program_blocks": float(len(program.blocks)),
@@ -127,7 +127,7 @@ def _run_encoder_prefill(
         "schedule_stall_cycles": session.metrics.value(
             "repro.hw.schedule.stall_cycles"
         ),
-        "trace_makespan_cycles": float(timeline.makespan),
+        "trace_makespan_cycles": float(device.makespan),
     }
     stall_by_cause: dict[str, float] = {}
     for key, value in session.metrics.as_dict().items():

@@ -200,26 +200,31 @@ def _cmd_transcribe(args: argparse.Namespace) -> int:
 
 def _profiled_run(args: argparse.Namespace):
     """One synthetic utterance under a telemetry session, plus the
-    trace-executor probe of the accelerator's block program.  Returns
-    (result, session, timeline, pipeline)."""
+    device-profile probe of the accelerator's block program.  Returns
+    (result, session, pipeline)."""
     from repro import obs
 
     pipeline, utt, beam = _utterance(args, architecture=args.arch)
     with obs.telemetry() as session:
         result = pipeline.transcribe(utt.waveform, beam_size=beam)
-        timeline = obs.record_program_metrics(
+        obs.record_program_metrics(
             pipeline.accelerator.program(), architecture=args.arch
         )
-    return result, session, timeline, pipeline
+    return result, session, pipeline
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.hw.introspect import counter_tracks
+    from repro.hw.program import trace_program
     from repro.obs.diffprof import profile_run
 
-    result, session, timeline, pipeline = _profiled_run(args)
+    result, session, pipeline = _profiled_run(args)
     hardware = pipeline.accelerator.latency_model.hardware
+    program = pipeline.accelerator.program()
+    timeline = trace_program(
+        program, args.arch, program.fabric.calibration.block_overhead_cycles
+    )
     out = pathlib.Path(args.out)
     trace_path = _write(
         out / "trace.json",
@@ -228,7 +233,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             session.spans.records,
             clock_mhz=hardware.clock_mhz,
             metadata={"architecture": args.arch, "seed": args.seed},
-            counters=counter_tracks(timeline) if timeline is not None else None,
+            counters=counter_tracks(timeline),
         ),
         None,
     )
@@ -244,7 +249,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     # Exact-integer run profile of the accelerator's block program —
     # the offline input of `repro-asr diff --profiles A B`.
-    program = pipeline.accelerator.program()
     prof = profile_run(
         program,
         args.arch,
@@ -265,7 +269,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro import obs
 
-    _, session, _, _ = _profiled_run(args)
+    _, session, _ = _profiled_run(args)
     print(obs.prometheus_text(session.metrics), end="")
     return 0
 
@@ -409,7 +413,7 @@ def _serving_stall_rate_tracks(result, sampler) -> dict:
         _, report = phase_stall_report(
             lm, phase, result.config.s, result.config.architecture
         )
-        psa_lanes = sum(1 for name in report.engines if ".psa" in name)
+        psa_lanes = sum(1 for name in report.lanes if ".psa" in name)
         lane_time = report.makespan * max(psa_lanes, 1)
         for cause, cycles in report.totals(".psa").items():
             if cycles <= 0:
@@ -575,31 +579,18 @@ def _cmd_costs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _diff_live_profile(spec: str, s: int):
-    """Resolve an architecture spec to ``(RunProfile, Timeline)``.
+def _diff_live_program(spec: str, s: int):
+    """Resolve an architecture spec to ``(program, architecture)``.
 
-    A1/A2/A3 trace the full-pass block program under that architecture;
-    A4 is the optimizer's synthesized schedule (``synthesize_a4``)
-    traced under A3 — the pass-transformed program, not a different
-    fabric.
+    A1/A2/A3 run the full-pass block program under that architecture;
+    A4 is the optimizer's synthesized schedule (``synthesize_a4``) run
+    under A3 — the pass-transformed program, not a different fabric.
     """
-    from repro.hw.program import trace_program_with_schedule
-    from repro.obs.diffprof import profile_run
-
-    lm = LatencyModel()
-    overhead = lm.calibration.block_overhead_cycles
     if spec == "A4":
         from repro.hw.dse import synthesize_a4
 
-        program, arch = synthesize_a4(s=s, architecture="A3").program, "A3"
-    else:
-        program, arch = lm.full_pass_program(s), spec
-    timeline, sched = trace_program_with_schedule(program, arch, overhead)
-    profile = profile_run(
-        program, arch, overhead, label=f"{spec} s={s}",
-        timeline=timeline, sched=sched,
-    )
-    return profile, timeline
+        return synthesize_a4(s=s, architecture="A3").program, "A3"
+    return LatencyModel().full_pass_program(s), spec
 
 
 def _show_delta(args: argparse.Namespace, delta, render) -> None:
@@ -674,10 +665,12 @@ def _diff_serve(args: argparse.Namespace) -> int:
 
 def _cmd_diff(args: argparse.Namespace) -> int:
     from repro import obs
+    from repro.hw.program import trace_program
     from repro.obs.diffprof import (
         delta_counter_tracks,
         diff_profiles,
         load_profile,
+        profile_run,
         render_waterfall,
     )
 
@@ -694,19 +687,24 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         _show_delta(args, delta, render_snapshot_delta)
         return 0
 
-    timelines = None
+    runs = ()
     if args.profiles:
         base_prof, cand_prof = map(load_profile, args.profiles)
     else:
-        base_prof, base_tl = _diff_live_profile(args.base, args.seq)
-        cand_prof, cand_tl = _diff_live_profile(args.cand, args.seq)
-        timelines = (base_tl, cand_tl)
+        overhead = LatencyModel().calibration.block_overhead_cycles
+        runs = [_diff_live_program(spec, args.seq)
+                for spec in (args.base, args.cand)]
+        base_prof, cand_prof = (
+            profile_run(program, arch, overhead, label=f"{spec} s={args.seq}")
+            for (program, arch), spec in zip(runs, (args.base, args.cand))
+        )
     waterfall = diff_profiles(base_prof, cand_prof)
     _show_delta(args, waterfall, render_waterfall)
     if args.trace:
-        if timelines is None:
+        if not runs:
             raise ValueError("--trace needs a live diff (--base/--cand); "
                              "saved profiles carry no timeline")
+        timelines = [trace_program(*run, overhead) for run in runs]
         _write(
             args.trace,
             obs.chrome_trace_json(
@@ -804,24 +802,22 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         default_watchpoints,
         render_stall_dashboard,
         run_watchpoints,
+        stall_summary,
     )
-    from repro.hw.program import trace_program_with_schedule
+    from repro.hw.program import trace_program
     from repro.hw.visualize import render_program_gantt
 
     lm = LatencyModel()
     program = lm.full_pass_program(args.seq)
     overhead = lm.calibration.block_overhead_cycles
-    timeline, sched = trace_program_with_schedule(program, args.arch, overhead)
-    report = classify_stalls(
-        program, args.arch, overhead, timeline=timeline, sched=sched
-    )
-    report.verify_conservation()
+    timeline = trace_program(program, args.arch, overhead)
+    report = classify_stalls(program, args.arch, overhead)
     hits = run_watchpoints(
         timeline, default_watchpoints(timeline, idle_fraction=args.watch_idle)
     )
     crossover = lm.crossover_sequence_length()
     if args.json:
-        payload = report.as_dict()
+        payload = stall_summary(report)
         payload["s"] = args.seq
         payload["crossover_s"] = crossover
         payload["watchpoint_hits"] = [h.as_dict() for h in hits]

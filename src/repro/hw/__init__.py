@@ -45,10 +45,8 @@ from repro.hw.dse import (
 from repro.hw.faults import program_fault_hook
 from repro.hw.introspect import (
     STALL_CAUSES,
-    EngineStallBreakdown,
     FlightRecorder,
     StallInterval,
-    StallReport,
     Watchpoint,
     WatchpointHit,
     classify_stalls,
@@ -56,6 +54,8 @@ from repro.hw.introspect import (
     default_watchpoints,
     render_stall_dashboard,
     run_watchpoints,
+    stall_intervals,
+    stall_summary,
     utilization_counters,
 )
 from repro.hw.kernels import Fabric, matmul_dims
@@ -75,7 +75,6 @@ from repro.hw.program import (
     program_unit_spans,
     schedule_program,
     trace_program,
-    trace_program_with_schedule,
 )
 from repro.hw.resources import ResourceEstimate, check_synthesizable, estimate_resources
 from repro.hw.scheduler import (
@@ -122,10 +121,8 @@ __all__ = [
     "Fabric",
     "matmul_dims",
     "STALL_CAUSES",
-    "EngineStallBreakdown",
     "FlightRecorder",
     "StallInterval",
-    "StallReport",
     "Watchpoint",
     "WatchpointHit",
     "classify_stalls",
@@ -133,6 +130,8 @@ __all__ = [
     "default_watchpoints",
     "render_stall_dashboard",
     "run_watchpoints",
+    "stall_intervals",
+    "stall_summary",
     "utilization_counters",
     "BlockIR",
     "BlockProgram",
@@ -149,7 +148,6 @@ __all__ = [
     "program_unit_spans",
     "schedule_program",
     "trace_program",
-    "trace_program_with_schedule",
     "ResourceEstimate",
     "check_synthesizable",
     "estimate_resources",

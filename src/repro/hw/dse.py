@@ -206,8 +206,8 @@ class A4Result:
     baseline_cycles: int
     optimized_cycles: int
     #: PSA-lane stall attribution (cause -> cycles) before/after, the
-    #: ``hw.introspect.classify_stalls`` totals computed without a trace
-    #: (``psa_stall_totals``) — the evidence that the win comes out of
+    #: ``totals(".psa")`` of ``hw.introspect.classify_stalls``'s device
+    #: profile — the evidence that the win comes out of
     #: ``load_starved``/``channel_contention``.
     psa_stalls_before: dict[str, float]
     psa_stalls_after: dict[str, float]

@@ -2,18 +2,19 @@
 
 Real FPGA bring-up answers "why is this engine idle" with Integrated
 Logic Analyzer cores and AXI performance monitors.  This module is the
-simulator's equivalent: it turns the trace executor's per-engine
-:class:`repro.hw.trace.Timeline` and the block schedule of
-:mod:`repro.hw.scheduler` into an exact, per-cause account of every
-idle cycle — the causality behind Table 5.1 and Figs 4.8–4.11 (A1
-stalls on sequential weight loads, A2/A3 hide them behind prefetch).
+simulator's equivalent: it turns the block schedule of
+:mod:`repro.hw.scheduler` and the block shapes of
+:mod:`repro.hw.program` into an exact, per-cause account of every idle
+cycle — the causality behind Table 5.1 and Figs 4.8–4.11 (A1 stalls on
+sequential weight loads, A2/A3 hide them behind prefetch).
 
 Three pieces:
 
-* **Stall classifier** — :func:`classify_stalls` labels every idle
-  interval on every engine lane with one cause from the fixed taxonomy
-  :data:`STALL_CAUSES` (:func:`psa_stall_totals` gives its PSA-lane
-  totals from the block schedule alone, without a trace):
+* **Device profile** — :func:`classify_stalls` builds one exact-integer
+  :class:`repro.obs.diffprof.RunProfile` per (program, architecture,
+  overhead) without a trace and memoizes it on the program.  It labels
+  every idle cycle on every engine lane with one (cause, unit) leaf
+  from the fixed taxonomy :data:`STALL_CAUSES`:
 
   - ``load_starved``  — the serial compute chain waited on an HBM
     weight load (the A1 story);
@@ -32,9 +33,14 @@ Three pieces:
 
       busy + sum(stall causes) + no_work == makespan
 
+  The run profiles of :mod:`repro.obs.diffprof`, the PSA stall totals
+  the optimizer passes read, the ``inspect`` dashboard and the
+  telemetry probe's gauges are all views of it.
+
 * **Watchpoints + flight recorder** — declarative ILA-style triggers
-  (:class:`Watchpoint`) over the event stream: engine idle longer than
-  a threshold, channel bandwidth below a floor over a window, op label
+  (:class:`Watchpoint`) over the event stream of a traced
+  :class:`repro.hw.trace.Timeline`: engine idle longer than a
+  threshold, channel bandwidth below a floor over a window, op label
   matching a regex.  Each hit captures a bounded ring-buffer window of
   surrounding events (:class:`FlightRecorder`) for dump/export.
 
@@ -47,29 +53,29 @@ Three pieces:
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable, Sequence
 
 from repro.hw.program import (
     BlockProgram,
-    UnitSpan,
     _unit_shape,
     _work_units,
-    program_unit_spans,
+    program_block_work,
     schedule_program,
-    trace_program_with_schedule,
 )
-from repro.hw.scheduler import ScheduleResult
+from repro.hw.scheduler import Architecture, ScheduleResult
 from repro.hw.trace import Timeline, TraceEvent
+from repro.obs.diffprof import STALL_CAUSES, LaneProfile, RunProfile
 
 __all__ = [
     "STALL_CAUSES",
     "StallInterval",
-    "EngineStallBreakdown",
-    "StallReport",
     "classify_stalls",
-    "psa_stall_totals",
+    "stall_intervals",
+    "stall_summary",
     "Watchpoint",
     "WatchpointHit",
     "FlightRecorder",
@@ -80,29 +86,18 @@ __all__ = [
     "render_stall_dashboard",
 ]
 
-#: The fixed stall taxonomy, in reporting order.
-STALL_CAUSES = (
-    "load_starved",
-    "dependency",
-    "channel_contention",
-    "overhead",
-    "no_work",
-)
-
 #: The causes that are genuine stalls (everything but the drain tail).
 _WAIT_CAUSES = STALL_CAUSES[:-1]
 
 
 @dataclass(frozen=True)
 class StallInterval:
-    """One labelled idle interval [start, end) on one engine lane.
+    """One labelled idle interval [start, end) on one engine lane, as
+    the stall-annotated Gantt chart draws it (:func:`stall_intervals`).
 
     ``block`` names the work unit whose causal segment the interval
-    fell in (a :class:`repro.hw.program.UnitSpan` label — one block
-    under A3, a fused merge group under A1/A2), empty for the
-    ``no_work`` drain tail.  It is what lets the differential profiler
-    (:mod:`repro.obs.diffprof`) attribute a cycle delta to a
-    (block, engine, cause) triple instead of just (engine, cause).
+    fell in (a schedule label — one block under A3, a fused merge group
+    under A1/A2).
     """
 
     engine: str
@@ -116,150 +111,40 @@ class StallInterval:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class EngineStallBreakdown:
-    """Where one engine lane's cycles went, exactly."""
-
-    engine: str
-    makespan: float
-    busy_cycles: float
-    #: cause -> idle cycles, one entry per wait cause (no ``no_work``).
-    stalls: Mapping[str, float]
-    no_work_cycles: float
-
-    @property
-    def idle_cycles(self) -> float:
-        return sum(self.stalls.values()) + self.no_work_cycles
-
-    @property
-    def utilization(self) -> float:
-        return self.busy_cycles / self.makespan if self.makespan > 0 else 0.0
-
-    @property
-    def conservation_error(self) -> float:
-        """``busy + sum(stalls) + no_work - makespan`` (must be 0)."""
-        return self.busy_cycles + self.idle_cycles - self.makespan
-
-    def dominant_stall(self) -> str | None:
-        """The wait cause eating the most cycles (None when fully busy)."""
-        best = max(self.stalls, key=lambda c: self.stalls[c])
-        return best if self.stalls[best] > 0 else None
-
-
-@dataclass
-class StallReport:
-    """The full per-engine stall attribution of one traced program."""
-
-    architecture: str
-    makespan: float
-    engines: dict[str, EngineStallBreakdown]
-    #: Every labelled idle interval, sorted by (engine, start).
-    intervals: tuple[StallInterval, ...]
-    unit_spans: tuple[UnitSpan, ...] = field(default_factory=tuple)
-
-    def totals(self, engine_filter: str = "") -> dict[str, float]:
-        """Cycles per cause (including ``no_work``) summed over lanes
-        whose name contains ``engine_filter`` (all lanes when empty)."""
-        out = {cause: 0.0 for cause in STALL_CAUSES}
-        for name, bd in self.engines.items():
-            if engine_filter and engine_filter not in name:
-                continue
-            for cause, cycles in bd.stalls.items():
-                out[cause] += cycles
-            out["no_work"] += bd.no_work_cycles
-        return out
-
-    def dominant_cause(self, engine_filter: str = ".psa") -> str | None:
-        """The wait cause eating the most cycles over matching lanes."""
-        totals = self.totals(engine_filter)
-        best = max(_WAIT_CAUSES, key=lambda c: totals[c])
-        return best if totals[best] > 0 else None
-
-    def intervals_on(self, engine: str) -> list[StallInterval]:
-        return [iv for iv in self.intervals if iv.engine == engine]
-
-    def conservation_errors(self) -> dict[str, float]:
-        """Engine -> conservation residual (every value must be 0.0)."""
-        return {
-            name: bd.conservation_error for name, bd in self.engines.items()
-        }
-
-    def verify_conservation(self) -> None:
-        """Raise unless busy + stalls + no_work == makespan on every lane."""
-        broken = {
-            name: err
-            for name, err in self.conservation_errors().items()
-            if err != 0.0
-        }
-        if broken:
-            raise ValueError(
-                f"stall attribution is not conservative: {broken} "
-                f"(makespan {self.makespan})"
-            )
-
-    def as_dict(self) -> dict:
-        """JSON-ready dump (the ``repro-asr inspect --json`` payload)."""
-        return {
-            "architecture": self.architecture,
-            "makespan_cycles": self.makespan,
-            "totals": self.totals(),
-            "psa_totals": self.totals(".psa"),
-            "engines": {
-                name: {
-                    "busy_cycles": bd.busy_cycles,
-                    "utilization": bd.utilization,
-                    "stalls": dict(bd.stalls),
-                    "no_work_cycles": bd.no_work_cycles,
-                }
-                for name, bd in self.engines.items()
-            },
-        }
-
-
-# ------------------------------------------------------------ classifier
-def _load_wait_cause(unit: UnitSpan, spans: Sequence[UnitSpan]) -> str:
-    """Why ``unit``'s load exposed a stall: serialized behind another
-    load on its channel (contention) or simply slower than the compute
-    it had to hide behind (starvation)."""
-    if not unit.load_engine:
-        return "load_starved"
-    for other in spans:
-        if other is unit or other.load_engine != unit.load_engine:
-            continue
-        if other.load_end == unit.load_start and other.load_end > other.load_start:
-            return "channel_contention"
-    return "load_starved"
-
-
+# -------------------------------------------------------- device profile
 def _causal_segments(
-    spans: Sequence[UnitSpan],
-) -> list[tuple[float, float, str, str]]:
+    sched: ScheduleResult, spans: Sequence[int]
+) -> list[tuple[int, int, str, int]]:
     """Partition [0, last compute end) into causally-labelled segments.
 
     The block-schedule compute chain is strictly serial, so global time
-    decomposes exactly into: per-unit op execution (idle lanes there
-    wait on producers → ``dependency``), the host dispatch overhead
-    serialized after each unit (``overhead``), and the exposed gaps
-    before a unit starts, bound by its weight load (``load_starved`` or
-    ``channel_contention``).  Each segment carries the label of the
-    unit it belongs to.
+    decomposes exactly into: per-unit op execution (``spans[u]`` cycles;
+    idle lanes there wait on producers → ``dependency``), the host
+    dispatch overhead serialized after each unit (``overhead``), and
+    the exposed gaps before a unit starts, bound by its weight load.
+    That load was serialized behind another load on its channel
+    (``channel_contention``) when it started the cycle that load ended,
+    and was simply slower than the compute it had to hide behind
+    (``load_starved``) otherwise.  Each segment is ``(start, end,
+    cause, unit index)``.
     """
-    segments: list[tuple[float, float, str, str]] = []
-    prev_end = 0.0
-    for unit in spans:
-        if unit.compute_start > prev_end:
-            segments.append(
-                (prev_end, unit.compute_start,
-                 _load_wait_cause(unit, spans), unit.label)
-            )
-        ops_end = unit.compute_start + unit.compute_span
-        if ops_end > unit.compute_start:
-            segments.append(
-                (unit.compute_start, ops_end, "dependency", unit.label)
-            )
-        if unit.compute_end > ops_end:
-            segments.append((ops_end, unit.compute_end, "overhead", unit.label))
-        prev_end = unit.compute_end
+    loads = list(zip(sched.channel, sched.load_start, sched.load_end))
+    serial = {(k, end) for k, start, end in loads if end > start}
+    segments: list[tuple[int, int, str, int]] = []
+    prev_end = 0
+    for u, (start, end, span) in enumerate(
+        zip(sched.compute_start, sched.compute_end, spans)
+    ):
+        ops_end = start + span
+        if start > prev_end:
+            contended = loads[u][:2] in serial
+            cause = "channel_contention" if contended else "load_starved"
+            segments.append((prev_end, start, cause, u))
+        if ops_end > start:
+            segments.append((start, ops_end, "dependency", u))
+        if end > ops_end:
+            segments.append((ops_end, end, "overhead", u))
+        prev_end = end
     return segments
 
 
@@ -267,132 +152,232 @@ def classify_stalls(
     program: BlockProgram,
     architecture: str = "A3",
     block_overhead: int | None = None,
-    *,
-    timeline: Timeline | None = None,
-    sched: ScheduleResult | None = None,
-) -> StallReport:
-    """Attribute every idle cycle of a traced program to one cause.
-
-    Traces the program under ``architecture`` (pass ``timeline`` and
-    ``sched`` from an earlier :func:`trace_program_with_schedule` call
-    to reuse that scheduling pass), then walks each engine lane's idle
-    gaps and intersects them with the causal segments of the block
-    schedule.  The result satisfies, per engine, exactly::
+) -> RunProfile:
+    """The device profile: every idle cycle of every engine lane
+    attributed to one (cause, unit) leaf, per engine exactly::
 
         busy + sum(stall causes) + no_work == makespan
+
+    Built from the block schedule and the unit shapes alone, without a
+    trace, once per architecture and overhead (memoized on the program;
+    a meta-only copy with the same ``schedule_params`` shares it).  The
+    lanes come in the order the trace executor first uses them: the
+    HBM channels, then the engines and the host dispatch lane.  Treat
+    the result as read-only.
     """
     if block_overhead is None:
         block_overhead = program.fabric.calibration.block_overhead_cycles
-    if timeline is None or sched is None:
-        timeline, sched = trace_program_with_schedule(
-            program, architecture, block_overhead
-        )
-    spans, _ = program_unit_spans(program, architecture, block_overhead, sched=sched)
-    segments = _causal_segments(spans)
-    makespan = timeline.makespan
+    key = (Architecture(architecture), block_overhead)
+    memo = program._profile_memo
+    if key not in memo:
+        memo[key] = _device_profile(program, *key)
+    return memo[key]
 
-    engines: dict[str, EngineStallBreakdown] = {}
-    intervals: list[StallInterval] = []
+
+def _device_profile(
+    program: BlockProgram, arch: Architecture, block_overhead: int
+) -> RunProfile:
+    units = _work_units(program, arch)
+    sched = schedule_program(program, arch, block_overhead)
+    spans = [work.compute_cycles for work, _ in units]
+    segments = _causal_segments(sched, spans)
+    makespan, labels = sched.total_cycles, sched.labels
+
+    # A unit's ops run inside its ``dependency`` segment and its host
+    # dispatch fills its ``overhead`` segment, so an engine lane or the
+    # host lane idles through every other segment that starts before
+    # its last busy cycle: per cause, its leaves start as a prefix of
+    # the segments'.
+    starts: dict[str, list[int]] = {cause: [] for cause in _WAIT_CAUSES}
+    leaves: dict[str, list[tuple[str, int]]] = {c: [] for c in _WAIT_CAUSES}
+    for s0, s1, cause, u in segments:
+        starts[cause].append(s0)
+        leaves[cause].append((labels[u], s1 - s0))
+
+    # Lanes whose last busy cycles fall between the same segments share
+    # one prefix; the leaves are read-only.
+    prefixes: dict[tuple[str, int], dict[str, int]] = {}
+
+    def prefix(cause: str, lane_end: int) -> dict[str, int]:
+        key = (cause, bisect_left(starts[cause], lane_end))
+        if key not in prefixes:
+            prefixes[key] = dict(leaves[cause][:key[1]])
+        return prefixes[key]
+
+    def account(busy: int, lane_end: int, own: dict) -> LaneProfile:
+        stalls = {}
+        for cause in _WAIT_CAUSES:
+            blocks = own[cause] if cause in own else prefix(cause, lane_end)
+            if blocks:
+                stalls[cause] = blocks
+        return LaneProfile(busy, stalls, makespan - lane_end)
+
+    # The engine lanes, read per distinct unit shape (the copies of a
+    # layer share one), in the order the trace first uses them.
+    order = dict.fromkeys(f"hbm{k}" for k in sched.channel)
+    shapes: dict[int, tuple] = {}
+    host: list[int] = []
+    for u, (_, group) in enumerate(units):
+        shape = _unit_shape(group)
+        if id(shape) not in shapes:
+            shapes[id(shape)] = (shape, [])
+            order.update(dict.fromkeys(name for name, _, _ in shape.lanes))
+        shapes[id(shape)][1].append(u)
+        if sched.compute_end[u] > sched.compute_start[u] + spans[u]:
+            host.append(u)
+            order.setdefault("host")
+    engines: dict[str, list[tuple]] = {}
+    for shape, us in shapes.values():
+        unit_labels = [labels[u] for u in us]
+        for name, busy, end in shape.lanes:
+            engines.setdefault(name, []).append(
+                (us, unit_labels, shape.span, busy, end)
+            )
+
+    def engine_lane(entries: list[tuple]) -> LaneProfile:
+        # Idle through a unit's ops window but for its own busy cycles,
+        # and in its last unit up to its last busy end.
+        v, busy_v, end_v = max((us[-1], b, e) for us, _, _, b, e in entries)
+        lane_end = sched.compute_start[v] + end_v
+        window = dict(prefix("dependency", lane_end))
+        for us, unit_labels, span, busy, _ in entries:
+            before = unit_labels[:bisect_left(us, v)]
+            if span > busy:
+                window.update(dict.fromkeys(before, span - busy))
+            else:
+                for label in before:
+                    del window[label]
+        if end_v > busy_v:
+            window[labels[v]] = end_v - busy_v
+        else:
+            del window[labels[v]]
+        busy = sum(busy * len(us) for us, _, _, busy, _ in entries)
+        return account(busy, lane_end, {"dependency": window})
+
+    lanes: dict[str, LaneProfile] = {}
+    # Lanes that work alike in the same units (the heads' PSAs) share
+    # one account.
+    alike: dict[tuple, LaneProfile] = {}
+    for name in order:
+        if name.startswith("hbm"):
+            busy, stalls, lane_end = _hbm_lane(sched, int(name[3:]), segments)
+            lanes[name] = LaneProfile(busy, stalls, makespan - lane_end)
+        elif name == "host":
+            # Busy through every overhead segment, idle through the rest.
+            busy = sum(
+                sched.compute_end[u] - sched.compute_start[u] - spans[u]
+                for u in host
+            )
+            lanes[name] = account(
+                busy, sched.compute_end[host[-1]], {"overhead": {}}
+            )
+        else:
+            key = tuple([(id(us), b, e) for us, _, _, b, e in engines[name]])
+            if key not in alike:
+                alike[key] = engine_lane(engines[name])
+            lanes[name] = alike[key]
+
+    channel_bytes: dict[int, int] = {}
+    for (_, group), k in zip(units, sched.channel):
+        channel_bytes[k] = channel_bytes.get(k, 0) + sum(
+            blk.load_bytes for blk in group
+        )
+    return RunProfile(
+        label=arch.value,
+        architecture=arch.value,
+        makespan=makespan,
+        lanes=lanes,
+        block_work={
+            work.label: {"load": work.load_cycles, "compute": work.compute_cycles}
+            for work, _ in units
+        },
+        channel_bytes={str(k): n for k, n in sorted(channel_bytes.items())},
+        meta={
+            "s": program.meta.get("s"),
+            "blocks": len(program.blocks),
+            "ops": program.num_ops,
+            "block_overhead": block_overhead,
+        },
+    )
+
+
+def _hbm_lane(
+    sched: ScheduleResult, channel: int, segments: list[tuple[int, int, str, int]]
+) -> tuple[int, dict[str, dict[str, int]], int]:
+    """One HBM channel's busy cycles, stall leaves and last busy end:
+    the idle gaps between its loads in the schedule, cut at the causal
+    segments.  A channel's loads run in unit order."""
+    busy = cursor = first = 0
+    stalls: dict[str, dict[str, int]] = {}
+    for k, start, end in zip(sched.channel, sched.load_start, sched.load_end):
+        if k != channel or end == start:
+            continue
+        busy += end - start
+        if start > cursor:
+            # The segments tile [0, makespan) in order, so one that
+            # ends before this gap misses every later gap too.
+            while segments[first][1] <= cursor:
+                first += 1
+            for s0, s1, cause, u in islice(segments, first, None):
+                if s0 >= start:
+                    break
+                blocks = stalls.setdefault(cause, {})
+                label = sched.labels[u]
+                blocks[label] = (
+                    blocks.get(label, 0) + min(s1, start) - max(s0, cursor)
+                )
+        cursor = end
+    return busy, stalls, cursor
+
+
+def stall_intervals(
+    timeline: Timeline,
+    program: BlockProgram,
+    architecture: str = "A3",
+    block_overhead: int | None = None,
+) -> list[StallInterval]:
+    """The idle gaps of a traced program's lanes cut at the causal
+    segments of its block schedule, each labelled with its cause and
+    unit: where the stall-annotated Gantt chart draws its markers.
+    (Cycle totals come from :func:`classify_stalls`.)"""
+    if block_overhead is None:
+        block_overhead = program.fabric.calibration.block_overhead_cycles
+    sched = schedule_program(program, architecture, block_overhead)
+    spans = [work.compute_cycles for work in program_block_work(program, architecture)]
+    segments = _causal_segments(sched, spans)
+    out: list[StallInterval] = []
     for engine in timeline.engines():
-        busy_ivs = timeline.busy_intervals(engine)
-        busy = sum(e - s for s, e in busy_ivs)
-        lane_end = busy_ivs[-1][1] if busy_ivs else 0.0
-        stalls = {cause: 0.0 for cause in _WAIT_CAUSES}
-        # Gaps and segments are both sorted and disjoint, so a segment
-        # that ends before one gap starts misses every later gap too.
         first = 0
         for g0, g1 in timeline.idle_gaps(engine):
             while first < len(segments) and segments[first][1] <= g0:
                 first += 1
-            for i in range(first, len(segments)):
-                s0, s1, cause, block = segments[i]
-                lo, hi = max(g0, s0), min(g1, s1)
-                if hi > lo:
-                    stalls[cause] += hi - lo
-                    intervals.append(StallInterval(engine, lo, hi, cause, block))
+            for s0, s1, cause, u in islice(segments, first, None):
                 if s0 >= g1:
                     break
-        no_work = makespan - lane_end
-        if no_work > 0:
-            intervals.append(
-                StallInterval(engine, lane_end, makespan, "no_work")
-            )
-        engines[engine] = EngineStallBreakdown(
-            engine=engine,
-            makespan=makespan,
-            busy_cycles=busy,
-            stalls=stalls,
-            no_work_cycles=max(no_work, 0.0),
-        )
-    intervals.sort(key=lambda iv: (iv.engine, iv.start))
-    return StallReport(
-        architecture=str(architecture),
-        makespan=makespan,
-        engines=engines,
-        intervals=tuple(intervals),
-        unit_spans=tuple(spans),
-    )
+                lo, hi = max(g0, s0), min(g1, s1)
+                out.append(StallInterval(engine, lo, hi, cause, sched.labels[u]))
+    return out
 
 
-def psa_stall_totals(
-    program: BlockProgram,
-    architecture: str = "A3",
-    block_overhead: int | None = None,
-) -> dict[str, float]:
-    """``classify_stalls(...).totals(".psa")`` from the integer block
-    schedule alone, without building a trace.
-
-    The causal segments tile ``[0, last compute end)`` unit by unit,
-    and a PSA lane is busy only inside a unit's
-    ``[compute_start, compute_start + compute_span)``.  So a lane whose
-    last busy cycle falls in unit ``v`` owes every load gap of units
-    ``0..v``, the idle part of every op window and the dispatch
-    overhead of units ``0..v-1``, the idle part of unit ``v``'s op
-    window up to its last busy end, and ``no_work`` from there to the
-    makespan (the schedule's ``total_cycles``).  Per-unit sums are
-    prefix sums over the schedule arrays.  A lane's busy cycles are its
-    ops' cycles: the trace executor rejects an engine that runs two ops
-    at once.  Each unit's lane busy cycles and last end come from its
-    block shape (``BlockShape.psa``), which every copy of a layer shares,
-    so no op is read.
-    """
-    if block_overhead is None:
-        block_overhead = program.fabric.calibration.block_overhead_cycles
-    units = _work_units(program, architecture)
-    sched = schedule_program(program, architecture, block_overhead)
-    cs, ce = sched.compute_start, sched.compute_end
-    # A load that starts the cycle another load on its channel ends
-    # was serialized behind it (``_load_wait_cause``).
-    serial_ends = {
-        (k, end)
-        for k, start, end in zip(sched.channel, sched.load_start, sched.load_end)
-        if end > start
+def stall_summary(profile: RunProfile) -> dict:
+    """JSON-ready per-engine stall account of a device profile (the
+    ``repro-asr inspect --json`` payload)."""
+    makespan = profile.makespan
+    return {
+        "architecture": profile.architecture,
+        "makespan_cycles": float(makespan),
+        "totals": profile.totals(),
+        "psa_totals": profile.totals(".psa"),
+        "engines": {
+            name: {
+                "busy_cycles": float(lane.busy),
+                "utilization": lane.busy / makespan if makespan > 0 else 0.0,
+                "stalls": {c: float(lane.stall_cycles(c)) for c in _WAIT_CAUSES},
+                "no_work_cycles": float(lane.no_work),
+            }
+            for name, lane in profile.lanes.items()
+        },
     }
-    # Cycles per cause in the segments of units [0, u): index u.
-    starved, contended, spans, overheads = [0], [0], [0], [0]
-    lanes: dict[str, list[int]] = {}  # lane -> [busy, last unit, last end]
-    prev_end = 0
-    for u, (work, group) in enumerate(units):
-        gap = cs[u] - prev_end
-        serial = (sched.channel[u], sched.load_start[u]) in serial_ends
-        starved.append(starved[-1] + (0 if serial else gap))
-        contended.append(contended[-1] + (gap if serial else 0))
-        spans.append(spans[-1] + work.compute_cycles)
-        overheads.append(overheads[-1] + ce[u] - cs[u] - work.compute_cycles)
-        prev_end = ce[u]
-        for lane, busy, end in _unit_shape(group).psa:
-            acc = lanes.setdefault(lane, [0, 0, 0])
-            acc[0] += busy
-            acc[1] = u
-            acc[2] = max(acc[2], cs[u] + end)
-    totals = dict.fromkeys(STALL_CAUSES, 0)
-    for busy, v, end in lanes.values():
-        totals["load_starved"] += starved[v + 1]
-        totals["channel_contention"] += contended[v + 1]
-        totals["dependency"] += spans[v] + end - cs[v] - busy
-        totals["overhead"] += overheads[v]
-        totals["no_work"] += sched.total_cycles - end
-    return {cause: float(cycles) for cause, cycles in totals.items()}
 
 
 # ------------------------------------------- watchpoints / flight recorder
@@ -555,32 +540,30 @@ def run_watchpoints(
             if not ivs:
                 continue
             lane_end = ivs[-1][1]
-            t = 0.0
-            while t < lane_end:
+            samples = utilization_counters(
+                timeline, wp.window, [engine], span=lane_end
+            )[engine]
+            for t, frac in samples:
+                if frac >= wp.threshold:
+                    continue
                 t1 = min(t + wp.window, lane_end)
-                busy = sum(
-                    min(e, t1) - max(s, t) for s, e in ivs if e > t and s < t1
-                )
-                frac = busy / (t1 - t)
-                if frac < wp.threshold:
-                    nearby = tuple(
-                        e
-                        for e in events
-                        if e.engine == engine
-                        and e.start < t1 + wp.window
-                        and e.end > t - wp.window
-                    )[:capacity]
-                    hits.append(
-                        WatchpointHit(
-                            wp.name,
-                            t,
-                            engine,
-                            f"busy fraction {frac:.2f} < {wp.threshold:.2f} "
-                            f"over [{t:g}, {t1:g})",
-                            nearby,
-                        )
+                nearby = tuple(
+                    e
+                    for e in events
+                    if e.engine == engine
+                    and e.start < t1 + wp.window
+                    and e.end > t - wp.window
+                )[:capacity]
+                hits.append(
+                    WatchpointHit(
+                        wp.name,
+                        t,
+                        engine,
+                        f"busy fraction {frac:.2f} < {wp.threshold:.2f} "
+                        f"over [{t:g}, {t1:g})",
+                        nearby,
                     )
-                t = t1
+                )
     hits.sort(key=lambda h: (h.cycle, h.engine, h.watchpoint))
     return hits
 
@@ -680,29 +663,32 @@ def _bar(fraction: float, width: int) -> str:
 
 
 def render_stall_dashboard(
-    report: StallReport,
+    profile: RunProfile,
     hits: Sequence[WatchpointHit] = (),
     width: int = 30,
     max_hits: int = 8,
 ) -> str:
-    """Text dashboard: per-engine utilization bars with the per-cause
-    stall account, aggregate cause totals, and watchpoint hits."""
+    """Text dashboard of a device profile: per-engine utilization bars
+    with the per-cause stall account, aggregate cause totals, and
+    watchpoint hits."""
     from repro.analysis.report import format_table
 
+    makespan = profile.makespan
     lines = [
-        f"stall attribution: {report.architecture}, "
-        f"makespan {report.makespan:g} cycles",
+        f"stall attribution: {profile.architecture}, "
+        f"makespan {makespan:g} cycles",
         "",
     ]
     rows = []
-    for name, bd in report.engines.items():
+    for name, lane in profile.lanes.items():
+        utilization = lane.busy / makespan if makespan > 0 else 0.0
         rows.append(
             [
                 name,
-                f"|{_bar(bd.utilization, width)}|",
-                f"{bd.utilization:6.1%}",
-                *(f"{bd.stalls[c]:g}" for c in _WAIT_CAUSES),
-                f"{bd.no_work_cycles:g}",
+                f"|{_bar(utilization, width)}|",
+                f"{utilization:6.1%}",
+                *(f"{lane.stall_cycles(c):g}" for c in _WAIT_CAUSES),
+                f"{lane.no_work:g}",
             ]
         )
     lines.append(
@@ -712,8 +698,8 @@ def render_stall_dashboard(
             rows,
         )
     )
-    totals = report.totals()
-    lane_cycles = report.makespan * len(report.engines)
+    totals = profile.totals()
+    lane_cycles = makespan * len(profile.lanes)
     lines.append("")
     lines.append("stall causes over all lanes:")
     for cause in STALL_CAUSES:
@@ -721,7 +707,7 @@ def render_stall_dashboard(
         lines.append(
             f"  {cause:<18} {totals[cause]:>12g} cycles  ({frac:.1%} of lane time)"
         )
-    psa_dominant = report.dominant_cause(".psa")
+    psa_dominant = profile.dominant_cause(".psa")
     lines.append(
         "  PSA lanes dominated by: "
         + (psa_dominant if psa_dominant else "(no stalls — fully busy)")

@@ -58,10 +58,11 @@ would otherwise keep every rejected program alive.  The A4 search
   with the list-schedule spans (once per shape, :func:`_plan`) spliced
   in under A3 (:meth:`ReorderOpsPass.price`), and run for the winner
   only;
-* per program, the PSA stall totals the passes read are computed once,
-  from the integer schedule and the shapes' PSA-lane profiles
-  (:func:`repro.hw.introspect.psa_stall_totals`), and a meta-only copy
-  (a prefetch depth) shares the ops, spans and work units;
+* per program, the PSA stall totals the passes read come from its
+  device profile (:func:`repro.hw.introspect.classify_stalls`), built
+  once from the integer schedule and the shapes' lane profiles without
+  a trace, and a meta-only copy (a prefetch depth) shares the ops,
+  spans, work units and, with the same schedule, the profile;
 * per search (:func:`_search_memo`), a reorder is reused by the
   meta-only copies of its input;
 * the search drops the log lines that only report (the prefetch cost
@@ -94,7 +95,7 @@ from typing import (
 import numpy as np
 
 from repro.config import ModelConfig
-from repro.hw.introspect import psa_stall_totals
+from repro.hw.introspect import classify_stalls
 from repro.hw.memory import (
     encoder_ffn_weight_bytes,
     encoder_mha_weight_bytes,
@@ -360,15 +361,10 @@ def _total_cycles(program: BlockProgram, architecture: str) -> int:
 def _psa_stalls(
     program: BlockProgram, architecture: str, overhead: int
 ) -> dict[str, float]:
-    """The PSA stall totals, ``classify_stalls(...).totals(".psa")``,
-    computed from the integer block schedule without a trace
-    (:func:`repro.hw.introspect.psa_stall_totals`), once per program,
-    architecture and overhead (memoized on the program)."""
-    key = (Architecture(architecture), overhead)
-    memo = program._psa_stall_memo
-    if key not in memo:
-        memo[key] = psa_stall_totals(program, architecture, overhead)
-    return dict(memo[key])
+    """The PSA stall totals, read off the program's device profile
+    (:func:`repro.hw.introspect.classify_stalls`, built without a trace
+    once per program, architecture and overhead)."""
+    return classify_stalls(program, architecture, overhead).totals(".psa")
 
 
 class _SearchMemo:

@@ -276,8 +276,8 @@ class BlockShape:
     From those it computes ``comps`` (the compute ops' positions) at
     once and, on first read, ``rows`` (per compute op its engines,
     cycles, in-block deps and reads as indices into ``comps``), the
-    ASAP ``times`` and ``span`` of the compute ops, and the PSA-lane
-    profile ``psa`` of ``(lane, busy cycles, last end)``.  Dependencies
+    ASAP ``times`` and ``span`` of the compute ops, and the engine-lane
+    profile ``lanes`` of ``(lane, busy cycles, last end)``.  Dependencies
     outside the block are ready at time 0: the block schedulers
     serialize whole blocks, so cross-block edges hold by construction.
     These are the cycle model of the block schedule; the cycle and
@@ -360,16 +360,17 @@ class BlockShape:
         return max(self._ends().values(), default=0)
 
     @cached_property
-    def psa(self) -> tuple[tuple[str, int, int], ...]:
+    def lanes(self) -> tuple[tuple[str, int, int], ...]:
+        """Per engine lane, in order of first use, its busy cycles and
+        the end of its last op (zero-cycle ops occupy no lane)."""
         lanes: dict[str, list[int]] = {}
         for p, (start, end) in zip(self.comps, self.times):
             if end == start:
                 continue
             for lane in self.entries[p][2]:
-                if ".psa" in lane:
-                    acc = lanes.setdefault(lane, [0, 0])
-                    acc[0] += end - start
-                    acc[1] = max(acc[1], end)
+                acc = lanes.setdefault(lane, [0, 0])
+                acc[0] += end - start
+                acc[1] = max(acc[1], end)
         return tuple((lane, busy, end) for lane, (busy, end) in lanes.items())
 
     @cached_property
@@ -667,9 +668,9 @@ class BlockProgram:
         return {}
 
     @cached_property
-    def _psa_stall_memo(self) -> dict[tuple[Architecture, int], dict[str, float]]:
-        """PSA stall totals per (architecture, overhead), filled by the
-        optimizer passes (``repro.hw.passes._psa_stalls``)."""
+    def _profile_memo(self) -> dict[tuple[Architecture, int], Any]:
+        """The device profile per (architecture, overhead), filled by
+        :func:`repro.hw.introspect.classify_stalls`."""
         return {}
 
     def with_meta(self, meta: dict) -> BlockProgram:
@@ -678,7 +679,7 @@ class BlockProgram:
         The copy shares the ops — built or not, both programs get one
         tuple — the views that read only ``ops`` and ``blocks`` — spans,
         work units, execution plan — and, while ``schedule_params`` is
-        unchanged, the PSA stall memo.
+        unchanged, the device profiles.
         """
         copy = replace(
             self, meta=meta, ops=self.__dict__.get("_deferred") or self.ops
@@ -690,7 +691,7 @@ class BlockProgram:
             "_work_unit_memo",
         )
         if meta.get("schedule_params") == self.meta.get("schedule_params"):
-            shared += ("_psa_stall_memo",)
+            shared += ("_profile_memo",)
         for name in shared:
             if name in self.__dict__:
                 copy.__dict__[name] = self.__dict__[name]
@@ -2004,16 +2005,15 @@ def trace_block(program: BlockProgram, block_label: str | None = None) -> Timeli
     return timeline
 
 
-def trace_program_with_schedule(
+def trace_program(
     program: BlockProgram,
     architecture: Architecture | str = Architecture.A3,
     block_overhead: int = 0,
-) -> tuple[Timeline, ScheduleResult]:
-    """:func:`trace_program` plus the :class:`ScheduleResult` it is
-    built from.  The trace executor already runs the block scheduler to
-    place the HBM lanes, so callers needing both views (the telemetry
-    probe, ``repro-asr profile``) get them from one scheduling pass
-    instead of paying :func:`schedule_program` again."""
+) -> Timeline:
+    """Full-program timeline under one architecture: HBM channel lanes
+    from the block schedule, op-level engine lanes from the dependency
+    ASAP, and host dispatch overheads — with a makespan equal to the
+    cycle executor's ``total_cycles``."""
     units = _work_units(program, architecture)
     sched = schedule_program(program, architecture, block_overhead)
     timeline = Timeline([e for e in sched.timeline.events if e.kind == "load"])
@@ -2030,7 +2030,7 @@ def trace_program_with_schedule(
                 kind="overhead",
             )
     timeline.validate_no_engine_overlap()
-    return timeline, sched
+    return timeline
 
 
 @dataclass(frozen=True)
@@ -2040,8 +2040,7 @@ class UnitSpan:
     A unit is a :class:`BlockWork` item (one block under A3, a fused
     merge group under A1/A2).  The compute chain is strictly serial, so
     consecutive ``compute_end``/``compute_start`` pairs bound the
-    exposed load stalls — the quantities the stall classifier in
-    :mod:`repro.hw.introspect` attributes per cause.
+    exposed load stalls.
     """
 
     label: str
@@ -2065,16 +2064,11 @@ def program_unit_spans(
     program: BlockProgram,
     architecture: Architecture | str = Architecture.A3,
     block_overhead: int = 0,
-    sched: ScheduleResult | None = None,
 ) -> tuple[list[UnitSpan], ScheduleResult]:
-    """Per-unit placement under one architecture's block schedule.
-
-    Pass an existing ``sched`` (from the same program, architecture and
-    overhead) to reuse its scheduling pass instead of paying another.
-    """
+    """Per-unit placement under one architecture's block schedule, and
+    the schedule."""
     units = _work_units(program, architecture)
-    if sched is None:
-        sched = schedule_program(program, architecture, block_overhead)
+    sched = schedule_program(program, architecture, block_overhead)
     spans = [
         UnitSpan(
             label=work.label,
@@ -2090,19 +2084,6 @@ def program_unit_spans(
         for i, (work, group) in enumerate(units)
     ]
     return spans, sched
-
-
-def trace_program(
-    program: BlockProgram,
-    architecture: Architecture | str = Architecture.A3,
-    block_overhead: int = 0,
-) -> Timeline:
-    """Full-program timeline under one architecture: HBM channel lanes
-    from the block schedule, op-level engine lanes from the dependency
-    ASAP, and host dispatch overheads — with a makespan equal to the
-    cycle executor's ``total_cycles``."""
-    timeline, _ = trace_program_with_schedule(program, architecture, block_overhead)
-    return timeline
 
 
 # ------------------------------------------------------ execution plan
@@ -2480,7 +2461,6 @@ __all__ = [
     "schedule_program",
     "trace_block",
     "trace_program",
-    "trace_program_with_schedule",
     "UnitSpan",
     "program_unit_spans",
     "execute_program",

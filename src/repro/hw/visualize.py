@@ -106,21 +106,17 @@ def render_program_gantt(
     Figs 4.8–4.11 narrative: A1's lanes fill with ``L`` between loads,
     A2's with ``x`` where its single channel serializes.
     """
-    from repro.hw.program import trace_program_with_schedule
+    from repro.hw.introspect import stall_intervals
+    from repro.hw.program import trace_program
 
     if block_overhead is None:
         block_overhead = program.fabric.calibration.block_overhead_cycles
-    timeline, sched = trace_program_with_schedule(
-        program, architecture, block_overhead
-    )
+    timeline = trace_program(program, architecture, block_overhead)
     annotations = None
     if annotate_stalls:
-        from repro.hw.introspect import classify_stalls
-
-        annotations = classify_stalls(
-            program, architecture, block_overhead,
-            timeline=timeline, sched=sched,
-        ).intervals
+        annotations = stall_intervals(
+            timeline, program, architecture, block_overhead
+        )
     return render_gantt(timeline, width=width, annotations=annotations)
 
 

@@ -9,13 +9,16 @@ to.
 
 Two concepts:
 
-* :class:`RunProfile` — a frozen, exact-integer capture of one traced
-  program execution: the makespan, every engine lane's busy /
-  per-(cause, block) stall / drain account, per-unit load+compute
-  work, and per-HBM-channel streamed bytes.  Captured live by
-  :func:`profile_run` (one ``trace_program_with_schedule`` pass) or
-  round-tripped through JSON (``as_dict``/``from_dict``) so a profile
-  written by one process can be diffed by another.
+* :class:`RunProfile` — a frozen, exact-integer capture of one program
+  execution: the makespan, every engine lane's busy / per-(cause,
+  block) stall / drain account, per-unit load+compute work, and
+  per-HBM-channel streamed bytes.  It is the device profile
+  :func:`repro.hw.introspect.classify_stalls` builds from the block
+  schedule without a trace; :func:`profile_run` labels it, and
+  ``as_dict``/``from_dict`` round-trip it through JSON so a profile
+  written by one process can be diffed by another
+  (:func:`load_profile` rejects a malformed file with a ``ValueError``
+  naming the file and the field).
 * :class:`DeltaWaterfall` — the hierarchical delta between two
   profiles, built by :func:`diff_profiles`.  Every lane's leaves
   satisfy the *same* conservation identity the stall classifier
@@ -36,11 +39,12 @@ treatment to two PR-9 cost ledgers with its own conservation check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 __all__ = [
     "PROFILE_SCHEMA",
+    "STALL_CAUSES",
     "LaneProfile",
     "RunProfile",
     "profile_run",
@@ -57,6 +61,16 @@ __all__ = [
 #: Bumped whenever the serialized profile layout changes incompatibly.
 PROFILE_SCHEMA = "repro.diffprof/1"
 
+#: The fixed stall taxonomy of :mod:`repro.hw.introspect`, in
+#: reporting order: the wait causes, then the drain tail.
+STALL_CAUSES = (
+    "load_starved",
+    "dependency",
+    "channel_contention",
+    "overhead",
+    "no_work",
+)
+
 #: Pseudo-causes bracketing the wait taxonomy in a lane's account.
 BUSY = "busy"
 NO_WORK = "no_work"
@@ -65,11 +79,26 @@ NO_WORK = "no_work"
 def _as_int(value: object, what: str) -> int:
     """Exact integer coercion: the cycle model is integer arithmetic,
     so any fractional quantity reaching the delta engine is a bug."""
-    f = float(value)  # type: ignore[arg-type]
+    try:
+        f = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} is not a number: {value!r}") from None
     i = int(round(f))
     if f != i:
         raise ValueError(f"{what} is not an exact integer: {f!r}")
     return i
+
+
+def _object(value: object, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what} is not an object")
+    return value
+
+
+def _field(entry: Mapping, key: str, what: str) -> object:
+    if key not in entry:
+        raise ValueError(f"{what} is missing '{key}'")
+    return entry[key]
 
 
 # ------------------------------------------------------------ run profile
@@ -85,7 +114,11 @@ class LaneProfile:
 
     @property
     def stall_total(self) -> int:
-        return sum(c for blocks in self.stalls.values() for c in blocks.values())
+        return sum([sum(blocks.values()) for blocks in self.stalls.values()])
+
+    def stall_cycles(self, cause: str) -> int:
+        """Idle cycles of one wait cause, summed over its blocks."""
+        return sum(self.stalls.get(cause, {}).values())
 
     def conservation_error(self, makespan: int) -> int:
         return self.busy + self.stall_total + self.no_work - makespan
@@ -93,7 +126,8 @@ class LaneProfile:
 
 @dataclass(frozen=True)
 class RunProfile:
-    """Exact-integer capture of one traced program execution."""
+    """Exact-integer capture of one program execution: the device
+    profile every stall view reads."""
 
     label: str
     architecture: str
@@ -115,6 +149,24 @@ class RunProfile:
             w.get("load", 0) + w.get("compute", 0)
             for w in self.block_work.values()
         )
+
+    def totals(self, engine_filter: str = "") -> dict[str, float]:
+        """Cycles per cause, ``no_work`` included, summed over the lanes
+        whose name contains ``engine_filter`` (every lane when empty)."""
+        out = dict.fromkeys(STALL_CAUSES, 0)
+        for name, lane in self.lanes.items():
+            if engine_filter in name:
+                for cause, blocks in lane.stalls.items():
+                    out[cause] += sum(blocks.values())
+                out[NO_WORK] += lane.no_work
+        return {cause: float(cycles) for cause, cycles in out.items()}
+
+    def dominant_cause(self, engine_filter: str = ".psa") -> str | None:
+        """The wait cause eating the most cycles over matching lanes
+        (None when they never wait)."""
+        totals = self.totals(engine_filter)
+        best = max(STALL_CAUSES[:-1], key=totals.__getitem__)
+        return best if totals[best] > 0 else None
 
     def verify_conservation(self) -> None:
         """Raise unless every lane's account sums to the makespan."""
@@ -154,42 +206,57 @@ class RunProfile:
         }
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "RunProfile":
+    def from_dict(cls, payload: object) -> "RunProfile":
+        """The profile :meth:`as_dict` wrote; raises ``ValueError``
+        naming the field when ``payload`` is not shaped like one."""
+        payload = _object(payload, "the profile")
         schema = payload.get("schema")
         if schema != PROFILE_SCHEMA:
             raise ValueError(
                 f"profile schema mismatch: got '{schema}', "
                 f"this reader speaks '{PROFILE_SCHEMA}'"
             )
-        lanes = {
-            str(name): LaneProfile(
-                busy=_as_int(entry["busy"], f"{name}.busy"),
+        lanes = {}
+        for name, entry in _object(_field(payload, "lanes", "the profile"),
+                                   "lanes").items():
+            entry = _object(entry, f"lane '{name}'")
+            stalls = _object(entry.get("stalls", {}), f"{name}.stalls")
+            lanes[str(name)] = LaneProfile(
+                busy=_as_int(_field(entry, "busy", f"lane '{name}'"),
+                             f"{name}.busy"),
                 stalls={
                     str(cause): {
                         str(block): _as_int(cyc, f"{name}.{cause}.{block}")
-                        for block, cyc in blocks.items()
+                        for block, cyc in _object(
+                            blocks, f"{name}.stalls.{cause}"
+                        ).items()
                     }
-                    for cause, blocks in entry.get("stalls", {}).items()
+                    for cause, blocks in stalls.items()
                 },
-                no_work=_as_int(entry["no_work"], f"{name}.no_work"),
+                no_work=_as_int(_field(entry, "no_work", f"lane '{name}'"),
+                                f"{name}.no_work"),
             )
-            for name, entry in dict(payload["lanes"]).items()  # type: ignore[index]
-        }
         profile = cls(
             label=str(payload.get("label", "")),
             architecture=str(payload.get("architecture", "")),
-            makespan=_as_int(payload["makespan_cycles"], "makespan"),  # type: ignore[index]
+            makespan=_as_int(
+                _field(payload, "makespan_cycles", "the profile"), "makespan"
+            ),
             lanes=lanes,
             block_work={
                 str(label): {k: _as_int(v, f"block_work.{label}.{k}")
-                             for k, v in w.items()}
-                for label, w in dict(payload.get("block_work", {})).items()
+                             for k, v in _object(w, f"block_work.{label}").items()}
+                for label, w in _object(
+                    payload.get("block_work", {}), "block_work"
+                ).items()
             },
             channel_bytes={
                 str(ch): _as_int(v, f"channel_bytes.{ch}")
-                for ch, v in dict(payload.get("channel_bytes", {})).items()
+                for ch, v in _object(
+                    payload.get("channel_bytes", {}), "channel_bytes"
+                ).items()
             },
-            meta=dict(payload.get("meta", {})),
+            meta=dict(_object(payload.get("meta", {}), "meta")),
         )
         profile.verify_conservation()
         return profile
@@ -200,85 +267,22 @@ def profile_run(
     architecture: str = "A3",
     block_overhead: int | None = None,
     label: str = "",
-    *,
-    timeline=None,
-    sched=None,
 ) -> RunProfile:
-    """Capture one program execution as a :class:`RunProfile`.
-
-    Runs ``trace_program_with_schedule`` once (pass ``timeline`` and
-    ``sched`` to reuse an earlier scheduling pass), classifies every
-    idle cycle through :func:`repro.hw.introspect.classify_stalls`,
-    and snapshots the per-unit work and per-channel byte placement.
-    The result is verified conservative before it is returned.
-    """
+    """The device profile of one program execution
+    (:func:`repro.hw.introspect.classify_stalls`, built once per
+    program, architecture and overhead), labelled ``label`` — the
+    architecture when empty."""
     from repro.hw.introspect import classify_stalls
-    from repro.hw.program import (
-        program_block_work,
-        program_hbm_bytes,
-        trace_program_with_schedule,
-    )
 
-    if block_overhead is None:
-        block_overhead = program.fabric.calibration.block_overhead_cycles
-    if timeline is None or sched is None:
-        timeline, sched = trace_program_with_schedule(
-            program, architecture, block_overhead
-        )
-    report = classify_stalls(
-        program, architecture, block_overhead, timeline=timeline, sched=sched
-    )
-    report.verify_conservation()
-
-    lanes: dict[str, LaneProfile] = {}
-    per_lane: dict[str, dict[str, dict[str, int]]] = {}
-    for iv in report.intervals:
-        if iv.cause == NO_WORK:
-            continue
-        blocks = per_lane.setdefault(iv.engine, {}).setdefault(iv.cause, {})
-        blocks[iv.block] = blocks.get(iv.block, 0) + _as_int(
-            iv.cycles, f"{iv.engine} stall interval"
-        )
-    for name, bd in report.engines.items():
-        lanes[name] = LaneProfile(
-            busy=_as_int(bd.busy_cycles, f"{name}.busy"),
-            stalls=per_lane.get(name, {}),
-            no_work=_as_int(bd.no_work_cycles, f"{name}.no_work"),
-        )
-
-    block_work = {
-        work.label: {
-            "load": _as_int(work.load_cycles, f"{work.label}.load"),
-            "compute": _as_int(work.compute_cycles, f"{work.label}.compute"),
-        }
-        for work in program_block_work(program, architecture)
-    }
-    channel_bytes = {
-        str(ch): _as_int(n, f"channel {ch} bytes")
-        for ch, n in program_hbm_bytes(program, architecture).items()
-    }
-    profile = RunProfile(
-        label=label or str(architecture),
-        architecture=str(architecture),
-        makespan=_as_int(timeline.makespan, "makespan"),
-        lanes=lanes,
-        block_work=block_work,
-        channel_bytes=channel_bytes,
-        meta={
-            "s": program.meta.get("s"),
-            "blocks": len(program.blocks),
-            "ops": program.num_ops,
-            "block_overhead": block_overhead,
-        },
-    )
-    profile.verify_conservation()
-    return profile
+    profile = classify_stalls(program, architecture, block_overhead)
+    return replace(profile, label=label) if label else profile
 
 
 def load_profile(path) -> RunProfile:
     """Read a profile written as JSON (a ``runprofile.json`` artifact
     of ``repro-asr profile``, or any :meth:`RunProfile.as_dict` dump).
-    Directories are resolved to the ``runprofile.json`` inside them."""
+    Directories are resolved to the ``runprofile.json`` inside them.
+    A file that is not such a dump raises ``ValueError`` naming it."""
     import json
     import pathlib
 
@@ -287,7 +291,10 @@ def load_profile(path) -> RunProfile:
         p = p / "runprofile.json"
     if not p.exists():
         raise FileNotFoundError(f"no run profile at {p}")
-    return RunProfile.from_dict(json.loads(p.read_text()))
+    try:
+        return RunProfile.from_dict(json.loads(p.read_text()))
+    except ValueError as exc:  # json.JSONDecodeError included
+        raise ValueError(f"run profile {p}: {exc}") from None
 
 
 # -------------------------------------------------------- delta waterfall

@@ -1,12 +1,15 @@
 """Deep accelerator probes: derive per-engine metrics from a lowered
-block program via the trace executor.
+block program's device profile.
 
 The functional executor records *what ran* (op counts, bytes streamed);
 this probe records *where the cycles went*: busy cycles per engine
-lane, PSA occupancy, HBM bytes per channel and the schedule totals —
-the quantities Table 5.1 / Fig 4.11 reason about.  It runs the trace
-executor once, so it is used by ``repro-asr profile`` rather than on
-every transcription.
+lane, PSA occupancy, HBM bytes per channel, the schedule totals and the
+per-cause stall account — the quantities Table 5.1 / Fig 4.11 reason
+about.  They are read off the device profile
+(:func:`repro.hw.introspect.classify_stalls`), which is built from the
+block schedule without a trace and memoized on the program, so the
+run profile ``repro-asr profile`` writes next to these metrics costs
+nothing more.
 
 Hardware imports stay inside the functions so ``repro.obs`` remains a
 leaf package (the hw layer imports it for instrumentation).
@@ -15,6 +18,7 @@ leaf package (the hw layer imports it for instrumentation).
 from __future__ import annotations
 
 from repro.obs import metrics as _metrics
+from repro.obs.diffprof import NO_WORK, STALL_CAUSES
 
 __all__ = ["record_program_metrics"]
 
@@ -25,28 +29,24 @@ def record_program_metrics(
     registry: _metrics.MetricsRegistry | None = None,
     block_overhead: int | None = None,
 ):
-    """Trace one :class:`repro.hw.program.BlockProgram` and record:
+    """Profile one :class:`repro.hw.program.BlockProgram` and record:
 
     * ``repro.hw.engine.busy_cycles{engine=...}`` — per-lane busy cycles
     * ``repro.hw.psa.occupancy`` — mean busy fraction of the PSA lanes
     * ``repro.hw.hbm.bytes{channel=...}`` — weight bytes per HBM channel
       under the architecture's actual load placement
     * ``repro.hw.schedule.total_cycles`` / ``.stall_cycles``
-    * ``repro.hw.stall.cycles{engine=,cause=}`` — the stall
-      classifier's per-cause account of every idle cycle
-      (:func:`repro.hw.introspect.classify_stalls`)
-    * ``repro.hw.program.trace_ops{kind=...}`` — the trace executor's
-      op account, comparable against the functional executor's
+    * ``repro.hw.stall.cycles{engine=,cause=}`` — the device profile's
+      per-cause account of every idle cycle
+    * ``repro.hw.program.trace_ops{kind=...}`` — the program's op
+      account, comparable against the functional executor's
       ``repro.hw.program.ops`` counters
 
-    Returns the traced :class:`repro.hw.trace.Timeline` (also the input
-    to the Chrome-trace exporter), or None when telemetry is disabled.
+    Returns the device profile (a :class:`repro.obs.diffprof.RunProfile`),
+    or None when telemetry is disabled.
     """
-    from repro.hw.program import (
-        program_hbm_bytes,
-        program_op_counts,
-        trace_program_with_schedule,
-    )
+    from repro.hw.introspect import classify_stalls
+    from repro.hw.program import program_op_counts, schedule_program
 
     reg = registry if registry is not None else _metrics.registry()
     if not reg.enabled:
@@ -54,47 +54,32 @@ def record_program_metrics(
     if block_overhead is None:
         block_overhead = program.fabric.calibration.block_overhead_cycles
 
-    # One scheduling pass yields both the op-level timeline and the
-    # block-schedule totals (it used to run trace_program *and*
-    # schedule_program, scheduling the same blocks twice).
-    timeline, sched = trace_program_with_schedule(
-        program, architecture, block_overhead
-    )
-    psa_busy = 0.0
-    psa_lanes = 0
-    for engine in timeline.engines():
-        busy = timeline.busy_time(engine)
-        reg.gauge("repro.hw.engine.busy_cycles", engine=engine).set(busy)
+    profile = classify_stalls(program, architecture, block_overhead)
+    psa_busy = psa_lanes = 0
+    for engine, lane in profile.lanes.items():
+        reg.gauge("repro.hw.engine.busy_cycles", engine=engine).set(lane.busy)
         if ".psa" in engine:
-            psa_busy += busy
+            psa_busy += lane.busy
             psa_lanes += 1
-    makespan = timeline.makespan
+    makespan = profile.makespan
     if psa_lanes and makespan > 0:
         reg.gauge("repro.hw.psa.occupancy").set(psa_busy / (psa_lanes * makespan))
 
-    for channel, num_bytes in program_hbm_bytes(program, architecture).items():
-        reg.gauge("repro.hw.hbm.bytes", channel=str(channel)).set(num_bytes)
+    for channel, num_bytes in profile.channel_bytes.items():
+        reg.gauge("repro.hw.hbm.bytes", channel=channel).set(num_bytes)
 
+    sched = schedule_program(program, architecture, block_overhead)
     reg.gauge("repro.hw.schedule.total_cycles").set(sched.total_cycles)
     reg.gauge("repro.hw.schedule.stall_cycles").set(sched.stall_cycles)
 
-    # Per-cause stall attribution, reusing the scheduling pass above.
-    from repro.hw.introspect import classify_stalls
-
-    stall_report = classify_stalls(
-        program, architecture, block_overhead, timeline=timeline, sched=sched
-    )
-    for engine, breakdown in stall_report.engines.items():
-        for cause, cycles in breakdown.stalls.items():
+    for engine, lane in profile.lanes.items():
+        for cause in STALL_CAUSES:
+            cycles = lane.no_work if cause == NO_WORK else lane.stall_cycles(cause)
             if cycles > 0:
                 reg.gauge(
                     "repro.hw.stall.cycles", engine=engine, cause=cause
                 ).set(cycles)
-        if breakdown.no_work_cycles > 0:
-            reg.gauge(
-                "repro.hw.stall.cycles", engine=engine, cause="no_work"
-            ).set(breakdown.no_work_cycles)
 
     for kind, count in program_op_counts(program).items():
         reg.gauge("repro.hw.program.trace_ops", kind=kind).set(count)
-    return timeline
+    return profile

@@ -34,8 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.hw.controller import LatencyModel
-from repro.hw.introspect import StallReport, classify_stalls
+from repro.hw.introspect import classify_stalls
 from repro.obs import metrics as obs_metrics
+from repro.obs.diffprof import RunProfile
 from repro.obs.vtrace import VEvent, VTraceRecorder, request_phases
 from repro.serving.scheduler import ServingResult, meets_slo
 
@@ -189,7 +190,7 @@ class SloReport:
 
 def phase_stall_report(
     lm: LatencyModel, phase: str, s: int, architecture: str
-) -> tuple[str, StallReport]:
+) -> tuple[str, RunProfile]:
     """The PR-5 stall taxonomy for one serving phase's block program.
 
     ``prefill`` classifies the full padded pass; ``decode`` (and the
@@ -197,7 +198,8 @@ def phase_stall_report(
     representative mid-sequence decode step.  Shared by the saturation
     attribution (:func:`repro.serving.analysis.attribute_saturation`)
     and the per-violation drill-down here, so both name stall causes
-    over identical programs.  Conservation is verified on every call.
+    over identical programs.  The device profile is verified
+    conservative when it is built.
     """
     if phase == "prefill":
         program = lm.full_pass_program(s)
@@ -211,9 +213,7 @@ def phase_stall_report(
             f"no block program for phase '{phase}'; "
             "expected prefill/decode/preemption"
         )
-    report = classify_stalls(program, architecture)
-    report.verify_conservation()
-    return label, report
+    return label, classify_stalls(program, architecture)
 
 
 def _macro_phase_ms(

@@ -4,13 +4,18 @@ test oracle.
 
 :func:`_asap_times` and :func:`_makespan` are the op-walking ASAP pass
 the cycle and trace executors ran before they read block shapes,
-:func:`reference_trace` is ``trace_program_with_schedule`` timed by
-it, :func:`reference_block_shape` is the passes' ``_block_shape``,
+:func:`reference_trace` is ``trace_program`` timed by it (plus its
+schedule), :func:`reference_block_shape` is the passes' ``_block_shape``,
 :func:`reference_psa_stall_totals` is ``psa_stall_totals`` with its
 per-unit ASAP pass over the ops, and :func:`reference_validate_program`
 is the passes' ``_validate_program``, each unchanged except for its
-name.  ``tests/test_hw_shapes.py`` pins the records the lowering and
-the passes carry equal to them.
+name.  :func:`reference_profile` is the stall classifier as it was
+before the device profile: it walks each traced lane's idle gaps
+against the causal segments of the block schedule, and regroups the
+labelled intervals into a :class:`RunProfile` the way ``profile_run``
+did.  ``tests/test_hw_shapes.py`` and ``tests/test_hw_introspect.py``
+pin the records the lowering and the passes carry, and the device
+profile, equal to them.
 """
 
 from __future__ import annotations
@@ -23,11 +28,19 @@ from repro.hw.program import (
     BlockIR,
     BlockProgram,
     OpKind,
+    UnitSpan,
     _work_units,
+    program_block_work,
+    program_hbm_bytes,
+    program_unit_spans,
     schedule_program,
+    trace_program,
 )
 from repro.hw.scheduler import ScheduleResult
 from repro.hw.trace import Timeline
+from repro.obs.diffprof import LaneProfile, RunProfile
+
+_WAIT_CAUSES = STALL_CAUSES[:-1]
 
 
 def _asap_times(
@@ -63,8 +76,8 @@ def _makespan(program: BlockProgram, op_ids: Sequence[int]) -> int:
 def reference_trace(
     program: BlockProgram, architecture: str = "A3", block_overhead: int = 0
 ) -> tuple[Timeline, ScheduleResult]:
-    """``trace_program_with_schedule``, each work unit's op events timed
-    by an ASAP pass over its ops."""
+    """``trace_program`` and its schedule, each work unit's op events
+    timed by an ASAP pass over its ops."""
     units = _work_units(program, architecture)
     sched = schedule_program(program, architecture, block_overhead)
     timeline = Timeline([e for e in sched.timeline.events if e.kind == "load"])
@@ -191,3 +204,104 @@ def reference_validate_program(program: BlockProgram) -> None:
     for ref in program.outputs.values():
         if ref.kind == "op" and not 0 <= ref.key < program.num_ops:
             raise PassError(f"output references missing op {ref.key}")
+
+
+def _load_wait_cause(unit: UnitSpan, spans: Sequence[UnitSpan]) -> str:
+    """Why ``unit``'s load exposed a stall: serialized behind another
+    load on its channel (contention) or simply slower than the compute
+    it had to hide behind (starvation)."""
+    if not unit.load_engine:
+        return "load_starved"
+    for other in spans:
+        if other is unit or other.load_engine != unit.load_engine:
+            continue
+        if other.load_end == unit.load_start and other.load_end > other.load_start:
+            return "channel_contention"
+    return "load_starved"
+
+
+def _causal_segments(
+    spans: Sequence[UnitSpan],
+) -> list[tuple[float, float, str, str]]:
+    """Partition [0, last compute end) into causally-labelled segments:
+    per unit its exposed load gap, its op execution (``dependency``)
+    and its dispatch overhead, each carrying the unit's label."""
+    segments: list[tuple[float, float, str, str]] = []
+    prev_end = 0.0
+    for unit in spans:
+        if unit.compute_start > prev_end:
+            segments.append(
+                (prev_end, unit.compute_start,
+                 _load_wait_cause(unit, spans), unit.label)
+            )
+        ops_end = unit.compute_start + unit.compute_span
+        if ops_end > unit.compute_start:
+            segments.append(
+                (unit.compute_start, ops_end, "dependency", unit.label)
+            )
+        if unit.compute_end > ops_end:
+            segments.append((ops_end, unit.compute_end, "overhead", unit.label))
+        prev_end = unit.compute_end
+    return segments
+
+
+def reference_profile(
+    program: BlockProgram,
+    architecture: str = "A3",
+    block_overhead: int | None = None,
+    *,
+    timeline: Timeline | None = None,
+) -> RunProfile:
+    """``classify_stalls`` from a trace: every idle gap of every traced
+    lane intersected with the causal segments (pass ``timeline`` to
+    classify a given trace), regrouped per (cause, unit)."""
+    if block_overhead is None:
+        block_overhead = program.fabric.calibration.block_overhead_cycles
+    if timeline is None:
+        timeline = trace_program(program, architecture, block_overhead)
+    spans, _ = program_unit_spans(program, architecture, block_overhead)
+    segments = _causal_segments(spans)
+    makespan = timeline.makespan
+
+    lanes: dict[str, LaneProfile] = {}
+    for engine in timeline.engines():
+        busy_ivs = timeline.busy_intervals(engine)
+        busy = sum(e - s for s, e in busy_ivs)
+        lane_end = busy_ivs[-1][1] if busy_ivs else 0.0
+        stalls: dict[str, dict[str, int]] = {}
+        # Gaps and segments are both sorted and disjoint, so a segment
+        # that ends before one gap starts misses every later gap too.
+        first = 0
+        for g0, g1 in timeline.idle_gaps(engine):
+            while first < len(segments) and segments[first][1] <= g0:
+                first += 1
+            for i in range(first, len(segments)):
+                s0, s1, cause, block = segments[i]
+                lo, hi = max(g0, s0), min(g1, s1)
+                if hi > lo:
+                    blocks = stalls.setdefault(cause, {})
+                    blocks[block] = blocks.get(block, 0) + int(hi - lo)
+                if s0 >= g1:
+                    break
+        lanes[engine] = LaneProfile(
+            busy=int(busy), stalls=stalls, no_work=int(max(makespan - lane_end, 0.0))
+        )
+    return RunProfile(
+        label=str(architecture),
+        architecture=str(architecture),
+        makespan=int(makespan),
+        lanes=lanes,
+        block_work={
+            work.label: {"load": work.load_cycles, "compute": work.compute_cycles}
+            for work in program_block_work(program, architecture)
+        },
+        channel_bytes={
+            str(ch): n for ch, n in program_hbm_bytes(program, architecture).items()
+        },
+        meta={
+            "s": program.meta.get("s"),
+            "blocks": len(program.blocks),
+            "ops": program.num_ops,
+            "block_overhead": block_overhead,
+        },
+    )

@@ -399,10 +399,53 @@ class TestDiffCli:
         ]) == 2
 
     def test_missing_profile_is_usage_error(self, capsys, tmp_path):
+        import json
+
         assert main([
             "diff", "--profiles", str(tmp_path / "x"), str(tmp_path / "y"),
         ]) == 2
         assert "error:" in capsys.readouterr().out
+
+        # Malformed profiles are usage errors naming the file and field.
+        def without(key, lane_key=None):
+            payload = _diff_profile_dict(100, busy=60, stall=30)
+            if lane_key is None:
+                del payload[key]
+            else:
+                del payload["lanes"]["mha.psa0"][lane_key]
+            return payload
+
+        def replaced(path, value):
+            payload = _diff_profile_dict(100, busy=60, stall=30)
+            *parents, last = path
+            node = payload
+            for key in parents:
+                node = node[key]
+            node[last] = value
+            return payload
+
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(_diff_profile_dict(100, busy=60, stall=30)))
+        bad = tmp_path / "bad.json"
+        for payload, field in (
+            ([_diff_profile_dict(100, busy=60, stall=30)], "the profile"),
+            (7, "the profile"),
+            (without("makespan_cycles"), "makespan_cycles"),
+            (without("lanes"), "lanes"),
+            (without("lanes", "busy"), "busy"),
+            (without("lanes", "no_work"), "no_work"),
+            (replaced(["lanes"], [1]), "lanes"),
+            (replaced(["lanes", "mha.psa0"], [60, 40]), "mha.psa0"),
+            (replaced(["lanes", "mha.psa0", "stalls"], []), "mha.psa0.stalls"),
+            (replaced(["lanes", "mha.psa0", "stalls", "load_starved"], 30),
+             "mha.psa0.stalls.load_starved"),
+        ):
+            bad.write_text(json.dumps(payload))
+            for pair in ((bad, good), (good, bad)):
+                assert main(["diff", "--profiles", *map(str, pair)]) == 2
+                out = capsys.readouterr().out
+                assert out.startswith(f"error: run profile {bad}: "), out
+                assert field in out and out.count("\n") == 1, out
 
     def test_snapshot_diff_mode(self, capsys, tmp_path):
         import json

@@ -1,6 +1,9 @@
 """Tests for the stall-attribution classifier, watchpoints and the
 introspection surfacing (metrics, counters, dashboard, attribution)."""
 
+import dataclasses
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,9 +18,10 @@ from repro.hw.introspect import (
     classify_stalls,
     counter_tracks,
     default_watchpoints,
-    psa_stall_totals,
     render_stall_dashboard,
     run_watchpoints,
+    stall_intervals,
+    stall_summary,
     utilization_counters,
 )
 from repro.hw.kernels import Fabric
@@ -28,8 +32,10 @@ from repro.hw.passes import (
     ReorderOpsPass,
     StageExposedLoadsPass,
 )
-from repro.hw.program import lower_full_pass
+from repro.hw.passes import _psa_stalls
+from repro.hw.program import lower_full_pass, trace_program
 from repro.hw.trace import Timeline
+from tests.reference_shapes import reference_profile
 
 
 @pytest.fixture(scope="module")
@@ -49,38 +55,35 @@ class TestConservation:
     def test_exact_per_engine_conservation(self, lm, arch, s):
         report = classify_stalls(_program(lm, s), arch)
         assert report.makespan > 0
-        for engine, breakdown in report.engines.items():
-            total = (
-                breakdown.busy_cycles
-                + sum(breakdown.stalls.values())
-                + breakdown.no_work_cycles
-            )
+        for engine, lane in report.lanes.items():
+            total = lane.busy + lane.stall_total + lane.no_work
             assert total == report.makespan, engine
         report.verify_conservation()  # must not raise
 
     def test_intervals_match_breakdown_totals(self, lm):
-        report = classify_stalls(_program(lm, 8), "A1")
-        for engine, breakdown in report.engines.items():
-            by_cause = {cause: 0.0 for cause in STALL_CAUSES}
-            for iv in report.intervals_on(engine):
-                by_cause[iv.cause] += iv.cycles
-            for cause in breakdown.stalls:
-                assert by_cause[cause] == breakdown.stalls[cause]
-            assert by_cause["no_work"] == breakdown.no_work_cycles
+        """The Gantt chart's positioned stall intervals, summed per
+        (cause, unit), are the profile's leaves on every lane."""
+        program = _program(lm, 8)
+        overhead = lm.calibration.block_overhead_cycles
+        report = classify_stalls(program, "A1", overhead)
+        timeline = trace_program(program, "A1", overhead)
+        by_lane: dict = {}
+        for iv in stall_intervals(timeline, program, "A1", overhead):
+            blocks = by_lane.setdefault(iv.engine, {}).setdefault(iv.cause, {})
+            blocks[iv.block] = blocks.get(iv.block, 0) + iv.cycles
+        assert list(report.lanes) == timeline.engines()
+        for engine, lane in report.lanes.items():
+            assert by_lane.get(engine, {}) == lane.stalls, engine
 
     def test_verify_conservation_raises_on_corruption(self, lm):
         report = classify_stalls(_program(lm, 8), "A3")
-        engine = next(iter(report.engines))
-        bd = report.engines[engine]
-        report.engines[engine] = type(bd)(
-            engine=bd.engine,
-            makespan=bd.makespan,
-            busy_cycles=bd.busy_cycles + 1.0,
-            stalls=bd.stalls,
-            no_work_cycles=bd.no_work_cycles,
-        )
+        engine = next(iter(report.lanes))
+        lane = report.lanes[engine]
+        corrupt = dataclasses.replace(report, lanes={
+            **report.lanes, engine: dataclasses.replace(lane, busy=lane.busy + 1)
+        })
         with pytest.raises(ValueError, match="not conservative"):
-            report.verify_conservation()
+            corrupt.verify_conservation()
 
 
 class TestCauseAttribution:
@@ -114,9 +117,7 @@ class TestCauseAttribution:
             assert report.totals()["overhead"] > 0.0
 
     def test_as_dict_round_trips(self, lm):
-        import json
-
-        payload = classify_stalls(_program(lm, 8), "A3").as_dict()
+        payload = stall_summary(classify_stalls(_program(lm, 8), "A3"))
         parsed = json.loads(json.dumps(payload))
         assert parsed["architecture"] == "A3"
         assert set(parsed["totals"]) == set(STALL_CAUSES)
@@ -255,7 +256,8 @@ class TestStallMetrics:
         # the per-engine sums reproduce the classifier exactly
         report = classify_stalls(_program(lm, 8), "A1")
         psa0 = "slr0.psa0"
-        for cause, cycles in report.engines[psa0].stalls.items():
+        for cause in STALL_CAUSES[:-1]:
+            cycles = report.lanes[psa0].stall_cycles(cause)
             key = f"repro.hw.stall.cycles{{cause={cause},engine={psa0}}}"
             if cycles > 0:
                 assert sampled[key] == cycles
@@ -328,8 +330,6 @@ class TestInspectCli:
         assert "Fig 5.2 context" in out
 
     def test_json_payload(self, capsys):
-        import json
-
         from repro.cli import main
 
         assert main(["inspect", "--seq", "8", "--arch", "A3", "--json"]) == 0
@@ -345,17 +345,21 @@ class TestClassifierEdgeCases:
         iv = StallInterval("e", 10, 25, "dependency")
         assert iv.cycles == 15
 
-    def test_reuses_supplied_schedule(self, lm):
-        from repro.hw.program import trace_program_with_schedule
-
+    def test_memoized_on_the_program(self, lm):
+        """One profile per (program, architecture, overhead), shared by
+        a meta-only copy that schedules the same way."""
         program = _program(lm, 8)
         overhead = lm.calibration.block_overhead_cycles
-        timeline, sched = trace_program_with_schedule(program, "A2", overhead)
-        report = classify_stalls(
-            program, "A2", overhead, timeline=timeline, sched=sched
+        report = classify_stalls(program, "A2", overhead)
+        assert classify_stalls(program, "A2") is report
+        assert classify_stalls(program, "A2", overhead + 1) is not report
+        assert classify_stalls(program, "A3", overhead) is not report
+        same = program.with_meta({**program.meta, "note": 1})
+        assert classify_stalls(same, "A2", overhead) is report
+        deeper = program.with_meta(
+            {**program.meta, "schedule_params": {"num_weight_buffers": 3}}
         )
-        fresh = classify_stalls(program, "A2", overhead)
-        assert report.totals() == fresh.totals()
+        assert classify_stalls(deeper, "A2", overhead) is not report
 
 
 MODELS = {
@@ -381,8 +385,11 @@ A4_PASSES = {
 
 
 class TestPsaStallTotals:
-    """``psa_stall_totals`` is ``classify_stalls(...).totals(".psa")``
-    without the trace, on the programs the A4 passes produce."""
+    """The device profile, built without a trace, is the gap-walking
+    classifier's account of the traced program on the programs the A4
+    passes produce: every lane in trace order, its busy cycles, every
+    (cause, unit) leaf in time order and its drain tail; the PSA stall
+    totals the passes read are one view of it."""
 
     @given(
         model=st.sampled_from(sorted(MODELS)),
@@ -416,12 +423,53 @@ class TestPsaStallTotals:
         )
         program = pipeline.apply_program(program)
         report = classify_stalls(program, arch, overhead)
+        oracle = reference_profile(program, arch, overhead)
         report.verify_conservation()
-        totals = psa_stall_totals(program, arch, overhead)
-        assert list(totals.items()) == list(report.totals(".psa").items())
+        assert report == oracle
+        assert list(report.lanes) == list(oracle.lanes)
+        assert json.dumps(report.as_dict()) == json.dumps(oracle.as_dict())
+        totals = _psa_stalls(program, arch, overhead)
+        assert list(totals.items()) == list(oracle.totals(".psa").items())
 
     def test_overhead_defaults_to_the_calibrated_one(self, lm):
         program = _program(lm, 8)
-        assert psa_stall_totals(program, "A2") == psa_stall_totals(
+        assert _psa_stalls(program, "A2", None) == _psa_stalls(
             program, "A2", lm.calibration.block_overhead_cycles
         )
+
+
+class TestProfileBuiltOnce:
+    """``repro-asr profile`` and the bench ``encoder_prefill`` scenario
+    take the probe's gauges and the run profile from one device profile
+    per (program, architecture, overhead)."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from repro.hw import introspect
+        from repro.hw import program as program_module
+        from repro.hw.program import lowering_cache_info
+
+        counts: dict = {}
+        build = introspect._device_profile
+
+        def counted(program, arch, overhead):
+            key = (id(program), arch, overhead)
+            counts[key] = counts.get(key, 0) + 1
+            return build(program, arch, overhead)
+
+        monkeypatch.setattr(introspect, "_device_profile", counted)
+        for name in lowering_cache_info():
+            getattr(program_module, name).cache_clear()
+        return counts
+
+    def test_profile_command(self, builds, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["profile", "--out", str(tmp_path), "--words", "1"]) == 0
+        assert builds and set(builds.values()) == {1}
+
+    def test_encoder_prefill_scenario(self, builds):
+        from repro.bench.scenarios import Scenario, run_scenario
+
+        run_scenario(Scenario("p", "encoder_prefill", {"arch": "A3", "s": 8}))
+        assert builds and set(builds.values()) == {1}

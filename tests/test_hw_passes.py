@@ -46,7 +46,7 @@ from repro.hw.program import (
     lowering_cache_info,
     program_load_bytes,
     schedule_program,
-    trace_program_with_schedule,
+    trace_program,
 )
 from repro.hw.visualize import render_program_gantt
 from tests.reference_passes import (
@@ -55,7 +55,7 @@ from tests.reference_passes import (
     reference_search,
     reference_stage_exposed_loads,
 )
-from tests.reference_shapes import _makespan
+from tests.reference_shapes import _makespan, reference_profile
 
 
 def _full_pass_inputs(config, s, rng):
@@ -180,8 +180,9 @@ class TestCycleEffects:
         base = lower_full_pass(small_config, fabric, 18)
         optimized = default_pipeline().apply_program(base)
         oh = _overhead(fabric)
-        timeline, sched = trace_program_with_schedule(optimized, "A3", oh)
+        timeline = trace_program(optimized, "A3", oh)
         timeline.validate_no_engine_overlap()
+        sched = schedule_program(optimized, "A3", oh)
         assert int(timeline.makespan) == sched.total_cycles
 
     def test_pipeline_report_accounts_the_win(self, small_config, fabric):
@@ -658,21 +659,21 @@ class TestShapeMemo:
 
 
 class TestTraceFreeSearch:
-    """The A4 search prices PSA stalls from the integer schedule: no
-    trace, no stall classification, no schedule ``Timeline``."""
+    """The A4 search prices PSA stalls from the device profile, which
+    is built from the integer schedule: no ``Timeline``, no
+    ``TraceEvent``, no schedule ``Timeline``."""
 
     @pytest.fixture
     def no_traces(self, monkeypatch):
-        from repro.hw import introspect
         from repro.hw import program as program_module
         from repro.hw.scheduler import ScheduleResult
+        from repro.hw.trace import Timeline, TraceEvent
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the A4 search built a trace")
 
-        monkeypatch.setattr(introspect, "classify_stalls", forbidden)
-        monkeypatch.setattr(introspect, "trace_program_with_schedule", forbidden)
-        monkeypatch.setattr(program_module, "trace_program_with_schedule", forbidden)
+        monkeypatch.setattr(Timeline, "__init__", forbidden)
+        monkeypatch.setattr(TraceEvent, "__init__", forbidden)
         monkeypatch.setattr(ScheduleResult, "timeline", property(forbidden))
         for name in lowering_cache_info():
             getattr(program_module, name).cache_clear()
@@ -698,7 +699,7 @@ class TestTraceFreeSearch:
             (result.baseline_program, result.psa_stalls_before),
             (result.program, result.psa_stalls_after),
         ):
-            expected = classify_stalls(program, arch, overhead).totals(".psa")
+            expected = reference_profile(program, arch, overhead).totals(".psa")
             assert list(totals.items()) == list(expected.items())
 
 

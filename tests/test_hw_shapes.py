@@ -23,7 +23,7 @@ from repro.config import CalibrationConfig, HardwareConfig, ModelConfig
 from repro.hw import passes
 from repro.hw import program as program_module
 from repro.hw.dse import _candidate_programs, a4_candidate_pipelines, synthesize_a4
-from repro.hw.introspect import classify_stalls, psa_stall_totals
+from repro.hw.introspect import classify_stalls
 from repro.hw.kernels import Fabric
 from repro.hw.passes import (
     CoalesceLoadsPass,
@@ -48,13 +48,14 @@ from repro.hw.program import (
     _unit_shape,
     lower,
     lowering_cache_info,
-    trace_program_with_schedule,
+    trace_program,
 )
 from tests.reference_lowering import lowering_listing
 from tests.reference_shapes import (
     _asap_times,
     _makespan,
     reference_block_shape,
+    reference_profile,
     reference_psa_stall_totals,
     reference_trace,
     reference_validate_program,
@@ -74,17 +75,17 @@ def _expand(links, ids, ports) -> list[int]:
     return sorted(out)
 
 
-def _psa_profile(program: BlockProgram, op_ids) -> tuple:
-    """Per PSA lane (busy cycles, last end) over an ASAP pass of the ops."""
+def _lane_profile(program: BlockProgram, op_ids) -> tuple:
+    """Per engine lane (busy cycles, last end) over an ASAP pass of the
+    ops."""
     lanes: dict[str, list[int]] = {}
     for op_id, (start, end) in _asap_times(program, op_ids).items():
         if end == start:
             continue
         for lane in program.ops[op_id].engines:
-            if ".psa" in lane:
-                acc = lanes.setdefault(lane, [0, 0])
-                acc[0] += end - start
-                acc[1] = max(acc[1], end)
+            acc = lanes.setdefault(lane, [0, 0])
+            acc[0] += end - start
+            acc[1] = max(acc[1], end)
     return tuple((lane, busy, end) for lane, (busy, end) in lanes.items())
 
 
@@ -103,7 +104,7 @@ def assert_shapes_match_ops(program: BlockProgram, architecture: str) -> None:
         assert program.block_spans[blk.label] == shape.span
         assert shape.kinds == tuple(ops[i].kind for i in blk.op_ids)
         assert shape.semantics == tuple(ops[i].semantic for i in blk.op_ids)
-        assert shape.psa == _psa_profile(program, blk.op_ids)
+        assert shape.lanes == _lane_profile(program, blk.op_ids)
         for entry, op_id in zip(shape.entries, blk.op_ids):
             op = ops[op_id]
             assert _expand(entry[4], blk.op_ids, blk.ports) == sorted(op.deps)
@@ -116,12 +117,12 @@ def assert_shapes_match_ops(program: BlockProgram, architecture: str) -> None:
             unit = _unit_shape(group)
             assert unit.span == _makespan(program, ids)
             assert program.merge_group_spans[group[0].merge_group] == unit.span
-            assert unit.psa == _psa_profile(program, ids)
+            assert unit.lanes == _lane_profile(program, ids)
     for a, b in zip(program.blocks, program.blocks[1:]):
         span = _makespan(program, a.op_ids + b.op_ids)
         assert _union_span(a, b) == span
         assert _union_shape(a, b)[0].span == span
-    assert psa_stall_totals(program, architecture, OVERHEAD) == (
+    assert classify_stalls(program, architecture, OVERHEAD).totals(".psa") == (
         reference_psa_stall_totals(program, architecture, OVERHEAD)
     )
 
@@ -171,8 +172,8 @@ class TestShapesMatchOps:
             program, _ = p.run(program)
             assert all(blk.shape is not None for blk in program.blocks)
             assert_shapes_match_ops(program, pipeline.architecture)
-        assert psa_stall_totals(program, pipeline.architecture, OVERHEAD) == (
-            classify_stalls(program, pipeline.architecture, OVERHEAD).totals(".psa")
+        assert classify_stalls(program, pipeline.architecture, OVERHEAD) == (
+            reference_profile(program, pipeline.architecture, OVERHEAD)
         )
 
     @pytest.mark.parametrize(
@@ -205,18 +206,16 @@ class TestShapesMatchOps:
 
 class TestTraceMatchesOps:
     """The trace executor times each work unit by its shape; its events,
-    in order, and the stall totals read off them equal an ASAP pass over
-    the unit's ops."""
+    in order, equal an ASAP pass over the unit's ops, and the device
+    profile is the account of that reference trace."""
 
     @staticmethod
     def assert_trace_matches_ops(program: BlockProgram, arch: str) -> None:
-        timeline, sched = trace_program_with_schedule(program, arch, OVERHEAD)
+        timeline = trace_program(program, arch, OVERHEAD)
         reference, _ = reference_trace(program, arch, OVERHEAD)
         assert timeline.events == reference.events
-        assert classify_stalls(program, arch, OVERHEAD).totals() == (
-            classify_stalls(
-                program, arch, OVERHEAD, timeline=reference, sched=sched
-            ).totals()
+        assert classify_stalls(program, arch, OVERHEAD) == reference_profile(
+            program, arch, OVERHEAD, timeline=reference
         )
 
     @pytest.mark.parametrize("arch", ["A1", "A2", "A3"])

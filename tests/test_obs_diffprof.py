@@ -274,12 +274,12 @@ class TestA4Waterfall:
 
 class TestDeltaCounterTracks:
     def test_shared_grid_and_naming(self, lm):
-        from repro.hw.program import trace_program_with_schedule
+        from repro.hw.program import trace_program
 
         overhead = lm.calibration.block_overhead_cycles
         program = lm.full_pass_program(8)
-        tl_a1, _ = trace_program_with_schedule(program, "A1", overhead)
-        tl_a3, _ = trace_program_with_schedule(program, "A3", overhead)
+        tl_a1 = trace_program(program, "A1", overhead)
+        tl_a3 = trace_program(program, "A3", overhead)
         tracks = delta_counter_tracks(tl_a1, tl_a3)
         assert tracks
         for name, samples in tracks.items():
@@ -291,12 +291,10 @@ class TestDeltaCounterTracks:
         assert names == set(tl_a1.engines()) | set(tl_a3.engines())
 
     def test_self_diff_tracks_are_flat_zero(self, lm):
-        from repro.hw.program import trace_program_with_schedule
+        from repro.hw.program import trace_program
 
         overhead = lm.calibration.block_overhead_cycles
-        tl, _ = trace_program_with_schedule(
-            lm.full_pass_program(8), "A3", overhead
-        )
+        tl = trace_program(lm.full_pass_program(8), "A3", overhead)
         for samples in delta_counter_tracks(tl, tl).values():
             assert all(value == 0.0 for _, value in samples)
 

@@ -172,14 +172,6 @@ class TestProbeMetrics:
         assert metrics["repro.hw.schedule.stall_cycles"] == sched.stall_cycles
         assert timeline.makespan == sched.total_cycles
 
-    def test_trace_with_schedule_matches_plain_trace(self, accel):
-        from repro.hw.program import trace_program_with_schedule
-
-        program = accel.program()
-        timeline, sched = trace_program_with_schedule(program, "A3")
-        assert timeline.makespan == trace_program(program, "A3").makespan
-        assert sched.total_cycles == timeline.makespan
-
 
 class TestKvCacheCounters:
     def test_prefill_append_rewind_account(self, accel, params):
