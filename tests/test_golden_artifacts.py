@@ -6,9 +6,12 @@ listing with its A2 Gantt (``repro-asr program --seq 8 --arch A2``),
 the A4 search report (``repro-asr optimize --seq {8,32} --json``) and
 the sha256 of a canonical per-op listing of the A4 winner program
 (:func:`program_listing`).  They print cycles as floats, so a change in
-the schedule's placement or in its number types shows up here.  After
-an intended change, regenerate a file with the same command and review
-the diff.  ``cli_defaults.json`` pins the CLI parser instead (see
+the schedule's placement or in its number types shows up here.  The
+serving artifacts pin one instrumented run that preempts, replays and
+fires an SLO alert: the ``serve-sim`` event log, merged trace, time
+series and SLO report, plus ``slo --json`` and ``costs --json`` at the
+same load.  After an intended change, regenerate a file with the same
+command and review the diff.  ``cli_defaults.json`` pins the CLI parser instead (see
 ``tests/test_cli.py``).
 """
 
@@ -29,6 +32,19 @@ CASES = [
     (f"optimize_seq{s}_A3.json", ["optimize", "--seq", str(s), "--json"])
     for s in (8, 32)
 ]
+
+
+#: One serving config: a K/V budget that forces a preemption, three
+#: replayed steps and one burn-rate alert at 16 req/s.
+SERVING = ["--requests", "16", "--seed", "11", "--slo-ms", "500",
+           "--kv-budget-bytes", "2500000"]
+
+#: serve-sim artifact flag -> golden file the written artifact must equal.
+SERVE_SIM_ARTIFACTS = {
+    "--trace": "serve_sim_load16.trace.json",
+    "--timeseries": "serve_sim_load16.timeseries.json",
+    "--slo-report": "serve_sim_load16.slo.json",
+}
 
 
 def program_listing(program) -> str:
@@ -71,3 +87,36 @@ def test_a4_program_listing_matches_golden(s):
     digest = listing_sha256(synthesize_a4(s=s).program)
     expected = (GOLDEN / f"a4_program_seq{s}_A3.sha256").read_text().split()[0]
     assert digest == expected
+
+
+def test_serve_sim_artifacts_match_golden(tmp_path, capsys):
+    paths = {flag: tmp_path / name for flag, name in SERVE_SIM_ARTIFACTS.items()}
+    argv = ["serve-sim", "--loads", "4,8,16", *SERVING]
+    for flag, path in paths.items():
+        argv += [flag, str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    written = {name: paths[flag] for flag, name in SERVE_SIM_ARTIFACTS.items()}
+    written["serve_sim_load16.events.jsonl"] = paths["--trace"].with_suffix(
+        ".events.jsonl"
+    )
+    for name, path in written.items():
+        assert path.read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "name,argv,status",
+    [
+        # Exit 1: the burn-rate alert fires at this load.
+        ("slo_load16.json", ["slo", "--load", "16", *SERVING, "--json"], 1),
+        (
+            "costs_load16_tenants2.json",
+            ["costs", "--load", "16", *SERVING, "--tenants", "2", "--json"],
+            0,
+        ),
+    ],
+    ids=["slo", "costs"],
+)
+def test_serving_report_matches_golden(name, argv, status, capsys):
+    assert main(argv) == status
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
