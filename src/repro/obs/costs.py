@@ -47,13 +47,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.obs.export import ACCEL_PID, engine_lane_tids
-from repro.obs.vtrace import (
-    REQUEST_PID,
-    VEvent,
-    _sorted_events,
-    device_timeline,
-    request_lane_tids,
-)
+from repro.obs.vtrace import REQUEST_PID, VEvent, serving_log
 
 __all__ = [
     "largest_remainder_split",
@@ -369,44 +363,29 @@ def cost_flow_events(
     engine_lane_tids`, :func:`repro.obs.vtrace.request_lane_tids`), so
     the arrows bind to the right slices.
 
-    Decode membership comes from the ``request_ids`` attr on
-    ``decode_iter`` events (event schema >= 2); older streams simply
-    yield prefill flows only.
+    The arrows follow the device passes of :func:`repro.obs.vtrace.
+    serving_log`; a schema-v1 stream (no decode membership) yields
+    prefill flows only.
     """
     if clock_mhz <= 0:
         raise ValueError("clock_mhz must be positive")
     scale = 1.0 / clock_mhz
-    ordered = _sorted_events(events)
-    req_tid = request_lane_tids(events)
-    dev_tid = engine_lane_tids(device_timeline(events).engines())
+    log = serving_log(events)
+    req_tid = log.lane_tids
+    dev_tid = engine_lane_tids(p.lane for p in log.passes)
     out: list[dict] = []
-    flow_id = 0
     decode_flows: dict[int, int] = {}
-
-    def arrow(rid: int, cycle: int, engine: str, kind: str) -> None:
-        nonlocal flow_id
-        flow_id += 1
-        name = f"cost:r{rid}:{kind}"
-        common = {"name": name, "cat": "serving", "id": flow_id,
-                  "ts": cycle * scale}
-        out.append({**common, "ph": "s", "pid": REQUEST_PID,
-                    "tid": req_tid[rid], "args": {"request_id": rid}})
-        out.append({**common, "ph": "f", "bp": "e", "pid": ACCEL_PID,
-                    "tid": dev_tid[engine], "args": {"request_id": rid}})
-
-    for ev in ordered:
-        if (
-            ev.kind == "prefill_start"
-            and ev.request_id in req_tid
-            and "device.prefill" in dev_tid
-        ):
-            arrow(ev.request_id, ev.cycle, "device.prefill", "prefill")
-        elif ev.kind == "decode_iter" and "device.decode" in dev_tid:
-            for rid in ev.attrs.get("request_ids", ()):
-                if rid not in req_tid:
-                    continue
+    for p in log.passes:
+        for rid in p.members:
+            if p.kind == "decode":
                 if decode_flows.get(rid, 0) >= max_decode_flows:
                     continue
                 decode_flows[rid] = decode_flows.get(rid, 0) + 1
-                arrow(rid, ev.cycle, "device.decode", "decode")
+            # Two events per arrow; arrow ids count from 1.
+            common = {"name": f"cost:r{rid}:{p.kind}", "cat": "serving",
+                      "id": len(out) // 2 + 1, "ts": p.cycle * scale}
+            out.append({**common, "ph": "s", "pid": REQUEST_PID,
+                        "tid": req_tid[rid], "args": {"request_id": rid}})
+            out.append({**common, "ph": "f", "bp": "e", "pid": ACCEL_PID,
+                        "tid": dev_tid[p.lane], "args": {"request_id": rid}})
     return out

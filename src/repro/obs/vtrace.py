@@ -5,22 +5,24 @@ integer fabric-cycle clock, not host wall-clock, so the span tracer of
 :mod:`repro.obs.spans` cannot see inside a simulated run.  This module
 is the virtual-clock twin: the scheduler emits typed lifecycle events
 (:data:`EVENT_KINDS`) into a :class:`VTraceRecorder` and samples gauges
-into a :class:`VSampler` at a fixed cycle cadence, and the exporters
-here turn both into
+into a :class:`VSampler` at a fixed cycle cadence.
 
-* a deterministic, schema-versioned JSONL event log
-  (:func:`vtrace_jsonl_lines`) — bit-identical across runs with the
-  same seed, because every timestamp is an integer cycle;
-* per-request Perfetto lifecycle tracks (:func:`request_track_events`)
-  that merge into the existing Chrome-trace exporter
-  (:func:`repro.obs.export.chrome_trace` via ``extra_events``) next to
-  the device lanes, all on one cycle->microsecond clock mapping;
-* a device-activity :class:`repro.hw.trace.Timeline`
-  (:func:`device_timeline`) reconstructed from the events, so the
-  accelerator process in the merged trace shows what the device was
-  doing (prefill vs decode iterations) while each request waited;
-* Perfetto counter tracks of the sampled series
-  (:meth:`VSampler.counter_tracks`).
+This is the one module that reads the event schema.  Its fold,
+:func:`serving_log`, walks the stream once in virtual-time order into a
+:class:`ServingLog` — per request its tenant, phases, queue cycles,
+preemptions, replay cycles, completion and K/V residency intervals;
+the device passes with their members; the completion order — and every
+reader reads the log: the per-request Perfetto tracks
+(:func:`request_track_events`, over :func:`request_phases` and
+:func:`request_lane_tids`) that merge into
+:func:`repro.obs.export.chrome_trace` next to the device lanes of
+:func:`device_timeline`, the cost flow arrows
+(:func:`repro.obs.costs.cost_flow_events`), the cost ledger
+(:func:`repro.serving.accounting.build_cost_ledger`) and the SLO report
+(:func:`repro.serving.slo.evaluate_slo`).  The JSONL event log
+(:func:`vtrace_jsonl_lines`) and the request tracks' instant markers
+copy the events themselves; every timestamp is an integer cycle, so
+same-seed runs export byte-identical files.
 
 Clock-domain mapping: one fabric cycle at ``clock_mhz`` MHz is
 ``1 / clock_mhz`` microseconds, the same scale the device lanes use —
@@ -51,6 +53,8 @@ __all__ = [
     "NullVSampler",
     "NULL_SAMPLER",
     "rate_series",
+    "ServingLog",
+    "serving_log",
     "request_phases",
     "request_lane_tids",
     "request_track_events",
@@ -84,7 +88,8 @@ EVENT_SCHEMA_VERSION = 2
 #:   attrs carry ``batch``, ``prefix_lengths`` and ``cycles``.
 #: - ``preempt``       — an in-flight request was evicted (rewind).
 #: - ``replay``        — one member replayed a previously-decoded step
-#:   inside a decode iteration.
+#:   inside a decode iteration; emitted right after that iteration's
+#:   ``decode_iter``.
 #: - ``complete``      — last token decoded; attrs carry the latency
 #:   account.
 #: - ``reject``        — admission-control rejection (a request whose
@@ -295,61 +300,191 @@ def rate_series(series: TimeSeries) -> list[tuple[int, float]]:
     return out
 
 
-# ------------------------------------------------------- phase rebuilds
+# ------------------------------------------------------ the serving log
 #: Lifecycle phase names a request lane can be in.
 PHASE_NAMES = ("queued", "prefill", "decode", "preempted", "rejected")
 
+#: Event kinds that end a request's open phase -> the phase they open.
+_PHASE_OPENED = {"arrive": "queued", "prefill_start": "prefill",
+                 "prefill_end": "decode", "preempt": "preempted",
+                 "complete": None, "reject": None}
 
-def _sorted_events(events: list[VEvent]) -> list[VEvent]:
-    """Events by (cycle, emission index) — a stable virtual-time order."""
-    return [ev for _, ev in sorted(enumerate(events), key=lambda t: (t[1].cycle, t[0]))]
+#: Attrs the log's readers need, per event kind.  An event lacking one
+#: still folds (with a zero or empty default), and the gap is noted in
+#: :attr:`ServingLog.missing` for the readers that cannot use defaults.
+_NEEDED_ATTRS = {
+    "queue_wait": ("wait_cycles",),
+    "prefill_start": ("cycles",),
+    "decode_iter": ("cycles", "prefix_lengths", "request_ids"),
+    "complete": ("e2e_ms",),
+}
 
 
-def request_phases(events: list[VEvent]) -> dict[int, list[tuple[str, int, int]]]:
-    """Rebuild per-request lifecycle phases from the event stream.
+@dataclass
+class DevicePass:
+    """One device pass: a request's prefill, or one decode iteration
+    shared by its batch members."""
 
-    Returns ``request_id -> [(phase, start_cycle, end_cycle), ...]``
-    with phases from :data:`PHASE_NAMES`: ``queued`` (arrival or
-    post-preemption wait to prefill start), ``prefill``, ``decode``,
-    ``preempted`` (eviction to readmission prefill) and ``rejected``
-    (zero-length marker).  Any phase still open when the stream ends is
-    closed at the last observed cycle.
+    kind: str  # "prefill" | "decode"
+    cycle: int
+    cycles: int
+    members: tuple[int, ...]
+    #: Each member's rows banked by the end of the iteration.
+    prefix_lengths: tuple[int, ...] = ()
+    #: Members whose work here redoes progress lost to preemption: a
+    #: re-prefill, or a replayed decode step.
+    replays: set[int] = field(default_factory=set)
+
+    @property
+    def lane(self) -> str:
+        """The device lane this pass renders on."""
+        return f"device.{self.kind}"
+
+
+@dataclass
+class RequestLog:
+    """Everything the event log says about one request."""
+
+    #: ``(position, kind)`` of the first event naming the request.
+    first_event: tuple[int, str]
+    tenant: int | None = None
+    #: ``[(phase, start_cycle, end_cycle), ...]``, see :data:`PHASE_NAMES`.
+    phases: list[tuple[str, int, int]] = field(default_factory=list)
+    #: Admission-pool waiting, summed over the ``queue_wait`` events.
+    queue_cycles: int = 0
+    preemptions: int = 0
+    #: Cycles of the whole decode iterations it spent replaying.
+    replay_cycles: int = 0
+    complete_cycle: int | None = None
+    e2e_ms: float | None = None
+    rejected: bool = False
+    #: K/V residency ``(rows, start, end)``: opened at admission with no
+    #: rows, re-opened at each decode iteration, closed at preemption or
+    #: completion.
+    residency: list[tuple[int, int, int]] = field(default_factory=list)
+
+
+@dataclass
+class ServingLog:
+    """One fold over a serving event stream (:func:`serving_log`)."""
+
+    requests: dict[int, RequestLog] = field(default_factory=dict)
+    #: Device passes in virtual-time order.
+    passes: list[DevicePass] = field(default_factory=list)
+    #: Request ids in completion order.
+    completions: list[int] = field(default_factory=list)
+    #: ``(position, kind, attr)`` of every needed attr an event lacked.
+    missing: list[tuple[int, str, str]] = field(default_factory=list)
+
+    @property
+    def lane_tids(self) -> dict[int, int]:
+        """Each request's pid-3 lane id: sorted ids, numbered from 1."""
+        return {rid: tid for tid, rid in enumerate(sorted(self.requests), start=1)}
+
+
+def _sorted_events(events: list[VEvent]) -> list[tuple[int, VEvent]]:
+    """``(emission index, event)`` pairs in (cycle, index) order."""
+    return sorted(enumerate(events), key=lambda t: (t[1].cycle, t[0]))
+
+
+def serving_log(events: list[VEvent]) -> ServingLog:
+    """Fold the event stream, in virtual-time order, into one
+    :class:`ServingLog` (module docstring).  A ``replay`` event belongs
+    to the decode iteration emitted just before it.  A phase or
+    residency interval still open when the stream ends closes at the
+    last observed cycle.
     """
-    phases: dict[int, list[tuple[str, int, int]]] = {}
+    log = ServingLog()
     open_phase: dict[int, tuple[str, int]] = {}
+    holding: dict[int, tuple[int, int]] = {}  # rid -> (rows, since)
+    last_decode: DevicePass | None = None
     last_cycle = 0
 
-    def close(rid: int, cycle: int) -> None:
+    def close_phase(rid: int, cycle: int) -> None:
         started = open_phase.pop(rid, None)
         if started is not None:
-            name, start = started
-            phases.setdefault(rid, []).append((name, start, cycle))
+            log.requests[rid].phases.append((*started, cycle))
 
-    for ev in _sorted_events(events):
-        last_cycle = max(last_cycle, ev.cycle)
+    def release(rid: int, cycle: int) -> None:
+        held = holding.pop(rid, None)
+        if held is not None:
+            log.requests[rid].residency.append((*held, cycle))
+
+    def hold(rid: int, rows: int, cycle: int) -> None:
+        release(rid, cycle)
+        holding[rid] = (rows, cycle)
+
+    for pos, ev in _sorted_events(events):
+        cycle, kind, attrs = ev.cycle, ev.kind, ev.attrs
+        last_cycle = cycle
+        for attr in _NEEDED_ATTRS.get(kind, ()):
+            if attr not in attrs:
+                log.missing.append((pos, kind, attr))
+        if kind == "decode_iter":
+            members = tuple(attrs.get("request_ids", ()))
+            lengths = tuple(int(t) for t in attrs.get("prefix_lengths", ()))
+            last_decode = DevicePass(
+                "decode", cycle, int(attrs.get("cycles", 0)), members, lengths
+            )
+            log.passes.append(last_decode)
+            for rid, rows in zip(members, lengths):
+                log.requests.setdefault(rid, RequestLog((pos, kind)))
+                hold(rid, rows, cycle)
+            continue
         rid = ev.request_id
         if rid is None:
             continue
-        if ev.kind == "arrive":
-            open_phase[rid] = ("queued", ev.cycle)
-            phases.setdefault(rid, [])
-        elif ev.kind == "prefill_start":
-            close(rid, ev.cycle)
-            open_phase[rid] = ("prefill", ev.cycle)
-        elif ev.kind == "prefill_end":
-            close(rid, ev.cycle)
-            open_phase[rid] = ("decode", ev.cycle)
-        elif ev.kind == "preempt":
-            close(rid, ev.cycle)
-            open_phase[rid] = ("preempted", ev.cycle)
-        elif ev.kind == "complete":
-            close(rid, ev.cycle)
-        elif ev.kind == "reject":
-            close(rid, ev.cycle)
-            phases.setdefault(rid, []).append(("rejected", ev.cycle, ev.cycle))
+        req = log.requests.setdefault(rid, RequestLog((pos, kind)))
+        if ev.tenant is not None:
+            req.tenant = ev.tenant
+        if kind in _PHASE_OPENED:
+            close_phase(rid, cycle)
+            if _PHASE_OPENED[kind]:
+                open_phase[rid] = (_PHASE_OPENED[kind], cycle)
+        if kind == "queue_wait":
+            req.queue_cycles += int(attrs.get("wait_cycles", 0))
+        elif kind == "admit":
+            hold(rid, 0, cycle)
+        elif kind == "prefill_start":
+            log.passes.append(DevicePass(
+                "prefill", cycle, int(attrs.get("cycles", 0)), (rid,),
+                replays={rid} if attrs.get("replay") else set(),
+            ))
+        elif kind == "replay":
+            if last_decode is not None:
+                last_decode.replays.add(rid)
+                req.replay_cycles += last_decode.cycles
+        elif kind == "preempt":
+            req.preemptions += 1
+            release(rid, cycle)
+        elif kind == "complete":
+            release(rid, cycle)
+            req.complete_cycle = cycle
+            req.e2e_ms = attrs.get("e2e_ms")
+            log.completions.append(rid)
+        elif kind == "reject":
+            req.phases.append(("rejected", cycle, cycle))
+            req.rejected = True
     for rid in sorted(open_phase):
-        close(rid, last_cycle)
-    return phases
+        close_phase(rid, last_cycle)
+    for rid in sorted(holding):
+        release(rid, last_cycle)
+    return log
+
+
+def request_phases(events: list[VEvent]) -> dict[int, list[tuple[str, int, int]]]:
+    """Per-request lifecycle phases, ``request_id -> [(phase,
+    start_cycle, end_cycle), ...]`` with phases from
+    :data:`PHASE_NAMES`: ``queued`` (arrival or post-preemption wait to
+    prefill start), ``prefill``, ``decode``, ``preempted`` (eviction to
+    readmission prefill) and ``rejected`` (zero-length marker).  A view
+    of :func:`serving_log`.
+    """
+    return {
+        rid: req.phases
+        for rid, req in serving_log(events).requests.items()
+        if req.phases
+    }
 
 
 # ----------------------------------------------------- Perfetto export
@@ -362,13 +497,12 @@ _INSTANT_KINDS = frozenset({"arrive", "preempt", "complete", "reject"})
 
 
 def request_lane_tids(events: list[VEvent]) -> dict[int, int]:
-    """The pid-3 lane (thread) id of every request seen in the stream:
-    sorted request ids, numbered from 1.  One source of truth shared by
+    """The pid-3 lane (thread) id of every request seen in the stream
+    (:attr:`ServingLog.lane_tids`).  One source of truth shared by
     :func:`request_track_events` and the cost flow events
     (:func:`repro.obs.costs.cost_flow_events`), so cross-layer arrows
     always bind to the right lane."""
-    rids = sorted({ev.request_id for ev in events if ev.request_id is not None})
-    return {rid: tid for tid, rid in enumerate(rids, start=1)}
+    return serving_log(events).lane_tids
 
 
 def request_track_events(
@@ -385,46 +519,28 @@ def request_track_events(
     if clock_mhz <= 0:
         raise ValueError("clock_mhz must be positive")
     scale = 1.0 / clock_mhz
-    ordered = _sorted_events(events)
-    tid_of = request_lane_tids(events)
-    tenant_of = {
-        ev.request_id: ev.tenant
-        for ev in ordered
-        if ev.request_id is not None and ev.tenant is not None
-    }
+    log = serving_log(events)
+    tid_of = log.lane_tids
     alert_tid = len(tid_of) + 1
-    out: list[dict] = [
-        {
-            "ph": "M",
-            "pid": REQUEST_PID,
-            "name": "process_name",
-            "args": {"name": "serving requests (virtual)"},
-        }
-    ]
+
+    def meta(name: str, args: dict, **tid: int) -> dict:
+        return {"ph": "M", "pid": REQUEST_PID, **tid, "name": name, "args": args}
+
+    def instant(name: str, tid: int, cycle: int, args: dict) -> dict:
+        return {"name": name, "cat": "serving", "ph": "i", "s": "t",
+                "pid": REQUEST_PID, "tid": tid, "ts": cycle * scale,
+                "args": args}
+
+    out = [meta("process_name", {"name": "serving requests (virtual)"})]
     for rid, tid in tid_of.items():
         lane = f"req {rid}"
-        if rid in tenant_of:
-            lane += f" (tenant {tenant_of[rid]})"
-        out.append(
-            {
-                "ph": "M",
-                "pid": REQUEST_PID,
-                "tid": tid,
-                "name": "thread_name",
-                "args": {"name": lane},
-            }
-        )
-        out.append(
-            {
-                "ph": "M",
-                "pid": REQUEST_PID,
-                "tid": tid,
-                "name": "thread_sort_index",
-                "args": {"sort_index": tid},
-            }
-        )
-    for rid, spans in sorted(request_phases(events).items()):
-        for phase, start, end in spans:
+        tenant = log.requests[rid].tenant
+        if tenant is not None:
+            lane += f" (tenant {tenant})"
+        out.append(meta("thread_name", {"name": lane}, tid=tid))
+        out.append(meta("thread_sort_index", {"sort_index": tid}, tid=tid))
+    for rid, tid in tid_of.items():
+        for phase, start, end in log.requests[rid].phases:
             if end <= start:
                 continue
             out.append(
@@ -433,84 +549,42 @@ def request_track_events(
                     "cat": "serving",
                     "ph": "X",
                     "pid": REQUEST_PID,
-                    "tid": tid_of[rid],
+                    "tid": tid,
                     "ts": start * scale,
                     "dur": (end - start) * scale,
                     "args": {"request_id": rid, "cycles": end - start},
                 }
             )
     have_alerts = False
-    for ev in ordered:
+    for _, ev in _sorted_events(events):
         if ev.kind == "slo_alert":
             have_alerts = True
-            out.append(
-                {
-                    "name": "slo_alert",
-                    "cat": "serving",
-                    "ph": "i",
-                    "s": "t",
-                    "pid": REQUEST_PID,
-                    "tid": alert_tid,
-                    "ts": ev.cycle * scale,
-                    "args": dict(ev.attrs),
-                }
-            )
+            out.append(instant("slo_alert", alert_tid, ev.cycle, dict(ev.attrs)))
         elif ev.kind in _INSTANT_KINDS and ev.request_id is not None:
-            args: dict = {"request_id": ev.request_id}
-            args.update(ev.attrs)
-            out.append(
-                {
-                    "name": ev.kind,
-                    "cat": "serving",
-                    "ph": "i",
-                    "s": "t",
-                    "pid": REQUEST_PID,
-                    "tid": tid_of[ev.request_id],
-                    "ts": ev.cycle * scale,
-                    "args": args,
-                }
-            )
+            args = {"request_id": ev.request_id, **ev.attrs}
+            out.append(instant(ev.kind, tid_of[ev.request_id], ev.cycle, args))
     if have_alerts:
-        out.append(
-            {
-                "ph": "M",
-                "pid": REQUEST_PID,
-                "tid": alert_tid,
-                "name": "thread_name",
-                "args": {"name": "slo alerts"},
-            }
-        )
+        out.append(meta("thread_name", {"name": "slo alerts"}, tid=alert_tid))
     return out
 
 
 def device_timeline(events: list[VEvent]) -> Timeline:
-    """Reconstruct a device-activity :class:`~repro.hw.trace.Timeline`
-    from the event stream: a ``device.prefill`` lane with one interval
-    per prefill pass and a ``device.decode`` lane with one interval per
-    decode iteration.  Renders through the existing accelerator process
-    of :func:`repro.obs.export.chrome_trace`, so device lanes and
-    request lanes share one clock.
+    """The device passes of :func:`serving_log` as a
+    :class:`~repro.hw.trace.Timeline`: a ``device.prefill`` lane with
+    one interval per prefill pass and a ``device.decode`` lane with one
+    interval per decode iteration.  Renders through the existing
+    accelerator process of :func:`repro.obs.export.chrome_trace`, so
+    device lanes and request lanes share one clock.
     """
     timeline = Timeline()
-    for ev in _sorted_events(events):
-        if ev.kind == "prefill_start":
-            cycles = int(ev.attrs.get("cycles", 0))
-            label = f"prefill:r{ev.request_id}"
-            if ev.attrs.get("replay"):
+    for p in serving_log(events).passes:
+        if p.kind == "prefill":
+            label = f"prefill:r{p.members[0]}"
+            if p.replays:
                 label += " (re-prefill)"
-            timeline.add(
-                "device.prefill", label, ev.cycle, ev.cycle + cycles, kind="compute"
-            )
-        elif ev.kind == "decode_iter":
-            cycles = int(ev.attrs.get("cycles", 0))
-            batch = ev.attrs.get("batch", 0)
-            timeline.add(
-                "device.decode",
-                f"decode[b{batch}]",
-                ev.cycle,
-                ev.cycle + cycles,
-                kind="compute",
-            )
+        else:
+            label = f"decode[b{len(p.members)}]"
+        timeline.add(p.lane, label, p.cycle, p.cycle + p.cycles, kind="compute")
     return timeline
 
 

@@ -3,8 +3,8 @@
 The scheduler already accounts device time exactly — every cycle of
 ``device_end_cycles`` is a prefill pass, a decode iteration, or an
 idle jump to the next arrival — but only in aggregate.  This module
-replays the vtrace event stream and assigns every one of those cycles
-to the request that caused it:
+reads the vtrace event log (:func:`repro.obs.vtrace.serving_log`) and
+assigns every one of those cycles to the request that caused it:
 
 * a **prefill** pass (and a re-prefill after preemption) is one
   request's alone — full cycles, full program HBM bytes;
@@ -34,7 +34,8 @@ Beyond cycles, each request accumulates its HBM weight-stream bytes
 program_load_bytes`) and a KV-cache residency integral in byte-cycles
 (modeled resident bytes held from admission to completion or
 preemption, sized per :func:`repro.hw.kv_cache.modeled_resident_bytes`
-at the rows banked by the end of each iteration).
+at the rows banked by the end of each iteration), summed over the
+log's residency intervals.
 
 :func:`estimate_capacity` turns the ledger into the capacity
 extrapolation ROADMAP item 5 asks for: mean attributed cycles per
@@ -44,6 +45,7 @@ for a target offered load at a utilization cap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,7 +54,7 @@ from repro.hw.kv_cache import modeled_resident_bytes
 from repro.hw.program import program_load_bytes
 from repro.obs import metrics as obs_metrics
 from repro.obs.costs import CostLedger, RequestCost, largest_remainder_split
-from repro.obs.vtrace import VEvent, _sorted_events
+from repro.obs.vtrace import VEvent, serving_log
 from repro.serving.scheduler import ServingResult, meets_slo
 
 __all__ = [
@@ -84,6 +86,13 @@ def build_cost_ledger(
             "build_cost_ledger needs the vtrace event stream; run the "
             "scheduler with a VTraceRecorder installed"
         )
+    log = serving_log(events)
+    if log.missing:
+        pos, kind, attr = log.missing[0]
+        raise ValueError(
+            f"event {pos} ({kind}) lacks the '{attr}' attr the cost ledger "
+            "needs; re-run the scheduler to produce an attributable stream"
+        )
     cfg = result.config
     lm = latency_model or LatencyModel()
     s, arch = cfg.s, cfg.architecture
@@ -95,109 +104,69 @@ def build_cost_ledger(
         for r in result.records
     }
 
-    # Per-prefix-length caches: the weight basis (stand-alone step
-    # cycles), the step program's HBM bytes, and the modeled resident
-    # bytes — each computed once per distinct t.
-    step_cycles: dict[int, int] = {}
-    step_bytes: dict[int, int] = {}
-    resident: dict[int, int] = {}
+    # Per-prefix-length costs, each computed once per distinct t: the
+    # weight basis (stand-alone step cycles), the step program's HBM
+    # bytes, and the modeled resident bytes.
     prefill_bytes = program_load_bytes(lm.full_pass_program(s))
 
+    @functools.cache
     def weight_of(t: int) -> int:
-        c = step_cycles.get(t)
-        if c is None:
-            c = step_cycles[t] = lm.decode_step_cycles(t, s, arch)
-        return c
+        return lm.decode_step_cycles(t, s, arch)
 
+    @functools.cache
     def bytes_of(t: int) -> int:
-        b = step_bytes.get(t)
-        if b is None:
-            b = step_bytes[t] = program_load_bytes(lm.decode_step_program(t, s))
-        return b
+        return program_load_bytes(lm.decode_step_program(t, s))
 
+    @functools.cache
     def resident_of(t: int) -> int:
-        b = resident.get(t)
-        if b is None:
-            b = resident[t] = modeled_resident_bytes(lm.model, s, t)
-        return b
+        return modeled_resident_bytes(lm.model, s, t)
 
-    # Sweep state for the KV residency integral: requests holding a
-    # cache right now -> rows banked (t).  A request opens at admission
-    # (its reservation is taken and the cross-attention K/V will land),
-    # grows by one row per iteration, and closes at completion or
-    # preemption (rewind evicts the rows).
-    holding: dict[int, int] = {}
-    sweep_cycle = 0
-    # The decode iteration just processed, for associating the replay
-    # events that follow it at the same cycle with their shares.
-    last_iter: tuple[int, dict[int, int]] | None = None
-
-    def charge_residency(until: int) -> None:
-        nonlocal sweep_cycle
-        span = until - sweep_cycle
-        if span > 0:
-            for rid, t in holding.items():
-                costs[rid].kv_byte_cycles += resident_of(t) * span
-        sweep_cycle = max(sweep_cycle, until)
-
-    for ev in _sorted_events(events):
-        charge_residency(ev.cycle)
-        rid = ev.request_id
-        if ev.kind == "queue_wait":
-            costs[rid].queue_cycles += int(ev.attrs["wait_cycles"])
-        elif ev.kind == "admit":
-            holding[rid] = 0
-        elif ev.kind == "prefill_start":
-            cycles = int(ev.attrs["cycles"])
-            costs[rid].prefill_cycles += cycles
-            costs[rid].hbm_load_bytes += prefill_bytes
-            if ev.attrs.get("replay"):
-                costs[rid].replay_cycles += cycles
-        elif ev.kind == "decode_iter":
-            rids = ev.attrs.get("request_ids")
-            if rids is None:
-                raise ValueError(
-                    "decode_iter event lacks request_ids (event schema "
-                    "< 2); re-run the scheduler to produce an "
-                    "attributable stream"
-                )
-            lengths = [int(t) for t in ev.attrs["prefix_lengths"]]
-            cycles = int(ev.attrs["cycles"])
-            weights = [weight_of(t) for t in lengths]
-            shares = largest_remainder_split(cycles, weights)
+    # Per-request accounts and K/V residency from the log's requests;
+    # device cycles and HBM bytes from its passes.
+    for rid, req in log.requests.items():
+        rc = costs.get(rid)
+        if rc is None:
+            pos, kind = req.first_event
+            raise ValueError(
+                f"event {pos} ({kind}) names request {rid}, which the "
+                "serving result does not hold; pass the events of the "
+                "same run"
+            )
+        rc.queue_cycles = req.queue_cycles
+        rc.preemptions = req.preemptions
+        rc.rejected = req.rejected
+        rc.kv_byte_cycles = sum(
+            resident_of(rows) * (end - start)
+            for rows, start, end in req.residency
+        )
+        if req.complete_cycle is not None:
+            rc.completed = True
+            rc.e2e_ms = float(req.e2e_ms)
+            rc.good = meets_slo(rc.e2e_ms, cfg.slo_ms)
+    for p in log.passes:
+        if p.kind == "prefill":
+            shares, byte_shares = [p.cycles], [prefill_bytes]
+        else:
+            weights = [weight_of(t) for t in p.prefix_lengths]
+            shares = largest_remainder_split(p.cycles, weights)
             if cfg.share_weights:
                 # The panels streamed once for the whole batch (the
                 # iteration's loads are member 0's chain); apportion
                 # those bytes by the same weight basis as the cycles.
                 byte_shares = largest_remainder_split(
-                    bytes_of(lengths[0]), weights
+                    bytes_of(p.prefix_lengths[0]), weights
                 )
             else:
-                byte_shares = [bytes_of(t) for t in lengths]
-            iter_shares: dict[int, int] = {}
-            for member, t, share, bshare in zip(
-                rids, lengths, shares, byte_shares
-            ):
-                costs[member].decode_cycles += share
-                costs[member].hbm_load_bytes += bshare
-                iter_shares[member] = share
-                holding[member] = t
-            last_iter = (ev.cycle, iter_shares)
-        elif ev.kind == "replay":
-            if last_iter is not None and last_iter[0] == ev.cycle:
-                costs[rid].replay_cycles += last_iter[1].get(rid, 0)
-        elif ev.kind == "preempt":
-            costs[rid].preemptions += 1
-            holding.pop(rid, None)
-        elif ev.kind == "complete":
-            holding.pop(rid, None)
-            rc = costs[rid]
-            rc.completed = True
-            rc.e2e_ms = float(ev.attrs["e2e_ms"])
-            rc.good = meets_slo(rc.e2e_ms, cfg.slo_ms)
-        elif ev.kind == "reject":
-            costs[rid].rejected = True
-    charge_residency(result.device_end_cycles)
+                byte_shares = [bytes_of(t) for t in p.prefix_lengths]
+        for member, share, bshare in zip(p.members, shares, byte_shares):
+            rc = costs[member]
+            if p.kind == "prefill":
+                rc.prefill_cycles += share
+            else:
+                rc.decode_cycles += share
+            rc.hbm_load_bytes += bshare
+            if member in p.replays:
+                rc.replay_cycles += share
 
     ledger = CostLedger(
         requests=[costs[rid] for rid in sorted(costs)],
@@ -216,18 +185,14 @@ def build_cost_ledger(
     # the conservation identity: a mis-split that happened to cancel
     # out between phases would still be caught here.
     totals = ledger.totals()
-    if totals["prefill_cycles"] != result.prefill_cycles_total:
-        raise ValueError(
-            f"prefill attribution drifted: ledger "
-            f"{totals['prefill_cycles']} != scheduler "
-            f"{result.prefill_cycles_total}"
-        )
-    if totals["decode_cycles"] != result.decode_cycles_total:
-        raise ValueError(
-            f"decode attribution drifted: ledger "
-            f"{totals['decode_cycles']} != scheduler "
-            f"{result.decode_cycles_total}"
-        )
+    for phase in ("prefill", "decode"):
+        ours = totals[f"{phase}_cycles"]
+        theirs = getattr(result, f"{phase}_cycles_total")
+        if ours != theirs:
+            raise ValueError(
+                f"{phase} attribution drifted: ledger {ours} != scheduler "
+                f"{theirs}"
+            )
     ledger.verify_conservation()
     return ledger
 

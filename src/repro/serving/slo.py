@@ -2,8 +2,8 @@
 
 An :class:`SloObjective` states the promise — "``target`` of requests
 complete within ``latency_ms``" — and :func:`evaluate_slo` holds one
-simulated run to it using the lifecycle events the scheduler emitted
-(:mod:`repro.obs.vtrace`):
+simulated run to it using the lifecycle events the scheduler emitted,
+read through their one fold (:func:`repro.obs.vtrace.serving_log`):
 
 * **attainment** — the fraction of completions meeting the latency
   bound (the boundary itself is *closed*:
@@ -37,7 +37,7 @@ from repro.hw.controller import LatencyModel
 from repro.hw.introspect import classify_stalls
 from repro.obs import metrics as obs_metrics
 from repro.obs.diffprof import RunProfile
-from repro.obs.vtrace import VEvent, VTraceRecorder, request_phases
+from repro.obs.vtrace import VEvent, VTraceRecorder, serving_log
 from repro.serving.scheduler import ServingResult, meets_slo
 
 __all__ = [
@@ -216,6 +216,11 @@ def phase_stall_report(
     return label, classify_stalls(program, architecture)
 
 
+#: Lifecycle phase -> the macro bucket its time is charged to.
+_MACRO_OF = {"queued": "queueing", "prefill": "prefill", "decode": "decode",
+             "preempted": "preemption"}
+
+
 def _macro_phase_ms(
     phases: list[tuple[str, int, int]], replay_cycles: int, clock_hz: float
 ) -> dict:
@@ -226,15 +231,8 @@ def _macro_phase_ms(
     to_ms = 1e3 / clock_hz
     out = {name: 0.0 for name in MACRO_PHASES}
     for name, start, end in phases:
-        span = (end - start) * to_ms
-        if name == "queued":
-            out["queueing"] += span
-        elif name == "prefill":
-            out["prefill"] += span
-        elif name == "decode":
-            out["decode"] += span
-        elif name == "preempted":
-            out["preemption"] += span
+        if name in _MACRO_OF:
+            out[_MACRO_OF[name]] += (end - start) * to_ms
     replay_ms = replay_cycles * to_ms
     shift = min(out["decode"], replay_ms)
     out["decode"] -= shift
@@ -261,17 +259,11 @@ def evaluate_slo(
     clock_hz = result.clock_hz
     records = {r.request.request_id: r for r in result.records}
 
-    completions = sorted(
-        (
-            (ev.cycle, ev.request_id)
-            for ev in events
-            if ev.kind == "complete" and ev.request_id is not None
-        ),
-        key=lambda t: t[0],
-    )
+    log = serving_log(events)
     flags = [
-        (cycle, rid, meets_slo(records[rid].e2e_ms, objective.latency_ms))
-        for cycle, rid in completions
+        (log.requests[rid].complete_cycle, rid,
+         meets_slo(records[rid].e2e_ms, objective.latency_ms))
+        for rid in log.completions
     ]
 
     total = len(flags)
@@ -280,17 +272,12 @@ def evaluate_slo(
     budget = (1.0 - objective.target) * total
     error_budget_consumed = (total - good) / budget if budget > 0 else 0.0
 
-    # Multi-window burn: evaluated at every completion instant.
-    def window_burn(window: SloWindow, upto_idx: int) -> float:
-        end_cycle = flags[upto_idx][0]
-        start_cycle = end_cycle - window.window_s * clock_hz
-        in_window = [
-            ok for cycle, _, ok in flags[: upto_idx + 1] if cycle > start_cycle
-        ]
-        if not in_window:
-            return 0.0
-        bad_frac = sum(1 for ok in in_window if not ok) / len(in_window)
-        return bad_frac / (1.0 - objective.target)
+    # Multi-window burn: evaluated at every completion instant over the
+    # outcomes inside each window ending there (never empty: a window
+    # holds its own closing completion).
+    def recent(i: int, window_s: float) -> list[bool]:
+        start_cycle = flags[i][0] - window_s * clock_hz
+        return [ok for cycle, _, ok in flags[: i + 1] if cycle > start_cycle]
 
     alerts: list[SloAlert] = []
     attainment_series: list[tuple[int, float]] = []
@@ -298,10 +285,12 @@ def evaluate_slo(
     firing = False
     final_burn = {w.name: 0.0 for w in objective.windows}
     for i, (cycle, _, _) in enumerate(flags):
-        burns = {w.name: window_burn(w, i) for w in objective.windows}
+        burns = {}
+        for w in objective.windows:
+            oks = recent(i, w.window_s)
+            burns[w.name] = oks.count(False) / len(oks) / (1.0 - objective.target)
         final_burn = burns
-        start_cycle = cycle - slowest.window_s * clock_hz
-        rolled = [ok for c, _, ok in flags[: i + 1] if c > start_cycle]
+        rolled = recent(i, slowest.window_s)
         attainment_series.append((cycle, sum(rolled) / len(rolled)))
         now_firing = all(
             burns[w.name] >= w.burn_threshold for w in objective.windows
@@ -318,14 +307,6 @@ def evaluate_slo(
 
     # Per-violation drill-down: macro phase from the rebuilt timeline,
     # micro stall cause from that phase's block program.
-    phases_by_rid = request_phases(events)
-    replay_cycles_by_rid: dict[int, int] = {}
-    for ev in events:
-        if ev.kind == "replay" and ev.request_id is not None:
-            replay_cycles_by_rid[ev.request_id] = replay_cycles_by_rid.get(
-                ev.request_id, 0
-            ) + int(ev.attrs.get("cycles", 0))
-
     s = result.config.s
     arch = result.config.architecture
     stall_cache: dict[str, tuple[str, str]] = {}
@@ -354,11 +335,8 @@ def evaluate_slo(
         if ok:
             continue
         record = records[rid]
-        phase_ms = _macro_phase_ms(
-            phases_by_rid.get(rid, []),
-            replay_cycles_by_rid.get(rid, 0),
-            clock_hz,
-        )
+        req = log.requests[rid]
+        phase_ms = _macro_phase_ms(req.phases, req.replay_cycles, clock_hz)
         macro = max(MACRO_PHASES, key=lambda name: phase_ms[name])
         label, cause = micro_for(macro)
         violations.append(

@@ -189,6 +189,44 @@ class TestErrorPaths:
             build_cost_ledger(result, stripped, lm)
 
 
+    @pytest.mark.parametrize(
+        "kind,attr",
+        [
+            ("queue_wait", "wait_cycles"),
+            ("prefill_start", "cycles"),
+            ("decode_iter", "cycles"),
+            ("decode_iter", "prefix_lengths"),
+            ("complete", "e2e_ms"),
+        ],
+    )
+    def test_missing_attr_names_event_and_attr(self, lm, kind, attr):
+        result, events, _ = _run(lm)
+        pos = next(i for i, ev in enumerate(events) if ev.kind == kind)
+        ev = events[pos]
+        attrs = {k: v for k, v in ev.attrs.items() if k != attr}
+        events[pos] = type(ev)(ev.cycle, ev.kind, ev.request_id, ev.tenant,
+                               attrs)
+        with pytest.raises(
+            ValueError, match=rf"event {pos} \({kind}\) lacks the '{attr}'"
+        ):
+            build_cost_ledger(result, events, lm)
+
+    def test_unknown_request_names_event(self, lm):
+        """Events of another run name requests this result lacks."""
+        result, _, _ = _run(lm, num_requests=4)
+        _, other, _ = _run(lm, num_requests=8)
+        pos = next(
+            i for i, ev in enumerate(other)
+            if ev.request_id is not None and ev.request_id >= 4
+        )
+        with pytest.raises(
+            ValueError,
+            match=rf"event {pos} \({other[pos].kind}\) names request "
+            rf"{other[pos].request_id}",
+        ):
+            build_cost_ledger(result, other, lm)
+
+
 class TestMetricsAndDashboard:
     def test_cost_metric_family_recorded(self, lm):
         _, _, ledger = _run(lm)
