@@ -515,6 +515,15 @@ class AcceleratorController:
         with obs_spans.tracer().span("hw.kv_prefill"):
             return DecoderKVCache(self.fabric, self.params, memory)
 
+    def _step_program(self, cache: DecoderKVCache) -> BlockProgram:
+        """The decode step that extends ``cache`` by one position: the
+        step template re-timed at that prefix length, which runs the
+        template's one execution plan (no per-step ops or plan)."""
+        return lower_decode_step(
+            self.params.config, self.fabric, cache.length + 1,
+            cache.memory_len, self.parallel_heads,
+        )
+
     def run_decoder_step(
         self,
         x: np.ndarray,
@@ -534,13 +543,7 @@ class AcceleratorController:
             raise ValueError(f"x must be ({d_model},); got {x.shape}")
         if len(cache.layers) != len(self.params.decoders):
             raise ValueError("cache does not match this parameter set")
-        program = lower_decode_step(
-            self.params.config,
-            self.fabric,
-            cache.length + 1,
-            cache.memory_len,
-            self.parallel_heads,
-        )
+        program = self._step_program(cache)
         with obs_spans.tracer().span("hw.decode_step", t=cache.length + 1):
             run = execute_program(
                 program,
@@ -586,13 +589,7 @@ class AcceleratorController:
             if len(cache.layers) != len(self.params.decoders):
                 raise ValueError("cache does not match this parameter set")
         batched_layers = batch_layer_caches(caches)
-        program = lower_decode_step(
-            self.params.config,
-            self.fabric,
-            caches[0].length + 1,
-            caches[0].memory_len,
-            self.parallel_heads,
-        )
+        program = self._step_program(caches[0])
         with obs_spans.tracer().span(
             "hw.decode_step_batch", t=caches[0].length + 1, batch=len(caches)
         ):

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
+from math import prod
 from typing import Iterator
 
 import numpy as np
@@ -37,6 +38,7 @@ from repro.config import CalibrationConfig, HardwareConfig
 from repro.hw.adder import VectorAdder
 from repro.hw.nonlinear import NonlinearUnits
 from repro.hw.systolic import SystolicArray, ceil_div
+from repro.model.ops import MODEL_DTYPE
 
 
 @dataclass(frozen=True)
@@ -199,20 +201,37 @@ def _runs(widths: list[int]) -> Iterator[tuple[int, int, int, int]]:
         start += width * count
 
 
+def _left_fold(partials: np.ndarray, axis: int) -> np.ndarray:
+    """The partial products stacked on ``axis``, added in stack order
+    (the hardware add order of ``VectorAdder.accumulate``).
+
+    NumPy reduces an axis that is not the innermost of its loop as a
+    sequential left fold, but sums the innermost one pairwise.  In a
+    C-ordered array the stacked axis is the innermost only when the
+    axes after it hold one element; ``accumulate`` scans in order there.
+    """
+    partials = np.ascontiguousarray(partials, dtype=MODEL_DTYPE)
+    if prod(partials.shape[axis % partials.ndim + 1:]) == 1:
+        return np.take(np.add.accumulate(partials, axis=axis), -1, axis=axis)
+    return np.add.reduce(partials, axis=axis)
+
+
 def _fold_chunks(x: np.ndarray, w: np.ndarray, widths: list[int]) -> np.ndarray:
     """Left fold, in chunk order, of ``x[..., c] @ w[..., c, :]`` over
     consecutive inner-dimension chunks ``c`` of the given widths.
 
     Each run of equal widths is one np.matmul over (chunk x leading
-    axes) slices viewed in place.
+    axes) slices viewed in place; the runs' partials stack on one axis
+    and fold in one reduction.
     """
-    partials: list[np.ndarray] = []
+    prods = []
     for start, stop, width, count in _runs(widths):
         xs = x[..., start:stop].reshape(*x.shape[:-1], count, width)
         ws = w[..., start:stop, :].reshape(*w.shape[:-2], count, width, w.shape[-1])
-        prod = np.matmul(xs.swapaxes(-2, -3), ws)
-        partials.extend(prod[..., i, :, :] for i in range(count))
-    return VectorAdder.accumulate(partials)
+        prods.append(np.matmul(xs.swapaxes(-2, -3), ws))
+    return _left_fold(
+        np.concatenate(prods, axis=-3) if len(prods) > 1 else prods[0], axis=-3
+    )
 
 
 def mm1_product(fabric: Fabric, x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -237,7 +256,7 @@ def mm4_product(heads: np.ndarray, wo: np.ndarray) -> np.ndarray:
     fold left in head order."""
     num_heads, d_k = heads.shape[0], heads.shape[-1]
     panels = wo.reshape(num_heads, *(1,) * (heads.ndim - 3), d_k, wo.shape[-1])
-    return VectorAdder.accumulate(list(np.matmul(heads, panels)))
+    return _left_fold(np.matmul(heads, panels), axis=0)
 
 
 def _split_inner_matmul(

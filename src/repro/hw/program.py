@@ -34,7 +34,11 @@ single-token KV-cache decode step, or one layer or block on its own.
 Like the accelerator, which runs one kernel set for every layer, it
 lowers each distinct layer once, as a template, and stamps the copies
 (:func:`_stamp`): their blocks and spans at once, their ops on the
-first read of ``BlockProgram.ops``.
+first read of ``BlockProgram.ops``.  The decode step is lowered once
+per (model, fabric, s, parallel_heads) as a template whose
+prefix-length-dependent cycles are cost functions, and the step at
+each prefix length is a re-timed view of it that runs the template's
+one execution plan (:class:`_StepTemplate`).
 A block's compute cycles are always the ASAP makespan its shape
 records (``BlockProgram.block_spans``); no other cycle model of the
 block schedule exists.
@@ -396,6 +400,16 @@ class BlockShape:
             for q in (*entry[4], *entry[5])
         )
 
+    def recosted(self, cycles: Mapping[int, int]) -> BlockShape:
+        """This record with the compute ops at the given positions
+        priced at the given cycles (a decode step re-timed at its prefix
+        length, :meth:`_LayerTemplate.at`)."""
+        entries = list(self.entries)
+        for p, c in cycles.items():
+            kind, semantic, engines, _, deps, reads = entries[p]
+            entries[p] = (kind, semantic, engines, c, deps, reads)
+        return BlockShape(entries, self.num_ports, self.by_id)
+
     def _identity(self) -> tuple:
         return self.entries, self.num_ports, self.by_id
 
@@ -657,8 +671,11 @@ class BlockProgram:
     def execution_plan(self) -> tuple[PlanStep, ...]:
         """The functional executor's schedule: the ops in program
         order, with each attention head group run as one head-stacked
-        kernel call (:func:`_build_plan`)."""
-        return _build_plan(self)
+        kernel call (:func:`_build_plan`).  A lowered decode step runs
+        its template's plan, which serves every prefix length
+        (:class:`_StepTemplate`), and never builds its own ops for it."""
+        template = self.__dict__.get("_step_template")
+        return _build_plan(self.ops) if template is None else template.plan
 
     @cached_property
     def _work_unit_memo(
@@ -688,6 +705,7 @@ class BlockProgram:
             "block_spans",
             "merge_group_spans",
             "execution_plan",
+            "_step_template",
             "_work_unit_memo",
         )
         if meta.get("schedule_params") == self.meta.get("schedule_params"):
@@ -717,10 +735,31 @@ class ProgramRun:
     values: dict[int, np.ndarray]
 
 
+@dataclass(frozen=True, slots=True)
+class PlanOp:
+    """What the functional executor reads of one op: its id, label,
+    kernel, value refs, parameters and attributes — not its cycles,
+    engines or deps.  A decode step template's plan holds these, so one
+    plan runs the step at every prefix length."""
+
+    op_id: int
+    label: str
+    semantic: str
+    inputs: tuple[ValueRef, ...]
+    params: tuple[ParamRef, ...]
+    attrs: dict
+
+    @classmethod
+    def of(cls, op: Op) -> PlanOp:
+        return cls(op.op_id, op.label, op.semantic, op.inputs, op.params, op.attrs)
+
+
 @dataclass(frozen=True)
 class PlanStep:
     """One call of the functional executor.
 
+    ``ops`` are the member ops: the program's :class:`Op` records, or
+    a decode step template's :class:`PlanOp` records.
     A ``stacked`` step runs its member ops as one kernel call over a
     leading head axis.  ``args`` says how each input slot is gathered:
     ``("group", i)`` is the output stack of plan step ``i``, member for
@@ -732,7 +771,7 @@ class PlanStep:
     ops (MM4, the FFN, Add-Norm) are one-op steps run on their own.
     """
 
-    ops: tuple[Op, ...]
+    ops: tuple[Op | PlanOp, ...]
     stacked: bool
     args: tuple[tuple[str, Any], ...] = ()
     heads: tuple[int, ...] | None = None
@@ -816,6 +855,12 @@ class _Builder:
         self.stamped = False
         self.blocks: list[BlockIR] = []
         self.input_shapes: dict[str, tuple[int, int]] = {}
+        #: Per op id, the cost function of each op whose cycles are a
+        #: function of a decode step's prefix length (the op is priced
+        #: at the first step, :data:`_FIRST_STEP`).
+        self.timed: dict[int, Callable[[int], int]] = {}
+        #: The decode step template a step program runs the plan of.
+        self.step_template: _StepTemplate | None = None
 
     def ext(self, name: str, rows: int, width: int) -> ValueRef:
         """An external activation input, expected as ``(rows, width)``
@@ -828,7 +873,7 @@ class _Builder:
         kind: OpKind,
         label: str,
         engines: Sequence[str],
-        cycles: int,
+        cycles: int | Callable[[int], int],
         deps: Sequence[int],
         block: str,
         semantic: str | None = None,
@@ -838,6 +883,9 @@ class _Builder:
     ) -> int:
         op_id = self.size
         self.size += 1
+        if callable(cycles):
+            self.timed[op_id] = cycles
+            cycles = cycles(_FIRST_STEP)
         self.ops.append(
             Op(
                 op_id=op_id,
@@ -906,6 +954,8 @@ class _Builder:
             meta={**meta, "input_shapes": self.input_shapes},
         )
         program.block_spans  # every reader of a lowering reads its spans
+        if self.step_template is not None:
+            program.__dict__["_step_template"] = self.step_template
         return program
 
 
@@ -1006,7 +1056,7 @@ def _lower_attention_step_head(
     prefix: tuple,
     layer: int,
     head: int,
-    t_keys: int,
+    t_keys: int | None,
     d_model: int,
     d_k: int,
     concurrent: int,
@@ -1021,14 +1071,21 @@ def _lower_attention_step_head(
     ``project_kv`` lowers the self-attention form — project and bank
     this position's K/V rows, then attend over the grown cache — while
     the cross-attention form streams the prefilled cache directly.
+    ``t_keys`` None keys the head over the step's prefix length: the
+    ops whose cost takes the key count then carry their cost function
+    as their cycles (:meth:`_Builder.op`).
     """
     fabric = b.fabric
     units = fabric.units
     psa, adder, sm = engines
     lp = label_prefix
     t_row = mm1_cycles(fabric, 1, d_model, d_k, concurrent)
-    stream = kv_stream_cycles(t_keys, d_k)
     which = "self" if project_kv else "cross"
+
+    def keyed(cost: Callable[[int], int]) -> int | Callable[[int], int]:
+        return cost if t_keys is None else cost(t_keys)
+
+    stream = keyed(lambda n: kv_stream_cycles(n, d_k))
 
     if project_kv:
         mm1_k = b.op(
@@ -1074,13 +1131,14 @@ def _lower_attention_step_head(
         OpKind.STREAM, f"{lp}stream(K)", (psa,), stream, stream_deps, block,
     )
     mm2_op = b.op(
-        OpKind.MATMUL, f"{lp}MM2", (psa,), mm2_cycles(fabric, 1, t_keys, d_k),
-        (st_k,), block, semantic="mm2",
+        OpKind.MATMUL, f"{lp}MM2", (psa,),
+        keyed(lambda n: mm2_cycles(fabric, 1, n, d_k)), (st_k,), block,
+        semantic="mm2",
         inputs=(_opref(b_q), _cacheref(f"{which}_k", layer, head)),
     )
     sc_sm = b.op(
         OpKind.VECTOR, f"{lp}Sc+Sm", (sm,),
-        units.scale_cycles(1, t_keys) + units.softmax_cycles(1, t_keys),
+        keyed(lambda n: units.scale_cycles(1, n) + units.softmax_cycles(1, n)),
         (mm2_op,), block, semantic="scsm", inputs=(_opref(mm2_op),),
         d_k=d_k, mask=mask,
     )
@@ -1108,8 +1166,9 @@ def _lower_attention_step_head(
             OpKind.STREAM, f"{lp}stream(V)", (psa,), stream, (sc_sm,), block,
         )
     return b.op(
-        OpKind.MATMUL, f"{lp}MM3", (psa,), mm3_cycles(fabric, 1, t_keys, d_k),
-        (st_v, sc_sm), block, semantic="mm3",
+        OpKind.MATMUL, f"{lp}MM3", (psa,),
+        keyed(lambda n: mm3_cycles(fabric, 1, n, d_k)), (st_v, sc_sm), block,
+        semantic="mm3",
         inputs=(_opref(sc_sm), _cacheref(f"{which}_v", layer, head)),
     )
 
@@ -1121,7 +1180,7 @@ def _lower_mha(
     x_kv: ValueRef | None,
     prefix: tuple,
     s_q: int,
-    s_k: int,
+    s_k: int | None,
     num_heads: int,
     d_model: int,
     parallel_heads: int | None,
@@ -1132,9 +1191,9 @@ def _lower_mha(
     project_kv: bool = True,
 ) -> int:
     """Lower a full MHA block (or a cached decode step over ``s_k``
-    cached keys when ``step_layer`` is given): head waves, MM4 across
-    every PSA group, B_A.  Returns the B_A op id — the block's (s_q,
-    d_model) output."""
+    cached keys when ``step_layer`` is given, None for the step's
+    prefix length): head waves, MM4 across every PSA group, B_A.
+    Returns the B_A op id — the block's (s_q, d_model) output."""
     fabric = b.fabric
     parallel_heads, concurrent = resolve_head_parallelism(
         fabric, num_heads, parallel_heads
@@ -1290,7 +1349,7 @@ def _lower_decoder_layer(
     x: ValueRef,
     memory: ValueRef | None,
     prefix: tuple,
-    t: int,
+    t: int | None,
     s: int,
     model: ModelConfig,
     parallel_heads: int | None,
@@ -1303,8 +1362,9 @@ def _lower_decoder_layer(
     cross-MHA (with their Add-Norms) belong to ``m_block``, the FFN and
     its Add-Norm to ``f_block``.  With ``step_layer`` the layer is one
     KV-cached decode step: a 1-row query over ``t`` cached self keys
-    and the ``s`` prefilled cross keys of that cache layer (``memory``
-    is then unused).  Returns (first f-part op id, final Add-Norm id)."""
+    (None: the step's prefix length, left as cost data) and the ``s``
+    prefilled cross keys of that cache layer (``memory`` is then
+    unused).  Returns (first f-part op id, final Add-Norm id)."""
     rows = t if step_layer is None else 1
     nh, d_model = model.num_heads, model.d_model
     self_out = _lower_mha(
@@ -1374,6 +1434,11 @@ class _LayerTemplate:
     per op that an input or the output reads (the others' slots stay
     None), then one per :attr:`outer` ``(kind, key)`` pair: bound
     inputs and cache refs.  Its parameter slots follow :attr:`params`.
+
+    ``timed`` lists, per block label, the ops whose cycles are a
+    function of a decode step's prefix length, as (position in the
+    block, op id, cost function); the rows and shapes price them at the
+    first step, and :meth:`at` re-prices them.
     """
 
     def __init__(
@@ -1426,6 +1491,35 @@ class _LayerTemplate:
         self.read = tuple(i in read for i in range(n))
         self.outer = list(outer)
         self.params = [ParamRef(path) for path in params]
+        self.timed = {
+            blk.label: tuple([
+                (p, op_id, tb.timed[op_id])
+                for p, op_id in enumerate(blk.op_ids) if op_id in tb.timed
+            ])
+            for blk in tb.blocks
+        }
+
+    def at(self, t: int) -> _LayerTemplate:
+        """This template with its ``timed`` ops priced at prefix length
+        ``t``: their rows re-costed and the records of the blocks that
+        hold them re-derived (:meth:`BlockShape.recosted`); the other
+        blocks and every other field are shared."""
+        rows = list(self.rows)
+        blocks = []
+        for blk in self.blocks:
+            cycles = {}
+            for p, op_id, cost in self.timed[blk.label]:
+                row = rows[op_id]
+                c = cost(t)
+                if c != row[4]:
+                    cycles[p] = c
+                    rows[op_id] = row[:4] + (c,) + row[5:]
+            blocks.append(
+                replace(blk, shape=blk.shape.recosted(cycles)) if cycles else blk
+            )
+        retimed = object.__new__(_LayerTemplate)
+        retimed.__dict__.update(self.__dict__, rows=tuple(rows), blocks=tuple(blocks))
+        return retimed
 
 
 def _stamp(
@@ -1529,16 +1623,16 @@ def _encoder_template(
 def _decoder_template(
     fabric: Fabric,
     spec: LoweringSpec,
-    t: int,
+    t: int | None,
     self_mask: str | None,
     memory_mask: str | None,
     stack: bool,
-    step: bool = False,
 ) -> _LayerTemplate:
     """One decoder layer as the ``dec1m``/``dec1f`` block pair (inputs
     ``x`` and ``memory``): layer 0 of the decoder stack behind its two
-    weight loads with ``stack``, else the layer alone without loads;
-    with ``step``, one KV-cached decode step of it."""
+    weight loads with ``stack``, else the layer alone without loads.
+    ``t`` None lowers its KV-cached decode step instead, at every
+    prefix length (see :class:`_StepTemplate`)."""
     model = spec.model
     tb = _Builder(fabric)
     mha_load = ffn_load = mha_bytes = ffn_bytes = 0
@@ -1553,10 +1647,10 @@ def _decoder_template(
         _load_op(tb, "dec1m", mha_load, 0)
     m_end, out = _lower_decoder_layer(
         tb, "dec1m", "dec1f", ValueRef("ext", "x"),
-        None if step else ValueRef("ext", "memory"),
+        None if t is None else ValueRef("ext", "memory"),
         ("decoders", 0) if stack else (), t, spec.s, model,
         spec.parallel_heads, self_mask, memory_mask, _ENTRY_DEPS,
-        step_layer=0 if step else None,
+        step_layer=0 if t is None else None,
     )
     tb.blocks.append(BlockIR(
         "dec1m", tuple(range(m_end)), load_cycles=mha_load, channel_hint=0,
@@ -1599,36 +1693,60 @@ def _lower_encoders(
     return _stamp_stack(b, tpl, spec.model.num_encoders, x)
 
 
-def _lower_decoders(
-    b: _Builder,
-    spec: LoweringSpec,
-    t: int,
-    x: ValueRef,
-    memory: ValueRef | None,
-    self_mask: str | None,
-    memory_mask: str | None,
-    step: bool = False,
-) -> ValueRef:
-    """Every decoder layer as an m/f block pair (full pass, or one
-    KV-cached decode step with ``step``)."""
-    if not spec.model.num_decoders:
-        return x
-    tpl = _decoder_template(
-        b.fabric, spec, t, self_mask, memory_mask, stack=True, step=step
-    )
-    return _stamp_stack(b, tpl, spec.model.num_decoders, x, memory)
+#: The prefix length a decode step template is lowered and priced at.
+_FIRST_STEP = 1
+
+
+class _StepTemplate:
+    """The KV-cached decode step of one (model, fabric, s,
+    ``parallel_heads``), lowered once for every prefix length t.
+
+    :attr:`layer` is the decoder layer's step as a layer template
+    priced at the first step (:data:`_FIRST_STEP`), whose ``timed`` ops
+    carry their cost function of t: the self-attention's
+    ``stream(K)``/``stream(V)`` (``kv_stream_cycles``) and its MM2,
+    Sc+Sm and MM3, whose key count is t.  The step at t stamps
+    ``layer.at(t)`` (:meth:`stamp`), so only the records of the blocks
+    holding those ops are derived per t, and its ops are built on their
+    first read.  :attr:`plan` is the functional executor's plan of every
+    step: built once, over :class:`PlanOp` records, which hold no
+    cycles.
+    """
+
+    def __init__(self, fabric: Fabric, spec: LoweringSpec) -> None:
+        self.fabric = fabric
+        self.model = spec.model
+        self.layer = _decoder_template(
+            fabric, spec, None, None, "memory_mask", stack=True
+        )
+
+    def stamp(self, b: _Builder, t: int) -> ValueRef:
+        """The step at prefix length ``t`` appended to ``b``; returns
+        its output.  ``b`` runs this template's plan."""
+        b.step_template = self
+        x = b.ext("x", 1, self.model.d_model)
+        return _stamp_stack(b, self.layer.at(t), self.model.num_decoders, x)
+
+    @cached_property
+    def plan(self) -> tuple[PlanStep, ...]:
+        b = _Builder(self.fabric)
+        self.stamp(b, _FIRST_STEP)
+        ops = _DeferredOps(b.ops, b.size).build()
+        return _build_plan([PlanOp.of(op) for op in ops if op.semantic is not None])
 
 
 # ------------------------------------------------- program entry points
 def _scope_full_pass(b: _Builder, spec: LoweringSpec, t: int) -> dict:
     """The full encoder + decoder pass: the program behind the Table
     5.1 / Fig 5.2 latency numbers and the teacher-forced run."""
-    d_model = spec.model.d_model
-    memory = _lower_encoders(b, spec, b.ext("x", spec.s, d_model), "enc_mask")
-    out = _lower_decoders(
-        b, spec, t, b.ext("dec_in", t, d_model), memory, "dec_self_mask",
-        "dec_memory_mask",
-    )
+    model = spec.model
+    memory = _lower_encoders(b, spec, b.ext("x", spec.s, model.d_model), "enc_mask")
+    out = b.ext("dec_in", t, model.d_model)
+    if model.num_decoders:
+        tpl = _decoder_template(
+            b.fabric, spec, t, "dec_self_mask", "dec_memory_mask", stack=True
+        )
+        out = _stamp_stack(b, tpl, model.num_decoders, out, memory)
     return {"encoder_output": memory, "decoder_output": out}
 
 
@@ -1641,11 +1759,16 @@ def _scope_encoder_stack(b: _Builder, spec: LoweringSpec, t: int) -> dict:
 
 def _scope_decode_step(b: _Builder, spec: LoweringSpec, t: int) -> dict:
     """One KV-cached decode step at prefix length ``t`` over an
-    ``s``-row memory: a 1-row query through every decoder layer."""
-    return {"output": _lower_decoders(
-        b, spec, t, b.ext("x", 1, spec.model.d_model), None, None,
-        "memory_mask", step=True,
-    )}
+    ``s``-row memory: a 1-row query through every decoder layer,
+    stamped from the step template (:class:`_StepTemplate`).  The
+    template is lowered with the first step, which every decode runs
+    first; the step at any other t reads it off that cached program."""
+    if t == _FIRST_STEP:
+        template = _StepTemplate(b.fabric, spec)
+    else:
+        first = lower(replace(spec, t=_FIRST_STEP))
+        template = first.__dict__["_step_template"]
+    return {"output": template.stamp(b, t)}
 
 
 def _scope_mha(b: _Builder, spec: LoweringSpec, t: int) -> dict:
@@ -1776,7 +1899,8 @@ def lower(spec: LoweringSpec) -> BlockProgram:
     The one cache of the lowering: equal specs return the same program
     object.  512 entries hold a whole s = 32 workload — one full pass,
     one encoder stack and a decode step per prefix length — with room
-    to spare.
+    to spare.  The decode step at t = 1 also holds its step template,
+    which the step at every other t reads (:func:`_scope_decode_step`).
     """
     t = spec.s if spec.t is None else spec.t
     b = _Builder(spec.fabric)
@@ -1855,11 +1979,18 @@ def program_op_counts(program: BlockProgram) -> dict[str, int]:
     """Op count per :class:`OpKind` value, sorted by kind name.
 
     The same lowering feeds every executor, so this count is exact for
-    the functional, cycle and trace views alike.
+    the functional, cycle and trace views alike.  When the blocks hold
+    every op once, the count is read off their shapes, which list their
+    ops' kinds, so counting never builds a lowering's ops.
     """
+    ids = [op_id for blk in program.blocks for op_id in blk.op_ids]
+    if len(ids) == len(set(ids)) == program.num_ops:
+        kinds = [kind for blk in program.blocks for kind in blk.shape.kinds]
+    else:
+        kinds = [op.kind for op in program.ops]
     counts: dict[str, int] = {}
-    for op in program.ops:
-        counts[op.kind.value] = counts.get(op.kind.value, 0) + 1
+    for kind in kinds:
+        counts[kind.value] = counts.get(kind.value, 0) + 1
     return dict(sorted(counts.items()))
 
 
@@ -2096,7 +2227,7 @@ _HEAD_SEMANTICS = frozenset(
 _APPEND_BANKS = {"cache_append_k": "self_k", "cache_append_v": "self_v"}
 
 
-def _op_lane(op: Op, lanes: Mapping[int, int | None]) -> int | None:
+def _op_lane(op: Op | PlanOp, lanes: Mapping[int, int | None]) -> int | None:
     """The head a per-head op works for: its ``head`` attribute, else
     the head of its first op or cache input (MM2, Sc+Sm and MM3 carry
     no ``head``).  None for every other op."""
@@ -2141,8 +2272,9 @@ def _gather_spec(
     return ("each", tuple(refs))
 
 
-def _build_plan(program: BlockProgram) -> tuple[PlanStep, ...]:
-    """Group a program's per-head ops into head-stacked plan steps.
+def _build_plan(ops: Sequence[Op | PlanOp]) -> tuple[PlanStep, ...]:
+    """Group a program's per-head ops (``ops``, in program order) into
+    head-stacked plan steps.
 
     Per-head ops form one group when they share the semantic, the
     parameter paths, the attributes other than ``head``, and their
@@ -2153,12 +2285,12 @@ def _build_plan(program: BlockProgram) -> tuple[PlanStep, ...]:
     ``ValueError`` naming the op if grouping would move a cache read or
     append across an append to the same (which, layer, head) bank.
     """
-    index = {op.op_id: i for i, op in enumerate(program.ops)}
+    index = {op.op_id: i for i, op in enumerate(ops)}
     lanes: dict[int, int | None] = {}
     group_ids: dict[tuple, int] = {}
     group_of: dict[int, int] = {}
-    groups: list[list[Op]] = []
-    for op in program.ops:
+    groups: list[list[Op | PlanOp]] = []
+    for op in ops:
         if op.semantic is None:
             continue
         lane = lanes[op.op_id] = _op_lane(op, lanes)
@@ -2178,21 +2310,23 @@ def _build_plan(program: BlockProgram) -> tuple[PlanStep, ...]:
 
     members = sorted(
         (
-            sorted(ops, key=lambda op: (lanes[op.op_id] or 0, index[op.op_id]))
-            for ops in groups
+            sorted(group, key=lambda op: (lanes[op.op_id] or 0, index[op.op_id]))
+            for group in groups
         ),
-        key=lambda ops: max(index[op.op_id] for op in ops),
+        key=lambda group: max(index[op.op_id] for op in group),
     )
     slot_of = {
-        op.op_id: (i, j) for i, ops in enumerate(members) for j, op in enumerate(ops)
+        op.op_id: (i, j)
+        for i, group in enumerate(members) for j, op in enumerate(group)
     }
     stack_sizes = [
-        len(ops) if ops[0].semantic in _HEAD_SEMANTICS else None for ops in members
+        len(group) if group[0].semantic in _HEAD_SEMANTICS else None
+        for group in members
     ]
     steps: list[PlanStep] = []
-    for i, ops in enumerate(members):
-        first = ops[0]
-        for op in ops:
+    for i, group in enumerate(members):
+        first = group[0]
+        for op in group:
             for ref in op.inputs:
                 if ref.kind == "op" and slot_of[ref.key][0] >= i:
                     raise ValueError(
@@ -2200,33 +2334,33 @@ def _build_plan(program: BlockProgram) -> tuple[PlanStep, ...]:
                         f"input op {ref.key} in the execution plan"
                     )
         if first.semantic not in _HEAD_SEMANTICS:
-            steps.append(PlanStep(ops=tuple(ops), stacked=False))
+            steps.append(PlanStep(ops=tuple(group), stacked=False))
             continue
         steps.append(PlanStep(
-            ops=tuple(ops),
+            ops=tuple(group),
             stacked=True,
             args=tuple(
-                _gather_spec([op.inputs[k] for op in ops], slot_of, stack_sizes)
+                _gather_spec([op.inputs[k] for op in group], slot_of, stack_sizes)
                 for k in range(len(first.inputs))
             ),
             heads=(
-                tuple(op.attrs["head"] for op in ops) if "head" in first.attrs
+                tuple(op.attrs["head"] for op in group) if "head" in first.attrs
                 else None
             ),
         ))
-    _check_cache_hazards(program, index, slot_of)
+    _check_cache_hazards(ops, index, slot_of)
     return tuple(steps)
 
 
 def _check_cache_hazards(
-    program: BlockProgram,
+    ops: Sequence[Op | PlanOp],
     index: Mapping[int, int],
     slot_of: Mapping[int, tuple[int, int]],
 ) -> None:
     """Raise if the plan reorders a cache access against an append to
     the same (which, layer, head) bank."""
-    banks: dict[tuple, list[tuple[Op, bool]]] = {}
-    for op in program.ops:
+    banks: dict[tuple, list[tuple[Op | PlanOp, bool]]] = {}
+    for op in ops:
         for ref in op.inputs:
             if ref.kind == "cache":
                 banks.setdefault(tuple(ref.key), []).append((op, False))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.serving.arrival import ArrivalModel
@@ -78,8 +78,6 @@ class RequestRecord:
     decoded_tokens: int = 0
     preemptions: int = 0
     replayed_steps: int = 0
-    #: Per-iteration virtual end times of this request's decode steps.
-    step_end_s: list[float] = field(default_factory=list)
 
     @property
     def queue_ms(self) -> float:

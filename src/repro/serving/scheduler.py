@@ -591,7 +591,6 @@ class ContinuousBatchingScheduler:
                         entry.record.decoded_tokens = max(
                             entry.record.decoded_tokens, entry.t
                         )
-                    entry.record.step_end_s.append(now_s)
                     if entry.t >= entry.record.request.decode_tokens:
                         finished.append(entry)
                 for entry in finished:

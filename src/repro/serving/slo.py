@@ -274,27 +274,29 @@ def evaluate_slo(
 
     # Multi-window burn: evaluated at every completion instant over the
     # outcomes inside each window ending there (never empty: a window
-    # holds its own closing completion).
-    def recent(i: int, window_s: float) -> list[bool]:
-        start_cycle = flags[i][0] - window_s * clock_hz
-        return [ok for cycle, _, ok in flags[: i + 1] if cycle > start_cycle]
-
+    # holds its own closing completion).  Completions arrive in cycle
+    # order, so each window keeps the index of its first outcome and
+    # its bad count, moved forward as completions arrive: the pass is
+    # linear, and the integer counts give the ratios a rescan would.
+    windows = objective.windows
+    slowest = windows.index(max(windows, key=lambda w: w.window_s))
+    starts, bad = [0] * len(windows), [0] * len(windows)
     alerts: list[SloAlert] = []
     attainment_series: list[tuple[int, float]] = []
-    slowest = max(objective.windows, key=lambda w: w.window_s)
     firing = False
-    final_burn = {w.name: 0.0 for w in objective.windows}
-    for i, (cycle, _, _) in enumerate(flags):
+    final_burn = {w.name: 0.0 for w in windows}
+    for i, (cycle, _, ok) in enumerate(flags):
         burns = {}
-        for w in objective.windows:
-            oks = recent(i, w.window_s)
-            burns[w.name] = oks.count(False) / len(oks) / (1.0 - objective.target)
+        for k, w in enumerate(windows):
+            bad[k] += not ok
+            while flags[starts[k]][0] <= cycle - w.window_s * clock_hz:
+                bad[k] -= not flags[starts[k]][2]
+                starts[k] += 1
+            burns[w.name] = bad[k] / (i + 1 - starts[k]) / (1.0 - objective.target)
         final_burn = burns
-        rolled = recent(i, slowest.window_s)
-        attainment_series.append((cycle, sum(rolled) / len(rolled)))
-        now_firing = all(
-            burns[w.name] >= w.burn_threshold for w in objective.windows
-        )
+        rolled = i + 1 - starts[slowest]
+        attainment_series.append((cycle, (rolled - bad[slowest]) / rolled))
+        now_firing = all(burns[w.name] >= w.burn_threshold for w in windows)
         if now_firing and not firing:
             alerts.append(SloAlert(cycle=cycle, burn=burns))
             if recorder is not None and recorder.enabled:

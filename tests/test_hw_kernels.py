@@ -3,9 +3,17 @@ against plain matmuls, and cycle-model structure."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ModelConfig
+from repro.hw.adder import VectorAdder
 from repro.hw.kernels import (
+    _fold_chunks,
+    _left_fold,
+    _runs,
+    _split_widths,
+    _stripe_widths,
     matmul_dims,
     mm1_cycles,
     mm1_product,
@@ -178,3 +186,82 @@ class TestCycleStructure:
 
     def test_isc_transfer_cycles(self, fabric):
         assert fabric.isc_transfer_cycles(32, 512) == 32 * 512 // 16
+
+
+def _accumulated_chunks(x, w, widths):
+    """The partial products as ``_fold_chunks`` forms them, folded one
+    by one by ``VectorAdder.accumulate`` (the hardware add order)."""
+    partials = []
+    for start, stop, width, count in _runs(widths):
+        xs = x[..., start:stop].reshape(*x.shape[:-1], count, width)
+        ws = w[..., start:stop, :].reshape(*w.shape[:-2], count, width, w.shape[-1])
+        prod = np.matmul(xs.swapaxes(-2, -3), ws)
+        partials.extend(prod[..., i, :, :] for i in range(count))
+    return VectorAdder.accumulate(partials)
+
+
+def _f32(rng, shape, spread):
+    """Values over ``spread`` decades, so the add order shows in the
+    bits."""
+    scale = 10.0 ** rng.integers(-spread, spread + 1, size=shape)
+    return (rng.standard_normal(shape) * scale).astype(np.float32)
+
+
+class TestLeftFold:
+    """The one-reduction folds equal ``VectorAdder.accumulate`` over the
+    same partial products, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lead=st.lists(st.integers(1, 3), max_size=2),
+        inner=st.integers(1, 200),
+        split=st.sampled_from(["stripe", "even"]),
+        parts=st.integers(1, 9),
+        s=st.integers(1, 3),
+        n=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_fold_chunks(self, lead, inner, split, parts, s, n, seed):
+        # Stripes of 64 leave a trailing partial stripe; an even split
+        # of an inner dimension that does not divide makes uneven runs.
+        widths = (
+            _stripe_widths(inner, 64) if split == "stripe"
+            else _split_widths(inner, min(parts, inner))
+        )
+        rng = np.random.default_rng(seed)
+        x = _f32(rng, (*lead, s, inner), 4)
+        w = _f32(rng, (*lead[1:], inner, n), 4)
+        got = _fold_chunks(x, w, widths)
+        assert got.tobytes() == _accumulated_chunks(x, w, widths).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        heads=st.integers(1, 9),
+        batch=st.lists(st.integers(1, 3), max_size=1),
+        s=st.integers(1, 3),
+        d_k=st.integers(1, 4),
+        d_out=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_mm4_product(self, heads, batch, s, d_k, d_out, seed):
+        rng = np.random.default_rng(seed)
+        stack = _f32(rng, (heads, *batch, s, d_k), 4)
+        wo = _f32(rng, (heads * d_k, d_out), 4)
+        panels = wo.reshape(heads, *(1,) * len(batch), d_k, d_out)
+        want = VectorAdder.accumulate(list(np.matmul(stack, panels)))
+        assert mm4_product(stack, wo).tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        count=st.integers(1, 24),
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_stack_axis(self, shape, count, seed):
+        """Including stacks whose partials hold one element, where NumPy
+        would sum the stacked axis pairwise."""
+        rng = np.random.default_rng(seed)
+        axis = int(rng.integers(0, len(shape) + 1))
+        stack = _f32(rng, (*shape[:axis], count, *shape[axis:]), 6)
+        want = VectorAdder.accumulate(list(np.moveaxis(stack, axis, 0)))
+        assert _left_fold(stack, axis).tobytes() == want.tobytes()

@@ -13,6 +13,7 @@ import repro.obs as obs
 from repro.hw.accelerator import TransformerAccelerator, step_batch
 from repro.hw.controller import LatencyModel
 from repro.hw.kv_cache import modeled_resident_bytes
+from repro.obs.vtrace import VTraceRecorder
 from repro.serving import (
     BurstyArrivals,
     ContinuousBatchingScheduler,
@@ -39,6 +40,18 @@ from repro.serving import (
 def executor():
     """One shared modeled executor so iteration-cost caches warm once."""
     return ModeledExecutor(ServingConfig(s=32, max_batch=4))
+
+
+def _decode_step_ends(vt, clock_hz):
+    """Per request id, the virtual end times (s) of the decode
+    iterations it ran in, from the ``decode_iter`` events."""
+    ends = {}
+    for event in vt.events:
+        if event.kind == "decode_iter":
+            end_s = (event.cycle + event.attrs["cycles"]) / clock_hz
+            for rid in event.attrs["request_ids"]:
+                ends.setdefault(rid, []).append(end_s)
+    return ends
 
 
 def _cfg(**kw):
@@ -174,14 +187,19 @@ class TestSynthesizeRequests:
 class TestSchedulerBasics:
     def test_all_requests_complete(self, executor):
         reqs = synthesize_requests(PoissonArrivals(2.0, seed=7), 10, seed=7)
-        result = simulate(reqs, _cfg(), executor)
+        vt = VTraceRecorder()
+        result = simulate(reqs, _cfg(), executor, vtrace=vt)
         assert len(result.completed) == 10
+        steps = _decode_step_ends(vt, executor.clock_hz)
+        completed = {e.request_id for e in vt.events if e.kind == "complete"}
         for record in result.records:
             assert record.state is RequestState.COMPLETED
             assert record.decoded_tokens == record.request.decode_tokens
             assert record.finished_s > record.request.arrival_s
             assert record.e2e_ms > 0
-            assert len(record.step_end_s) >= record.request.decode_tokens
+            rid = record.request.request_id
+            assert rid in completed
+            assert len(steps[rid]) >= record.request.decode_tokens
 
     def test_deterministic_across_runs(self, executor):
         reqs = synthesize_requests(PoissonArrivals(3.0, seed=2), 8, seed=2)
@@ -203,11 +221,13 @@ class TestSchedulerBasics:
             UtteranceRequest(0, 0.0, 12),
             UtteranceRequest(1, prefill_s + 3 * step_s, 6),
         ]
-        result = simulate(reqs, _cfg(), ex)
+        vt = VTraceRecorder()
+        result = simulate(reqs, _cfg(), ex, vtrace=vt)
         assert result.peak_batch == 2
         r0, r1 = result.records
         # r0 keeps decoding while r1 is served: its steps bracket r1's.
-        assert r0.step_end_s[0] < r1.prefill_done_s < r0.finished_s
+        r0_steps = _decode_step_ends(vt, clock)[0]
+        assert r0_steps[0] < r1.prefill_done_s < r0.finished_s
         # Shared iterations: fewer than solo step sums.
         assert result.decode_iterations < 12 + 6
 

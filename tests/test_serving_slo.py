@@ -3,6 +3,8 @@ attainment/error-budget/burn-rate arithmetic, multi-window alerts, and
 the per-violation macro-phase + micro-stall-cause drill-down."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.obs as obs
 from repro.hw.introspect import STALL_CAUSES
@@ -25,6 +27,7 @@ from repro.serving import (
 )
 from repro.serving.request import RequestRecord
 from repro.serving.slo import MACRO_PHASES
+from tests.reference_slo import reference_burn_alerts
 
 
 def _pressured_run(slo_ms=1500.0):
@@ -41,20 +44,21 @@ def _pressured_run(slo_ms=1500.0):
     return result, vt, sm
 
 
-def _synthetic_result(latencies_ms, clock_hz=1.0e6, slo_ms=100.0):
+def _synthetic_result(latencies_ms, clock_hz=1.0e6, slo_ms=100.0, cycles=None):
     """A hand-built run: request i completes at virtual second i * 0.5
-    with the given end-to-end latency.  Lets the burn/alert arithmetic
-    be tested against exact numbers."""
+    (or at cycle ``cycles[i]``) with the given end-to-end latency.  Lets
+    the burn/alert arithmetic be tested against exact numbers."""
     records, events = [], []
     vt = VTraceRecorder()
     for i, lat in enumerate(latencies_ms):
-        finish_s = 0.5 * (i + 1)
+        finish_s = 0.5 * (i + 1) if cycles is None else cycles[i] / clock_hz
         req = UtteranceRequest(i, arrival_s=finish_s - lat / 1e3,
                                decode_tokens=1)
         rec = RequestRecord(request=req, state=RequestState.COMPLETED,
                             admitted_s=req.arrival_s, finished_s=finish_s)
         records.append(rec)
-        vt.emit("complete", int(finish_s * clock_hz), i, e2e_ms=lat)
+        cycle = int(finish_s * clock_hz) if cycles is None else cycles[i]
+        vt.emit("complete", cycle, i, e2e_ms=lat)
     result = ServingResult(
         config=ServingConfig(s=32, max_batch=4, slo_ms=slo_ms),
         records=records,
@@ -178,6 +182,46 @@ class TestSloArithmetic:
             SloObjective(latency_ms=100.0, windows=())
         with pytest.raises(ValueError):
             SloWindow("w", window_s=0.0, burn_threshold=1.0)
+
+
+@st.composite
+def outcome_streams(draw):
+    """Completions in cycle order (ties included) with their met flags,
+    on a 1 kHz clock, and an objective of one to three windows."""
+    # Gaps of whole window spans put completions exactly on a window's
+    # open start edge.
+    gaps = draw(st.lists(
+        st.sampled_from([0, 250, 500, 1_000, 2_000]) | st.integers(0, 3_000),
+        max_size=120,
+    ))
+    cycles = [1_000 + sum(gaps[: i + 1]) for i in range(len(gaps))]
+    flags = draw(st.lists(st.booleans(), min_size=len(cycles), max_size=len(cycles)))
+    windows = tuple(
+        SloWindow(f"w{i}", window_s=draw(st.sampled_from([0.5, 1.0, 2.0, 7.5])),
+                  burn_threshold=draw(st.sampled_from([0.5, 1.0, 4.0])))
+        for i in range(draw(st.integers(1, 3)))
+    )
+    target = draw(st.sampled_from([0.5, 0.9, 0.95, 0.999]))
+    return list(zip(cycles, flags)), SloObjective(100.0, target, windows=windows)
+
+
+class TestBurnOracle:
+    """The moving-window burn equals the rescanning loop it replaced."""
+
+    @given(stream=outcome_streams())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_rescan(self, stream):
+        outcomes, objective = stream
+        result, vt = _synthetic_result(
+            [50.0 if ok else 200.0 for _, ok in outcomes], clock_hz=1_000.0,
+            cycles=[cycle for cycle, _ in outcomes],
+        )
+        alert_vt = VTraceRecorder()
+        report = evaluate_slo(result, vt.events, objective, recorder=alert_vt)
+        alerts, series, burn = reference_burn_alerts(outcomes, objective, 1_000.0)
+        assert (report.alerts, report.attainment_series) == (alerts, series)
+        assert report.burn == burn
+        assert [e.cycle for e in alert_vt.events] == [a.cycle for a in alerts]
 
 
 class TestViolationDrilldown:
