@@ -105,6 +105,18 @@ class TransformerAccelerator:
         padded[:n] = x
         return padded
 
+    def _features(self, features: np.ndarray) -> np.ndarray:
+        """Encoder features as an (n, d_model) model-precision matrix
+        with 1 <= n; zero rows would decode against an all-masked
+        memory, so they raise."""
+        x = np.asarray(features, dtype=MODEL_DTYPE)
+        if x.ndim != 2 or x.shape[1] != self.config.d_model or not x.shape[0]:
+            raise ValueError(
+                f"features must be (n, {self.config.d_model}) with n >= 1; "
+                f"got {x.shape}"
+            )
+        return x
+
     def _key_mask(self, valid: int) -> np.ndarray:
         """(1, S) broadcastable key-padding mask."""
         return (np.arange(self.hw_seq_len) < valid)[None, :]
@@ -142,7 +154,8 @@ class TransformerAccelerator:
         the latency report.
         """
         arch = Architecture(architecture) if architecture else self.architecture
-        s_valid = np.asarray(features).shape[0]
+        features = self._features(features)
+        s_valid = features.shape[0]
         dec_embed = self.embed_tokens(tokens)
         t_valid = dec_embed.shape[0]
 
@@ -198,7 +211,7 @@ class TransformerAccelerator:
         """
         if not features_list:
             raise ValueError("need at least one utterance to batch")
-        feats = [np.asarray(f, dtype=MODEL_DTYPE) for f in features_list]
+        feats = [self._features(f) for f in features_list]
         enc_in = np.stack([self._pad_rows(f) for f in feats])
         enc_mask = np.stack([self._key_mask(f.shape[0]) for f in feats])
         with obs_spans.tracer().span(
@@ -272,8 +285,7 @@ class HwDecodeSession:
         memory: np.ndarray | None = None,
     ) -> None:
         self.accel = accel
-        features = np.asarray(features, dtype=MODEL_DTYPE)
-        s_valid = features.shape[0]
+        s_valid = accel._features(features).shape[0]
         if memory is None:
             enc_in = accel._pad_rows(features)
             enc_mask = accel._key_mask(s_valid)
@@ -387,16 +399,16 @@ def step_sessions(
     sessions: Sequence["HwDecodeSession"],
     tokens: Sequence[int],
 ) -> list[np.ndarray]:
-    """Advance every session one KV-cached step, batching where legal.
+    """Advance every session one KV-cached step as one batched step.
 
-    Sessions at the same prefix length share one decode-step program,
-    so each same-length group executes as a single batched program run
-    (:meth:`repro.hw.controller.AcceleratorController.
-    run_decoder_step_batch`); singleton groups take the scalar path.
-    Outputs, cache contents and per-session cycle bookkeeping are
-    bit-identical to per-session :meth:`HwDecodeSession.step` calls —
-    only the wall clock changes.  Raises ``ValueError`` naming the index
-    of a session passed twice or of one opened on another accelerator.
+    The sessions may sit at different prefix lengths: two or more run
+    as a single batched program execution (:meth:`repro.hw.controller.
+    AcceleratorController.run_decoder_step_batch`), a lone session
+    takes the scalar :meth:`HwDecodeSession.step`.  Outputs, cache
+    contents and per-session cycle bookkeeping are bit-identical to
+    per-session :meth:`HwDecodeSession.step` calls — only the wall
+    clock changes.  Raises ``ValueError`` naming the index of a session
+    passed twice or of one opened on another accelerator.
     """
     if len(sessions) != len(tokens):
         raise ValueError("one token per session required")
@@ -413,33 +425,22 @@ def step_sessions(
                 f"all sessions must share one accelerator; session {i} "
                 "belongs to another"
             )
-    outputs: list[np.ndarray | None] = [None] * len(sessions)
-    groups: dict[int, list[int]] = {}
-    for i, session in enumerate(sessions):
+    for session in sessions:
         session._check_capacity()
-        groups.setdefault(len(session._tokens), []).append(i)
-    for idxs in groups.values():
-        if len(idxs) == 1:
-            i = idxs[0]
-            outputs[i] = sessions[i].step(int(tokens[i]))
-            continue
-        members = [sessions[i] for i in idxs]
-        accel = members[0].accel
-        embeds = np.stack(
-            [accel.embed_tokens(np.array([int(tokens[i])]))[0] for i in idxs]
-        )
-        masks = np.stack([m.memory_mask for m in members])
-        outs, cycles = accel.controller.run_decoder_step_batch(
-            embeds, [m.cache for m in members], memory_mask=masks
-        )
-        # The batched program is the same lowering as the scalar step's,
-        # so each member records the same per-step compute cycles.
-        per_member = sum(cycles.values())
-        for j, i in enumerate(idxs):
-            outputs[i] = members[j]._absorb_step(
-                int(tokens[i]), outs[j], per_member
-            )
-    return outputs  # type: ignore[return-value]
+    if len(sessions) == 1:
+        return [sessions[0].step(int(tokens[0]))]
+    accel = sessions[0].accel
+    feed = [int(token) for token in tokens]
+    outs, cycles = accel.controller.run_decoder_step_batch(
+        accel.embed_tokens(np.array(feed)),
+        [session.cache for session in sessions],
+        memory_mask=np.stack([session.memory_mask for session in sessions]),
+    )
+    # Each member's cycles are its own step's, re-timed at its prefix.
+    return [
+        session._absorb_step(token, out, sum(member.values()))
+        for session, token, out, member in zip(sessions, feed, outs, cycles)
+    ]
 
 
 def step_batch(
@@ -452,9 +453,9 @@ def step_batch(
     Every session advances one KV-cached step at its own prefix length
     (the iteration-level scheduling of Orca-style serving): session
     ``i`` consumes ``tokens[i]`` and the functional outputs are exactly
-    the per-session :meth:`HwDecodeSession.step` results — same-length
-    sessions run through the batched executor (:func:`step_sessions`),
-    which is bit-identical to the scalar loop.  The returned cycle
+    the per-session :meth:`HwDecodeSession.step` results — the sessions
+    run through the batched executor (:func:`step_sessions`), which is
+    bit-identical to the scalar loop.  The returned cycle
     count is the *batched* iteration cost from
     :meth:`repro.hw.controller.LatencyModel.decode_iteration_cycles` —
     with ``share_weights``, the decoder panels stream from HBM once for
@@ -466,8 +467,8 @@ def step_batch(
         raise ValueError("one token per session required")
     outputs = step_sessions(sessions, tokens)
     accel = sessions[0].accel
-    # Each executed step ran the t = (new prefix length) program, the
-    # same length run_decoder_step lowered for it.
+    # Each member's step ran re-timed at its new prefix length, as
+    # run_decoder_step times it.
     cycles = accel.latency_model.decode_iteration_cycles(
         [len(s.tokens) for s in sessions],
         accel.hw_seq_len,

@@ -488,6 +488,9 @@ class AcceleratorController:
         )
         self.fabric = self.latency_model.fabric
         self.parallel_heads = parallel_heads
+        # Each execution plan bound to ``params`` once, for every later
+        # run (the params never change, so no binding outlives them).
+        self._bindings: dict = {}
 
     def run_encoder_stack(
         self, x: np.ndarray, mask: np.ndarray | None = None
@@ -504,7 +507,8 @@ class AcceleratorController:
             parallel_heads=self.parallel_heads,
         ))
         run = execute_program(
-            program, root=self.params, inputs={"x": x, "enc_mask": mask}
+            program, root=self.params, inputs={"x": x, "enc_mask": mask},
+            bindings=self._bindings,
         )
         return run.outputs["output"], run.block_compute_cycles
 
@@ -550,6 +554,7 @@ class AcceleratorController:
                 root=self.params,
                 inputs={"x": x[None, :], "memory_mask": memory_mask},
                 caches=cache.layers,
+                bindings=self._bindings,
             )
             cache.advance()
         obs_metrics.registry().counter("repro.hw.decode.steps").inc()
@@ -560,22 +565,22 @@ class AcceleratorController:
         xs: np.ndarray,
         caches: list[DecoderKVCache],
         memory_mask: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, dict[str, int]]:
-        """One KV-cached decode step for a whole group of sessions.
+    ) -> tuple[np.ndarray, list[dict[str, int]]]:
+        """One KV-cached decode step for a whole batch of sessions.
 
         ``xs`` is ``(B, d_model)`` — one embedded token per session —
-        and ``caches`` the matching per-session caches, all at the same
-        prefix length (:func:`repro.hw.kv_cache.batch_layer_caches`
-        enforces this).  The *same* decode-step program as the scalar
-        path executes once with a leading batch axis: every MM stage is
-        one stacked matmul over the members (each keeps its own 1-row
-        gemv), and cache appends fan back out so every session's cache
-        ends up bit-identical to B scalar :meth:`run_decoder_step`
-        calls.
+        and ``caches`` the matching per-session caches, over one memory
+        length but at any prefix lengths.  The decode-step plan the
+        scalar path runs executes once with a leading batch axis: MM1,
+        MM4, MM5, MM6, the biases and Add-Norm run once over the stacked
+        members (each keeps its own 1-row gemv), and the cache appends,
+        MM2, Sc+Sm and MM3 run member by member on each member's own
+        banks.  Every session's output and cache end up bit-identical
+        to B scalar :meth:`run_decoder_step` calls.
         ``memory_mask``, if given, is ``(B, 1, S)`` (stacked per-session
         masks) or a broadcastable ``(1, S)``.  Returns the ``(B,
-        d_model)`` output rows plus per-block compute cycles of the one
-        batched program execution.
+        d_model)`` output rows plus each member's per-block compute
+        cycles, from the step re-timed at its own prefix length.
         """
         xs = np.asarray(xs)
         d_model = self.params.config.d_model
@@ -589,20 +594,24 @@ class AcceleratorController:
             if len(cache.layers) != len(self.params.decoders):
                 raise ValueError("cache does not match this parameter set")
         batched_layers = batch_layer_caches(caches)
-        program = self._step_program(caches[0])
+        programs = [self._step_program(cache) for cache in caches]
         with obs_spans.tracer().span(
-            "hw.decode_step_batch", t=caches[0].length + 1, batch=len(caches)
+            "hw.decode_step_batch",
+            t=max(cache.length for cache in caches) + 1,
+            batch=len(caches),
         ):
             run = execute_program(
-                program,
+                programs[0],
                 root=self.params,
                 inputs={"x": xs[:, None, :], "memory_mask": memory_mask},
                 caches=batched_layers,
+                bindings=self._bindings,
             )
             for cache in caches:
                 cache.advance()
         obs_metrics.registry().counter("repro.hw.decode.steps").inc(len(caches))
-        return run.outputs["output"][:, 0, :], run.block_compute_cycles
+        cycles = [dict(program.block_spans) for program in programs]
+        return run.outputs["output"][:, 0, :], cycles
 
     def run(
         self,
@@ -642,6 +651,7 @@ class AcceleratorController:
         run = execute_program(
             program,
             root=self.params,
+            bindings=self._bindings,
             inputs={
                 "x": enc_input,
                 "dec_in": dec_input,

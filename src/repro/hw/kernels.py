@@ -216,28 +216,56 @@ def _left_fold(partials: np.ndarray, axis: int) -> np.ndarray:
     return np.add.reduce(partials, axis=axis)
 
 
-def _fold_chunks(x: np.ndarray, w: np.ndarray, widths: list[int]) -> np.ndarray:
+def _chunk_panels(
+    w: np.ndarray, widths: list[int]
+) -> tuple[tuple[int, int, int, int, np.ndarray], ...]:
+    """The weight side of a chunked fold: per run of equal chunk widths
+    of the inner dimension, ``(start, stop, width, count)`` and the
+    run's ``(..., count, width, n)`` panels, viewed in place in ``w``.
+    The functional executor builds these once per bound plan."""
+    return tuple(
+        (
+            start, stop, width, count,
+            w[..., start:stop, :].reshape(*w.shape[:-2], count, width, w.shape[-1]),
+        )
+        for start, stop, width, count in _runs(widths)
+    )
+
+
+def _fold_panels(
+    x: np.ndarray, panels: tuple[tuple[int, int, int, int, np.ndarray], ...]
+) -> np.ndarray:
     """Left fold, in chunk order, of ``x[..., c] @ w[..., c, :]`` over
-    consecutive inner-dimension chunks ``c`` of the given widths.
+    the chunks ``c`` that ``panels`` (:func:`_chunk_panels`) cut.
 
     Each run of equal widths is one np.matmul over (chunk x leading
     axes) slices viewed in place; the runs' partials stack on one axis
     and fold in one reduction.
     """
-    prods = []
-    for start, stop, width, count in _runs(widths):
-        xs = x[..., start:stop].reshape(*x.shape[:-1], count, width)
-        ws = w[..., start:stop, :].reshape(*w.shape[:-2], count, width, w.shape[-1])
-        prods.append(np.matmul(xs.swapaxes(-2, -3), ws))
+    prods = [
+        np.matmul(
+            x[..., start:stop].reshape(*x.shape[:-1], count, width).swapaxes(-2, -3),
+            ws,
+        )
+        for start, stop, width, count, ws in panels
+    ]
     return _left_fold(
         np.concatenate(prods, axis=-3) if len(prods) > 1 else prods[0], axis=-3
     )
 
 
+def mm1_panels(
+    fabric: Fabric, w: np.ndarray
+) -> tuple[tuple[int, int, int, int, np.ndarray], ...]:
+    """MM1's 64-wide stripe panels of ``(..., d_model, d_k)`` weights
+    (a trailing partial stripe folds last)."""
+    return _chunk_panels(w, _stripe_widths(w.shape[-2], fabric.hardware.psa_cols))
+
+
 def mm1_product(fabric: Fabric, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """MM1's (..., s, d_model) @ (..., d_model, d_k) as the left fold of
     its 64-wide stripe products (a trailing partial stripe folds last)."""
-    return _fold_chunks(x, w, _stripe_widths(x.shape[-1], fabric.hardware.psa_cols))
+    return _fold_panels(x, mm1_panels(fabric, w))
 
 
 def mm2_product(q: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -255,33 +283,53 @@ def mm4_product(heads: np.ndarray, wo: np.ndarray) -> np.ndarray:
     multiplies rows ``[h d_k, (h+1) d_k)`` of W_A, and the H partials
     fold left in head order."""
     num_heads, d_k = heads.shape[0], heads.shape[-1]
-    panels = wo.reshape(num_heads, *(1,) * (heads.ndim - 3), d_k, wo.shape[-1])
+    return mm4_fold(heads, mm4_panels(wo, num_heads, d_k, heads.ndim - 3))
+
+
+def mm4_panels(wo: np.ndarray, num_heads: int, d_k: int, batch_rank: int) -> np.ndarray:
+    """W_A cut into its ``num_heads`` row panels of ``d_k`` rows, a view
+    shaped to broadcast over ``batch_rank`` leading batch axes."""
+    return wo.reshape(num_heads, *(1,) * batch_rank, d_k, wo.shape[-1])
+
+
+def mm4_fold(heads: np.ndarray, panels: np.ndarray) -> np.ndarray:
+    """MM4 over :func:`mm4_panels`: one head-stacked matmul, folded
+    left in head order."""
     return _left_fold(np.matmul(heads, panels), axis=0)
 
 
-def _split_inner_matmul(
-    x: np.ndarray, w: np.ndarray, inner_split: int, col_split: int
-) -> np.ndarray:
-    """Shared MM5/MM6 product: split the inner dim ``inner_split`` ways
-    and the output columns ``col_split`` ways (as ``np.array_split``
-    would); each (chunk, column panel) pair maps to one PSA, and each
-    panel folds its chunks left.  Equal-width panels share the chunk
-    matmuls as one more leading axis."""
+def split_panels(
+    w: np.ndarray, inner_split: int, col_split: int
+) -> tuple[tuple[int, tuple], ...]:
+    """The weight side of the MM5/MM6 product: split the inner dim
+    ``inner_split`` ways and the output columns ``col_split`` ways (as
+    ``np.array_split`` would); each (chunk, column panel) pair maps to
+    one PSA.  Per run of equal-width column panels: its panel count and
+    the chunk panels (:func:`_chunk_panels`) its fold multiplies, which
+    the panels share as one more leading axis.  All views of ``w``."""
     m, n = w.shape
     inner = _split_widths(m, min(inner_split, m))
-    panels: list[np.ndarray] = []
-    for start, stop, width, count in _runs(_split_widths(n, min(col_split, n))):
-        wp = w[:, start:stop].reshape(m, count, width).swapaxes(0, 1)
-        fold = _fold_chunks(x[..., None, :, :], wp, inner)
-        panels.extend(fold[..., i, :, :] for i in range(count))
-    return np.concatenate(panels, axis=-1)
+    return tuple(
+        (count, _chunk_panels(w[:, start:stop].reshape(m, count, width).swapaxes(0, 1), inner))
+        for start, stop, width, count in _runs(_split_widths(n, min(col_split, n)))
+    )
+
+
+def split_product(x: np.ndarray, panels: tuple[tuple[int, tuple], ...]) -> np.ndarray:
+    """The MM5/MM6 product over :func:`split_panels`: each column panel
+    folds its inner chunks left, and the panels concatenate."""
+    columns: list[np.ndarray] = []
+    for count, chunks in panels:
+        fold = _fold_panels(x[..., None, :, :], chunks)
+        columns.extend(fold[..., i, :, :] for i in range(count))
+    return np.concatenate(columns, axis=-1)
 
 
 def mm5_product(x: np.ndarray, w1: np.ndarray) -> np.ndarray:
     """MM5's product: two inner chunks x four column panels (Fig 4.6)."""
-    return _split_inner_matmul(x, w1, inner_split=2, col_split=4)
+    return split_product(x, split_panels(w1, inner_split=2, col_split=4))
 
 
 def mm6_product(h: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """MM6's product: eight inner chunks, one column panel (Fig 4.7)."""
-    return _split_inner_matmul(h, w2, inner_split=8, col_split=1)
+    return split_product(h, split_panels(w2, inner_split=8, col_split=1))

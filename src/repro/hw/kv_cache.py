@@ -67,9 +67,10 @@ class LayerKVCache:
     #: Per-head (t, d_k) self-attention keys/values.
     self_k: list[np.ndarray] = field(default_factory=list)
     self_v: list[np.ndarray] = field(default_factory=list)
-    #: Per-head (s, d_k) cross-attention keys/values.
-    cross_k: list[np.ndarray] = field(default_factory=list)
-    cross_v: list[np.ndarray] = field(default_factory=list)
+    #: Head-stacked (H, s, d_k) cross-attention keys/values; indexing a
+    #: head gives its (s, d_k) bank.
+    cross_k: np.ndarray | list[np.ndarray] = field(default_factory=list)
+    cross_v: np.ndarray | list[np.ndarray] = field(default_factory=list)
 
     @staticmethod
     def _validate_append(bank: list[np.ndarray], head: int, row: np.ndarray, what: str) -> None:
@@ -120,35 +121,15 @@ class LayerKVCache:
         self.self_v = [v[:length] for v in self.self_v]
 
 
-class _StackedBank:
-    """Read view that presents one head's bank across a batch of
-    member caches as a single stacked ``(B, t, d_k)`` array."""
-
-    def __init__(self, members: list[LayerKVCache], which: str) -> None:
-        self._members = members
-        self._which = which
-
-    def __len__(self) -> int:
-        return min(len(getattr(m, self._which)) for m in self._members)
-
-    def __getitem__(self, head: int) -> np.ndarray:
-        return np.stack([getattr(m, self._which)[head] for m in self._members])
-
-
 class BatchedLayerKVCache:
-    """Batch adapter over one decoder layer's caches across sessions.
+    """One decoder layer's caches across the members of a batched step.
 
-    The program executor is batch-agnostic: it reads
-    ``caches[layer].self_k[head]`` and calls ``append_self_k(head, row)``
-    without caring about leading dimensions.  This adapter makes a group
-    of per-session :class:`LayerKVCache` objects look like one cache
-    whose banks carry a leading batch axis — reads stack the members'
-    ``(t, d_k)`` banks into ``(B, t, d_k)`` (every member must therefore
-    sit at the same prefix length; ``np.stack`` enforces it), and
-    appends split the executor's ``(B, 1, d_k)`` rows back out to the
-    members, so the underlying per-session caches stay bit-identical to
-    what individual :meth:`~repro.hw.controller.AcceleratorController.
-    run_decoder_step` calls would have banked.
+    The program executor runs the steps that touch a cache member by
+    member on ``members[b]`` — appends land in each member's own banks
+    and reads see each member's own prefix — so the members may sit at
+    different prefix lengths, and every member's cache ends up
+    bit-identical to what an unbatched :meth:`~repro.hw.controller.
+    AcceleratorController.run_decoder_step` would have banked.
     """
 
     def __init__(self, members: list[LayerKVCache]) -> None:
@@ -156,52 +137,21 @@ class BatchedLayerKVCache:
             raise ValueError("need at least one member cache")
         self.members = list(members)
 
-    @property
-    def self_k(self) -> _StackedBank:
-        return _StackedBank(self.members, "self_k")
-
-    @property
-    def self_v(self) -> _StackedBank:
-        return _StackedBank(self.members, "self_v")
-
-    @property
-    def cross_k(self) -> _StackedBank:
-        return _StackedBank(self.members, "cross_k")
-
-    @property
-    def cross_v(self) -> _StackedBank:
-        return _StackedBank(self.members, "cross_v")
-
-    def _split_rows(self, rows: np.ndarray, what: str) -> np.ndarray:
-        rows = np.asarray(rows)
-        if rows.ndim != 3 or rows.shape[0] != len(self.members) or rows.shape[1] != 1:
-            raise ValueError(
-                f"batched {what} rows must have shape ({len(self.members)}, 1, d_k); "
-                f"got {rows.shape}"
-            )
-        return rows
-
-    def append_self_k(self, head: int, k_rows: np.ndarray) -> None:
-        for member, row in zip(self.members, self._split_rows(k_rows, "key")):
-            member.append_self_k(head, row)
-
-    def append_self_v(self, head: int, v_rows: np.ndarray) -> None:
-        for member, row in zip(self.members, self._split_rows(v_rows, "value")):
-            member.append_self_v(head, row)
-
 
 def project_cross_kv(
     fabric: Fabric,
     memory: np.ndarray,
     params: AttentionParams,
     concurrent_psas: int = 1,
-) -> tuple[list[np.ndarray], list[np.ndarray], int]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Project the cross-attention K/V of every head from the memory.
 
     Runs the same head-stacked MM1 + bias as the decoder's program
     executor — one MM1 call over all heads for K and one for V — so
     the cached values are identical to what a per-step recomputation
-    would produce.  Returns (keys, values, cycles); the cycles are the
+    would produce.  Returns (keys, values, cycles): keys and values
+    stay head-stacked ``(H, s, d_k)``, so a step's whole-bank read is
+    the array itself.  The cycles are the
     one-time prefill cost of filling the cache: per head, two MM1
     passes and two bias adds.
     """
@@ -218,7 +168,7 @@ def project_cross_kv(
         mm1_cycles(fabric, s, d_model, d_k, concurrent_psas)
         + fabric.units.bias_cycles(s, d_k)
     )
-    return list(keys), list(values), cycles
+    return keys, values, cycles
 
 
 class DecoderKVCache:
@@ -296,11 +246,11 @@ class DecoderKVCache:
 
 
 def batch_layer_caches(caches: list[DecoderKVCache]) -> list[BatchedLayerKVCache]:
-    """Zip whole-stack caches of a step group into per-layer adapters.
+    """Zip whole-stack caches of a batched step into per-layer adapters.
 
-    Every member must sit at the same prefix length and memory length —
-    a batched decode step runs one program for the whole group, so the
-    group must be shape-homogeneous (the scheduler groups by ``t``).
+    Every member must span the same decoder depth and memory length (a
+    batched step runs one decode-step plan, whose cross-attention reads
+    ``s`` memory rows); prefix lengths may differ.
     """
     if not caches:
         raise ValueError("need at least one cache to batch")
@@ -308,13 +258,11 @@ def batch_layer_caches(caches: list[DecoderKVCache]) -> list[BatchedLayerKVCache
     for cache in caches[1:]:
         if len(cache.layers) != len(first.layers):
             raise ValueError("caches span different decoder depths")
-        if cache.length != first.length:
-            raise ValueError(
-                "all caches in a batched step must share the prefix length; "
-                f"got {cache.length} vs {first.length}"
-            )
         if cache.memory_len != first.memory_len:
-            raise ValueError("caches span different memory lengths")
+            raise ValueError(
+                "all caches in a batched step must share the memory length; "
+                f"got {cache.memory_len} vs {first.memory_len}"
+            )
     return [
         BatchedLayerKVCache([cache.layers[i] for cache in caches])
         for i in range(len(first.layers))

@@ -66,13 +66,12 @@ def scale_scores(scores: np.ndarray, d_k: int) -> np.ndarray:
     """The Sc unit: divide attention scores by sqrt(d_k)."""
     if d_k <= 0:
         raise ValueError("d_k must be positive")
-    return np.asarray(scores, dtype=MODEL_DTYPE) / np.sqrt(
-        np.asarray(d_k, dtype=MODEL_DTYPE)
-    )
+    return np.asarray(scores, dtype=MODEL_DTYPE) / np.sqrt(MODEL_DTYPE(d_k))
 
 
 def softmax_unit(scores: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """The Sm unit: row-wise masked softmax in model precision."""
+    """The Sm unit: row-wise masked softmax in model precision (the
+    mask applies in model precision, the softmax runs in float64)."""
     masked = apply_mask(np.asarray(scores, dtype=MODEL_DTYPE), mask)
     return softmax(masked, axis=-1).astype(MODEL_DTYPE)
 

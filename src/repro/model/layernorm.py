@@ -25,10 +25,12 @@ def layer_norm(
             f"weight/bias must have shape ({d},); "
             f"got {weight.shape} and {bias.shape}"
         )
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    normalized = (x - mu) / np.sqrt(var + eps)
-    return normalized * weight + bias
+    # ``x.mean`` and ``x.var``'s own ufunc sequence (sum / n, then the
+    # squared deviation summed / n), without their wrappers and with
+    # the deviation computed once: bit for bit the same statistics.
+    dev = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(np.square(dev), axis=-1, keepdims=True) / d
+    return dev / np.sqrt(var + eps) * weight + bias
 
 
 def add_norm(

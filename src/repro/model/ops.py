@@ -45,9 +45,8 @@ def relu(x: np.ndarray) -> np.ndarray:
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along ``axis``."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return (exp / np.sum(exp, axis=axis, keepdims=True)).astype(x.dtype)
+    exp = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
+    return exp / np.add.reduce(exp, axis=axis, keepdims=True)
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

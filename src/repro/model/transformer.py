@@ -30,9 +30,10 @@ class Transformer:
     ) -> np.ndarray:
         """Run the encoder stack over an (s, d_model) feature sequence."""
         x = np.asarray(features)
-        if x.ndim != 2 or x.shape[1] != self.config.d_model:
+        if x.ndim != 2 or x.shape[1] != self.config.d_model or not x.shape[0]:
             raise ValueError(
-                f"encoder input must be (s, {self.config.d_model}); got {x.shape}"
+                f"encoder input must be (s, {self.config.d_model}) with s >= 1; "
+                f"got {x.shape}"
             )
         for layer in self.params.encoders:
             x = encoder_layer(x, layer, mask=mask)

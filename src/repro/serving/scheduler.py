@@ -203,10 +203,10 @@ class FunctionalExecutor(ModeledExecutor):
     def step_many(self, items: list[tuple[RequestRecord, bool]]) -> None:
         """One decode iteration through the batched fabric executor.
 
-        Same-prefix-length sessions advance as one batched program run
-        (:func:`repro.hw.accelerator.step_sessions` — bit-identical to
-        per-session steps); each member not replaying then emits its
-        greedy token.
+        The sessions advance as one batched program run at their own
+        prefix lengths (:func:`repro.hw.accelerator.step_sessions` —
+        bit-identical to per-session steps); each member not replaying
+        then emits its greedy token.
         """
         from repro.hw.accelerator import step_sessions
 
@@ -577,8 +577,8 @@ class ContinuousBatchingScheduler:
                 finished: list[_Active] = []
                 snapshot = list(active)
                 # One executor call for the whole iteration: the
-                # functional executor batches same-length sessions
-                # through the fabric instead of stepping one by one.
+                # functional executor steps every session through the
+                # fabric as one batch, whatever its prefix length.
                 ex.step_many(
                     [(e.record, r) for e, r in zip(snapshot, is_replay)]
                 )

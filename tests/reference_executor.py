@@ -7,7 +7,10 @@ head-stacked executor must reproduce its outputs, every
 ``ProgramRun.values`` entry and the cache contents bit for bit.  It
 calls the kernels' functional products (``mmN_product``), which is
 what the kernels computed; operands are cast to fp32 first, as the
-kernels did.
+kernels did.  A batched run binds per-layer adapters with ``members``
+(:func:`repro.hw.kv_cache.batch_layer_caches`, members at one prefix
+length): the interpreter reads each bank stacked over the members and
+splits each appended ``(B, 1, d_k)`` row stack back out to them.
 """
 
 from __future__ import annotations
@@ -59,7 +62,22 @@ def reference_execute_ops(
         which, layer, head = ref.key
         if caches is None:
             raise ValueError("program references a KV cache but none was bound")
-        return getattr(caches[layer], which)[head]
+        members = getattr(caches[layer], "members", None)
+        if members is None:
+            return getattr(caches[layer], which)[head]
+        return np.stack([getattr(m, which)[head] for m in members])
+
+    def append(op: Op, method: str) -> None:
+        if caches is None:
+            raise ValueError("cache op requires a bound cache")
+        cache, rows = caches[op.attrs["layer"]], value(op.inputs[0])
+        members = getattr(cache, "members", None)
+        if members is None:
+            getattr(cache, method)(op.attrs["head"], rows)
+            return
+        assert np.shape(rows)[0] == len(members)
+        for member, row in zip(members, rows):
+            getattr(member, method)(op.attrs["head"], row)
 
     def weight(op: Op, idx: int, sliced: bool = False) -> np.ndarray:
         ref = op.params[idx]
@@ -104,19 +122,8 @@ def reference_execute_ops(
                 value(op.inputs[0]), value(op.inputs[1]),
                 weight(op, 0), weight(op, 1),
             )
-        elif sem == "cache_append_k":
-            if caches is None:
-                raise ValueError("cache op requires a bound cache")
-            caches[op.attrs["layer"]].append_self_k(
-                op.attrs["head"], value(op.inputs[0])
-            )
-            continue
-        elif sem == "cache_append_v":
-            if caches is None:
-                raise ValueError("cache op requires a bound cache")
-            caches[op.attrs["layer"]].append_self_v(
-                op.attrs["head"], value(op.inputs[0])
-            )
+        elif sem in ("cache_append_k", "cache_append_v"):
+            append(op, "append_self_" + sem[-1])
             continue
         else:
             raise ValueError(f"unknown op semantic '{sem}'")

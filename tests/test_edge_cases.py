@@ -49,6 +49,31 @@ class TestDegenerateSequences:
         )
 
 
+class TestZeroRowFeatures:
+    """Zero feature rows would decode against an all-masked memory; the
+    accelerator's entry points and the golden encoder refuse them,
+    naming the shape."""
+
+    EMPTY = np.zeros((0, 512), dtype=np.float32)
+
+    def test_accelerator_entry_points(self, small_params):
+        accel = TransformerAccelerator(small_params, hw_seq_len=4)
+        good = np.ones((2, 512), dtype=np.float32)
+        calls = [
+            lambda: accel.decode_session(self.EMPTY),
+            lambda: accel.forward(self.EMPTY, np.array([0])),
+            lambda: accel.decode_sessions_batch([good, self.EMPTY]),
+            lambda: accel.step_fn(self.EMPTY),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"n >= 1; got \(0, 512\)"):
+                call()
+
+    def test_golden_encoder(self, small_params):
+        with pytest.raises(ValueError, match=r"s >= 1; got \(0, 512\)"):
+            Transformer(small_params).encode(self.EMPTY)
+
+
 class TestNonFiniteInjection:
     """NaN/Inf corruption must propagate visibly, never silently
     produce plausible-looking numbers."""

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hw.adder import VectorAdder
 from repro.hw.nonlinear import (
@@ -12,7 +14,7 @@ from repro.hw.nonlinear import (
     scale_scores,
     softmax_unit,
 )
-from repro.model.layernorm import add_norm
+from repro.model.layernorm import add_norm, layer_norm
 from repro.model.masks import causal_mask
 from repro.model.ops import softmax
 
@@ -132,3 +134,76 @@ class TestNonlinearCycles:
             NonlinearUnits(lanes=0)
         with pytest.raises(ValueError):
             NonlinearUnits().bias_cycles(0, 4)
+
+
+# ------------------------------------------------------ lean units
+def _old_layer_norm(x, weight, bias, eps=1e-12):
+    """The layer norm through ``x.mean`` / ``x.var`` wrappers."""
+    x = np.asarray(x, dtype=np.float64)
+    weight = np.asarray(weight, dtype=np.float64)
+    bias = np.asarray(bias, dtype=np.float64)
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + eps) * weight + bias
+
+
+def _old_softmax(x, axis=-1):
+    x = np.asarray(x, dtype=np.float64)
+    shifted = x - np.max(x, axis=axis, keepdims=True)
+    exp = np.exp(shifted)
+    return (exp / np.sum(exp, axis=axis, keepdims=True)).astype(x.dtype)
+
+
+def _old_scale_scores(scores, d_k):
+    return np.asarray(scores, dtype=np.float32) / np.sqrt(
+        np.asarray(d_k, dtype=np.float32)
+    )
+
+
+def _old_softmax_unit(scores, mask=None):
+    from repro.model.masks import apply_mask
+
+    masked = apply_mask(np.asarray(scores, dtype=np.float32), mask)
+    return _old_softmax(masked, axis=-1).astype(np.float32)
+
+
+_lean_shapes = st.tuples(
+    st.sampled_from([(), (3,), (2, 2)]), st.integers(1, 9), st.integers(1, 600)
+)
+
+
+class TestLeanUnits:
+    """Add-Norm, Sc and Sm computed without numpy's mean/var wrappers
+    and repeated casts equal the old formulas bit for bit."""
+
+    @given(shape=_lean_shapes, scale=st.sampled_from([1e-3, 1.0, 1e4]),
+           offset=st.sampled_from([0.0, 3.0, -1e3]), seed=st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_layer_norm_and_add_norm(self, shape, scale, offset, seed):
+        lead, rows, d = shape
+        rng = np.random.default_rng(seed)
+        x = (rng.standard_normal((*lead, rows, d)) * scale + offset).astype(np.float32)
+        r = rng.standard_normal((*lead, rows, d)).astype(np.float32)
+        w, b = rng.standard_normal((2, d)).astype(np.float32)
+        assert layer_norm(x, w, b).tobytes() == _old_layer_norm(x, w, b).tobytes()
+        want = _old_layer_norm(x + r, w, b).astype(np.float32)
+        assert add_norm_unit(x, r, w, b).tobytes() == want.tobytes()
+
+    @given(shape=_lean_shapes, d_k=st.sampled_from([1, 3, 64, 100]),
+           masked=st.sampled_from(["none", "keys", "rows"]), seed=st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_scale_and_softmax(self, shape, d_k, masked, seed):
+        lead, rows, cols = shape
+        rng = np.random.default_rng(seed)
+        scores = (rng.standard_normal((*lead, rows, cols)) * 30).astype(np.float32)
+        mask = None
+        if masked == "keys":
+            mask = rng.random((1, cols)) < 0.7
+        elif masked == "rows":
+            mask = rng.random((*lead, rows, cols)) < 0.5
+        scaled = scale_scores(scores, d_k)
+        assert scaled.tobytes() == _old_scale_scores(scores, d_k).tobytes()
+        got = softmax_unit(scaled, mask=mask)
+        assert got.dtype == np.float32
+        assert got.tobytes() == _old_softmax_unit(scaled, mask).tobytes()
+        assert softmax(scores).tobytes() == _old_softmax(scores).tobytes()

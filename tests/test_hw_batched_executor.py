@@ -4,9 +4,14 @@ executor must be bit-identical to the member-wise loops it replaces."""
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.config import ModelConfig
 from repro.hw.accelerator import TransformerAccelerator, step_sessions
 from repro.hw.controller import AcceleratorController
 from repro.hw.kernels import (
@@ -129,7 +134,7 @@ class TestBatchedDecodeStep:
             for i in range(3):
                 want, cycles_s = ctrl.run_decoder_step(xs[i], refs[i])
                 np.testing.assert_array_equal(outs[i], want)
-                assert cycles_s == cycles_b
+                assert cycles_s == cycles_b[i]
         # The fanned-out cache appends left every member's cache
         # bit-identical to its scalar twin.
         for cache, ref in zip(caches, refs):
@@ -144,30 +149,45 @@ class TestBatchedDecodeStep:
                     )
 
     def test_batch_layer_caches_validation(self, small_params):
+        """Members may differ in prefix length, not in memory length."""
         ctrl = AcceleratorController(small_params)
         rng = _rng(9)
-        memories = self._prefill(ctrl, rng, 2)
-        caches = [ctrl.build_kv_cache(m) for m in memories]
-        ctrl.run_decoder_step(
-            _f32(rng, small_params.config.d_model), caches[0]
-        )
-        with pytest.raises(ValueError, match="prefix length"):
-            batch_layer_caches(caches)
+        d = small_params.config.d_model
+        caches = [ctrl.build_kv_cache(m) for m in self._prefill(ctrl, rng, 2)]
+        ctrl.run_decoder_step(_f32(rng, d), caches[0])
+        layers = batch_layer_caches(caches)
+        assert [layer.members for layer in layers] == [
+            [c.layers[i] for c in caches] for i in range(len(caches[0].layers))
+        ]
+        short = ctrl.build_kv_cache(ctrl.run_encoder_stack(_f32(rng, 4, d))[0])
+        with pytest.raises(ValueError, match="memory length; got 4 vs 8"):
+            batch_layer_caches([caches[0], short])
         with pytest.raises(ValueError):
             batch_layer_caches([])
 
-    def test_step_batch_rejects_ragged_group(self, small_params):
+    def test_step_batch_runs_a_ragged_batch(self, small_params):
+        """Members at prefix lengths 0, 1 and 3 step as one batch: each
+        output, cache and cycle record equals its scalar step's."""
         ctrl = AcceleratorController(small_params)
         rng = _rng(10)
-        memories = self._prefill(ctrl, rng, 2)
-        caches = [ctrl.build_kv_cache(m) for m in memories]
-        ctrl.run_decoder_step(
-            _f32(rng, small_params.config.d_model), caches[0]
-        )
-        with pytest.raises(ValueError):
-            ctrl.run_decoder_step_batch(
-                _f32(rng, 2, small_params.config.d_model), caches
-            )
+        d = small_params.config.d_model
+        caches = [ctrl.build_kv_cache(m) for m in self._prefill(ctrl, rng, 3)]
+        for cache, prefix in zip(caches, (0, 1, 3)):
+            for _ in range(prefix):
+                ctrl.run_decoder_step(_f32(rng, d), cache)
+        refs = copy.deepcopy(caches)
+        xs = _f32(rng, 3, d)
+        outs, cycles = ctrl.run_decoder_step_batch(xs, caches)
+        for i, (cache, ref) in enumerate(zip(caches, refs)):
+            want, want_cycles = ctrl.run_decoder_step(xs[i], ref)
+            assert outs[i].tobytes() == want.tobytes()
+            assert cycles[i] == want_cycles
+            assert cache.length == ref.length
+            for layer, ref_layer in zip(cache.layers, ref.layers):
+                for got, exp in zip(layer.self_k + layer.self_v,
+                                    ref_layer.self_k + ref_layer.self_v):
+                    assert got.tobytes() == exp.tobytes()
+        assert cycles[0] != cycles[2]
 
 
 class TestBatchedSessions:
@@ -193,8 +213,8 @@ class TestBatchedSessions:
         ]
         batch = [accel.decode_session(f) for f in feats]
         refs = [accel.decode_session(f) for f in feats]
-        # Desynchronize: member 0 is one token ahead, so one iteration
-        # spans a singleton group and a batched pair.
+        # Desynchronize: member 0 is one token ahead, so one batched
+        # step spans two prefix lengths.
         batch[0].step(1)
         refs[0].step(1)
         tokens = [2, 1, 1]
@@ -226,8 +246,8 @@ class TestBatchedSessions:
         assert session.tokens == [] and session.cache.length == 0
 
     def test_step_sessions_rejects_a_foreign_accelerator(self, small_params):
-        """A same-length group runs one accelerator's weights, so a
-        session opened on another accelerator is refused by index."""
+        """A batched step runs one accelerator's weights, so a session
+        opened on another accelerator is refused by index."""
         accel = TransformerAccelerator(small_params, hw_seq_len=8)
         foreign = TransformerAccelerator(
             init_transformer_params(small_params.config, seed=8), hw_seq_len=8
@@ -268,3 +288,91 @@ class TestServingBatchedSteps:
         assert res_batch.decode_cycles_total == res_model.decode_cycles_total
         assert res_batch.prefill_cycles_total == res_model.prefill_cycles_total
         assert res_batch.peak_batch == res_model.peak_batch
+
+
+# ------------------------------------------ mixed-prefix batched steps
+_MIXED_MODEL = ModelConfig(
+    d_model=40, num_heads=2, d_ff=48, num_encoders=1, num_decoders=2
+)
+_MIXED_PARAMS = init_transformer_params(_MIXED_MODEL, seed=21)
+
+#: One iteration: which sessions step, and what happens to one session
+#: before it ("step" nothing, "preempt" evicts its prefix, "rewind"
+#: truncates it to a drawn length).
+_iterations = st.lists(
+    st.tuples(
+        st.sets(st.integers(0, 3), min_size=1),
+        st.sampled_from(["step", "step", "preempt", "rewind"]),
+        st.integers(0, 3),
+        st.integers(0, 6),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _same_state(got, want):
+    assert got.tokens == want.tokens
+    assert got.step_compute_cycles == want.step_compute_cycles
+    assert got.cache.length == want.cache.length
+    for layer, ref in zip(got.cache.layers, want.cache.layers, strict=True):
+        for bank in ("self_k", "self_v", "cross_k", "cross_v"):
+            assert len(getattr(layer, bank)) == len(getattr(ref, bank))
+            for a, b in zip(getattr(layer, bank), getattr(ref, bank)):
+                assert a.tobytes() == b.tobytes()
+
+
+class TestMixedPrefixBatches:
+    """A batch whose sessions sit at different prefix lengths runs as
+    one plan execution and equals the scalar loop bit for bit: outputs,
+    caches and each member's cycles, across preemption and rewinds."""
+
+    @given(iterations=_iterations, lengths=st.lists(st.integers(1, 8), min_size=4, max_size=4),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_scalar_loop(self, iterations, lengths, seed):
+        accel = TransformerAccelerator(_MIXED_PARAMS, hw_seq_len=8)
+        rng = _rng(seed)
+        feats = [_f32(rng, n, _MIXED_MODEL.d_model) for n in lengths]
+        batched = accel.decode_sessions_batch(feats)
+        scalar = [accel.decode_session(f) for f in feats]
+        for members, action, who, length in iterations:
+            if action == "preempt":
+                assert batched[who].preempt() == scalar[who].preempt()
+            elif action == "rewind":
+                keep = min(length, len(scalar[who].tokens))
+                batched[who].rewind(keep)
+                scalar[who].rewind(keep)
+            live = [i for i in sorted(members) if len(scalar[i].tokens) < 8]
+            if not live:
+                continue
+            tokens = [int(rng.integers(0, _MIXED_MODEL.vocab_size)) for _ in live]
+            outs = step_sessions([batched[i] for i in live], tokens)
+            for i, token, out in zip(live, tokens, outs):
+                assert out.tobytes() == scalar[i].step(token).tobytes()
+        for got, want in zip(batched, scalar):
+            _same_state(got, want)
+
+    def test_one_execution_per_batched_step(self, monkeypatch):
+        """Three sessions at three prefix lengths: one program run."""
+        from repro.hw import controller as controller_module
+
+        accel = TransformerAccelerator(_MIXED_PARAMS, hw_seq_len=8)
+        rng = _rng(31)
+        sessions = [
+            accel.decode_session(_f32(rng, 5, _MIXED_MODEL.d_model)) for _ in range(3)
+        ]
+        for prefix, session in enumerate(sessions):
+            for token in range(prefix):
+                session.step(token + 1)
+        runs = []
+        real = controller_module.execute_program
+
+        def counting(*args, **kwargs):
+            runs.append(kwargs.get("inputs", {}).get("x").shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(controller_module, "execute_program", counting)
+        step_sessions(sessions, [4, 5, 6])
+        assert runs == [(3, 1, _MIXED_MODEL.d_model)]
+        assert [len(s.tokens) for s in sessions] == [1, 2, 3]

@@ -32,6 +32,7 @@ from repro.hw.program import (
     lower_full_pass,
 )
 from repro.hw.systolic import ceil_div
+from repro.model.params import init_transformer_params
 from tests.reference_executor import reference_execute_ops
 
 MODEL = ModelConfig(num_encoders=2, num_decoders=2)
@@ -306,3 +307,134 @@ class TestPlan:
         planned, reference = LayerKVCache(), LayerKVCache()
         run_both(program, None, inputs, [planned], [reference])
         assert_caches_identical([planned], [reference])
+
+
+# ------------------------------------------------- the bound executor
+#: Scopes and the parameter subtree each runs against.
+_ROOTS = {
+    "full_pass": lambda p: p,
+    "encoder_stack": lambda p: p,
+    "decode_step": lambda p: p,
+    "mha": lambda p: p.encoders[0].mha,
+    "ffn": lambda p: p.encoders[0].ffn,
+    "encoder_layer": lambda p: p.encoders[0],
+    "decoder_layer": lambda p: p.decoders[0],
+}
+
+
+@st.composite
+def _bound_cases(draw):
+    """A generated model and program: any scope, s, t, batch rank and
+    head parallelism, and for a full pass any A4 candidate pipeline.
+    Head widths of 8 and 20 give one or two stripe runs per MM1, and a
+    d_ff of 134 uneven MM5 column panels."""
+    num_heads = draw(st.sampled_from([1, 2, 4, 8]))
+    model = ModelConfig(
+        d_model=num_heads * draw(st.sampled_from([8, 20])),
+        num_heads=num_heads,
+        d_ff=draw(st.sampled_from([16, 134])),
+        num_encoders=draw(st.integers(1, 2)),
+        num_decoders=draw(st.integers(1, 2)),
+    )
+    scope = draw(st.sampled_from(sorted(_ROOTS)))
+    s = draw(st.integers(1, 12))
+    return dict(
+        model=model,
+        scope=scope,
+        s=s,
+        t=draw(st.integers(1, 6)),
+        parallel_heads=draw(st.none() | st.integers(1, 8)),
+        batch=draw(st.none() | st.integers(1, 3)),
+        candidate=(
+            draw(st.none() | st.integers(0, len(_A4_CANDIDATES) - 1))
+            if scope == "full_pass" else None
+        ),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+_A4_CANDIDATES = a4_candidate_pipelines("A3")
+
+
+def _batched_inputs(case, rng):
+    """The scope's inputs, with a leading batch axis when ``batch`` is
+    set (key masks then differ per member)."""
+    s, t, d = case["s"], case["t"], case["model"].d_model
+    batch = case["batch"]
+    lead = () if batch is None else (batch,)
+
+    def act(rows):
+        return _f32(rng, *lead, rows, d)
+
+    valid = [int(v) for v in rng.integers(1, s + 1, size=batch or 1)]
+    key_mask = (
+        _key_mask(s, valid[0]) if batch is None
+        else np.stack([_key_mask(s, v) for v in valid])
+    )
+    self_mask = np.tril(np.ones((t, t), dtype=bool))
+    scope = case["scope"]
+    if scope == "full_pass":
+        return {"x": act(s), "dec_in": act(t), "enc_mask": key_mask,
+                "dec_self_mask": self_mask, "dec_memory_mask": key_mask}
+    if scope == "encoder_stack":
+        return {"x": act(s), "enc_mask": key_mask}
+    if scope == "decode_step":
+        return {"x": act(1), "memory_mask": key_mask}
+    if scope == "mha":
+        return {"x_q": act(t), "x_kv": act(s), "mask": key_mask}
+    if scope == "ffn":
+        return {"x": act(s)}
+    if scope == "encoder_layer":
+        return {"x": act(s), "mask": key_mask}
+    return {"x": act(t), "memory": act(s), "self_mask": self_mask,
+            "memory_mask": key_mask}
+
+
+class TestBoundExecutor:
+    """The bound executor against the per-op oracle on generated
+    programs, bound per call and through a binding memo reused across
+    runs."""
+
+    @given(case=_bound_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_oracle(self, case):
+        model = case["model"]
+        params = init_transformer_params(model, seed=case["seed"] % 97)
+        ctrl = AcceleratorController(params, parallel_heads=case["parallel_heads"])
+        rng = np.random.default_rng(case["seed"])
+        spec = LoweringSpec(
+            case["scope"], model, ctrl.fabric, case["s"], case["t"],
+            case["parallel_heads"],
+        )
+        program = lower(spec)
+        if case["candidate"] is not None:
+            program = _A4_CANDIDATES[case["candidate"]].apply_program(program)
+        inputs = _batched_inputs(case, rng)
+        root = _ROOTS[case["scope"]](params)
+        caches = []  # one per batch member, at prefix t - 1
+        if case["scope"] == "decode_step":
+            caches = [
+                _cache_at(ctrl, _f32(rng, case["s"], model.d_model), case["t"] - 1, rng)
+                for _ in range(case["batch"] or 1)
+            ]
+
+        def layers(members):
+            if not members:
+                return None
+            if case["batch"] is None:
+                return members[0].layers
+            return batch_layer_caches(members)
+
+        memo: dict = {}
+        for _ in range(2):  # binds, then runs the memoized binding
+            got_caches, want_caches = copy.deepcopy(caches), copy.deepcopy(caches)
+            got = execute_program(
+                program, root, inputs, layers(got_caches), bindings=memo
+            )
+            want = reference_execute_ops(
+                program, root, inputs, layers(want_caches), None
+            )
+            assert_runs_identical(got, want)
+            for g, w in zip(got_caches, want_caches, strict=True):
+                assert_caches_identical(g.layers, w.layers)
+        assert len(memo) == 1

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from repro.config import ModelConfig
 from repro.hw.adder import VectorAdder
 from repro.hw.kernels import (
-    _fold_chunks,
+    _chunk_panels,
+    _fold_panels,
     _left_fold,
     _runs,
     _split_widths,
@@ -189,7 +190,7 @@ class TestCycleStructure:
 
 
 def _accumulated_chunks(x, w, widths):
-    """The partial products as ``_fold_chunks`` forms them, folded one
+    """The partial products as ``_fold_panels`` forms them, folded one
     by one by ``VectorAdder.accumulate`` (the hardware add order)."""
     partials = []
     for start, stop, width, count in _runs(widths):
@@ -231,7 +232,7 @@ class TestLeftFold:
         rng = np.random.default_rng(seed)
         x = _f32(rng, (*lead, s, inner), 4)
         w = _f32(rng, (*lead[1:], inner, n), 4)
-        got = _fold_chunks(x, w, widths)
+        got = _fold_panels(x, _chunk_panels(w, widths))
         assert got.tobytes() == _accumulated_chunks(x, w, widths).tobytes()
 
     @settings(max_examples=60, deadline=None)

@@ -299,7 +299,9 @@ class TestCrossKvPrefill:
         keys, values, cycles = project_cross_kv(fabric, memory, attn)
         want_k, want_v, want_cycles = self.per_head(fabric, memory, attn)
         assert cycles == want_cycles
-        for got, want in zip(keys + values, want_k + want_v, strict=True):
+        # Keys and values come back head-stacked, (H, s, d_k) each.
+        assert keys.shape == values.shape == (attn.num_heads, s, 64)
+        for got, want in zip([*keys, *values], want_k + want_v, strict=True):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_prefill_cycles_unchanged(self):

@@ -243,3 +243,49 @@ class TestOneTemplatePerDecode:
         (template,) = templates
         layer_ops = len(template.layer.rows)
         assert built[0] == layer_ops + steps[0].num_ops
+
+    def test_a_31_token_decode_binds_once(self, monkeypatch):
+        """The controller binds the step's plan once per batch rank and
+        resolves each parameter path once per binding; every later
+        token runs the memoized binding."""
+        model = ModelConfig(num_encoders=1, num_decoders=2)
+        binds, resolved = [], []
+        real_bind = program_module._BoundPlan.__init__
+        real_resolve = program_module.ParamRef.resolve
+
+        def counting_bind(self, plan, fabric, root, hook, rank):
+            binds.append(rank)
+            real_bind(self, plan, fabric, root, hook, rank)
+
+        def counting_resolve(self, root):
+            resolved.append(self.dotted)
+            return real_resolve(self, root)
+
+        monkeypatch.setattr(program_module._BoundPlan, "__init__", counting_bind)
+        monkeypatch.setattr(program_module.ParamRef, "resolve", counting_resolve)
+        params = init_transformer_params(model, seed=3)
+        ctrl = AcceleratorController(params)
+        rng = np.random.default_rng(3)
+
+        def cache():
+            return ctrl.build_kv_cache(
+                rng.standard_normal((32, 512)).astype(np.float32)
+            )
+
+        solo, pair = cache(), [cache(), cache()]
+        for _ in range(31):
+            ctrl.run_decoder_step(rng.standard_normal(512).astype(np.float32), solo)
+        plan = lower(LoweringSpec("decode_step", model, ctrl.fabric, 32, 1)).execution_plan
+        paths = [ref.dotted for step in plan for ref in step.ops[0].params]
+        assert binds == [0]
+        assert sorted(resolved) == sorted(paths)
+        assert len(set(paths)) == len(paths)
+        # A batch at two prefix lengths binds once more, at rank 1.
+        ctrl.run_decoder_step(rng.standard_normal(512).astype(np.float32), pair[0])
+        for _ in range(30):
+            ctrl.run_decoder_step_batch(
+                rng.standard_normal((2, 512)).astype(np.float32), pair
+            )
+        assert [c.length for c in pair] == [31, 30]
+        assert binds == [0, 1]
+        assert sorted(resolved) == sorted(paths * 2)
