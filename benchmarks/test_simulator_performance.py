@@ -11,8 +11,9 @@ import pytest
 
 from repro.config import ModelConfig
 from repro.hw.controller import LatencyModel
+from repro.hw.executor import execute_program
 from repro.hw.kernels import Fabric
-from repro.hw.program import LoweringSpec, execute_program, lower
+from repro.hw.program import LoweringSpec, lower
 from repro.model.encoder import encoder_layer
 from repro.model.params import init_transformer_params
 

@@ -1,26 +1,20 @@
-"""Static analyses and report formatting (Tables 4.1 / 4.2)."""
+"""Static analyses and report formatting (Tables 4.1 / 4.2).
 
-from repro.analysis.bandwidth import (
-    UtilizationReport,
-    architecture_utilization_table,
-    utilization_report,
-)
-from repro.analysis.inventory import WeightMatrixClass, weight_inventory
-from repro.analysis.power import PowerTrace, inference_power_report, power_trace
-from repro.analysis.report import format_table
-from repro.analysis.retarget import RetargetPoint, TARGET_CONFIGS, retarget_study
+Every public name resolves from its defining module on first access
+(:func:`repro._lazy.lazy_names`), so importing the package loads
+only the modules a caller reads.
+"""
 
-__all__ = [
-    "UtilizationReport",
-    "architecture_utilization_table",
-    "utilization_report",
-    "WeightMatrixClass",
-    "PowerTrace",
-    "inference_power_report",
-    "power_trace",
-    "weight_inventory",
-    "format_table",
-    "RetargetPoint",
-    "TARGET_CONFIGS",
-    "retarget_study",
-]
+from repro._lazy import lazy_names
+
+_EXPORTS = {
+    "repro.analysis.bandwidth": (
+        "UtilizationReport", "architecture_utilization_table", "utilization_report",
+    ),
+    "repro.analysis.inventory": ("WeightMatrixClass", "weight_inventory"),
+    "repro.analysis.power": ("PowerTrace", "inference_power_report", "power_trace"),
+    "repro.analysis.report": ("format_table",),
+    "repro.analysis.retarget": ("RetargetPoint", "TARGET_CONFIGS", "retarget_study"),
+}
+
+__all__, __getattr__, __dir__ = lazy_names(__name__, _EXPORTS)

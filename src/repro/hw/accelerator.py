@@ -17,12 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.config import CalibrationConfig, HardwareConfig
-from repro.hw.controller import (
-    AcceleratorController,
-    ControllerRun,
-    LatencyModel,
-    LatencyReport,
-)
+from repro.hw.controller import LatencyModel, LatencyReport
+from repro.hw.fabric_controller import AcceleratorController, ControllerRun
 from repro.hw.scheduler import Architecture
 from repro.model.masks import causal_mask, combine_masks
 from repro.model.ops import MODEL_DTYPE, linear, log_softmax

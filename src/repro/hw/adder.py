@@ -6,16 +6,14 @@ the linear layers, the residual Add of the Add-Norm blocks, and the
 accumulation of the partial-product matrices produced by the striped
 matmuls MM1/MM4/MM5/MM6.  Pipelining the accumulator with the PSA
 reduces an 8-way accumulation from ``8 t_PSA + 7 t_ADD`` to
-``8 t_PSA + t_ADD`` (Fig 4.3).
+``8 t_PSA + t_ADD`` (Fig 4.3).  This module is the adders' cycle side;
+the functional add and fold are :func:`repro.hw.datapath.vector_add`
+and :func:`repro.hw.datapath.accumulate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
-
-from repro.model.ops import MODEL_DTYPE
 
 
 @dataclass(frozen=True)
@@ -59,22 +57,3 @@ class VectorAdder:
             return 0
         folds = 1 if pipelined else num_partials - 1
         return folds * self.add_cycles(rows, cols)
-
-    @staticmethod
-    def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Functional element-wise add in model precision."""
-        a = np.asarray(a, dtype=MODEL_DTYPE)
-        b = np.asarray(b, dtype=MODEL_DTYPE)
-        if a.shape != b.shape:
-            raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-        return a + b
-
-    @staticmethod
-    def accumulate(partials: list[np.ndarray]) -> np.ndarray:
-        """Left-fold a list of partial products (hardware add order)."""
-        if not partials:
-            raise ValueError("need at least one partial product")
-        acc = np.asarray(partials[0], dtype=MODEL_DTYPE)
-        for p in partials[1:]:
-            acc = VectorAdder.add(acc, p)
-        return acc

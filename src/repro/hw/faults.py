@@ -90,7 +90,7 @@ def _target_path(target: str) -> tuple:
 def program_fault_hook(faults: list[FaultSpec]):
     """Fault injection as a block-program transform.
 
-    Returns a ``weight_hook`` for :func:`repro.hw.program.
+    Returns a ``weight_hook`` for :func:`repro.hw.executor.
     execute_program`: every resolved parameter array whose path matches
     a fault target comes back with the requested bits flipped (on a
     copy — the clean parameters are never mutated).  The hook sees the

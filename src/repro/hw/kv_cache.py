@@ -12,8 +12,13 @@ projections resident).
 The cache lives in on-chip BRAM banks next to the PSAs; feeding the
 ``t`` cached rows of one head into the array costs one 512-bit flit
 (16 fp32 values) per cycle, which :func:`kv_stream_cycles` accounts.
-All projections run through the :mod:`repro.hw.kernels` MM1 product so
+All projections run through the :mod:`repro.hw.datapath` MM1 product so
 the functional values match the full-prefix path row for row.
+
+The banks hold NumPy arrays.  Their data-free side —
+:func:`kv_stream_cycles` and :func:`modeled_resident_bytes` — lives in
+:mod:`repro.hw.memory`, which the lowering and the serving scheduler
+read without loading NumPy; this module re-exports both.
 """
 
 from __future__ import annotations
@@ -22,38 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.hw.kernels import Fabric, mm1_cycles, mm1_product
-from repro.hw.systolic import ceil_div
+from repro.hw.datapath import mm1_product
+from repro.hw.kernels import Fabric, mm1_cycles
+from repro.hw.memory import kv_stream_cycles, modeled_resident_bytes
 from repro.model.ops import MODEL_DTYPE
 from repro.model.params import AttentionParams, TransformerParams
 from repro.obs import metrics as obs_metrics
-
-
-def kv_stream_cycles(t: int, d_k: int) -> int:
-    """Cycles to stream ``t`` cached (d_k,) rows from a cache bank into
-    the PSA: one 512-bit flit (16 fp32) per cycle."""
-    if t < 0 or d_k <= 0:
-        raise ValueError("t must be non-negative and d_k positive")
-    if t == 0:
-        return 0
-    return ceil_div(t * d_k, 16)
-
-
-def modeled_resident_bytes(config, s: int, t: int, bytes_per_element: int = 4) -> int:
-    """Bytes a :class:`DecoderKVCache` holds at memory length ``s`` and
-    prefix length ``t`` — the same arithmetic as
-    :meth:`DecoderKVCache.resident_bytes`, but data-free.
-
-    Cross-attention K/V are fixed at ``(s, d_k)`` per head; the
-    self-attention banks hold ``t`` rows.  The serving scheduler uses
-    this as its cache-pressure admission signal without materializing
-    caches (a test pins it against a live cache).
-    """
-    if s < 0 or t < 0:
-        raise ValueError("s and t must be non-negative")
-    d_k = config.d_model // config.num_heads
-    per_layer = 2 * config.num_heads * d_k * (s + t) * bytes_per_element
-    return config.num_decoders * per_layer
 
 
 @dataclass
@@ -267,3 +246,14 @@ def batch_layer_caches(caches: list[DecoderKVCache]) -> list[BatchedLayerKVCache
         BatchedLayerKVCache([cache.layers[i] for cache in caches])
         for i in range(len(first.layers))
     ]
+
+
+__all__ = [
+    "BatchedLayerKVCache",
+    "DecoderKVCache",
+    "LayerKVCache",
+    "batch_layer_caches",
+    "kv_stream_cycles",
+    "modeled_resident_bytes",
+    "project_cross_kv",
+]

@@ -1,5 +1,6 @@
 """Memory-system models: HBM weight streaming, PCIe host transfers,
-BRAM capacity accounting (Sections 2.2.4, 4.1, 4.5, 5.1.6).
+BRAM capacity accounting, and the data-free side of the decoder's
+K/V cache banks (Sections 2.2.4, 4.1, 4.5, 5.1.6).
 
 The host writes weights/inputs into HBM over PCIe Gen3 x16; each SLR
 kernel then burst-reads weight panels from its HBM channels through
@@ -10,15 +11,19 @@ hide the communication latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.config import CalibrationConfig, HardwareConfig
-from repro.model.params import (
-    AttentionParams,
-    DecoderLayerParams,
-    EncoderLayerParams,
-    FeedForwardParams,
-    LayerNormParams,
-)
+from repro.hw.systolic import ceil_div
+
+if TYPE_CHECKING:
+    from repro.model.params import (
+        AttentionParams,
+        DecoderLayerParams,
+        EncoderLayerParams,
+        FeedForwardParams,
+        LayerNormParams,
+    )
 
 
 @dataclass(frozen=True)
@@ -190,3 +195,34 @@ class BramModel:
                 f"{what} needs {num_bytes} bytes but the device holds "
                 f"only {self.capacity_bytes()} bytes of BRAM"
             )
+
+
+# ------------------------------------------------------ K/V cache banks
+# The data-free side of :mod:`repro.hw.kv_cache`: what streaming a bank
+# costs and what the banks hold, for the lowering and the serving
+# scheduler, which never build a live cache.
+def kv_stream_cycles(t: int, d_k: int) -> int:
+    """Cycles to stream ``t`` cached (d_k,) rows from a cache bank into
+    the PSA: one 512-bit flit (16 fp32) per cycle."""
+    if t < 0 or d_k <= 0:
+        raise ValueError("t must be non-negative and d_k positive")
+    if t == 0:
+        return 0
+    return ceil_div(t * d_k, 16)
+
+
+def modeled_resident_bytes(config, s: int, t: int, bytes_per_element: int = 4) -> int:
+    """Bytes a :class:`repro.hw.kv_cache.DecoderKVCache` holds at memory
+    length ``s`` and prefix length ``t`` — the same arithmetic as its
+    ``resident_bytes``, but data-free.
+
+    Cross-attention K/V are fixed at ``(s, d_k)`` per head; the
+    self-attention banks hold ``t`` rows.  The serving scheduler uses
+    this as its cache-pressure admission signal without materializing
+    caches (a test pins it against a live cache).
+    """
+    if s < 0 or t < 0:
+        raise ValueError("s and t must be non-negative")
+    d_k = config.d_model // config.num_heads
+    per_layer = 2 * config.num_heads * d_k * (s + t) * bytes_per_element
+    return config.num_decoders * per_layer

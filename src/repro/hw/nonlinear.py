@@ -4,18 +4,13 @@ The paper schedules the scaling (Sc) and softmax (Sm) of the attention
 scores in parallel with MM1(V) because ``t_Sc + t_Sm < t_MM1``
 (Fig 4.13); ReLU rides on the MM5 output stream; the Add-Norm block is
 executed as independent Add and Norm steps split over the two SLRs.
-Each unit provides the functional result plus a cycle estimate.
+This module holds each unit's cycle estimate; the functional results
+are :mod:`repro.hw.datapath`'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
-
-from repro.model.layernorm import layer_norm
-from repro.model.masks import apply_mask
-from repro.model.ops import MODEL_DTYPE, softmax
 
 
 @dataclass(frozen=True)
@@ -59,47 +54,3 @@ class NonlinearUnits:
     def add_norm_cycles(self, rows: int, cols: int) -> int:
         """Residual add + layer norm (mean, var, normalize: 3 passes)."""
         return 4 * self._stream_cycles(rows, cols, self.div_depth)
-
-
-# ------------------------------------------------------------ functional
-def scale_scores(scores: np.ndarray, d_k: int) -> np.ndarray:
-    """The Sc unit: divide attention scores by sqrt(d_k)."""
-    if d_k <= 0:
-        raise ValueError("d_k must be positive")
-    return np.asarray(scores, dtype=MODEL_DTYPE) / np.sqrt(MODEL_DTYPE(d_k))
-
-
-def softmax_unit(scores: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """The Sm unit: row-wise masked softmax in model precision (the
-    mask applies in model precision, the softmax runs in float64)."""
-    masked = apply_mask(np.asarray(scores, dtype=MODEL_DTYPE), mask)
-    return softmax(masked, axis=-1).astype(MODEL_DTYPE)
-
-
-def relu_unit(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=MODEL_DTYPE), MODEL_DTYPE(0))
-
-
-def bias_unit(x: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Broadcast bias add performed by the s x 64 vector adders."""
-    x = np.asarray(x, dtype=MODEL_DTYPE)
-    bias = np.asarray(bias, dtype=MODEL_DTYPE)
-    if bias.shape != (x.shape[-1],):
-        raise ValueError(
-            f"bias must have shape ({x.shape[-1]},); got {bias.shape}"
-        )
-    return x + bias
-
-
-def add_norm_unit(
-    sublayer_out: np.ndarray,
-    residual: np.ndarray,
-    weight: np.ndarray,
-    bias: np.ndarray,
-) -> np.ndarray:
-    """Residual add + layer norm, numerically matching the golden model."""
-    a = np.asarray(sublayer_out, dtype=MODEL_DTYPE)
-    r = np.asarray(residual, dtype=MODEL_DTYPE)
-    if a.shape != r.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {r.shape}")
-    return layer_norm(a + r, weight, bias).astype(MODEL_DTYPE)

@@ -6,25 +6,19 @@ array would produce an entire product matrix in Theta(m) time; the
 *partially unrolled* variant computes ``rows`` product rows per pass,
 trading parallelism for area (Algorithm 1 of the thesis).
 
-Two execution models are provided:
-
-* :meth:`SystolicArray.simulate_exact` — a literal cycle-stepped
-  emulation of the PE grid (wavefront dataflow), used by the test suite
-  to pin the vectorized model to the hardware semantics.
-* :meth:`SystolicArray.matmul` — a fast vectorized functional model
-  producing identical results, used by the full-size simulator.
-
-Cycle counting lives in :meth:`SystolicArray.pass_cycles`; calibration
-multipliers are applied one level up, in :mod:`repro.hw.kernels`.
+This module is the array's cycle side: :meth:`SystolicArray.
+pass_cycles` (calibration multipliers are applied one level up, in
+:mod:`repro.hw.kernels`) and its resource counts.  Its functional side
+is in :mod:`repro.hw.datapath`: :func:`~repro.hw.datapath.psa_matmul`,
+the vectorized product the full-size simulator uses, and
+:func:`~repro.hw.datapath.simulate_exact`, a literal cycle-stepped
+emulation of the PE grid (wavefront dataflow) that the test suite
+pins the vectorized model to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
-
-from repro.model.ops import MODEL_DTYPE
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -59,69 +53,6 @@ class SystolicArray:
             raise ValueError("matrix dimensions must be positive")
         passes = ceil_div(l, self.rows) * ceil_div(n, self.cols)
         return passes * (m + self.rows + self.cols)
-
-    # ------------------------------------------------------- functional
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Functional product in model precision (fp32 accumulate).
-
-        The systolic array accumulates along ``k`` in order, which is
-        exactly NumPy's contraction order for a single fp32 matmul, so
-        the vectorized form is bit-identical to the exact emulation for
-        the same dtype.
-        """
-        a = np.asarray(a, dtype=MODEL_DTYPE)
-        b = np.asarray(b, dtype=MODEL_DTYPE)
-        if a.ndim != 2 or b.ndim != 2:
-            raise ValueError("operands must be 2-D")
-        if a.shape[1] != b.shape[0]:
-            raise ValueError(
-                f"inner dimensions differ: {a.shape} @ {b.shape}"
-            )
-        return a @ b
-
-    def simulate_exact(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Cycle-stepped emulation of the PE wavefront (slow; tests only).
-
-        Implements the register-transfer behaviour of Algorithm 1: the
-        ``a`` operands flow left-to-right across columns, the ``b``
-        operands top-to-bottom across rows, and every PE performs one
-        MAC per cycle into its ``c`` accumulator.  Output rows are
-        produced ``rows`` at a time; output columns ``cols`` at a time.
-        """
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ValueError("bad operand shapes for matmul")
-        l, m = a.shape
-        _, n = b.shape
-        out = np.zeros((l, n), dtype=np.float64)
-        for i0 in range(0, l, self.rows):
-            for j0 in range(0, n, self.cols):
-                rows = min(self.rows, l - i0)
-                cols = min(self.cols, n - j0)
-                self._pass_exact(
-                    a[i0 : i0 + rows],
-                    b[:, j0 : j0 + cols],
-                    out[i0 : i0 + rows, j0 : j0 + cols],
-                )
-        return out
-
-    def _pass_exact(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-        """One wavefront pass over a (rows x m) x (m x cols) tile."""
-        rows, m = a.shape
-        _, cols = b.shape
-        # a_reg[i][j]: the `a` operand currently held by PE (i, j);
-        # b_reg[i][j]: the `b` operand. Skewed injection: PE (i, j)
-        # consumes a[i, k] and b[k, j] at cycle k + i + j.
-        acc = np.zeros((rows, cols), dtype=np.float64)
-        total_cycles = m + rows + cols  # streaming + fill/drain
-        for cycle in range(total_cycles):
-            for i in range(rows):
-                for j in range(cols):
-                    k = cycle - i - j
-                    if 0 <= k < m:
-                        acc[i, j] += a[i, k] * b[k, j]
-        out[...] = acc
 
     # ------------------------------------------------------- resources
     @property

@@ -24,6 +24,10 @@ are unaffected.  Turn it on for a bounded scope with::
 
 ``repro-asr profile`` wraps exactly this around one utterance and dumps
 chrome-trace + Prometheus + JSONL artifacts.
+
+Every public name resolves from its defining module on first access
+(:func:`repro._lazy.lazy_names`), so ``from repro.obs import metrics``
+loads the registry alone.
 """
 
 from __future__ import annotations
@@ -32,145 +36,44 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.obs import export
-from repro.obs.costs import (
-    CostLedger,
-    RequestCost,
-    TenantCost,
-    cost_flow_events,
-    jain_index,
-    largest_remainder_split,
-)
-from repro.obs.export import (
-    ACCEL_PID,
-    HOST_PID,
-    chrome_trace,
-    chrome_trace_json,
-    engine_lane_tids,
-    jsonl_lines,
-    prometheus_text,
-)
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    METRIC_HELP,
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    enabled,
-    registry,
-    set_registry,
-)
-from repro.obs.diffprof import (
-    PROFILE_SCHEMA,
-    DeltaLeaf,
-    DeltaWaterfall,
-    LaneDelta,
-    LaneProfile,
-    RunProfile,
-    delta_counter_tracks,
-    diff_profiles,
-    diff_tenant_costs,
-    load_profile,
-    profile_run,
-    render_waterfall,
-)
-from repro.obs.probe import record_program_metrics
-from repro.obs.spans import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    SpanRecord,
-    Tracer,
-    set_tracer,
-    tracer,
-)
-from repro.obs.vtrace import (
-    EVENT_KINDS,
-    EVENT_SCHEMA_VERSION,
-    NULL_SAMPLER,
-    NULL_VTRACE,
-    NullVSampler,
-    NullVTraceRecorder,
-    TimeSeries,
-    VEvent,
-    VSampler,
-    VTraceRecorder,
-    device_timeline,
-    rate_series,
-    request_lane_tids,
-    request_phases,
-    request_track_events,
-    vtrace_jsonl_lines,
-)
+from repro._lazy import lazy_names
+from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.spans import Tracer, set_tracer
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    "METRIC_HELP",
-    "DEFAULT_BUCKETS",
-    "registry",
-    "set_registry",
-    "enabled",
-    "Span",
-    "SpanRecord",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "tracer",
-    "set_tracer",
-    "export",
-    "prometheus_text",
-    "ACCEL_PID",
-    "HOST_PID",
-    "engine_lane_tids",
-    "chrome_trace",
-    "chrome_trace_json",
-    "jsonl_lines",
-    "record_program_metrics",
-    "PROFILE_SCHEMA",
-    "LaneProfile",
-    "RunProfile",
-    "profile_run",
-    "load_profile",
-    "DeltaLeaf",
-    "LaneDelta",
-    "DeltaWaterfall",
-    "diff_profiles",
-    "delta_counter_tracks",
-    "diff_tenant_costs",
-    "render_waterfall",
-    "CostLedger",
-    "RequestCost",
-    "TenantCost",
-    "largest_remainder_split",
-    "jain_index",
-    "cost_flow_events",
-    "EVENT_SCHEMA_VERSION",
-    "EVENT_KINDS",
-    "VEvent",
-    "VTraceRecorder",
-    "NullVTraceRecorder",
-    "NULL_VTRACE",
-    "TimeSeries",
-    "VSampler",
-    "NullVSampler",
-    "NULL_SAMPLER",
-    "rate_series",
-    "request_phases",
-    "request_lane_tids",
-    "request_track_events",
-    "device_timeline",
-    "vtrace_jsonl_lines",
-    "TelemetrySession",
-    "telemetry",
-]
+_EXPORTS = {
+    "repro.obs.export": (
+        "export", "ACCEL_PID", "HOST_PID", "chrome_trace", "chrome_trace_json",
+        "engine_lane_tids", "jsonl_lines", "prometheus_text",
+    ),
+    "repro.obs.costs": (
+        "CostLedger", "RequestCost", "TenantCost", "cost_flow_events", "jain_index",
+        "largest_remainder_split",
+    ),
+    "repro.obs.metrics": (
+        "DEFAULT_BUCKETS", "METRIC_HELP", "NULL_REGISTRY", "Counter", "Gauge",
+        "Histogram", "MetricsRegistry", "NullRegistry", "enabled", "registry",
+        "set_registry",
+    ),
+    "repro.obs.diffprof": (
+        "PROFILE_SCHEMA", "DeltaLeaf", "DeltaWaterfall", "LaneDelta", "LaneProfile",
+        "RunProfile", "delta_counter_tracks", "diff_profiles", "diff_tenant_costs",
+        "load_profile", "profile_run", "render_waterfall",
+    ),
+    "repro.obs.probe": ("record_program_metrics",),
+    "repro.obs.spans": (
+        "NULL_TRACER", "NullTracer", "Span", "SpanRecord", "Tracer", "set_tracer",
+        "tracer",
+    ),
+    "repro.obs.vtrace": (
+        "EVENT_KINDS", "EVENT_SCHEMA_VERSION", "NULL_SAMPLER", "NULL_VTRACE",
+        "NullVSampler", "NullVTraceRecorder", "TimeSeries", "VEvent", "VSampler",
+        "VTraceRecorder", "device_timeline", "rate_series", "request_lane_tids",
+        "request_phases", "request_track_events", "vtrace_jsonl_lines",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_names(__name__, _EXPORTS)
+__all__ += ["TelemetrySession", "telemetry"]
 
 
 @dataclass(frozen=True)

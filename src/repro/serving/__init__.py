@@ -9,96 +9,40 @@ declarative latency SLOs with burn-rate alerting and per-violation
 drill-down (:mod:`repro.serving.slo`), and exact per-request /
 per-tenant cost attribution with capacity extrapolation
 (:mod:`repro.serving.accounting`).
+
+Every public name resolves from its defining module on first access
+(:func:`repro._lazy.lazy_names`), so importing the package loads
+only the modules a caller reads.
 """
 
-from repro.serving.accounting import (
-    CapacityEstimate,
-    build_cost_ledger,
-    estimate_capacity,
-    record_cost_metrics,
-    render_cost_dashboard,
-)
-from repro.serving.arrival import (
-    ArrivalModel,
-    BurstyArrivals,
-    DiurnalArrivals,
-    PoissonArrivals,
-    make_arrival_model,
-)
-from repro.serving.analysis import (
-    LoadPoint,
-    ServingSweep,
-    SweepDelta,
-    attribute_saturation,
-    diff_sweeps,
-    find_saturation,
-    render_sweep,
-    render_sweep_delta,
-    sweep_offered_load,
-)
-from repro.serving.request import (
-    RequestRecord,
-    RequestState,
-    UtteranceRequest,
-    synthesize_requests,
-)
-from repro.serving.scheduler import (
-    ContinuousBatchingScheduler,
-    FunctionalExecutor,
-    ModeledExecutor,
-    ServingConfig,
-    ServingResult,
-    meets_slo,
-    simulate,
-)
-from repro.serving.slo import (
-    SloAlert,
-    SloObjective,
-    SloReport,
-    SloWindow,
-    ViolationAttribution,
-    evaluate_slo,
-    phase_stall_report,
-    render_slo_dashboard,
-)
+from repro._lazy import lazy_names
 
-__all__ = [
-    "ArrivalModel",
-    "PoissonArrivals",
-    "BurstyArrivals",
-    "DiurnalArrivals",
-    "make_arrival_model",
-    "RequestState",
-    "UtteranceRequest",
-    "RequestRecord",
-    "synthesize_requests",
-    "ServingConfig",
-    "ServingResult",
-    "ModeledExecutor",
-    "FunctionalExecutor",
-    "ContinuousBatchingScheduler",
-    "meets_slo",
-    "simulate",
-    "SloWindow",
-    "SloObjective",
-    "SloAlert",
-    "SloReport",
-    "ViolationAttribution",
-    "phase_stall_report",
-    "evaluate_slo",
-    "render_slo_dashboard",
-    "LoadPoint",
-    "ServingSweep",
-    "sweep_offered_load",
-    "find_saturation",
-    "SweepDelta",
-    "diff_sweeps",
-    "render_sweep_delta",
-    "attribute_saturation",
-    "render_sweep",
-    "CapacityEstimate",
-    "build_cost_ledger",
-    "estimate_capacity",
-    "record_cost_metrics",
-    "render_cost_dashboard",
-]
+_EXPORTS = {
+    "repro.serving.accounting": (
+        "CapacityEstimate", "build_cost_ledger", "estimate_capacity",
+        "record_cost_metrics", "render_cost_dashboard",
+    ),
+    "repro.serving.arrival": (
+        "ArrivalModel", "BurstyArrivals", "DiurnalArrivals", "PoissonArrivals",
+        "make_arrival_model",
+    ),
+    "repro.serving.analysis": (
+        "LoadPoint", "ServingSweep", "SweepDelta", "attribute_saturation",
+        "diff_sweeps", "find_saturation", "render_sweep", "render_sweep_delta",
+        "sweep_offered_load",
+    ),
+    "repro.serving.request": (
+        "RequestRecord", "RequestState", "UtteranceRequest", "synthesize_requests",
+    ),
+    "repro.serving.scheduler": (
+        "ContinuousBatchingScheduler", "FunctionalExecutor", "ModeledExecutor",
+        "ServingConfig", "ServingResult", "meets_slo", "simulate",
+    ),
+    "repro.serving.slo": (
+        "SloAlert", "SloObjective", "SloReport", "SloWindow",
+        "ViolationAttribution", "evaluate_slo", "phase_stall_report",
+        "render_slo_dashboard",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_names(__name__, _EXPORTS)

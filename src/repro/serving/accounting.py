@@ -33,7 +33,7 @@ Beyond cycles, each request accumulates its HBM weight-stream bytes
 (from the lowered program IR via :func:`repro.hw.program.
 program_load_bytes`) and a KV-cache residency integral in byte-cycles
 (modeled resident bytes held from admission to completion or
-preemption, sized per :func:`repro.hw.kv_cache.modeled_resident_bytes`
+preemption, sized per :func:`repro.hw.memory.modeled_resident_bytes`
 at the rows banked by the end of each iteration), summed over the
 log's residency intervals.
 
@@ -50,7 +50,7 @@ import math
 from dataclasses import dataclass
 
 from repro.hw.controller import LatencyModel
-from repro.hw.kv_cache import modeled_resident_bytes
+from repro.hw.memory import modeled_resident_bytes
 from repro.hw.program import program_load_bytes
 from repro.obs import metrics as obs_metrics
 from repro.obs.costs import CostLedger, RequestCost, largest_remainder_split

@@ -22,7 +22,7 @@ accelerator serves them.  Scheduling is iteration-level (Orca-style):
 Admission control is **cache-pressure-aware**: a request is admitted
 only when the K/V bytes the whole batch could grow to (every member
 decoded to its full token budget, the
-:func:`repro.hw.kv_cache.modeled_resident_bytes` arithmetic that a
+:func:`repro.hw.memory.modeled_resident_bytes` arithmetic that a
 live :class:`~repro.hw.kv_cache.DecoderKVCache` reports as
 ``resident_bytes()``) fit the configured budget.  A higher-priority
 arrival that cannot reserve may **preempt** lower-priority in-flight
@@ -41,10 +41,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.hw.controller import LatencyModel
-from repro.hw.kv_cache import modeled_resident_bytes
+from repro.hw.memory import modeled_resident_bytes
 from repro.hw.scheduler import Architecture
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
@@ -126,23 +124,19 @@ class ModeledExecutor:
         self._prefill = self.lm.latency_report(
             config.s, config.architecture
         ).total_cycles
-        self._iteration_cache: dict[tuple[int, ...], int] = {}
 
     def prefill_cycles(self, record: RequestRecord) -> int:
         return self._prefill
 
     def iteration_cycles(self, prefix_lengths: list[int]) -> int:
-        key = tuple(prefix_lengths)
-        cycles = self._iteration_cache.get(key)
-        if cycles is None:
-            cycles = self.lm.decode_iteration_cycles(
-                prefix_lengths,
-                self.config.s,
-                self.config.architecture,
-                share_weights=self.config.share_weights,
-            )
-            self._iteration_cache[key] = cycles
-        return cycles
+        """One iteration's cycles: with shared weights, B reads of the
+        latency model's per-step memo."""
+        return self.lm.decode_iteration_cycles(
+            prefix_lengths,
+            self.config.s,
+            self.config.architecture,
+            share_weights=self.config.share_weights,
+        )
 
     def resident_bytes(self, t: int) -> int:
         return modeled_resident_bytes(self.lm.model, self.config.s, t)
@@ -218,7 +212,7 @@ class FunctionalExecutor(ModeledExecutor):
         outs = step_sessions(sessions, feeds)
         for (record, replay), rid, out in zip(items, rids, outs):
             if not replay:
-                self.emitted[rid].append(int(np.argmax(out)))
+                self.emitted[rid].append(int(out.argmax()))
 
     def preempt(self, record: RequestRecord) -> None:
         self._sessions[record.request.request_id].preempt()

@@ -19,7 +19,14 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.hw.kernels import (
+from repro.hw.datapath import (
+    add_norm_unit,
+    bias_unit,
+    relu_unit,
+    scale_scores,
+    softmax_unit,
+)
+from repro.hw.datapath import (
     mm1_product,
     mm2_product,
     mm3_product,
@@ -27,14 +34,8 @@ from repro.hw.kernels import (
     mm5_product,
     mm6_product,
 )
-from repro.hw.nonlinear import (
-    add_norm_unit,
-    bias_unit,
-    relu_unit,
-    scale_scores,
-    softmax_unit,
-)
-from repro.hw.program import BlockProgram, Op, ParamRef, ProgramRun, ValueRef
+from repro.hw.executor import ProgramRun
+from repro.hw.program import BlockProgram, Op, ParamRef, ValueRef
 from repro.model.ops import MODEL_DTYPE
 
 

@@ -88,7 +88,7 @@ class TestNonDivisibleDimensions:
         assert c384 < c400 == c448
 
     def test_odd_dims_through_mm5_mm6(self, fabric, rng):
-        from repro.hw.kernels import mm5_product, mm6_product
+        from repro.hw.datapath import mm5_product, mm6_product
 
         x = rng.standard_normal((5, 400)).astype(np.float32)
         w1 = rng.standard_normal((400, 200)).astype(np.float32)

@@ -7,7 +7,8 @@ import pytest
 from repro.config import ModelConfig
 from repro.hw.accelerator import TransformerAccelerator
 from repro.hw.controller import LatencyModel
-from repro.hw.kernels import Fabric, mm1_product, mm2_product
+from repro.hw.datapath import mm1_product, mm2_product
+from repro.hw.kernels import Fabric
 from repro.hw.scheduler import Architecture, BlockWork, schedule
 from repro.model.params import init_transformer_params
 from repro.model.transformer import Transformer
@@ -99,7 +100,7 @@ class TestNonFiniteInjection:
         q = np.full((4, 64), 50.0, dtype=np.float32)
         k = np.full((4, 64), 50.0, dtype=np.float32)
         scores = mm2_product(q, k)
-        from repro.hw.nonlinear import scale_scores, softmax_unit
+        from repro.hw.datapath import scale_scores, softmax_unit
 
         weights = softmax_unit(scale_scores(scores, 64))
         assert np.all(np.isfinite(weights))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.config import ModelConfig
 from repro.hw.accelerator import TransformerAccelerator, step_sessions
 from repro.hw.controller import AcceleratorController
-from repro.hw.kernels import (
+from repro.hw.datapath import (
     mm1_product,
     mm2_product,
     mm3_product,
@@ -355,7 +355,7 @@ class TestMixedPrefixBatches:
 
     def test_one_execution_per_batched_step(self, monkeypatch):
         """Three sessions at three prefix lengths: one program run."""
-        from repro.hw import controller as controller_module
+        from repro.hw import fabric_controller as controller_module
 
         accel = TransformerAccelerator(_MIXED_PARAMS, hw_seq_len=8)
         rng = _rng(31)

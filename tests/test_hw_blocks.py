@@ -7,7 +7,8 @@ import pytest
 
 from repro.config import ModelConfig
 from repro.hw.controller import LatencyModel
-from repro.hw.program import LoweringSpec, execute_program, lower
+from repro.hw.executor import execute_program
+from repro.hw.program import LoweringSpec, lower
 from repro.model.attention import attention_head, multi_head_attention
 from repro.model.decoder import decoder_layer
 from repro.model.encoder import encoder_layer

@@ -14,10 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ModelConfig
-from repro.hw.adder import VectorAdder
 from repro.hw.controller import AcceleratorController
+from repro.hw.datapath import (
+    accumulate,
+    mm1_product,
+    mm2_product,
+    mm3_product,
+    psa_matmul,
+)
 from repro.hw.dse import a4_candidate_pipelines
-from repro.hw.kernels import Fabric, mm1_product, mm2_product, mm3_product
+from repro.hw.executor import execute_program
+from repro.hw.kernels import Fabric
 from repro.hw.kv_cache import LayerKVCache, batch_layer_caches
 from repro.hw.program import (
     BlockIR,
@@ -26,7 +33,6 @@ from repro.hw.program import (
     Op,
     OpKind,
     ValueRef,
-    execute_program,
     lower,
     lower_decode_step,
     lower_full_pass,
@@ -179,8 +185,8 @@ class TestOracle:
 def per_head_mm1(fabric, x, w):
     """The 2-D MM1 of one head: stripe products on the PSA, left-folded."""
     stripe = fabric.hardware.psa_cols
-    return VectorAdder.accumulate([
-        fabric.psa.matmul(x[:, i * stripe:(i + 1) * stripe], w[i * stripe:(i + 1) * stripe])
+    return accumulate([
+        psa_matmul(x[:, i * stripe:(i + 1) * stripe], w[i * stripe:(i + 1) * stripe])
         for i in range(ceil_div(x.shape[1], stripe))
     ])
 
@@ -223,12 +229,12 @@ class TestHeadStackedKernels:
                 _members(scores[j], lead), _members(q[j], lead), _members(k[j], lead)
             )
             for got_s, q2, k2 in pairs:
-                assert_bits_equal(got_s, fabric.psa.matmul(q2, k2.T))
+                assert_bits_equal(got_s, psa_matmul(q2, k2.T))
             pairs = zip(
                 _members(context[j], lead), _members(attn[j], lead), _members(v[j], lead)
             )
             for got_c, a2, v2 in pairs:
-                assert_bits_equal(got_c, fabric.psa.matmul(a2, v2))
+                assert_bits_equal(got_c, psa_matmul(a2, v2))
 
 
 def _hand_op(op_id, semantic, inputs, **attrs):

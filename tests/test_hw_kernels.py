@@ -7,29 +7,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ModelConfig
-from repro.hw.adder import VectorAdder
-from repro.hw.kernels import (
+from repro.hw.datapath import (
     _chunk_panels,
     _fold_panels,
     _left_fold,
     _runs,
     _split_widths,
     _stripe_widths,
-    matmul_dims,
-    mm1_cycles,
+    accumulate,
     mm1_product,
-    mm2_cycles,
     mm2_product,
-    mm3_cycles,
     mm3_product,
-    mm4_cycles,
     mm4_product,
-    mm5_cycles,
     mm5_product,
-    mm6_cycles,
     mm6_product,
 )
-from repro.hw.program import LoweringSpec, execute_program, lower
+from repro.hw.executor import execute_program
+from repro.hw.kernels import (
+    matmul_dims,
+    mm1_cycles,
+    mm2_cycles,
+    mm3_cycles,
+    mm4_cycles,
+    mm5_cycles,
+    mm6_cycles,
+)
+from repro.hw.program import LoweringSpec, lower
 
 S = 16
 
@@ -191,14 +194,14 @@ class TestCycleStructure:
 
 def _accumulated_chunks(x, w, widths):
     """The partial products as ``_fold_panels`` forms them, folded one
-    by one by ``VectorAdder.accumulate`` (the hardware add order)."""
+    by one by ``accumulate`` (the hardware add order)."""
     partials = []
     for start, stop, width, count in _runs(widths):
         xs = x[..., start:stop].reshape(*x.shape[:-1], count, width)
         ws = w[..., start:stop, :].reshape(*w.shape[:-2], count, width, w.shape[-1])
         prod = np.matmul(xs.swapaxes(-2, -3), ws)
         partials.extend(prod[..., i, :, :] for i in range(count))
-    return VectorAdder.accumulate(partials)
+    return accumulate(partials)
 
 
 def _f32(rng, shape, spread):
@@ -209,7 +212,7 @@ def _f32(rng, shape, spread):
 
 
 class TestLeftFold:
-    """The one-reduction folds equal ``VectorAdder.accumulate`` over the
+    """The one-reduction folds equal ``accumulate`` over the
     same partial products, bit for bit."""
 
     @settings(max_examples=80, deadline=None)
@@ -249,7 +252,7 @@ class TestLeftFold:
         stack = _f32(rng, (heads, *batch, s, d_k), 4)
         wo = _f32(rng, (heads * d_k, d_out), 4)
         panels = wo.reshape(heads, *(1,) * len(batch), d_k, d_out)
-        want = VectorAdder.accumulate(list(np.matmul(stack, panels)))
+        want = accumulate(list(np.matmul(stack, panels)))
         assert mm4_product(stack, wo).tobytes() == want.tobytes()
 
     @settings(max_examples=80, deadline=None)
@@ -264,5 +267,5 @@ class TestLeftFold:
         rng = np.random.default_rng(seed)
         axis = int(rng.integers(0, len(shape) + 1))
         stack = _f32(rng, (*shape[:axis], count, *shape[axis:]), 6)
-        want = VectorAdder.accumulate(list(np.moveaxis(stack, axis, 0)))
+        want = accumulate(list(np.moveaxis(stack, axis, 0)))
         assert _left_fold(stack, axis).tobytes() == want.tobytes()

@@ -8,14 +8,15 @@ import pytest
 from repro.config import ModelConfig
 from repro.decoding.greedy import greedy_decode
 from repro.hw.accelerator import TransformerAccelerator
-from repro.hw.kernels import Fabric, mm1_cycles, mm1_product
+from repro.hw.datapath import bias_unit
+from repro.hw.datapath import mm1_product
+from repro.hw.kernels import Fabric, mm1_cycles
 from repro.hw.kv_cache import (
     DecoderKVCache,
     LayerKVCache,
     kv_stream_cycles,
     project_cross_kv,
 )
-from repro.hw.nonlinear import bias_unit
 from repro.model import Transformer
 from repro.model.incremental import IncrementalDecoder
 from repro.model.ops import log_softmax

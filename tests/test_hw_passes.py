@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.config import CalibrationConfig, HardwareConfig, ModelConfig
 from repro.hw.dse import _candidate_programs, a4_candidate_pipelines, synthesize_a4
+from repro.hw.executor import execute_program
 from repro.hw.faults import FaultSpec, program_fault_hook
 from repro.hw.introspect import classify_stalls
 from repro.hw.kernels import Fabric
@@ -40,7 +41,6 @@ from repro.hw.program import (
     Op,
     OpKind,
     ValueRef,
-    execute_program,
     lower,
     lower_full_pass,
     lowering_cache_info,

@@ -21,12 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.hw
-from repro.config import ModelConfig
+from repro.config import CalibrationConfig, HardwareConfig, ModelConfig
 from repro.hw import passes as passes_module
 from repro.hw import program as program_module
 from repro.hw.controller import AcceleratorController, LatencyModel
 from repro.hw.dse import a4_candidate_pipelines
+from repro.hw.executor import execute_program
 from repro.hw.faults import FaultSpec, inject_faults, program_fault_hook
+from repro.hw.kernels import Fabric
 from repro.hw.program import (
     BlockIR,
     BlockProgram,
@@ -34,7 +36,6 @@ from repro.hw.program import (
     Op,
     OpKind,
     block_compute_cycles,
-    execute_program,
     lower,
     lower_decode_step,
     lower_full_pass,
@@ -46,7 +47,6 @@ from repro.hw.program import (
     trace_block,
     trace_program,
 )
-from repro.hw.kernels import Fabric
 from repro.hw.scheduler import Architecture, BlockWork, schedule
 from tests.reference_lowering import lowering_listing, reference_lower
 from tests.reference_shapes import _makespan
@@ -703,3 +703,86 @@ class TestIterationPricingProperty:
         shares = lm.per_member_cycle_shares(lengths, s, arch, share_weights)
         assert len(shares) == len(lengths)
         assert sum(shares) == total
+
+    # The closed form over the hardware and calibration it prices: 1, 2
+    # and 4 HBM channels per weight bundle (one per SLR kernel), no,
+    # the calibrated and a dominant block overhead, B = 1..8, on a
+    # fresh model (every step a memo miss) and a warm one (every step
+    # read back from the memo).
+    CHANNELS = (1, 2, 4)
+    OVERHEADS = (0, CalibrationConfig().block_overhead_cycles, 1_000_000)
+    WARM: dict = {}
+
+    @staticmethod
+    def _model(channels, overhead):
+        return LatencyModel(
+            hardware=HardwareConfig(num_slrs=channels),
+            calibration=CalibrationConfig(block_overhead_cycles=overhead),
+        )
+
+    def _check(self, lengths, s, arch, channels, overhead, share_weights):
+        warm = self.WARM.setdefault(
+            (channels, overhead), self._model(channels, overhead)
+        )
+        fresh = self._model(channels, overhead)
+        want = reference_iteration_cycles(fresh, lengths, s, arch, share_weights)
+        assert fresh.decode_iteration_cycles(lengths, s, arch, share_weights) == want
+        assert warm.decode_iteration_cycles(lengths, s, arch, share_weights) == want
+        assert sum(warm.per_member_cycle_shares(lengths, s, arch, share_weights)) == want
+
+    @given(
+        st.lists(st.integers(1, 32), min_size=1, max_size=8),
+        st.sampled_from([8, 32]),
+        st.sampled_from(list(Architecture)),
+        st.sampled_from(CHANNELS),
+        st.sampled_from(OVERHEADS),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_matches_chain_across_hardware(
+        self, lengths, s, arch, channels, overhead, share_weights
+    ):
+        self._check(lengths, s, arch, channels, overhead, share_weights)
+
+    @pytest.mark.parametrize("overhead", OVERHEADS)
+    @pytest.mark.parametrize("channels", CHANNELS)
+    @pytest.mark.parametrize("batch", range(1, 9))
+    def test_closed_form_matches_chain_at_every_batch_size(
+        self, batch, channels, overhead
+    ):
+        lengths = [1 + (7 * i + batch) % 32 for i in range(batch)]
+        for arch in Architecture:
+            for share_weights in (True, False):
+                self._check(lengths, 32, arch, channels, overhead, share_weights)
+
+    def test_warm_iteration_schedules_and_lowers_nothing(self, monkeypatch):
+        from repro.hw import controller as controller_module
+
+        lm = LatencyModel()
+        lengths = [3, 9, 9, 17, 30]
+        want = lm.decode_iteration_cycles(lengths, 32, "A3")
+        want_shares = lm.per_member_cycle_shares(lengths, 32, "A3")
+        calls = []
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"a warm iteration called {name}")
+            return call
+
+        monkeypatch.setattr(controller_module, "schedule", forbidden("schedule"))
+        monkeypatch.setattr(
+            controller_module, "lower_decode_step", forbidden("lower_decode_step")
+        )
+        assert lm.decode_iteration_cycles(lengths[::-1], 32, "A3") > 0
+        assert lm.decode_iteration_cycles(lengths, 32, "A3") == want
+        assert lm.per_member_cycle_shares(lengths, 32, "A3") == want_shares
+        assert lm.decode_step_cycles(17, 32, "A3") > 0
+        assert calls == []
+
+    def test_memo_is_per_model(self):
+        """A new model prices through the lowering again: the memo
+        lives on the instance, not the process."""
+        first, second = LatencyModel(), LatencyModel()
+        first.decode_iteration_cycles([4, 5], 32)
+        assert first._step_memo and not second._step_memo

@@ -22,8 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ModelConfig
+from repro.hw import executor as executor_module
 from repro.hw import program as program_module
 from repro.hw.controller import AcceleratorController
+from repro.hw.executor import execute_program
 from repro.hw.kernels import Fabric
 from repro.hw.kv_cache import batch_layer_caches
 from repro.hw.program import (
@@ -31,7 +33,6 @@ from repro.hw.program import (
     LoweringSpec,
     PlanOp,
     _build_plan,
-    execute_program,
     lower,
     lowering_cache_info,
     program_block_work,
@@ -250,7 +251,7 @@ class TestOneTemplatePerDecode:
         token runs the memoized binding."""
         model = ModelConfig(num_encoders=1, num_decoders=2)
         binds, resolved = [], []
-        real_bind = program_module._BoundPlan.__init__
+        real_bind = executor_module._BoundPlan.__init__
         real_resolve = program_module.ParamRef.resolve
 
         def counting_bind(self, plan, fabric, root, hook, rank):
@@ -261,7 +262,7 @@ class TestOneTemplatePerDecode:
             resolved.append(self.dotted)
             return real_resolve(self, root)
 
-        monkeypatch.setattr(program_module._BoundPlan, "__init__", counting_bind)
+        monkeypatch.setattr(executor_module._BoundPlan, "__init__", counting_bind)
         monkeypatch.setattr(program_module.ParamRef, "resolve", counting_resolve)
         params = init_transformer_params(model, seed=3)
         ctrl = AcceleratorController(params)

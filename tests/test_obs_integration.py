@@ -9,8 +9,8 @@ from repro import obs
 from repro.config import ModelConfig
 from repro.hw.accelerator import TransformerAccelerator
 from repro.hw.controller import LatencyModel
+from repro.hw.executor import execute_program
 from repro.hw.program import (
-    execute_program,
     lower,
     program_hbm_bytes,
     program_load_bytes,

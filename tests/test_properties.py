@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.decoding.wer import edit_distance
+from repro.hw.datapath import simulate_exact
 from repro.hw.scheduler import Architecture, BlockWork, schedule
 from repro.hw.systolic import SystolicArray
 from repro.model.layernorm import layer_norm
@@ -35,7 +36,7 @@ class TestSystolicProperties:
     def test_exact_emulation_equals_numpy(self, operands, rows, cols):
         a, b = operands
         psa = SystolicArray(rows=rows, cols=cols)
-        np.testing.assert_allclose(psa.simulate_exact(a, b), a @ b, atol=1e-9)
+        np.testing.assert_allclose(simulate_exact(psa, a, b), a @ b, atol=1e-9)
 
     @given(st.integers(1, 64), st.integers(1, 128), st.integers(1, 128))
     @settings(max_examples=50, deadline=None)

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.hw.kernels import Fabric, mm1_product, mm2_product, mm3_product, mm4_product
+from repro.hw.datapath import mm1_product, mm2_product, mm3_product, mm4_product
+from repro.hw.kernels import Fabric
 from repro.quant.schemes import INT8, INT16, dequantize, quantize_symmetric
 
 FABRIC = Fabric()
