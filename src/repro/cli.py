@@ -42,12 +42,10 @@ import json
 import pathlib
 from typing import Callable, NamedTuple, Sequence
 
+import repro.hw as hw  # resolves names lazily: --help compiles no cycle model
 from repro.analysis.inventory import weight_inventory
 from repro.analysis.report import format_table
 from repro.config import HardwareConfig
-from repro.hw.controller import LatencyModel
-from repro.hw.dse import head_parallelism_sweep
-from repro.hw.resources import estimate_resources
 
 PERFETTO = "(open in https://ui.perfetto.dev)"
 
@@ -75,7 +73,7 @@ def _emit(payload, path=None, note: str | None = "wrote {}") -> None:
 
 
 def _cmd_latency(args: argparse.Namespace) -> int:
-    lm = LatencyModel()
+    lm = hw.LatencyModel()
     rows = []
     for s in args.seq:
         for arch in args.arch:
@@ -86,7 +84,7 @@ def _cmd_latency(args: argparse.Namespace) -> int:
 
 def _cmd_crossover(args: argparse.Namespace) -> int:
     del args
-    lm = LatencyModel()
+    lm = hw.LatencyModel()
     rows = []
     for s in range(2, 41, 2):
         load, compute = lm.mha_ffn_load_compute(s)
@@ -97,8 +95,7 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
 
 
 def _cmd_resources(args: argparse.Namespace) -> int:
-    hw = HardwareConfig(psa_rows=args.psa_rows)
-    est = estimate_resources(hw, seq_len=args.seq)
+    est = hw.estimate_resources(HardwareConfig(psa_rows=args.psa_rows), seq_len=args.seq)
     util = est.utilization()
     rows = [
         [name, used, est.available[name], f"{util[name]:.1%}"]
@@ -111,7 +108,7 @@ def _cmd_resources(args: argparse.Namespace) -> int:
 
 
 def _cmd_dse(args: argparse.Namespace) -> int:
-    points = head_parallelism_sweep(s=args.seq)
+    points = hw.head_parallelism_sweep(s=args.seq)
     rows = [
         [p.parallel_heads, p.concurrent_psas_per_head, p.latency_ms]
         for p in points
@@ -400,7 +397,7 @@ def _serving_stall_rate_tracks(result, sampler) -> dict:
     from repro.obs.vtrace import rate_series
     from repro.serving import phase_stall_report
 
-    lm = LatencyModel()
+    lm = hw.LatencyModel()
     tracks: dict = {}
     for phase, cum_name in (
         ("prefill", "prefill_cycles"),
@@ -590,7 +587,7 @@ def _diff_live_program(spec: str, s: int):
         from repro.hw.dse import synthesize_a4
 
         return synthesize_a4(s=s, architecture="A3").program, "A3"
-    return LatencyModel().full_pass_program(s), spec
+    return hw.LatencyModel().full_pass_program(s), spec
 
 
 def _show_delta(args: argparse.Namespace, delta, render) -> None:
@@ -691,7 +688,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     if args.profiles:
         base_prof, cand_prof = map(load_profile, args.profiles)
     else:
-        overhead = LatencyModel().calibration.block_overhead_cycles
+        overhead = hw.LatencyModel().calibration.block_overhead_cycles
         runs = [_diff_live_program(spec, args.seq)
                 for spec in (args.base, args.cand)]
         base_prof, cand_prof = (
@@ -770,7 +767,7 @@ def _cmd_inventory(args: argparse.Namespace) -> int:
 def _cmd_program(args: argparse.Namespace) -> int:
     from repro.hw.visualize import render_program_gantt
 
-    lm = LatencyModel()
+    lm = hw.LatencyModel()
     program = lm.full_pass_program(args.seq)
     shown = list(program.ops[: args.ops])
     rows = [
@@ -807,7 +804,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     from repro.hw.program import trace_program
     from repro.hw.visualize import render_program_gantt
 
-    lm = LatencyModel()
+    lm = hw.LatencyModel()
     program = lm.full_pass_program(args.seq)
     overhead = lm.calibration.block_overhead_cycles
     timeline = trace_program(program, args.arch, overhead)

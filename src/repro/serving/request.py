@@ -58,8 +58,8 @@ class UtteranceRequest:
     tenant: int = 0
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ValueError("arrival_s must be non-negative")
+        if not 0 <= self.arrival_s < float("inf"):  # NaN fails both
+            raise ValueError(f"arrival_s must be finite and >= 0, got {self.arrival_s}")
         if self.decode_tokens <= 0:
             raise ValueError("decode_tokens must be positive")
         if self.tenant < 0:

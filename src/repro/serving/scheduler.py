@@ -12,8 +12,7 @@ accelerator serves them.  Scheduling is iteration-level (Orca-style):
   in-flight request advances one KV-cached step;
 * requests join the in-flight decode batch at step boundaries the
   moment their prefill completes — *continuous batching* — and leave
-  the moment their last token decodes, instead of waiting for a full
-  batch to drain;
+  the moment their last token decodes;
 * a decode iteration streams each decoder's weight panels from HBM
   once for the whole batch (:meth:`repro.hw.controller.LatencyModel.
   decode_iteration_cycles`), so per-request decode cost falls as the
@@ -21,15 +20,19 @@ accelerator serves them.  Scheduling is iteration-level (Orca-style):
 
 Admission control is **cache-pressure-aware**: a request is admitted
 only when the K/V bytes the whole batch could grow to (every member
-decoded to its full token budget, the
-:func:`repro.hw.memory.modeled_resident_bytes` arithmetic that a
-live :class:`~repro.hw.kv_cache.DecoderKVCache` reports as
-``resident_bytes()``) fit the configured budget.  A higher-priority
-arrival that cannot reserve may **preempt** lower-priority in-flight
-requests: their self-attention rows are evicted through the existing
-rewind support and replayed after readmission — functionally exact,
-paid for in replayed steps.
+decoded to its full token budget, per
+:func:`repro.hw.memory.modeled_resident_bytes`, the arithmetic of a
+live cache's ``resident_bytes()``) fit the configured budget.  A
+higher-priority arrival that cannot reserve may **preempt**
+lower-priority in-flight requests: their self-attention rows are
+evicted through the existing rewind support and replayed after
+readmission — functionally exact, paid for in replayed steps.
 
+A run is phase handlers over one run state: each turn takes in the
+arrivals, admits (preempting for the pool head if allowed), then runs
+one prefill, else one decode iteration (completing finished members),
+else idles to the next arrival, and samples.  Reserved and resident
+K/V bytes are exact integer running totals the handlers update.
 Everything is deterministic: virtual time advances in integer fabric
 cycles, arrival traces come from ``random.Random``, and the bench
 harness gates the cycle totals exactly.
@@ -37,8 +40,10 @@ harness gates the cycle totals exactly.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.hw.controller import LatencyModel
@@ -110,6 +115,14 @@ class ServingConfig:
         Architecture(self.architecture)
 
 
+@functools.cache
+def _default_latency_model() -> LatencyModel:
+    """The cycle model of every executor built without one.  Its configs
+    are frozen and its step memo is exact, so sharing it changes no
+    number; runs stop refilling a fresh memo each."""
+    return LatencyModel()
+
+
 class ModeledExecutor:
     """Data-free costs from the cycle model (the serving default).
 
@@ -120,7 +133,7 @@ class ModeledExecutor:
 
     def __init__(self, config: ServingConfig, latency_model: LatencyModel | None = None):
         self.config = config
-        self.lm = latency_model or LatencyModel()
+        self.lm = latency_model or _default_latency_model()
         self._prefill = self.lm.latency_report(
             config.s, config.architecture
         ).total_cycles
@@ -305,381 +318,366 @@ class ContinuousBatchingScheduler:
         self.sampler = sampler or NULL_SAMPLER
         budget = self.config.kv_budget_bytes
         if budget is None:
-            budget = self.config.max_batch * self.executor.resident_bytes(
-                self.config.s
-            )
+            budget = self.config.max_batch * self.executor.resident_bytes(self.config.s)
         self.kv_budget_bytes = int(budget)
 
-    # ----------------------------------------------------------- helpers
-    def _reservation(self, record: RequestRecord) -> int:
-        """Worst-case K/V bytes this request can grow to (its budget
-        decoded in full) — what admission must reserve."""
-        return self.executor.resident_bytes(record.request.decode_tokens)
-
     def run(self, requests: list[UtteranceRequest]) -> ServingResult:
-        cfg = self.config
-        ex = self.executor
-        vt = self.vtrace
-        sampler = self.sampler
-        if not requests:
-            raise ValueError("need at least one request")
-        clock_hz = ex.clock_hz
-        records = [RequestRecord(request=r) for r in sorted(
-            requests, key=lambda r: (r.arrival_s, r.request_id)
-        )]
-        reg = obs_metrics.registry()
-        tr = obs_spans.tracer()
-
-        rejections = 0
-        oversized = [
-            r for r in records
-            if ex.resident_bytes(r.request.decode_tokens) > self.kv_budget_bytes
-        ]
-        if oversized and not cfg.reject_oversized:
-            worst = max(
-                ex.resident_bytes(r.request.decode_tokens) for r in oversized
-            )
-            raise ValueError(
-                f"kv_budget_bytes={self.kv_budget_bytes} cannot hold even one "
-                f"request's cache (needs {worst}); raise the budget"
-            )
-        for record in oversized:
-            record.state = RequestState.REJECTED
-            rejections += 1
-            if vt.enabled:
-                vt.emit(
-                    "reject",
-                    math.ceil(record.request.arrival_s * clock_hz),
-                    record.request.request_id,
-                    tenant=record.request.tenant,
-                    needed_bytes=ex.resident_bytes(record.request.decode_tokens),
-                    kv_budget_bytes=self.kv_budget_bytes,
-                )
-
-        pending = [r for r in records if r.state is not RequestState.REJECTED]
-        #: Admission pool: (priority, arrival_s, request_id) min-heap.
-        queue: list[tuple[float, float, int, RequestRecord]] = []
-        prefill_fifo: list[RequestRecord] = []
-        active: list[_Active] = []
-        now = 0  # device time, cycles
-        reserved = 0  # K/V bytes reserved by admitted requests
-        #: Cycle each request last (re-)entered the admission pool —
-        #: arrival, or the preemption instant — for queue_wait events.
-        queued_since: dict[int, int] = {}
-
-        prefills = decode_iterations = preemptions = replayed_steps = 0
-        prefill_cycles_total = decode_cycles_total = replay_cycles_total = 0
-        idle_cycles_total = 0
-        peak_kv = peak_queue = peak_batch = 0
-
-        def push(record: RequestRecord) -> None:
-            heapq.heappush(queue, (
-                record.request.priority,
-                record.request.arrival_s,
-                record.request.request_id,
-                record,
-            ))
-
-        def admitted_count() -> int:
-            return len(active) + len(prefill_fifo)
-
-        def resident_now() -> int:
-            return sum(ex.resident_bytes(a.t) for a in active) + sum(
-                ex.resident_bytes(0) for _ in prefill_fifo
-            )
-
-        def try_preempt_for(record: RequestRecord) -> bool:
-            """Evict strictly-lower-priority members until ``record``'s
-            reservation fits; returns True on success.  Feasibility is
-            checked *before* evicting anything, so no request pays a
-            rewind for an admission that cannot happen anyway."""
-            nonlocal reserved, preemptions
-            if not cfg.preemption:
-                return False
-            need = self._reservation(record)
-            # Lowest priority first (highest value), then latest arrival.
-            victims = sorted(
-                (a for a in active
-                 if a.record.request.priority > record.request.priority),
-                key=lambda a: (-a.record.request.priority,
-                               -a.record.request.arrival_s),
-            )
-            plan: list[_Active] = []
-            freed = 0
-            for victim in victims:
-                if (reserved - freed + need <= self.kv_budget_bytes
-                        and admitted_count() - len(plan) < cfg.max_batch):
-                    break
-                plan.append(victim)
-                freed += self._reservation(victim.record)
-            if (reserved - freed + need > self.kv_budget_bytes
-                    or admitted_count() - len(plan) >= cfg.max_batch):
-                return False
-            for victim in plan:
-                active.remove(victim)
-                reserved -= self._reservation(victim.record)
-                victim.record.state = RequestState.PREEMPTED
-                victim.record.preemptions += 1
-                victim.record.replayed_steps += victim.t
-                ex.preempt(victim.record)
-                push(victim.record)
-                preemptions += 1
-                reg.counter("repro.serving.preemptions").inc()
-                if vt.enabled:
-                    rid = victim.record.request.request_id
-                    queued_since[rid] = now
-                    vt.emit(
-                        "preempt",
-                        now,
-                        rid,
-                        tenant=victim.record.request.tenant,
-                        evicted_steps=victim.t,
-                        by_request=record.request.request_id,
-                    )
-            return bool(plan)
-
-        while pending or queue or prefill_fifo or active:
-            # 1. arrivals up to the current device time enter the pool.
-            now_s = now / clock_hz
-            while pending and pending[0].request.arrival_s <= now_s:
-                record = pending.pop(0)
-                push(record)
-                reg.counter("repro.serving.requests").inc()
-                if vt.enabled:
-                    rid = record.request.request_id
-                    arrive_cycle = math.ceil(
-                        record.request.arrival_s * clock_hz
-                    )
-                    queued_since[rid] = arrive_cycle
-                    vt.emit(
-                        "arrive",
-                        arrive_cycle,
-                        rid,
-                        tenant=record.request.tenant,
-                        decode_tokens=record.request.decode_tokens,
-                        priority=record.request.priority,
-                    )
-
-            # 2. admission at the step boundary: reserve worst-case K/V.
-            while queue:
-                _, _, _, head = queue[0]
-                fits = (
-                    admitted_count() < cfg.max_batch
-                    and reserved + self._reservation(head) <= self.kv_budget_bytes
-                )
-                if not fits and not try_preempt_for(head):
-                    break
-                heapq.heappop(queue)
-                reserved += self._reservation(head)
-                if head.admitted_s is None:
-                    head.admitted_s = now_s
-                # Preempted requests re-run prefill too: the rewound
-                # cache rebuilds through replay, but the cross K/V must
-                # be re-projected first.
-                head.state = RequestState.PREFILLING
-                prefill_fifo.append(head)
-                if vt.enabled:
-                    rid = head.request.request_id
-                    vt.emit(
-                        "queue_wait",
-                        now,
-                        rid,
-                        tenant=head.request.tenant,
-                        wait_cycles=now - queued_since.pop(rid, now),
-                    )
-                    vt.emit(
-                        "admit",
-                        now,
-                        rid,
-                        tenant=head.request.tenant,
-                        reserved_bytes=self._reservation(head),
-                        queue_depth=len(queue),
-                    )
-
-            peak_queue = max(peak_queue, len(queue))
-            reg.gauge("repro.serving.queue_depth").set(len(queue))
-
-            # 3. pick work: prefill first (it unblocks batching), else
-            #    one decode iteration over every in-flight request.
-            if prefill_fifo:
-                record = prefill_fifo.pop(0)
-                cycles = ex.prefill_cycles(record)
-                if vt.enabled:
-                    vt.emit(
-                        "prefill_start",
-                        now,
-                        record.request.request_id,
-                        tenant=record.request.tenant,
-                        cycles=cycles,
-                        replay=bool(record.preemptions),
-                    )
-                now += cycles
-                prefills += 1
-                prefill_cycles_total += cycles
-                record.prefill_done_s = now / clock_hz
-                record.state = RequestState.DECODING
-                entry = _Active(record=record, t=0)
-                if record.preemptions:
-                    entry.replay_until = record.decoded_tokens
-                ex.open_session(record)
-                active.append(entry)
-                reg.counter("repro.serving.prefills").inc()
-                if vt.enabled:
-                    vt.emit(
-                        "prefill_end",
-                        now,
-                        record.request.request_id,
-                        tenant=record.request.tenant,
-                        replay=bool(record.preemptions),
-                    )
-            elif active:
-                lengths = [a.t + 1 for a in active]
-                cycles = ex.iteration_cycles(lengths)
-                is_replay = [a.t < a.replay_until for a in active]
-                if vt.enabled:
-                    # Batch membership rides on the iteration event so
-                    # the cost ledger can apportion the shared cycles
-                    # to exactly the members that ran (schema v2).
-                    vt.emit(
-                        "decode_iter",
-                        now,
-                        None,
-                        cycles=cycles,
-                        batch=len(active),
-                        prefix_lengths=lengths,
-                        request_ids=[
-                            a.record.request.request_id for a in active
-                        ],
-                        tenants=[a.record.request.tenant for a in active],
-                    )
-                    for entry, replay in zip(active, is_replay):
-                        if replay:
-                            vt.emit(
-                                "replay",
-                                now,
-                                entry.record.request.request_id,
-                                tenant=entry.record.request.tenant,
-                                cycles=cycles,
-                                step=entry.t,
-                            )
-                now += cycles
-                decode_iterations += 1
-                decode_cycles_total += cycles
-                if any(is_replay):
-                    replay_cycles_total += cycles
-                now_s = now / clock_hz
-                finished: list[_Active] = []
-                snapshot = list(active)
-                # One executor call for the whole iteration: the
-                # functional executor steps every session through the
-                # fabric as one batch, whatever its prefix length.
-                ex.step_many(
-                    [(e.record, r) for e, r in zip(snapshot, is_replay)]
-                )
-                for entry, replay in zip(snapshot, is_replay):
-                    entry.t += 1
-                    if replay:
-                        replayed_steps += 1
-                        reg.counter("repro.serving.replayed_steps").inc()
-                    else:
-                        entry.record.decoded_tokens = max(
-                            entry.record.decoded_tokens, entry.t
-                        )
-                    if entry.t >= entry.record.request.decode_tokens:
-                        finished.append(entry)
-                for entry in finished:
-                    active.remove(entry)
-                    reserved -= self._reservation(entry.record)
-                    entry.record.state = RequestState.COMPLETED
-                    entry.record.finished_s = now_s
-                    reg.counter("repro.serving.completions").inc()
-                    reg.histogram("repro.serving.e2e_ms").observe(
-                        entry.record.e2e_ms
-                    )
-                    reg.histogram("repro.serving.queue_ms").observe(
-                        entry.record.queue_ms
-                    )
-                    tr.record_span(
-                        "serving.request",
-                        start_us=entry.record.request.arrival_s * 1e6,
-                        duration_us=entry.record.e2e_ms * 1e3,
-                        request_id=entry.record.request.request_id,
-                        priority=entry.record.request.priority,
-                        preemptions=entry.record.preemptions,
-                    )
-                    if vt.enabled:
-                        vt.emit(
-                            "complete",
-                            now,
-                            entry.record.request.request_id,
-                            tenant=entry.record.request.tenant,
-                            e2e_ms=entry.record.e2e_ms,
-                            queue_ms=entry.record.queue_ms,
-                            preemptions=entry.record.preemptions,
-                        )
-                reg.counter("repro.serving.decode_iterations").inc()
-                reg.gauge("repro.serving.batch_size").set(len(active))
-            elif pending:
-                # Nothing runnable: the device idles to the next arrival.
-                # Ceil, not round: idling must land at-or-after the
-                # arrival instant or the loop would spin in place.
-                next_cycles = math.ceil(pending[0].request.arrival_s * clock_hz)
-                idle_cycles_total += max(next_cycles - now, 0)
-                now = max(now, next_cycles)
+        """Serve ``requests`` in virtual time (see module docstring)."""
+        state = _Run(self, requests)
+        while state.busy():
+            state.arrive()
+            state.admit()
+            if state.prefill_fifo:
+                state.prefill()
+            elif state.active:
+                state.decode()
             else:
-                raise RuntimeError(
-                    "scheduler wedged: queued requests but nothing runnable"
-                )  # pragma: no cover - admission validation prevents this
-
-            kv_now = resident_now()
-            peak_kv = max(peak_kv, kv_now)
-            peak_batch = max(peak_batch, len(active))
-            reg.gauge("repro.serving.kv_resident_bytes").set(kv_now)
-            if sampler.enabled:
-                sampler.sample(now, {
-                    "batch_size": len(active),
-                    "queue_depth": len(queue),
-                    "kv_resident_bytes": kv_now,
-                    "kv_reserved_bytes": reserved,
-                    "kv_budget_bytes": self.kv_budget_bytes,
-                    # Cumulative device-cycle accounts; rate_series()
-                    # turns these into busy/idle fractions over time.
-                    "prefill_cycles": prefill_cycles_total,
-                    "decode_cycles": decode_cycles_total,
-                    "replay_cycles": replay_cycles_total,
-                    "idle_cycles": idle_cycles_total,
-                })
-
-        return ServingResult(
-            config=cfg,
-            records=records,
-            device_end_cycles=now,
-            prefill_cycles_total=prefill_cycles_total,
-            decode_cycles_total=decode_cycles_total,
-            replay_cycles_total=replay_cycles_total,
-            idle_cycles_total=idle_cycles_total,
-            prefills=prefills,
-            decode_iterations=decode_iterations,
-            preemptions=preemptions,
-            replayed_steps=replayed_steps,
-            peak_kv_bytes=peak_kv,
-            peak_queue_depth=peak_queue,
-            peak_batch=peak_batch,
-            clock_hz=clock_hz,
-            rejections=rejections,
-            details={"kv_budget_bytes": float(self.kv_budget_bytes)},
-        )
+                state.idle()
+            state.sample()
+        return state.result()
 
 
-@dataclass
-class _Active:
-    """One in-flight decode-batch member."""
+@dataclass(eq=False)
+class _Member:
+    """One admissible request, from arrival to completion."""
 
     record: RequestRecord
+    #: Worst-case K/V bytes it can grow to (its budget decoded in
+    #: full): what admission reserves.
+    need: int
     #: Self-attention rows currently banked (prefix length).
-    t: int
+    t: int = 0
     #: Rows below this replay previously-decoded positions.
     replay_until: int = 0
+
+
+class _Instruments:
+    """One run's ``repro.serving.*`` metric instruments, each bound on
+    first use: the registry gains exactly the instruments the run
+    updates, and later updates skip its by-name lookup."""
+
+    KINDS = {
+        "requests": "counter", "prefills": "counter", "preemptions": "counter",
+        "replayed_steps": "counter", "completions": "counter",
+        "decode_iterations": "counter", "queue_depth": "gauge",
+        "batch_size": "gauge", "kv_resident_bytes": "gauge",
+        "e2e_ms": "histogram", "queue_ms": "histogram",
+    }
+
+    def __init__(self, registry: obs_metrics.MetricsRegistry) -> None:
+        self._registry = registry
+
+    def __getattr__(self, attr: str):
+        bind = getattr(self._registry, self.KINDS[attr])
+        instrument = bind(f"repro.serving.{attr}")
+        setattr(self, attr, instrument)
+        return instrument
+
+
+class _Run:
+    """The state of one :meth:`ContinuousBatchingScheduler.run` and its
+    phase handlers.
+
+    Reserved and resident K/V bytes are running totals.  The executor's
+    ``resident_bytes`` is affine in the prefix length t
+    (:func:`~repro.hw.memory.modeled_resident_bytes` is ``D·(s + t)``),
+    so the batch holds ``resident_bytes(0)`` per admitted member plus
+    ``resident_bytes(1) − resident_bytes(0)`` per banked row; the
+    handlers count the rows as members step, finish and are preempted.
+    """
+
+    def __init__(self, sched: ContinuousBatchingScheduler,
+                 requests: list[UtteranceRequest]) -> None:
+        if not requests:
+            raise ValueError("need at least one request")
+        ids = [r.request_id for r in requests]
+        if len(set(ids)) < len(ids):
+            dup = next(i for i in ids if ids.count(i) > 1)
+            raise ValueError(f"duplicate request_id {dup}")
+        self.cfg, self.ex, self.vt = sched.config, sched.executor, sched.vtrace
+        self.sampler, self.budget = sched.sampler, sched.kv_budget_bytes
+        self.clock_hz = self.ex.clock_hz
+        self.metrics = _Instruments(obs_metrics.registry())
+        self.tracer = obs_spans.tracer()
+        self.now = 0  # device time, cycles
+        self.records = [RequestRecord(request=r) for r in sorted(
+            requests, key=lambda r: (r.arrival_s, r.request_id)
+        )]
+        worst = self.ex.resident_bytes  # a cache grown to its full budget
+        members = [_Member(r, worst(r.request.decode_tokens)) for r in self.records]
+        oversized = [m for m in members if m.need > self.budget]
+        if oversized and not self.cfg.reject_oversized:
+            raise ValueError(
+                f"kv_budget_bytes={self.budget} cannot hold even one request's "
+                f"cache (needs {max(m.need for m in oversized)}); raise the budget"
+            )
+        for member in oversized:
+            member.record.state = RequestState.REJECTED
+            self.emit("reject", member, self.arrival_cycle(member),
+                      needed_bytes=member.need, kv_budget_bytes=self.budget)
+        self.rejections = len(oversized)
+        self.pending = [m for m in members if m.need <= self.budget]
+        self.arrived = 0  # members of ``pending`` that entered the pool
+        #: Admission pool: (priority, arrival_s, request_id) min-heap.
+        self.queue: list[tuple[float, float, int, _Member]] = []
+        self.prefill_fifo: deque[_Member] = deque()
+        self.active: list[_Member] = []
+        #: Cycle each request last (re-)entered the admission pool —
+        #: arrival, or the preemption instant — for queue_wait events.
+        self.queued_since: dict[int, int] = {}
+        self.reserved = 0  # K/V bytes reserved by admitted members
+        self.rows = 0  # self-attention rows banked across the batch
+        self.row0_bytes = self.ex.resident_bytes(0)
+        self.row_bytes = self.ex.resident_bytes(1) - self.row0_bytes
+        self.prefills = self.decode_iterations = self.preemptions = 0
+        self.replayed_steps = self.prefill_cycles = self.decode_cycles = 0
+        self.replay_cycles = self.idle_cycles = 0
+        self.peak_kv = self.peak_queue = self.peak_batch = 0
+
+    def busy(self) -> bool:
+        return bool(self.arrived < len(self.pending) or self.queue
+                    or self.prefill_fifo or self.active)
+
+    def admitted(self) -> int:
+        return len(self.active) + len(self.prefill_fifo)
+
+    def arrival_cycle(self, member: _Member) -> int:
+        return math.ceil(member.record.request.arrival_s * self.clock_hz)
+
+    def emit(self, kind: str, member: _Member, cycle: int | None = None,
+             **attrs) -> None:
+        """One lifecycle event of ``member``, at ``cycle`` or now."""
+        if self.vt.enabled:
+            request = member.record.request
+            self.vt.emit(kind, self.now if cycle is None else cycle,
+                         request.request_id, tenant=request.tenant, **attrs)
+
+    def push(self, member: _Member, since: int) -> None:
+        """Enter the admission pool at cycle ``since``."""
+        request = member.record.request
+        heapq.heappush(self.queue, (
+            request.priority, request.arrival_s, request.request_id, member,
+        ))
+        self.queued_since[request.request_id] = since
+
+    def arrive(self) -> None:
+        """Arrivals up to the current device time enter the pool."""
+        now_s = self.now / self.clock_hz
+        pending = self.pending
+        while (self.arrived < len(pending)
+               and pending[self.arrived].record.request.arrival_s <= now_s):
+            member = pending[self.arrived]
+            self.arrived += 1
+            cycle = self.arrival_cycle(member)
+            self.push(member, cycle)
+            self.metrics.requests.inc()
+            request = member.record.request
+            self.emit("arrive", member, cycle, decode_tokens=request.decode_tokens,
+                      priority=request.priority)
+
+    def admit(self) -> None:
+        """Admission at the step boundary: reserve the pool head's worst
+        case while it fits, preempting for it when it does not."""
+        queue, now_s = self.queue, self.now / self.clock_hz
+        while queue:
+            head = queue[0][3]
+            if not self.fits(head) and not self.preempt_for(head):
+                break
+            heapq.heappop(queue)
+            self.reserved += head.need
+            record = head.record
+            if record.admitted_s is None:
+                record.admitted_s = now_s
+            # Preempted requests re-run prefill too: the rewound cache
+            # rebuilds through replay, but the cross K/V must be
+            # re-projected first.
+            record.state = RequestState.PREFILLING
+            self.prefill_fifo.append(head)
+            since = self.queued_since.pop(record.request.request_id)
+            self.emit("queue_wait", head, wait_cycles=self.now - since)
+            self.emit("admit", head, reserved_bytes=head.need,
+                      queue_depth=len(queue))
+        self.peak_queue = max(self.peak_queue, len(queue))
+        self.metrics.queue_depth.set(len(queue))
+
+    def fits(self, member: _Member, evicted: int = 0, freed: int = 0) -> bool:
+        """Whether ``member`` fits the batch and the budget once
+        ``evicted`` members holding ``freed`` reserved bytes are gone."""
+        return (self.admitted() - evicted < self.cfg.max_batch
+                and self.reserved - freed + member.need <= self.budget)
+
+    def preempt_for(self, member: _Member) -> bool:
+        """Evict strictly-lower-priority members until ``member``'s
+        reservation fits; returns True on success.  Feasibility is
+        checked *before* evicting anything, so no request pays a rewind
+        for an admission that cannot happen anyway."""
+        if not self.cfg.preemption:
+            return False
+        priority = member.record.request.priority
+        # Lowest priority first (highest value), then latest arrival.
+        victims = sorted(
+            (a for a in self.active if a.record.request.priority > priority),
+            key=lambda a: (-a.record.request.priority, -a.record.request.arrival_s),
+        )
+        plan: list[_Member] = []
+        freed = 0
+        for victim in victims:
+            if self.fits(member, len(plan), freed):
+                break
+            plan.append(victim)
+            freed += victim.need
+        if not self.fits(member, len(plan), freed):
+            return False
+        for victim in plan:
+            self.evict(victim, member.record.request.request_id)
+        return bool(plan)
+
+    def evict(self, victim: _Member, by_request: int) -> None:
+        """Preempt one active member: rewind its rows and requeue it."""
+        record = victim.record
+        self.active.remove(victim)
+        self.reserved -= victim.need
+        self.rows -= victim.t
+        record.state = RequestState.PREEMPTED
+        record.preemptions += 1
+        record.replayed_steps += victim.t
+        self.ex.preempt(record)
+        self.push(victim, self.now)
+        self.preemptions += 1
+        self.metrics.preemptions.inc()
+        self.emit("preempt", victim, evicted_steps=victim.t, by_request=by_request)
+        victim.t = 0
+
+    def prefill(self) -> None:
+        """The prefill FIFO head's encoder pass; then it joins the batch."""
+        member = self.prefill_fifo.popleft()
+        record = member.record
+        cycles = self.ex.prefill_cycles(record)
+        replay = bool(record.preemptions)
+        self.emit("prefill_start", member, cycles=cycles, replay=replay)
+        self.now += cycles
+        self.prefills += 1
+        self.prefill_cycles += cycles
+        record.prefill_done_s = self.now / self.clock_hz
+        record.state = RequestState.DECODING
+        # Zero at the first prefill; after a preemption, the rows to replay.
+        member.replay_until = record.decoded_tokens
+        self.ex.open_session(record)
+        self.active.append(member)
+        self.metrics.prefills.inc()
+        self.emit("prefill_end", member, replay=replay)
+
+    def decode(self) -> None:
+        """One decode iteration over every in-flight member."""
+        active = self.active
+        lengths = [a.t + 1 for a in active]
+        cycles = self.ex.iteration_cycles(lengths)
+        is_replay = [a.t < a.replay_until for a in active]
+        if self.vt.enabled:
+            # Batch membership rides on the iteration event so the cost
+            # ledger can apportion the shared cycles to exactly the
+            # members that ran (schema v2).
+            self.vt.emit(
+                "decode_iter", self.now, None, cycles=cycles, batch=len(active),
+                prefix_lengths=lengths,
+                request_ids=[a.record.request.request_id for a in active],
+                tenants=[a.record.request.tenant for a in active],
+            )
+            for member, replay in zip(active, is_replay):
+                if replay:
+                    self.emit("replay", member, cycles=cycles, step=member.t)
+        self.now += cycles
+        self.decode_iterations += 1
+        self.decode_cycles += cycles
+        if any(is_replay):
+            self.replay_cycles += cycles
+        # One executor call for the whole iteration: the functional
+        # executor steps every session through the fabric as one batch,
+        # whatever its prefix length.
+        self.ex.step_many([(a.record, r) for a, r in zip(active, is_replay)])
+        self.rows += len(active)
+        for member, replay in zip(active, is_replay):
+            member.t += 1
+            if replay:
+                self.replayed_steps += 1
+                self.metrics.replayed_steps.inc()
+            elif member.t > member.record.decoded_tokens:
+                member.record.decoded_tokens = member.t
+        if any(a.t >= a.record.request.decode_tokens for a in active):
+            self.active = [a for a in active if a.t < a.record.request.decode_tokens]
+            now_s = self.now / self.clock_hz
+            for member in active:
+                if member.t >= member.record.request.decode_tokens:
+                    self.complete(member, now_s)
+        self.metrics.decode_iterations.inc()
+        self.metrics.batch_size.set(len(self.active))
+
+    def complete(self, member: _Member, now_s: float) -> None:
+        """A member decoded its last token at ``now_s``: release it and
+        report."""
+        record, request = member.record, member.record.request
+        self.reserved -= member.need
+        self.rows -= member.t
+        record.state = RequestState.COMPLETED
+        record.finished_s = now_s
+        self.metrics.completions.inc()
+        self.metrics.e2e_ms.observe(record.e2e_ms)
+        self.metrics.queue_ms.observe(record.queue_ms)
+        self.tracer.record_span(
+            "serving.request", start_us=request.arrival_s * 1e6,
+            duration_us=record.e2e_ms * 1e3, request_id=request.request_id,
+            priority=request.priority, preemptions=record.preemptions,
+        )
+        self.emit("complete", member, e2e_ms=record.e2e_ms,
+                  queue_ms=record.queue_ms, preemptions=record.preemptions)
+
+    def idle(self) -> None:
+        """Nothing runnable: the device idles to the next arrival.  Ceil,
+        not round: idling must land at-or-after the arrival instant or
+        the loop would spin in place."""
+        if self.arrived == len(self.pending):
+            raise RuntimeError(
+                "scheduler wedged: queued requests but nothing runnable"
+            )  # pragma: no cover - admission validation prevents this
+        arrival = self.arrival_cycle(self.pending[self.arrived])
+        self.idle_cycles += max(arrival - self.now, 0)
+        self.now = max(self.now, arrival)
+
+    def sample(self) -> None:
+        """End of turn: the peaks, the K/V gauge and the sampler."""
+        kv_now = self.row0_bytes * self.admitted() + self.row_bytes * self.rows
+        self.peak_kv = max(self.peak_kv, kv_now)
+        self.peak_batch = max(self.peak_batch, len(self.active))
+        self.metrics.kv_resident_bytes.set(kv_now)
+        if self.sampler.enabled:
+            self.sampler.sample(self.now, {
+                "batch_size": len(self.active),
+                "queue_depth": len(self.queue),
+                "kv_resident_bytes": kv_now,
+                "kv_reserved_bytes": self.reserved,
+                "kv_budget_bytes": self.budget,
+                # Cumulative device-cycle accounts; rate_series() turns
+                # these into busy/idle fractions over time.
+                "prefill_cycles": self.prefill_cycles,
+                "decode_cycles": self.decode_cycles,
+                "replay_cycles": self.replay_cycles,
+                "idle_cycles": self.idle_cycles,
+            })
+
+    def result(self) -> ServingResult:
+        return ServingResult(
+            config=self.cfg, records=self.records, device_end_cycles=self.now,
+            prefill_cycles_total=self.prefill_cycles,
+            decode_cycles_total=self.decode_cycles,
+            replay_cycles_total=self.replay_cycles,
+            idle_cycles_total=self.idle_cycles,
+            prefills=self.prefills, decode_iterations=self.decode_iterations,
+            preemptions=self.preemptions, replayed_steps=self.replayed_steps,
+            peak_kv_bytes=self.peak_kv, peak_queue_depth=self.peak_queue,
+            peak_batch=self.peak_batch, clock_hz=self.clock_hz,
+            rejections=self.rejections,
+            details={"kv_budget_bytes": float(self.budget)},
+        )
 
 
 def simulate(
@@ -690,7 +688,4 @@ def simulate(
     sampler: VSampler | None = None,
 ) -> ServingResult:
     """Convenience: run one trace through a fresh scheduler."""
-    config = config or ServingConfig()
-    return ContinuousBatchingScheduler(config, executor, vtrace, sampler).run(
-        requests
-    )
+    return ContinuousBatchingScheduler(config, executor, vtrace, sampler).run(requests)

@@ -197,3 +197,28 @@ class TestFrontendEdges:
         v = CharVocabulary()
         assert v.decode(v.encode("a")) == "a"
         assert v.decode([]) == ""
+
+
+class TestServingRequestEdges:
+    """The serving simulator refuses requests it cannot tell apart or
+    place in virtual time, naming the bad value."""
+
+    @pytest.mark.parametrize("arrivals", [(0.5, 0.5), (0.25, 0.75)])
+    def test_duplicate_request_ids_rejected(self, arrivals):
+        # Same arrival used to crash in heapq comparing records; distinct
+        # arrivals used to run and fold into one request in the event log.
+        from repro.serving import UtteranceRequest, simulate
+
+        requests = [
+            UtteranceRequest(request_id=7, arrival_s=t, decode_tokens=3)
+            for t in arrivals
+        ] + [UtteranceRequest(request_id=8, arrival_s=0.0, decode_tokens=3)]
+        with pytest.raises(ValueError, match="duplicate request_id 7"):
+            simulate(requests)
+
+    @pytest.mark.parametrize("arrival_s", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_non_finite_or_negative_arrival_rejected(self, arrival_s):
+        from repro.serving import UtteranceRequest
+
+        with pytest.raises(ValueError, match="arrival_s must be finite"):
+            UtteranceRequest(request_id=0, arrival_s=arrival_s, decode_tokens=3)

@@ -48,7 +48,14 @@ runs = st.fixed_dictionaries({
 })
 
 
-def _simulate(params):
+#: A pinned run with two preemptions and five replayed steps.
+PINNED_RUN = {"seed": 2, "arrival": "poisson", "load_rps": 8.0,
+              "num_requests": 16, "max_batch": 2, "tenants": 2,
+              "budget_slots": 2, "budget_tokens": 16}
+
+
+def serving_inputs(params):
+    """(requests, config) of one generated run."""
     requests = synthesize_requests(
         make_arrival_model(params["arrival"], params["load_rps"],
                            seed=params["seed"]),
@@ -62,16 +69,18 @@ def _simulate(params):
         )
     cfg = ServingConfig(s=32, max_batch=params["max_batch"], slo_ms=500.0,
                         kv_budget_bytes=budget, reject_oversized=True)
+    return requests, cfg
+
+
+def _simulate(params):
+    requests, cfg = serving_inputs(params)
     vt = VTraceRecorder()
     result = simulate(requests, cfg, ModeledExecutor(cfg, LM), vtrace=vt)
     return result, vt.events
 
 
 @given(runs)
-# A pinned run with two preemptions and five replayed steps.
-@example({"seed": 2, "arrival": "poisson", "load_rps": 8.0,
-          "num_requests": 16, "max_batch": 2, "tenants": 2,
-          "budget_slots": 2, "budget_tokens": 16})
+@example(PINNED_RUN)
 @settings(max_examples=40, deadline=None)
 def test_serving_log_readers_match_oracle(params):
     result, events = _simulate(params)

@@ -45,17 +45,28 @@ print(json.dumps(loaded))
 """
 
 
-def test_modeled_path_loads_no_numpy():
+def _fresh(code: str):
+    """The JSON that ``code`` prints in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", TIMING_RUN], env=env, capture_output=True,
+        [sys.executable, "-c", code], env=env, capture_output=True,
         text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
-    assert loaded == dict.fromkeys(
+    return json.loads(proc.stdout)
+
+
+def test_modeled_path_loads_no_numpy():
+    assert _fresh(TIMING_RUN) == dict.fromkeys(
         ("scheduler_run", "latency_report", "synthesize_a4", "import_cli"), False
     )
+
+
+def test_cli_import_leaves_the_lowering_unloaded():
+    """``repro-asr --help`` and ``inventory`` compile no block-program
+    IR: the commands that price cycles import it when they run."""
+    code = "import json, sys, repro.cli; print(json.dumps(sorted(sys.modules)))"
+    assert "repro.hw.program" not in _fresh(code)
 
 
 LAZY_MODULES = [
