@@ -40,7 +40,6 @@ harness gates the cycle totals exactly.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from collections import deque
@@ -115,14 +114,6 @@ class ServingConfig:
         Architecture(self.architecture)
 
 
-@functools.cache
-def _default_latency_model() -> LatencyModel:
-    """The cycle model of every executor built without one.  Its configs
-    are frozen and its step memo is exact, so sharing it changes no
-    number; runs stop refilling a fresh memo each."""
-    return LatencyModel()
-
-
 class ModeledExecutor:
     """Data-free costs from the cycle model (the serving default).
 
@@ -133,7 +124,7 @@ class ModeledExecutor:
 
     def __init__(self, config: ServingConfig, latency_model: LatencyModel | None = None):
         self.config = config
-        self.lm = latency_model or _default_latency_model()
+        self.lm = latency_model or LatencyModel()
         self._prefill = self.lm.latency_report(
             config.s, config.architecture
         ).total_cycles
@@ -152,6 +143,11 @@ class ModeledExecutor:
         )
 
     def resident_bytes(self, t: int) -> int:
+        """K/V bytes of one request's cache at prefix length ``t``.  An
+        override must stay affine in ``t``, as
+        :func:`~repro.hw.memory.modeled_resident_bytes` is: the scheduler
+        keeps the batch's resident bytes as a running total priced from
+        ``t = 0`` and ``t = 1`` alone."""
         return modeled_resident_bytes(self.lm.model, self.config.s, t)
 
     @property
@@ -351,29 +347,6 @@ class _Member:
     replay_until: int = 0
 
 
-class _Instruments:
-    """One run's ``repro.serving.*`` metric instruments, each bound on
-    first use: the registry gains exactly the instruments the run
-    updates, and later updates skip its by-name lookup."""
-
-    KINDS = {
-        "requests": "counter", "prefills": "counter", "preemptions": "counter",
-        "replayed_steps": "counter", "completions": "counter",
-        "decode_iterations": "counter", "queue_depth": "gauge",
-        "batch_size": "gauge", "kv_resident_bytes": "gauge",
-        "e2e_ms": "histogram", "queue_ms": "histogram",
-    }
-
-    def __init__(self, registry: obs_metrics.MetricsRegistry) -> None:
-        self._registry = registry
-
-    def __getattr__(self, attr: str):
-        bind = getattr(self._registry, self.KINDS[attr])
-        instrument = bind(f"repro.serving.{attr}")
-        setattr(self, attr, instrument)
-        return instrument
-
-
 class _Run:
     """The state of one :meth:`ContinuousBatchingScheduler.run` and its
     phase handlers.
@@ -397,7 +370,7 @@ class _Run:
         self.cfg, self.ex, self.vt = sched.config, sched.executor, sched.vtrace
         self.sampler, self.budget = sched.sampler, sched.kv_budget_bytes
         self.clock_hz = self.ex.clock_hz
-        self.metrics = _Instruments(obs_metrics.registry())
+        self.registry = obs_metrics.registry()
         self.tracer = obs_spans.tracer()
         self.now = 0  # device time, cycles
         self.records = [RequestRecord(request=r) for r in sorted(
@@ -417,6 +390,12 @@ class _Run:
                       needed_bytes=member.need, kv_budget_bytes=self.budget)
         self.rejections = len(oversized)
         self.pending = [m for m in members if m.need <= self.budget]
+        if self.pending:  # the instruments every turn updates, bound once
+            reg = self.registry
+            self.queue_depth = reg.gauge("repro.serving.queue_depth")
+            self.kv_gauge = reg.gauge("repro.serving.kv_resident_bytes")
+            self.batch_size = reg.gauge("repro.serving.batch_size")
+            self.iterations = reg.counter("repro.serving.decode_iterations")
         self.arrived = 0  # members of ``pending`` that entered the pool
         #: Admission pool: (priority, arrival_s, request_id) min-heap.
         self.queue: list[tuple[float, float, int, _Member]] = []
@@ -470,7 +449,7 @@ class _Run:
             self.arrived += 1
             cycle = self.arrival_cycle(member)
             self.push(member, cycle)
-            self.metrics.requests.inc()
+            self.registry.counter("repro.serving.requests").inc()
             request = member.record.request
             self.emit("arrive", member, cycle, decode_tokens=request.decode_tokens,
                       priority=request.priority)
@@ -498,7 +477,7 @@ class _Run:
             self.emit("admit", head, reserved_bytes=head.need,
                       queue_depth=len(queue))
         self.peak_queue = max(self.peak_queue, len(queue))
-        self.metrics.queue_depth.set(len(queue))
+        self.queue_depth.set(len(queue))
 
     def fits(self, member: _Member, evicted: int = 0, freed: int = 0) -> bool:
         """Whether ``member`` fits the batch and the budget once
@@ -544,7 +523,7 @@ class _Run:
         self.ex.preempt(record)
         self.push(victim, self.now)
         self.preemptions += 1
-        self.metrics.preemptions.inc()
+        self.registry.counter("repro.serving.preemptions").inc()
         self.emit("preempt", victim, evicted_steps=victim.t, by_request=by_request)
         victim.t = 0
 
@@ -564,7 +543,7 @@ class _Run:
         member.replay_until = record.decoded_tokens
         self.ex.open_session(record)
         self.active.append(member)
-        self.metrics.prefills.inc()
+        self.registry.counter("repro.serving.prefills").inc()
         self.emit("prefill_end", member, replay=replay)
 
     def decode(self) -> None:
@@ -600,7 +579,7 @@ class _Run:
             member.t += 1
             if replay:
                 self.replayed_steps += 1
-                self.metrics.replayed_steps.inc()
+                self.registry.counter("repro.serving.replayed_steps").inc()
             elif member.t > member.record.decoded_tokens:
                 member.record.decoded_tokens = member.t
         if any(a.t >= a.record.request.decode_tokens for a in active):
@@ -609,8 +588,8 @@ class _Run:
             for member in active:
                 if member.t >= member.record.request.decode_tokens:
                     self.complete(member, now_s)
-        self.metrics.decode_iterations.inc()
-        self.metrics.batch_size.set(len(self.active))
+        self.iterations.inc()
+        self.batch_size.set(len(self.active))
 
     def complete(self, member: _Member, now_s: float) -> None:
         """A member decoded its last token at ``now_s``: release it and
@@ -620,9 +599,9 @@ class _Run:
         self.rows -= member.t
         record.state = RequestState.COMPLETED
         record.finished_s = now_s
-        self.metrics.completions.inc()
-        self.metrics.e2e_ms.observe(record.e2e_ms)
-        self.metrics.queue_ms.observe(record.queue_ms)
+        self.registry.counter("repro.serving.completions").inc()
+        self.registry.histogram("repro.serving.e2e_ms").observe(record.e2e_ms)
+        self.registry.histogram("repro.serving.queue_ms").observe(record.queue_ms)
         self.tracer.record_span(
             "serving.request", start_us=request.arrival_s * 1e6,
             duration_us=record.e2e_ms * 1e3, request_id=request.request_id,
@@ -648,7 +627,7 @@ class _Run:
         kv_now = self.row0_bytes * self.admitted() + self.row_bytes * self.rows
         self.peak_kv = max(self.peak_kv, kv_now)
         self.peak_batch = max(self.peak_batch, len(self.active))
-        self.metrics.kv_resident_bytes.set(kv_now)
+        self.kv_gauge.set(kv_now)
         if self.sampler.enabled:
             self.sampler.sample(self.now, {
                 "batch_size": len(self.active),
